@@ -94,13 +94,6 @@ class CountTable:
                 seen.update(pids)
         return len(seen)
 
-    def politician_ids(self, gender: Gender) -> set[str]:
-        seen: set[str] = set()
-        for (g, _, _), pids in self.pids.items():
-            if g == gender:
-                seen.update(pids)
-        return seen
-
     def word_counts(self) -> dict[WordKey, dict[Gender, int]]:
         out: dict[WordKey, dict[Gender, int]] = {}
         for (lemma, upos, g, _, _, _), n in self.cells.items():
@@ -334,16 +327,6 @@ class BiasProfile:
         if category is None:
             return self.words
         return tuple(w for w in self.words if w.category == category)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "mode": self.mode,
-            "c_F": float(self.c_f),
-            "c_M": float(self.c_m),
-            "excluded_words": self.excluded,
-            "words": [word_bias_json(w) for w in self.words],
-        }
 
 
 def word_bias_json(w: WordBias) -> dict:

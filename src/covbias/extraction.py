@@ -22,6 +22,7 @@ from .model import (
     PersonalizationRecord,
     Sentence,
     Token,
+    tree_defect,
 )
 from .registry import PoliticianRegistry
 
@@ -34,36 +35,15 @@ class DependencyTree:
     """Adjacency view of one sentence's parse, with distance queries."""
 
     def __init__(self, sentence: Sentence):
+        reason = tree_defect([t.head for t in sentence.tokens])
+        if reason is not None:
+            raise ValueError(f"{sentence.doc_id}[{sentence.index}]: {reason}")
         self.sentence = sentence
         self.heads = {t.index: t.head for t in sentence.tokens}
         self.children: dict[int, list[int]] = {t.index: [] for t in sentence.tokens}
-        self.roots: list[int] = []
         for t in sentence.tokens:
-            if t.head == 0:
-                self.roots.append(t.index)
-            else:
-                if t.head not in self.children:
-                    raise ValueError(
-                        f"{sentence.doc_id}[{sentence.index}]: head {t.head} "
-                        f"of token {t.index} missing from sentence"
-                    )
+            if t.head != 0:
                 self.children[t.head].append(t.index)
-        if not self.roots:
-            raise ValueError(f"{sentence.doc_id}[{sentence.index}]: tree has no root")
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        for start in self.heads:
-            seen = set()
-            node = start
-            while node != 0:
-                if node in seen:
-                    raise ValueError(
-                        f"{self.sentence.doc_id}[{self.sentence.index}]: "
-                        f"cyclic head chain through token {node}"
-                    )
-                seen.add(node)
-                node = self.heads[node]
 
     def distances(self, sources: Iterable[int], direction: str = "undirected") -> dict[int, int]:
         """BFS distance from a source set to every reachable token.
@@ -112,12 +92,13 @@ def neighborhood(
     radius: int,
     direction: str = "undirected",
     modal_lemmas: frozenset[str] = DEFAULT_MODAL_LEMMAS,
-) -> list[Token]:
+) -> list[tuple[Token, int]]:
     """Content words within `radius` tree steps of the mention span.
 
-    Mention tokens themselves are never words; PROPN stays out (proper
-    nouns are entities, not descriptors), as do auxiliaries, configured
-    modal verbs and filtered tokens. Monotone in the radius.
+    Returns (token, distance) pairs in sentence order. Mention tokens
+    themselves are never words; PROPN stays out (proper nouns are
+    entities, not descriptors), as do auxiliaries, configured modal verbs
+    and filtered tokens. Monotone in the radius.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -131,7 +112,7 @@ def neighborhood(
         if d is None or d > radius:
             continue
         if eligible_word(token, modal_lemmas):
-            out.append(token)
+            out.append((token, d))
     return out
 
 
@@ -250,22 +231,21 @@ def extract_records(
         tree = build_tree(sentence)
         spans: set[int] = set()
         for m in mentions:
-            spans |= set(m.span)
-        dist_maps = [(m, tree.distances(set(m.span), direction)) for m in mentions]
-        for token in sentence.tokens:
-            if token.index in spans or not eligible_word(token, modal_lemmas):
-                continue
-            near = [
-                (m, dm[token.index])
-                for m, dm in dist_maps
-                if dm.get(token.index) is not None and dm[token.index] <= radius
-            ]
-            if not near:
-                continue
-            best = min(d for _, d in near)
-            for m, d in near:
-                if d != best:
+            spans.update(m.span)
+        # token index -> (token, distance, nearest mentions in mention order)
+        nearest: dict[int, tuple[Token, int, list[Mention]]] = {}
+        for m in mentions:
+            for token, d in neighborhood(tree, m, radius, direction, modal_lemmas):
+                if token.index in spans:
                     continue
+                best = nearest.get(token.index)
+                if best is None or d < best[1]:
+                    nearest[token.index] = (token, d, [m])
+                elif d == best[1]:
+                    best[2].append(m)
+        for index in sorted(nearest):
+            token, _, tied = nearest[index]
+            for m in tied:
                 gender = registry.gender_of(m.pid)
                 entry = lexicon.get(token.lemma, token.upos)
                 result.counts.add(

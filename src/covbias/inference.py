@@ -15,6 +15,7 @@ from .model import Gender, SourceType
 from .sentiment import score_fifths
 
 DEFAULT_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
+MIN_REPLICATES = 100
 JITTER_HALF_WIDTH = 0.05  # a quarter of the 0.2 grid step: ties break,
 # class membership never changes
 
@@ -291,8 +292,8 @@ def bootstrap_significance(
     redrawn, up to 10x the replicate budget. A coefficient is flagged
     significant when its 95% interval excludes zero.
     """
-    if n_replicates < 100:
-        raise ValueError("bootstrap needs at least 100 replicates")
+    if n_replicates < MIN_REPLICATES:
+        raise ValueError(f"bootstrap needs at least {MIN_REPLICATES} replicates")
     y = np.asarray(list(y), dtype=float)
     g = np.asarray(list(gender_dummy), dtype=int)
     s = np.asarray(list(source_dummy), dtype=int)

@@ -12,10 +12,10 @@ import datetime
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .errors import ConlluFormatError, MetadataError
-from .model import Document, Sentence, SourceType, Token, normalize_lemma
+from .model import Document, Sentence, SourceType, Token, normalize_lemma, tree_defect
 
 _DIGITS_RE = re.compile(r"[\d.,:%/\-]+")
 _NEWDOC_RE = re.compile(r"#\s*newdoc\s+id\s*=\s*(\S+)")
@@ -166,23 +166,6 @@ def _make_token(
     return Token(index, surface, norm, upos, head, deprel, filtered=filtered)
 
 
-def _validate_tree(tokens: Sequence[Token]) -> Optional[str]:
-    """Reason the sentence must be rejected, or None if the tree is sound."""
-    n = len(tokens)
-    heads = {t.index: t.head for t in tokens}
-    if not any(h == 0 for h in heads.values()):
-        return "no root token (no head = 0)"
-    for start in heads:
-        seen = set()
-        node = start
-        while node != 0:
-            if node in seen:
-                return f"cyclic head chain through token {node}"
-            seen.add(node)
-            node = heads[node]
-    return None
-
-
 def iter_conllu(
     path,
     stopwords: set[str],
@@ -218,21 +201,22 @@ def iter_conllu(
             raise ConlluFormatError(
                 f"token ids are not 1..{len(rows)} in sentence {sent_id!r}", block_start_line
             )
-        for idx, _, _, _, head, _ in rows:
-            if head > len(rows):
+        heads = [r[4] for r in rows]
+        for idx, head in enumerate(heads, start=1):
+            if not 0 <= head <= len(rows):
                 raise ConlluFormatError(
                     f"head {head} of token {idx} out of range in sentence {sent_id!r}",
                     block_start_line,
                 )
-        tokens = tuple(
-            _make_token(idx, form, lemma, upos, head, deprel, stopwords, lemma_map)
-            for idx, form, lemma, upos, head, deprel in rows
-        )
-        reason = _validate_tree(tokens)
+        reason = tree_defect(heads)
         out = None
         if reason is not None:
             diagnostics.reject(doc_id, sent_id, reason)
         else:
+            tokens = tuple(
+                _make_token(idx, form, lemma, upos, head, deprel, stopwords, lemma_map)
+                for idx, form, lemma, upos, head, deprel in rows
+            )
             out = (doc_id, Sentence(doc_id=doc_id, index=sent_index, tokens=tokens))
         sent_index += 1
         rows = []

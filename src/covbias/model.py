@@ -10,7 +10,7 @@ import datetime
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 
 class Gender(str, Enum):
@@ -63,6 +63,28 @@ def normalize_lemma(raw: str) -> Optional[str]:
             break
         s = stripped
     return s or None
+
+
+def tree_defect(heads: Sequence[int]) -> Optional[str]:
+    """Why a head list is not a dependency tree, or None if it is one.
+
+    ``heads[i]`` is the head of token i + 1 (0 for a root) and every head
+    must already be in range 0..len(heads). A tree needs a root and every
+    head chain must reach it; a token headed by itself is a cycle.
+    """
+    if 0 not in heads:
+        return "no root token (no head = 0)"
+    rooted = {0}
+    for start in range(1, len(heads) + 1):
+        chain = set()
+        node = start
+        while node not in rooted:
+            if node in chain:
+                return f"cyclic head chain through token {node}"
+            chain.add(node)
+            node = heads[node - 1]
+        rooted |= chain
+    return None
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from . import bias, inference, reporting, temporal
 from .bias import CountTable
 from .entities import RoleGazetteer
 from .errors import ConfigError, StageError
-from .extraction import DEFAULT_MODAL_LEMMAS, ExtractionResult, extract_records
+from .extraction import DEFAULT_MODAL_LEMMAS, DIRECTIONS, ExtractionResult, extract_records
 from .ingestion import CorpusBundle, CorpusDiagnostics, read_corpus, read_metadata, read_stopwords
 from .lexicon import Lexicon, read_lexicon
 from .model import Category, Document, Gender, PersonalizationRecord, Sentence, SourceType
@@ -62,8 +62,8 @@ class PipelineConfig:
     direction: str = "undirected"
     rates_mode: str = "ratio"
     seed: int = 42
-    jitter: float = 0.05
-    ma_window: int = 90
+    jitter: float = inference.JITTER_HALF_WIDTH
+    ma_window: int = temporal.MA_WINDOW
     bootstrap: int = 200
     workers: int = 1
     bins: int = 40
@@ -141,8 +141,8 @@ class PipelineConfig:
                 raise ConfigError(f"{label} file does not exist: {path}")
         if self.radius < 1:
             raise ConfigError("radius must be >= 1")
-        if self.direction not in ("undirected", "children"):
-            raise ConfigError("direction must be 'undirected' or 'children'")
+        if self.direction not in DIRECTIONS:
+            raise ConfigError(f"direction must be one of {DIRECTIONS}")
         if self.rates_mode not in bias.RATE_MODES:
             raise ConfigError(f"rates_mode must be one of {bias.RATE_MODES}")
         if self.jitter < 0:
@@ -151,6 +151,12 @@ class PipelineConfig:
             raise ConfigError("ma_window must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.bootstrap < inference.MIN_REPLICATES:
+            raise ConfigError(f"bootstrap must be >= {inference.MIN_REPLICATES}")
+        if self.bins < 1:
+            raise ConfigError("bins must be >= 1")
+        if (self.window_start is None) != (self.window_end is None):
+            raise ConfigError("window_start and window_end must be given together")
 
     def window(self) -> Optional[tuple[datetime.date, datetime.date]]:
         if self.window_start and self.window_end:
@@ -189,12 +195,15 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([seed, *indices]).generate_state(1)[0])
 
 
+def _load_lexicon(cfg: PipelineConfig) -> Lexicon:
+    stopwords = read_stopwords(cfg.stopwords) if cfg.stopwords else None
+    return read_lexicon(cfg.lexicon, stopwords=stopwords)
+
+
 def _load_side_inputs(cfg: PipelineConfig) -> tuple[PoliticianRegistry, Lexicon, RoleGazetteer]:
     registry = read_registry(cfg.registry)
-    stopwords = read_stopwords(cfg.stopwords) if cfg.stopwords else set()
-    lexicon = read_lexicon(cfg.lexicon, stopwords=stopwords if stopwords else None)
     gaz = RoleGazetteer.from_file(cfg.gazetteer) if cfg.gazetteer else RoleGazetteer()
-    return registry, lexicon, gaz
+    return registry, _load_lexicon(cfg), gaz
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +344,7 @@ def _daily_fraction_series(
 
 def stage_analyze(cfg: PipelineConfig) -> dict:
     cfg.validate()
-    stopwords = read_stopwords(cfg.stopwords) if cfg.stopwords else set()
-    lexicon = read_lexicon(cfg.lexicon, stopwords=stopwords if stopwords else None)
+    lexicon = _load_lexicon(cfg)
     with open(cfg.path("count_table.json"), encoding="utf-8") as fh:
         table = CountTable.from_json_dict(json.load(fh))
     records = _load_records(cfg.path("records.jsonl"))
@@ -613,21 +621,8 @@ def stage_report(cfg: PipelineConfig) -> dict:
                     ),
                 )
 
-    rows = []
-    for field in ("politicians", "contents", "sentences", "words", "distinct_words"):
-        rows.append(
-            [
-                field,
-                desc["coverage"]["F"][field],
-                desc["coverage"]["M"][field],
-                desc["personalization"]["F"][field],
-                desc["personalization"]["M"][field],
-            ]
-        )
     reporting.write_csv(
-        cfg.path("table1.csv"),
-        ["measure", "coverage_F", "coverage_M", "personalization_F", "personalization_M"],
-        rows,
+        cfg.path("table1.csv"), reporting.TABLE1_HEADER, reporting.table1_rows(desc)
     )
 
     for dataset in ("coverage", "personalization"):
@@ -647,10 +642,7 @@ def stage_report(cfg: PipelineConfig) -> dict:
 
     counts = {
         dataset: {
-            g.value: {
-                k: desc[dataset][g.value][k]
-                for k in ("politicians", "contents", "sentences", "words", "distinct_words")
-            }
+            g.value: {k: desc[dataset][g.value][k] for k in reporting.TABLE1_FIELDS}
             for g in Gender
         }
         for dataset in ("coverage", "personalization")

@@ -10,7 +10,6 @@ import logging
 from typing import Optional, Sequence
 
 from .bias import LeaveOneOutResult
-from .extraction import DescriptiveStats
 from .lexicon import Lexicon
 from .model import Category, Gender, PersonalizationRecord
 from .sentiment import SentimentClass, classify
@@ -18,6 +17,10 @@ from .sentiment import SentimentClass, classify
 log = logging.getLogger(__name__)
 
 SENTIMENT_COLUMNS = [cls.value for cls in SentimentClass]
+
+# Table 1 measures, in row order; each is a key of descriptives.json.
+TABLE1_FIELDS = ("politicians", "contents", "sentences", "words", "distinct_words")
+TABLE1_HEADER = ["measure", "coverage_F", "coverage_M", "personalization_F", "personalization_M"]
 
 
 def write_json(path, obj) -> None:
@@ -77,23 +80,17 @@ def distinctive_word_rows(
     loo: LeaveOneOutResult,
     gender: Gender,
     lexicon: Optional[Lexicon] = None,
-    category: Optional[Category] = None,
     negative_only: bool = False,
 ) -> list[list]:
     """Ranked distinctive words for one gender: lemma, upos, weight, diss.
 
-    A category filter keeps only lexicon words of that category; the
-    negative-only variant additionally keeps words classed as negative.
+    The negative-only variant keeps lexicon words classed as negative.
     """
     rows = []
     for word in loo.distinctive_for(gender):
-        if category is not None or negative_only:
+        if negative_only:
             entry = lexicon.get(word.lemma, word.upos) if lexicon else None
-            if entry is None:
-                continue
-            if category is not None and entry.category != category:
-                continue
-            if negative_only and entry.sentiment not in (
+            if entry is None or entry.sentiment not in (
                 SentimentClass.STRONG_NEGATIVE,
                 SentimentClass.WEAKLY_NEGATIVE,
             ):
@@ -104,22 +101,13 @@ def distinctive_word_rows(
     return rows
 
 
-def table1_rows(descriptives: DescriptiveStats) -> list[list]:
-    """Dataset breakdown rows mirroring the coverage/personalization layout."""
-    cov = descriptives.coverage.to_json_dict()
-    pers = descriptives.personalization.to_json_dict()
-    rows = []
-    for field in ("politicians", "contents", "sentences", "words", "distinct_words"):
-        rows.append(
-            [
-                field,
-                cov["F"][field],
-                cov["M"][field],
-                pers["F"][field],
-                pers["M"][field],
-            ]
-        )
-    return rows
+def table1_rows(descriptives: dict) -> list[list]:
+    """Dataset breakdown rows, one per measure, from descriptives.json."""
+    cov, pers = descriptives["coverage"], descriptives["personalization"]
+    return [
+        [field, cov["F"][field], cov["M"][field], pers["F"][field], pers["M"][field]]
+        for field in TABLE1_FIELDS
+    ]
 
 
 def ccdf_points(values: Sequence[int]) -> list[tuple[int, float]]:

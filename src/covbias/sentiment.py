@@ -7,13 +7,10 @@ depends on float rounding; floats appear only at serialization.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
-
-from .errors import LexiconError
 
 Score = Union[int, float, Fraction]
 
@@ -89,35 +86,6 @@ class AnnotationMatrix:
     """
 
     rows: Mapping[tuple[str, str], tuple[Optional[int], ...]]
-
-    @classmethod
-    def from_csv(cls, path) -> "AnnotationMatrix":
-        rows: dict[tuple[str, str], tuple[Optional[int], ...]] = {}
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            for lineno, rec in enumerate(csv.reader(fh), start=1):
-                if not rec or all(not c.strip() for c in rec):
-                    continue
-                if len(rec) < 3:
-                    raise LexiconError(
-                        f"{path}: line {lineno}: expected lemma,upos,scores..."
-                    )
-                key = (rec[0].strip(), rec[1].strip())
-                if key in rows:
-                    raise LexiconError(f"{path}: duplicate row for {key}")
-                cells = []
-                for c in rec[2:]:
-                    c = c.strip()
-                    if not c:
-                        cells.append(None)
-                        continue
-                    v = int(c)
-                    if v not in VALID_RAW_SCORES:
-                        raise LexiconError(
-                            f"{path}: line {lineno}: score {v} not in {{-1, 0, 1}}"
-                        )
-                    cells.append(v)
-                rows[key] = tuple(cells)
-        return cls(rows)
 
     def units(self) -> list[list[int]]:
         """Rating lists of the units with at least two ratings."""

@@ -110,20 +110,26 @@ class TestNeighborhood:
         sent = pruning_example_sentence()
         tree = build_tree(sent)
         words = neighborhood(tree, mention(2, 4), radius=1)
-        assert [t.lemma for t in words] == ["meet"]
+        assert [t.lemma for t, _ in words] == ["meet"]
 
     def test_actress_enters_at_radius_two(self):
         sent = pruning_example_sentence()
         tree = build_tree(sent)
         words = neighborhood(tree, mention(2, 4), radius=2)
-        assert [t.lemma for t in words] == ["meet", "actress"]
+        assert [t.lemma for t, _ in words] == ["meet", "actress"]
+
+    def test_pairs_carry_tree_distance(self):
+        sent = pruning_example_sentence()
+        tree = build_tree(sent)
+        words = neighborhood(tree, mention(2, 4), radius=2)
+        assert [(t.lemma, d) for t, d in words] == [("meet", 1), ("actress", 2)]
 
     def test_monotone_in_radius(self):
         sent = pruning_example_sentence()
         tree = build_tree(sent)
         previous: set = set()
         for radius in range(1, 6):
-            current = {t.index for t in neighborhood(tree, mention(2, 4), radius)}
+            current = {t.index for t, _ in neighborhood(tree, mention(2, 4), radius)}
             assert previous <= current
             previous = current
 
@@ -145,9 +151,9 @@ class TestNeighborhood:
         sent = sentence_from(rows)
         tree = build_tree(sent)
         words = neighborhood(tree, mention(1, 1), radius=1)
-        assert [t.lemma for t in words] == ["persona"]
+        assert [t.lemma for t, _ in words] == ["persona"]
         words = neighborhood(tree, mention(1, 1), radius=2)
-        assert [t.lemma for t in words] == ["persona", "bello"]
+        assert [t.lemma for t, _ in words] == ["persona", "bello"]
 
     def test_propn_aux_modal_and_filtered_excluded(self):
         rows = [
@@ -161,7 +167,7 @@ class TestNeighborhood:
         sent = sentence_from(rows)
         tree = build_tree(sent)
         words = neighborhood(tree, mention(1, 1), radius=3)
-        assert [t.lemma for t in words] == ["vincere"]
+        assert [t.lemma for t, _ in words] == ["vincere"]
 
     def test_radius_must_be_positive(self):
         sent = pruning_example_sentence()

@@ -106,6 +106,18 @@ class TestConlluReader:
         with pytest.raises(ConlluFormatError):
             run_conllu(text, tmp_path)
 
+    def test_negative_head_is_error_with_line(self, tmp_path):
+        text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "2\tgatto\tgatto\tNOUN\t_\t_\t-1")
+        with pytest.raises(ConlluFormatError, match="head -1 of token 2 out of range") as err:
+            run_conllu(text, tmp_path)
+        assert err.value.line == 2
+
+    def test_self_head_rejected_as_cycle(self, tmp_path):
+        text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "2\tgatto\tgatto\tNOUN\t_\t_\t2")
+        out, diag = run_conllu(text, tmp_path)
+        assert out == []
+        assert diag.rejected_sentences == [("dx", "dx.s0", "cyclic head chain through token 2")]
+
     def test_cycle_rejected_with_diagnostic(self, tmp_path):
         text = """# newdoc id = dc
 # sent_id = dc.s0

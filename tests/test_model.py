@@ -14,6 +14,7 @@ from covbias.model import (
     SourceType,
     Token,
     normalize_lemma,
+    tree_defect,
 )
 
 
@@ -56,6 +57,17 @@ class TestEnums:
             "physical",
             "socio_economic",
         }
+
+
+class TestTreeDefect:
+    def test_sound_trees(self):
+        assert tree_defect([0]) is None
+        assert tree_defect([2, 3, 0]) is None
+        assert tree_defect([0, 1, 0]) is None  # two roots are allowed
+
+    def test_cycle_names_first_repeated_token(self):
+        assert tree_defect([2, 1, 0]) == "cyclic head chain through token 1"
+        assert tree_defect([0, 3, 4, 2]) == "cyclic head chain through token 2"
 
 
 class TestToken:

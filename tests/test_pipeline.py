@@ -86,6 +86,23 @@ class TestPipelineOutputs:
         assert int(table1["words"]["coverage_F"]) == totals["F"]
         assert int(table1["words"]["coverage_M"]) == totals["M"]
 
+    def test_table1_matches_manifest_counts(self, tiny_run):
+        _, out = tiny_run
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        with open(out / "table1.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["measure"] for r in rows] == [
+            "politicians",
+            "contents",
+            "sentences",
+            "words",
+            "distinct_words",
+        ]
+        for row in rows:
+            for dataset in ("coverage", "personalization"):
+                for gender in ("F", "M"):
+                    assert int(row[f"{dataset}_{gender}"]) == counts[dataset][gender][row["measure"]]
+
     def test_records_jsonl_schema(self, tiny_run):
         _, out = tiny_run
         lines = (out / "records.jsonl").read_text().strip().split("\n")
@@ -204,6 +221,22 @@ class TestConfig:
         (tmp_path / "cfg.ini").write_text(text)
         cfg = PipelineConfig.from_ini(str(tmp_path / "cfg.ini"))
         with pytest.raises(ConfigError):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"bootstrap": 50}, "bootstrap"),
+            ({"bins": 0}, "bins"),
+            ({"window_start": "2018-01-01"}, "window_start"),
+            ({"window_end": "2018-12-31"}, "window_end"),
+        ],
+    )
+    def test_bad_setting_fails_before_any_stage(self, tmp_path, extra, message):
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out", **extra)
+        cfg = PipelineConfig.from_ini(cfg_path)
+        with pytest.raises(ConfigError, match=message):
             run_pipeline(cfg)
         assert not (tmp_path / "out").exists()
 

@@ -6,6 +6,7 @@ from covbias.bias import leave_one_out
 from covbias.lexicon import read_lexicon
 from covbias.model import Category, Gender, PersonalizationRecord, SourceType
 from covbias.reporting import (
+    TABLE1_FIELDS,
     ccdf_points,
     distinctive_word_rows,
     sentiment_fraction_rows,
@@ -126,15 +127,23 @@ class TestDistinctiveRows:
         )
         assert [r[0] for r in m_neg] == ["sciatto"]
 
-    def test_category_filter(self, lexicon):
-        rows = distinctive_word_rows(
-            self.f_heavy_loo(), Gender.F, lexicon, category=Category.MORAL_BEHAVIORAL
-        )
-        assert rows == []
-        rows = distinctive_word_rows(
-            self.f_heavy_loo(), Gender.F, lexicon, category=Category.PHYSICAL
-        )
-        assert [r[0] for r in rows] == ["bello"]
+
+class TestTable1:
+    def test_rows_follow_measure_order(self):
+        def tally(base):
+            return {field: base + i for i, field in enumerate(TABLE1_FIELDS)}
+
+        desc = {
+            "coverage": {"F": tally(10), "M": tally(20)},
+            "personalization": {"F": tally(30), "M": tally(40)},
+        }
+        assert table1_rows(desc) == [
+            ["politicians", 10, 20, 30, 40],
+            ["contents", 11, 21, 31, 41],
+            ["sentences", 12, 22, 32, 42],
+            ["words", 13, 23, 33, 43],
+            ["distinct_words", 14, 24, 34, 44],
+        ]
 
 
 class TestDescriptives:

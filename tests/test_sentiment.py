@@ -171,19 +171,6 @@ class TestKrippendorffAlpha:
 
 
 class TestAnnotationMatrix:
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "ann.csv"
-        path.write_text("bello,ADJ,1,1,,0,1\nduro,ADJ,-1,0,0,-1,0\n", encoding="utf-8")
-        matrix = AnnotationMatrix.from_csv(path)
-        assert matrix.rows[("bello", "ADJ")] == (1, 1, None, 0, 1)
-        assert len(matrix.units()) == 2
-
-    def test_bad_score_rejected(self, tmp_path):
-        path = tmp_path / "ann.csv"
-        path.write_text("bello,ADJ,2,1,1,0,1\n", encoding="utf-8")
-        with pytest.raises(Exception):
-            AnnotationMatrix.from_csv(path)
-
     def test_rows_with_single_rating_dropped_from_units(self):
         matrix = AnnotationMatrix(
             {("a", "ADJ"): (1, None, None, None, None), ("b", "ADJ"): (1, 0, None, None, None)}
