@@ -121,12 +121,15 @@ def find_mentions(
     the mention and bumps the diagnostics tally. Overlaps resolve longest
     match first; the result is ordered by span start, then by pattern
     precedence (name+surname, role+surname, specific role).
+
+    Candidate tuples come from the registry's first-token indexes, so the
+    cost per sentence does not grow with the size of the registry.
     """
     gaz = gazetteer if gazetteer is not None else RoleGazetteer()
     diag = diagnostics if diagnostics is not None else MatchDiagnostics()
     tokens = sentence.tokens
     n = len(tokens)
-    norms: list[Optional[str]] = [normalize_lemma(t.surface) for t in tokens]
+    norms: list[Optional[str]] = [t.norm for t in tokens]
     lemmas: list[Optional[str]] = [t.lemma if not t.filtered else None for t in tokens]
 
     candidates: list[_Candidate] = []
@@ -137,13 +140,10 @@ def find_mentions(
         elif len(pids) > 1:
             diag.drop(pattern)
 
-    # Full-name and surname tuples, longest first so the greedy scan
-    # prefers the most specific reading at each position.
-    name_keys = sorted(registry.full_names, key=lambda t: (-len(t), t))
-    surname_keys = sorted(registry.surnames, key=lambda t: (-len(t), t))
-
+    # Index entries are longest first, so the greedy scan prefers the most
+    # specific reading at each position.
     for i in range(n):
-        for key in name_keys:
+        for key in registry.names_by_first.get(norms[i], ()):
             if _match_tuple(norms, i, key):
                 resolve(
                     registry.full_names[key],
@@ -158,15 +158,16 @@ def find_mentions(
             continue
 
         # role + surname, e.g. "ministro Fedeli"
-        for key in surname_keys:
-            if _match_tuple(norms, i + 1, key):
-                holders = registry.surnames[key] & registry.holders_of_keyword(
-                    canonical, doc.date
-                )
-                resolve(
-                    holders, i + 1, i + 1 + len(key), MentionPattern.ROLE_SURNAME
-                )
-                break
+        if i + 1 < n:
+            for key in registry.surnames_by_first.get(norms[i + 1], ()):
+                if _match_tuple(norms, i + 1, key):
+                    holders = registry.surnames[key] & registry.holders_of_keyword(
+                        canonical, doc.date
+                    )
+                    resolve(
+                        holders, i + 1, i + 1 + len(key), MentionPattern.ROLE_SURNAME
+                    )
+                    break
 
         # specific role, e.g. "sindaco di Roma", "presidente della Regione Lazio"
         j = i + 1
@@ -176,16 +177,18 @@ def find_mentions(
                 j += 1
                 if j < n and norms[j] in _PREPOSITIONS:
                     j += 1
-            for jur in registry.jurisdictions_of_keyword(canonical):
-                if _match_tuple(norms, j, jur):
-                    holders = registry.holders_of_role(canonical, jur, doc.date)
-                    resolve(
-                        holders,
-                        i + 1,
-                        j + len(jur),
-                        MentionPattern.SPECIFIC_ROLE,
-                    )
-                    break
+            if j < n:
+                by_first = registry.jurisdictions_by_first.get(canonical, {})
+                for jur in by_first.get(norms[j], ()):
+                    if _match_tuple(norms, j, jur):
+                        holders = registry.holders_of_role(canonical, jur, doc.date)
+                        resolve(
+                            holders,
+                            i + 1,
+                            j + len(jur),
+                            MentionPattern.SPECIFIC_ROLE,
+                        )
+                        break
 
     # Longest-match-wins on overlap (equal lengths fall back to pattern
     # precedence); each token belongs to at most one mention.

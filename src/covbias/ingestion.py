@@ -161,9 +161,12 @@ def _make_token(
     if norm is None:
         # Nothing lexical remains: keep the raw string for the tree,
         # never select the token as a word.
-        return Token(index, surface, raw_lemma or surface, upos, head, deprel, filtered=True)
+        return Token(
+            index, surface, raw_lemma or surface, upos, head, deprel,
+            filtered=True, norm=norm_surface,
+        )
     filtered = norm in stopwords or _is_digits(norm) or _is_url(surface) or _is_url(norm)
-    return Token(index, surface, norm, upos, head, deprel, filtered=filtered)
+    return Token(index, surface, norm, upos, head, deprel, filtered=filtered, norm=norm_surface)
 
 
 def iter_conllu(

@@ -95,7 +95,9 @@ class Token:
     the index of the syntactic head (0 for the root). ``filtered``
     marks stopwords, digits, URLs and other non-lexical material: such
     tokens stay in the tree (pruning nodes would corrupt head indices)
-    but are never selected as neighborhood words.
+    but are never selected as neighborhood words. ``norm`` is the
+    surface passed through ``normalize_lemma``, the form mention matching
+    compares; it is derived from ``surface`` when not given.
     """
 
     index: int
@@ -105,6 +107,7 @@ class Token:
     head: int
     deprel: str
     filtered: bool = False
+    norm: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.index < 1:
@@ -115,6 +118,8 @@ class Token:
             raise ValueError(f"token {self.index} is its own head")
         if not self.lemma:
             raise ValueError(f"token {self.index} has an empty lemma")
+        if self.norm is None and self.surface:
+            object.__setattr__(self, "norm", normalize_lemma(self.surface))
 
 
 @dataclass(frozen=True)

@@ -96,26 +96,27 @@ class PipelineConfig:
             "lemma_map": get("lemma_map"),
             "gazetteer": get("gazetteer"),
         }
-        for key, cast in (
-            ("radius", int),
-            ("seed", int),
-            ("ma_window", int),
-            ("bootstrap", int),
-            ("workers", int),
-            ("bins", int),
-            ("jitter", float),
+        for key, cast, kind in (
+            ("radius", int, "an integer"),
+            ("seed", int, "an integer"),
+            ("ma_window", int, "an integer"),
+            ("bootstrap", int, "an integer"),
+            ("workers", int, "an integer"),
+            ("bins", int, "an integer"),
+            ("jitter", float, "a number"),
+            ("window_start", datetime.date.fromisoformat, "a YYYY-MM-DD date"),
+            ("window_end", datetime.date.fromisoformat, "a YYYY-MM-DD date"),
         ):
             raw = get(key)
             if raw is not None:
-                kwargs[key] = cast(raw)
+                try:
+                    kwargs[key] = cast(raw)
+                except ValueError:
+                    raise ConfigError(f"{path}: {key} = {raw!r} is not {kind}") from None
         for key in ("direction", "rates_mode"):
             raw = get(key)
             if raw is not None:
                 kwargs[key] = raw
-        for key in ("window_start", "window_end"):
-            raw = get(key)
-            if raw is not None:
-                kwargs[key] = datetime.date.fromisoformat(raw)
         for key, value in overrides.items():
             if value is not None:
                 kwargs[key] = value

@@ -37,13 +37,29 @@ def _parse_tenure(raw: str, where: str) -> tuple[Optional[datetime.date], Option
     return start, end
 
 
+def _by_first_token(keys) -> dict[str, list[TokenTuple]]:
+    """Group token tuples by their first token, each group longest first.
+
+    Filtering the global ``(-len(t), t)`` order down to the tuples that
+    share a first token keeps their relative order, so the first tuple of
+    a group that matches at a position is the first one a scan of the
+    whole sorted key set would find there.
+    """
+    out: dict[str, list[TokenTuple]] = {}
+    for key in sorted(keys, key=lambda t: (-len(t), t)):
+        out.setdefault(key[0], []).append(key)
+    return out
+
+
 class PoliticianRegistry:
     """Politicians indexed for the three mention patterns.
 
     Indexes: full-name token sequences (including aliases), surname token
     sequences, role keyword -> holders, and (role keyword, jurisdiction)
     -> holders. All keys are normalized token tuples, so lookups are
-    case-insensitive.
+    case-insensitive. The match indexes (``names_by_first``,
+    ``surnames_by_first``, ``jurisdictions_by_first``) are built here,
+    once, so matching a sentence never scans or sorts the whole registry.
     """
 
     def __init__(self, politicians: list[Politician]):
@@ -74,8 +90,21 @@ class PoliticianRegistry:
                 self.roles_by_keyword.setdefault(role.keyword, []).append((p.pid, role))
                 if role.jurisdiction:
                     jur = _norm_tokens(role.jurisdiction)
+                    if not jur:
+                        raise RegistryError(
+                            f"{p.pid}: jurisdiction {role.jurisdiction!r} "
+                            "normalizes to nothing"
+                        )
                     self.roles_by_key.setdefault((role.keyword, jur), []).append((p.pid, role))
         self._check_role_ambiguity()
+        self.names_by_first = _by_first_token(self.full_names)
+        self.surnames_by_first = _by_first_token(self.surnames)
+        jurisdictions: dict[str, list[TokenTuple]] = {}
+        for keyword, jur in self.roles_by_key:
+            jurisdictions.setdefault(keyword, []).append(jur)
+        self.jurisdictions_by_first: dict[str, dict[str, list[TokenTuple]]] = {
+            keyword: _by_first_token(jurs) for keyword, jurs in jurisdictions.items()
+        }
 
     def _check_role_ambiguity(self) -> None:
         for (keyword, jur), holders in self.roles_by_key.items():
@@ -110,11 +139,6 @@ class PoliticianRegistry:
             for pid, role in self.roles_by_key.get((keyword, jurisdiction), [])
             if role.active_on(date)
         }
-
-    def jurisdictions_of_keyword(self, keyword: str) -> list[TokenTuple]:
-        """Jurisdiction token tuples for a keyword, longest first."""
-        out = {jur for (kw, jur) in self.roles_by_key if kw == keyword}
-        return sorted(out, key=lambda j: (-len(j), j))
 
 
 def read_registry(path) -> PoliticianRegistry:

@@ -186,3 +186,96 @@ def linprog_quantile_loss(y, g, s, tau):
 def poly_integral(coefs, a, b):
     """Exact integral of sum(c_k x^k) over [a, b]."""
     return sum(c / (k + 1) * (b ** (k + 1) - a ** (k + 1)) for k, c in enumerate(coefs))
+
+
+# ---------------------------------------------------------------------------
+# Mention matching: every registry tuple tried at every token
+# ---------------------------------------------------------------------------
+
+_PREPOSITIONS = {"di", "d", "del", "dello", "della", "dell", "dei", "degli", "delle"}
+_FILLERS = {"regione", "città", "citta", "comune", "provincia"}
+_PATTERN_PRECEDENCE = {"name_surname": 0, "role_surname": 1, "specific_role": 2}
+
+
+def mentions_bruteforce(norms, lemmas, date, registry, canonical):
+    """Mentions in one sentence, trying every registry tuple at every token.
+
+    ``norms`` holds the normalized surfaces, ``lemmas`` the lemmas of the
+    unfiltered tokens (None for filtered ones) and ``canonical`` maps a
+    role word to its registry keyword or None. At each position the tuples
+    are tried in the global ``(-len(t), t)`` order and the first match
+    wins, even when its holders are ambiguous. Only the registry's primary
+    dicts are read, never its match indexes. Returns ``(mentions,
+    ambiguous)``: ``(start, end, pattern, pid)`` tuples with 1-based
+    inclusive spans in span order, and the tally of dropped mentions per
+    pattern.
+    """
+    n = len(norms)
+
+    def at(pos, key):
+        return tuple(norms[pos : pos + len(key)]) == key
+
+    def active(role):
+        return (role.start is None or role.start <= date) and (
+            role.end is None or date <= role.end
+        )
+
+    def longest_first(keys):
+        return sorted(keys, key=lambda t: (-len(t), t))
+
+    names = longest_first(registry.full_names)
+    surnames = longest_first(registry.surnames)
+    jurisdictions = longest_first({jur for _, jur in registry.roles_by_key})
+    candidates, ambiguous = [], {}
+
+    def resolve(pids, start, end, pattern):
+        if len(pids) == 1:
+            candidates.append((start, end, pattern, next(iter(pids))))
+        elif len(pids) > 1:
+            ambiguous[pattern] = ambiguous.get(pattern, 0) + 1
+
+    for i in range(n):
+        for key in names:
+            if at(i, key):
+                resolve(registry.full_names[key], i + 1, i + len(key), "name_surname")
+                break
+        keyword = canonical(norms[i]) or canonical(lemmas[i])
+        if keyword is None:
+            continue
+        holders = {
+            pid for pid, role in registry.roles_by_keyword.get(keyword, []) if active(role)
+        }
+        for key in surnames:
+            if at(i + 1, key):
+                resolve(
+                    registry.surnames[key] & holders, i + 1, i + 1 + len(key), "role_surname"
+                )
+                break
+        j = i + 1
+        if j < n and norms[j] in _PREPOSITIONS:
+            j += 1
+            if j < n and norms[j] in _FILLERS:
+                j += 1
+                if j < n and norms[j] in _PREPOSITIONS:
+                    j += 1
+            for jur in jurisdictions:
+                if (keyword, jur) in registry.roles_by_key and at(j, jur):
+                    pids = {
+                        pid
+                        for pid, role in registry.roles_by_key[(keyword, jur)]
+                        if active(role)
+                    }
+                    resolve(pids, i + 1, j + len(jur), "specific_role")
+                    break
+
+    chosen, taken = [], set()
+    for cand in sorted(
+        candidates,
+        key=lambda c: (c[0] - c[1], _PATTERN_PRECEDENCE[c[2]], c[0], c[3]),
+    ):
+        span = set(range(cand[0], cand[1] + 1))
+        if not span & taken:
+            taken |= span
+            chosen.append(cand)
+    chosen.sort(key=lambda c: (c[0], _PATTERN_PRECEDENCE[c[2]]))
+    return chosen, ambiguous

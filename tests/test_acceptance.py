@@ -7,7 +7,6 @@ in a session temp dir and runs the full pipeline twice.
 
 import csv
 import json
-import os
 import time
 from fractions import Fraction
 
@@ -262,17 +261,11 @@ def test_criterion_09_end_to_end_synthetic_corpus(synthetic_run):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["modes"]["seed"] == 42
 
-    before = {
-        name: open(os.path.join(out, name), "rb").read()
-        for name in sorted(os.listdir(out))
-    }
+    before = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     start = time.perf_counter()
     run_pipeline(cfg)
     rerun_elapsed = time.perf_counter() - start
-    after = {
-        name: open(os.path.join(out, name), "rb").read()
-        for name in sorted(os.listdir(out))
-    }
+    after = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     assert before == after
     assert rerun_elapsed < 60.0
     report(

@@ -1,11 +1,25 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
-from covbias.model import Document, MentionPattern, Sentence, SourceType, Token
+from covbias.ingestion import read_corpus
+from covbias.model import (
+    Document,
+    Gender,
+    MentionPattern,
+    Politician,
+    Role,
+    Sentence,
+    SourceType,
+    Token,
+    normalize_lemma,
+)
 from covbias.registry import PoliticianRegistry, read_registry
 from conftest import data_path
+from oracles import mentions_bruteforce
 
 
 def make_sentence(words, doc_id="d1", index=0):
@@ -176,6 +190,144 @@ class TestAmbiguityAndOverlap:
         b = find_mentions(sent, make_doc(), read_registry(rev))
         assert a == b
         assert [m.pid for m in a] == ["p1", "p2"]
+
+
+class TestPaddedRegistry:
+    def test_unnamed_rows_change_nothing(self, tiny_bundle, tmp_path):
+        # 300 office holders the corpus never names, some sharing a first
+        # token with a real surname ("de") or jurisdiction ("roma")
+        rows = []
+        for k in range(300):
+            role = ("sindaco", "governatore", "ministro")[k % 3]
+            surname = f"De Vaz{k}" if k % 2 else f"Vaz{k}"
+            place = f"Roma Zul{k}" if k % 5 == 0 else f"Zul{k}"
+            rows.append(f"pad{k};Quin{k};{surname};{'FM'[k % 2]};{role}:{place};;\n")
+        padded_path = tmp_path / "registry.csv"
+        with open(data_path("registry.csv"), encoding="utf-8") as fh:
+            padded_path.write_text(fh.read() + "".join(rows), encoding="utf-8")
+        plain = read_registry(data_path("registry.csv"))
+        padded = read_registry(padded_path)
+        assert len(padded) == len(plain) + 300
+
+        def run(registry):
+            diag = MatchDiagnostics()
+            mentions = [
+                find_mentions(sentence, doc, registry, diagnostics=diag)
+                for doc, sentence in read_corpus(tiny_bundle)
+            ]
+            return mentions, diag
+
+        unpadded = run(plain)
+        assert any(unpadded[0])
+        assert run(padded) == unpadded
+
+
+# A small vocabulary so random registries share first tokens ("de luca" /
+# "de rosa"), nest surnames ("luca" inside "de luca"), repeat surnames
+# across politicians (ambiguous drops) and hold multi-token jurisdictions.
+_GIVEN = ["", "Ada", "Luca", "Ugo"]
+_SURNAMES = ["Rossi", "De Luca", "De Rosa", "Luca", "De", "Rosa Rossi"]
+_ALIASES = ["Beppe", "Beppe Rossi", "De Luca Rossi", "Rosa"]
+_KEYWORDS = ["sindaco", "governatore", "ministro"]
+_JURISDICTIONS = ["", "Roma", "Reggio", "Reggio Emilia", "Emilia", "Emilia Romagna"]
+_TENURES = [
+    (None, None),
+    (datetime.date(2015, 1, 1), datetime.date(2017, 12, 31)),
+    (datetime.date(2018, 1, 1), datetime.date(2018, 12, 31)),
+    (datetime.date(2019, 1, 1), None),
+]
+_DOC_DATES = [datetime.date(2016, 6, 1), datetime.date(2018, 7, 15), datetime.date(2020, 1, 1)]
+_PHRASES = [
+    "sindaco Rossi", "sindaca De Luca", "sindaci Luca", "ministra De Rosa",
+    "governatore De", "ministro Rosa Rossi", "governatore di Roma",
+    "sindaco di Reggio Emilia", "presidente della regione Emilia Romagna",
+    "ministra del comune di Reggio", "sindaco dell' Emilia", "Ada Rossi",
+    "Luca De Luca", "Ugo De Rosa", "Beppe Rossi", "De Luca Rossi", "Rosa",
+    "di", "Roma", "parla", ",",
+]
+
+
+@st.composite
+def _registries(draw):
+    politicians, held = [], []
+    for k in range(draw(st.integers(1, 6))):
+        pid = f"p{k}"
+        roles = []
+        for keyword, place, (start, end) in draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_KEYWORDS),
+                    st.sampled_from(_JURISDICTIONS),
+                    st.sampled_from(_TENURES),
+                ),
+                max_size=2,
+            )
+        ):
+            role = Role(keyword, place, start, end)
+            # the registry refuses two holders of one office at once
+            clash = place and any(
+                other_pid != pid and (other.keyword, other.jurisdiction) == (keyword, place)
+                and other.overlaps(role)
+                for other_pid, other in held
+            )
+            if not clash:
+                roles.append(role)
+                held.append((pid, role))
+        politicians.append(
+            Politician(
+                pid=pid,
+                given_name=draw(st.sampled_from(_GIVEN)),
+                surname=draw(st.sampled_from(_SURNAMES)),
+                gender=draw(st.sampled_from(Gender)),
+                roles=tuple(roles),
+                aliases=tuple(draw(st.lists(st.sampled_from(_ALIASES), max_size=2))),
+            )
+        )
+    return PoliticianRegistry(politicians)
+
+
+@st.composite
+def _sentences(draw):
+    words = [
+        (word, draw(st.booleans()))
+        for phrase in draw(st.lists(st.sampled_from(_PHRASES), min_size=1, max_size=10))
+        for word in phrase.split()
+    ]
+    n = len(words)
+    tokens = tuple(
+        Token(
+            i + 1,
+            word,
+            "sindaco" if word == "sindaci" else word.lower(),
+            "PROPN",
+            n if i < n - 1 else 0,
+            "dep",
+            filtered=filtered,
+        )
+        for i, (word, filtered) in enumerate(words)
+    )
+    return Sentence(doc_id="d1", index=0, tokens=tokens)
+
+
+class TestIndexedMatcherOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        registry=_registries(),
+        sentence=_sentences(),
+        date=st.sampled_from(_DOC_DATES),
+    )
+    def test_matches_bruteforce_scan(self, registry, sentence, date):
+        diag = MatchDiagnostics()
+        got = find_mentions(sentence, make_doc(date), registry, diagnostics=diag)
+        want, ambiguous = mentions_bruteforce(
+            [normalize_lemma(t.surface) for t in sentence.tokens],
+            [None if t.filtered else t.lemma for t in sentence.tokens],
+            date,
+            registry,
+            RoleGazetteer().canonical,
+        )
+        assert [(m.start, m.end, m.pattern.value, m.pid) for m in got] == want
+        assert diag.ambiguous == ambiguous
 
 
 class TestGazetteer:

@@ -319,6 +319,13 @@ class TestRegistry:
         assert reg.holders_of_role("sindaco", ("roma",), datetime.date(2017, 6, 1)) == {"p1"}
         assert reg.holders_of_role("sindaco", ("roma",), datetime.date(2019, 6, 1)) == {"p2"}
 
+    def test_jurisdiction_without_lexical_token_rejected(self, tmp_path):
+        # An empty jurisdiction tuple would match after every "sindaco di".
+        path = tmp_path / "reg.csv"
+        path.write_text("p1;Ada;Rossi;F;sindaco:-;;\n")
+        with pytest.raises(RegistryError, match="p1: jurisdiction '-' normalizes to nothing"):
+            read_registry(path)
+
     def test_bad_gender_rejected(self, tmp_path):
         path = tmp_path / "reg.csv"
         path.write_text("p1;Ada;Rossi;X;;;\n")

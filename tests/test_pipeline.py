@@ -240,6 +240,16 @@ class TestConfig:
             run_pipeline(cfg)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [("bootstrap", "lots"), ("jitter", "wide"), ("window_start", "2018-13-01")],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, key, raw):
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out", **{key: raw})
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig.from_ini(cfg_path)
+        assert str(err.value).startswith(f"{cfg_path}: {key} = {raw!r} is not ")
+
     def test_stage_failure_names_the_stage(self, tmp_path):
         from covbias.errors import StageError
 
