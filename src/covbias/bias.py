@@ -71,13 +71,6 @@ class CountTable:
         for key, pids in other.pids.items():
             self.pids.setdefault(key, set()).update(pids)
 
-    @classmethod
-    def merged(cls, tables: Iterable["CountTable"]) -> "CountTable":
-        out = cls()
-        for t in tables:
-            out.update(t)
-        return out
-
     # -- marginals ---------------------------------------------------------
 
     def total(self, gender: Gender) -> int:

@@ -67,9 +67,6 @@ class DependencyTree:
                     queue.append(other)
         return dist
 
-    def distance(self, a: int, b: int) -> Optional[int]:
-        return self.distances([a]).get(b)
-
 
 def build_tree(sentence: Sentence) -> DependencyTree:
     return DependencyTree(sentence)

@@ -154,8 +154,6 @@ def cell_quantile(values: Sequence[float], tau: Union[float, Fraction]) -> float
     m = frac * n
     if m.denominator == 1:
         k = int(m)
-        if k >= n:
-            return ordered[-1]
         return (ordered[k - 1] + ordered[k]) / 2
     return ordered[math.ceil(m) - 1]
 
@@ -179,6 +177,21 @@ class QuantileModel:
             },
             "loss": self.loss,
         }
+
+
+def _coefficients(
+    fits: dict[tuple[int, int], float],
+) -> tuple[Optional[float], Optional[float], Optional[float], Optional[float]]:
+    """(b0, b1, b2, b3) from the cell fits; None where a cell is missing."""
+    b0 = fits.get((0, 0))
+    b1 = fits[(1, 0)] - b0 if {(1, 0), (0, 0)} <= fits.keys() else None
+    b2 = fits[(0, 1)] - b0 if {(0, 1), (0, 0)} <= fits.keys() else None
+    b3 = (
+        fits[(1, 1)] - fits[(1, 0)] - fits[(0, 1)] + fits[(0, 0)]
+        if len(fits) == 4
+        else None
+    )
+    return b0, b1, b2, b3
 
 
 def quantile_regression(
@@ -218,17 +231,8 @@ def quantile_regression(
 
     frac = _as_tau_fraction(tau)
     fits = {cell: cell_quantile(vals, frac) for cell, vals in cells.items()}
-    q = fits.get
-
-    b0 = q((0, 0))
-    b1 = fits[(1, 0)] - b0 if {(1, 0), (0, 0)} <= fits.keys() else None
-    b2 = fits[(0, 1)] - b0 if {(0, 1), (0, 0)} <= fits.keys() else None
-    b3 = (
-        fits[(1, 1)] - fits[(1, 0)] - fits[(0, 1)] + fits[(0, 0)]
-        if len(fits) == 4
-        else None
-    )
-    if b0 is None:
+    coefficients = _coefficients(fits)
+    if coefficients[0] is None:
         raise ValueError("reference cell gender=0, source=0 is empty")
 
     loss = sum(
@@ -237,7 +241,7 @@ def quantile_regression(
     )
     return QuantileModel(
         tau=float(frac),
-        coefficients=(b0, b1, b2, b3),
+        coefficients=coefficients,
         cell_quantiles=fits,
         cell_sizes={cell: len(vals) for cell, vals in cells.items()},
         loss=loss,
@@ -261,18 +265,21 @@ class BootstrapCI:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    tau: float
     n_replicates: int
     discarded: int
-    intervals: tuple[BootstrapCI, BootstrapCI, BootstrapCI, BootstrapCI]
+    intervals: dict[float, tuple[BootstrapCI, BootstrapCI, BootstrapCI, BootstrapCI]]
 
     def to_json_dict(self) -> dict:
+        """One entry per tau, keyed by ``str(tau)``."""
         names = ("intercept", "gender", "source", "gender_x_source")
         return {
-            "tau": self.tau,
-            "replicates": self.n_replicates,
-            "discarded": self.discarded,
-            "intervals": {n: ci.to_json_dict() for n, ci in zip(names, self.intervals)},
+            str(tau): {
+                "tau": tau,
+                "replicates": self.n_replicates,
+                "discarded": self.discarded,
+                "intervals": {n: ci.to_json_dict() for n, ci in zip(names, cis)},
+            }
+            for tau, cis in self.intervals.items()
         }
 
 
@@ -280,7 +287,7 @@ def bootstrap_significance(
     y: Sequence[float],
     gender_dummy: Sequence[int],
     source_dummy: Sequence[int],
-    tau: Union[float, Fraction],
+    taus: Sequence[Union[float, Fraction]],
     n_replicates: int,
     seed: int,
 ) -> BootstrapResult:
@@ -288,24 +295,40 @@ def bootstrap_significance(
 
     Each replicate resamples rows with replacement using a seed derived
     from (seed, replicate index), so replicates are reproducible and
-    order-independent. Resamples that lose a design cell are discarded and
-    redrawn, up to 10x the replicate budget. A coefficient is flagged
-    significant when its 95% interval excludes zero.
+    order-independent. One draw serves every tau. Resamples that lose a
+    design cell are discarded and redrawn, up to 10x the replicate
+    budget. A coefficient is flagged significant when its 95% interval
+    excludes zero.
+
+    The design is saturated, so a replicate's fit is the resampled cell
+    quantiles. The rows of each cell are sorted by y once; a replicate
+    reduces its draw to per-row multiplicities and reads each order
+    statistic from their running sums, with ``cell_quantile``'s rule.
     """
     if n_replicates < MIN_REPLICATES:
         raise ValueError(f"bootstrap needs at least {MIN_REPLICATES} replicates")
+    fracs = [_as_tau_fraction(tau) for tau in taus]
     y = np.asarray(list(y), dtype=float)
     g = np.asarray(list(gender_dummy), dtype=int)
     s = np.asarray(list(source_dummy), dtype=int)
     n = len(y)
-    base = quantile_regression(y, g, s, tau)  # validates the design
-    needed = set(base.cell_quantiles)
+    base = quantile_regression(y, g, s, fracs[0])  # validates the design
+    keys = sorted(base.cell_quantiles)
 
-    draws: list[tuple[Optional[float], ...]] = []
+    # Rows laid out cell by cell, each cell's rows stable-sorted by y.
+    blocks = []
+    for gv, sv in keys:
+        rows = np.flatnonzero((g == gv) & (s == sv))
+        blocks.append(rows[np.argsort(y[rows], kind="stable")])
+    order = np.concatenate(blocks)
+    ys = y[order]
+    ends = np.cumsum([len(b) for b in blocks]) - 1
+
+    draws: list[list[tuple[Optional[float], ...]]] = [[] for _ in fracs]
     attempts = 0
     discarded = 0
     rep = 0
-    while len(draws) < n_replicates:
+    while len(draws[0]) < n_replicates:
         if attempts >= 10 * n_replicates:
             raise RuntimeError(
                 "bootstrap exhausted its redraw budget without filling "
@@ -315,25 +338,38 @@ def bootstrap_significance(
         rep += 1
         attempts += 1
         idx = rng.integers(0, n, size=n)
-        cells = {(int(gv), int(sv)) for gv, sv in zip(g[idx], s[idx])}
-        if cells != needed:
+        cum = np.cumsum(np.bincount(idx, minlength=n)[order])
+        bounds = [0] + cum[ends].tolist()
+        totals = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        if 0 in totals:
             discarded += 1
             continue
-        model = quantile_regression(y[idx], g[idx], s[idx], tau)
-        draws.append(model.coefficients)
+        # Two ranks per cell and tau, shifted past the earlier cells: ranks
+        # n*tau and n*tau + 1 when n*tau is an integer, else ceil(n*tau) twice.
+        ranks, exact = [], []
+        for offset, total in zip(bounds, totals):
+            for frac in fracs:
+                k, rem = divmod(frac.numerator * total, frac.denominator)
+                ranks += (offset + k + (rem != 0), offset + k + 1)
+                exact.append(rem == 0)
+        pairs = ys[np.searchsorted(cum, ranks)].reshape(-1, 2).tolist()
+        quantiles = [(lo + hi) / 2 if ex else lo for ex, (lo, hi) in zip(exact, pairs)]
+        for t, draw in enumerate(draws):
+            fits = {key: quantiles[c * len(fracs) + t] for c, key in enumerate(keys)}
+            draw.append(_coefficients(fits))
 
-    intervals = []
-    for j in range(4):
-        vals = [d[j] for d in draws]
-        if any(v is None for v in vals):
-            intervals.append(BootstrapCI(None, None, None))
-            continue
-        arr = np.asarray(vals, dtype=float)
-        lo, hi = (float(np.percentile(arr, p)) for p in (2.5, 97.5))
-        intervals.append(BootstrapCI(lo, hi, not (lo <= 0.0 <= hi)))
+    intervals = {}
+    for frac, draw in zip(fracs, draws):
+        cis = []
+        for j in range(4):
+            vals = [d[j] for d in draw]
+            if any(v is None for v in vals):
+                cis.append(BootstrapCI(None, None, None))
+                continue
+            arr = np.asarray(vals, dtype=float)
+            lo, hi = (float(np.percentile(arr, p)) for p in (2.5, 97.5))
+            cis.append(BootstrapCI(lo, hi, not (lo <= 0.0 <= hi)))
+        intervals[float(frac)] = tuple(cis)
     return BootstrapResult(
-        tau=float(_as_tau_fraction(tau)),
-        n_replicates=n_replicates,
-        discarded=discarded,
-        intervals=tuple(intervals),
+        n_replicates=n_replicates, discarded=discarded, intervals=intervals
     )

@@ -527,12 +527,9 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
         }
         boot_seed = derive_seed(cfg.seed, 2, c_idx)
         entry["bootstrap_seed"] = boot_seed
-        entry["bootstrap"] = {
-            str(tau): inference.bootstrap_significance(
-                y, g_dummy, s_dummy, tau, cfg.bootstrap, boot_seed
-            ).to_json_dict()
-            for tau in inference.DEFAULT_TAUS
-        }
+        entry["bootstrap"] = inference.bootstrap_significance(
+            y, g_dummy, s_dummy, inference.DEFAULT_TAUS, cfg.bootstrap, boot_seed
+        ).to_json_dict()
         coef_json[category.value] = entry
     reporting.write_csv(
         cfg.path("quantiles.csv"),

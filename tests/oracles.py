@@ -1,7 +1,10 @@
 """Independent reference implementations used to check the engine.
 
 Everything here is written from the definitions, takes the dumbest
-correct path, and shares no code with the package under test.
+correct path, and shares no code with the package under test. The one
+exception is ``bootstrap_per_tau``, which refits every resample with the
+package's ``quantile_regression`` (itself checked against the LP and
+exhaustive-search oracles below).
 """
 
 from __future__ import annotations
@@ -176,6 +179,60 @@ def linprog_quantile_loss(y, g, s, tau):
     assert res.success, res.message
     beta = res.x[:p]
     return pinball_total(y, x @ beta, tau), beta
+
+
+# ---------------------------------------------------------------------------
+# Bootstrap: one tau at a time, each resample refitted from scratch
+# ---------------------------------------------------------------------------
+
+
+def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
+    """Percentile intervals for one tau, drawing and refitting every resample.
+
+    Replicate ``rep`` draws rows from ``default_rng([seed, rep])``; a
+    resample missing a design cell is discarded and redrawn, up to 10x the
+    replicate budget. Returns ``(n_replicates, discarded, intervals)`` with
+    one ``(lower, upper, significant)`` per coefficient.
+    """
+    import numpy as np
+
+    from covbias.inference import quantile_regression
+
+    y = np.asarray(list(y), dtype=float)
+    g = np.asarray(list(gender_dummy), dtype=int)
+    s = np.asarray(list(source_dummy), dtype=int)
+    n = len(y)
+    base = quantile_regression(y, g, s, tau)
+    needed = set(base.cell_quantiles)
+
+    draws = []
+    attempts = 0
+    discarded = 0
+    rep = 0
+    while len(draws) < n_replicates:
+        if attempts >= 10 * n_replicates:
+            raise RuntimeError("bootstrap exhausted its redraw budget")
+        rng = np.random.default_rng([seed, rep])
+        rep += 1
+        attempts += 1
+        idx = rng.integers(0, n, size=n)
+        cells = {(int(gv), int(sv)) for gv, sv in zip(g[idx], s[idx])}
+        if cells != needed:
+            discarded += 1
+            continue
+        model = quantile_regression(y[idx], g[idx], s[idx], tau)
+        draws.append(model.coefficients)
+
+    intervals = []
+    for j in range(4):
+        vals = [d[j] for d in draws]
+        if any(v is None for v in vals):
+            intervals.append((None, None, None))
+            continue
+        arr = np.asarray(vals, dtype=float)
+        lo, hi = (float(np.percentile(arr, p)) for p in (2.5, 97.5))
+        intervals.append((lo, hi, not (lo <= 0.0 <= hi)))
+    return n_replicates, discarded, tuple(intervals)
 
 
 # ---------------------------------------------------------------------------

@@ -396,8 +396,12 @@ class TestCountTable:
         shards = [CountTable() for _ in range(split)]
         for i, (lemma, gender, n) in enumerate(events):
             shards[i % split].add(lemma, "NOUN", gender, n=n, pid=f"p{i % 3}")
-        merged_forward = CountTable.merged(shards)
-        merged_reverse = CountTable.merged(list(reversed(shards)))
+        merged_forward = CountTable()
+        for shard in shards:
+            merged_forward.update(shard)
+        merged_reverse = CountTable()
+        for shard in reversed(shards):
+            merged_reverse.update(shard)
         assert merged_forward.cells == merged_reverse.cells
         assert merged_forward.pids == merged_reverse.pids
         one_shot = CountTable()

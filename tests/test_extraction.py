@@ -42,8 +42,8 @@ class TestDependencyTree:
             [("a", "a", "NOUN", 2, False), ("b", "b", "NOUN", 3, False), ("c", "c", "NOUN", 0, False)]
         )
         tree = build_tree(sent)
-        assert tree.distance(1, 3) == 2
-        assert tree.distance(3, 1) == 2
+        assert tree.distances([1])[3] == 2
+        assert tree.distances([3])[1] == 2
 
     def test_star_distances(self):
         sent = sentence_from(
@@ -58,12 +58,12 @@ class TestDependencyTree:
         for i in (2, 3, 4):
             for j in (2, 3, 4):
                 if i != j:
-                    assert tree.distance(i, j) == 2
+                    assert tree.distances([i])[j] == 2
 
     def test_single_token(self):
         sent = sentence_from([("a", "a", "NOUN", 0, False)])
         tree = build_tree(sent)
-        assert tree.distance(1, 1) == 0
+        assert tree.distances([1])[1] == 0
 
     def test_children_direction_descends_only(self):
         # root(2) with children 1 and 3; from {1} nothing is reachable

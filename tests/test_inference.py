@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covbias.bias import CountTable
 from covbias.inference import (
+    DEFAULT_TAUS,
     bootstrap_significance,
     cell_quantile,
     chi_square,
@@ -17,6 +20,7 @@ from covbias.inference import (
 from covbias.model import Gender, SourceType
 from covbias.sentiment import classify
 from oracles import (
+    bootstrap_per_tau,
     cell_quantile_bruteforce,
     exhaustive_breakpoint_loss,
     linprog_quantile_loss,
@@ -243,14 +247,14 @@ class TestBootstrap:
     def test_replicate_budget_enforced(self):
         y, g, s = self.make_data()
         with pytest.raises(ValueError):
-            bootstrap_significance(y, g, s, 0.5, 0, seed=1)
+            bootstrap_significance(y, g, s, [0.5], 0, seed=1)
         with pytest.raises(ValueError):
-            bootstrap_significance(y, g, s, 0.5, 99, seed=1)
+            bootstrap_significance(y, g, s, [0.5], 99, seed=1)
 
     def test_deterministic_given_seed(self):
         y, g, s = self.make_data()
-        a = bootstrap_significance(y, g, s, 0.5, 100, seed=11)
-        b = bootstrap_significance(y, g, s, 0.5, 100, seed=11)
+        a = bootstrap_significance(y, g, s, [0.5], 100, seed=11)
+        b = bootstrap_significance(y, g, s, [0.5], 100, seed=11)
         assert a == b
 
     def test_constant_response_degenerate_intervals(self):
@@ -258,8 +262,8 @@ class TestBootstrap:
         rng = np.random.default_rng(3)
         g = list(rng.integers(0, 2, size=n))
         s = list(rng.integers(0, 2, size=n))
-        result = bootstrap_significance([1.5] * n, g, s, 0.5, 100, seed=5)
-        for ci in result.intervals[1:]:
+        result = bootstrap_significance([1.5] * n, g, s, [0.5], 100, seed=5)
+        for ci in result.intervals[0.5][1:]:
             assert ci.lower == ci.upper == 0.0
             assert ci.significant is False
 
@@ -271,7 +275,7 @@ class TestBootstrap:
         y = list(rng.normal(size=n))
         g = [0] * 58 + [1, 1]
         s = [0] * 29 + [1] * 29 + [0, 1]
-        result = bootstrap_significance(y, g, s, 0.5, 100, seed=9)
+        result = bootstrap_significance(y, g, s, [0.5], 100, seed=9)
         assert result.n_replicates == 100
         assert result.discarded > 0
 
@@ -286,10 +290,96 @@ class TestBootstrap:
             y = list(rng.normal(size=n))
             g = list(rng.integers(0, 2, size=n))
             s = list(rng.integers(0, 2, size=n))
-            result = bootstrap_significance(y, g, s, 0.5, 100, seed=100 + t)
-            if not result.intervals[1].significant:
+            result = bootstrap_significance(y, g, s, [0.5], 100, seed=100 + t)
+            if not result.intervals[0.5][1].significant:
                 straddles += 1
         assert straddles >= 4
+
+    def test_tau_subset_does_not_change_intervals(self):
+        y, g, s = self.make_data()
+        alone = bootstrap_significance(y, g, s, [0.5], 100, seed=4)
+        shared = bootstrap_significance(y, g, s, DEFAULT_TAUS, 100, seed=4)
+        assert alone.intervals[0.5] == shared.intervals[0.5]
+        assert (alone.n_replicates, alone.discarded) == (
+            shared.n_replicates,
+            shared.discarded,
+        )
+
+    def test_per_tau_json_layout(self):
+        y, g, s = self.make_data()
+        result = bootstrap_significance(y, g, s, DEFAULT_TAUS, 100, seed=4)
+        payload = result.to_json_dict()
+        assert list(payload) == [str(t) for t in DEFAULT_TAUS]
+        for tau in DEFAULT_TAUS:
+            entry = payload[str(tau)]
+            assert entry["tau"] == tau
+            assert entry["replicates"] == 100
+            assert entry["discarded"] == result.discarded
+            assert list(entry["intervals"]) == [
+                "intercept",
+                "gender",
+                "source",
+                "gender_x_source",
+            ]
+
+
+@st.composite
+def bootstrap_designs(draw):
+    """(y, gender, source, taus) covering the bootstrap's corner cases.
+
+    Sizes are often multiples of 20, so n*tau is an integer for every
+    default tau and the midpoint rule runs; y is often on the sentiment
+    grid with no jitter, so order statistics tie; one design gives a
+    cell a single row, so resamples lose it and are discarded; and
+    single-gender and single-source designs leave coefficients undefined.
+    """
+    n = draw(st.one_of(st.sampled_from([20, 40, 60]), st.integers(20, 70)))
+    full = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    layout = draw(st.sampled_from(["full", "single_row", "one_gender", "one_source", "one_cell"]))
+    cells = {
+        "full": full,
+        "single_row": full,
+        "one_gender": [(0, 0), (0, 1)],
+        "one_source": [(0, 0), (1, 0)],
+        "one_cell": [(0, 0)],
+    }[layout]
+    pool = cells
+    if layout == "single_row":
+        lone = draw(st.sampled_from(full))
+        pool = [c for c in full if c != lone]
+    rows = list(cells)  # every cell of the design appears at least once
+    rows += draw(st.lists(st.sampled_from(pool), min_size=n - len(rows), max_size=n - len(rows)))
+    order = draw(st.permutations(range(n)))
+    rows = [rows[i] for i in order]
+    grid = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    y = [v / 5 for v in grid]
+    if draw(st.booleans()):
+        noise = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-0.05, 0.05, n)
+        y = [v + u for v, u in zip(y, noise.tolist())]
+    taus = tuple(Fraction(str(t)) if draw(st.booleans()) else t for t in DEFAULT_TAUS)
+    return y, [g for g, _ in rows], [s for _, s in rows], taus
+
+
+class TestSharedDrawOracle:
+    @given(bootstrap_designs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_tau_refit(self, design, seed):
+        y, g, s, taus = design
+        try:
+            expected = {
+                float(tau): bootstrap_per_tau(y, g, s, tau, 100, seed) for tau in taus
+            }
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                bootstrap_significance(y, g, s, taus, 100, seed)
+            return
+        result = bootstrap_significance(y, g, s, taus, 100, seed)
+        assert list(result.intervals) == list(expected)
+        for tau, (n_replicates, discarded, intervals) in expected.items():
+            assert result.n_replicates == n_replicates
+            assert result.discarded == discarded
+            got = tuple((ci.lower, ci.upper, ci.significant) for ci in result.intervals[tau])
+            assert got == intervals
 
 
 def test_pinball_total_oracle_consistency():
