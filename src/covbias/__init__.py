@@ -28,7 +28,6 @@ from .model import (
 )
 from .registry import PoliticianRegistry, read_registry
 from .sentiment import (
-    AnnotationMatrix,
     SentimentClass,
     aggregate_score,
     classify,

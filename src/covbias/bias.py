@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -314,7 +314,6 @@ class BiasProfile:
     c_m: Fraction
     words: tuple[WordBias, ...]
     excluded: int  # words with zero counts for both genders
-    label: str = ""
 
     def select(self, category: Optional[Category]) -> tuple[WordBias, ...]:
         if category is None:
@@ -336,7 +335,7 @@ def word_bias_json(w: WordBias) -> dict:
     }
 
 
-def bias_profile(table: CountTable, mode: str = "ratio", label: str = "") -> BiasProfile:
+def bias_profile(table: CountTable, mode: str = "ratio") -> BiasProfile:
     """Correction factors plus per-word adjusted rates and bias indices.
 
     Rates are relative to the whole table's gender totals; a word's
@@ -373,7 +372,6 @@ def bias_profile(table: CountTable, mode: str = "ratio", label: str = "") -> Bia
         c_m=factors[1],
         words=tuple(words),
         excluded=excluded,
-        label=label,
     )
 
 
@@ -520,20 +518,21 @@ class IndexDistribution:
         }
 
 
+# Points of the kernel density grid over [-1, 1].
+DENSITY_POINTS = 201
+
+
 def index_distribution(
     profile: BiasProfile,
     category: Optional[Category] = None,
-    weighting: str = "counts",
     bins: int = 40,
-    density_points: int = 201,
 ) -> IndexDistribution:
     """Summary statistics plus plot-ready histogram and kernel density.
 
     With a category, only that category's words enter; rates and indices
-    stay as computed on the full table. Default weighting is the per-word
-    total count; weighting="none" treats every word equally. The density
-    is a Gaussian kernel estimate with Silverman bandwidth on a fixed
-    grid over [-1, 1].
+    stay as computed on the full table. Each word is weighted by its total
+    count. The density is a Gaussian kernel estimate with Silverman
+    bandwidth on a fixed grid over [-1, 1].
     """
     selected = profile.select(category)
     if not selected:
@@ -542,15 +541,11 @@ def index_distribution(
             f"{category.value if category else 'all'}"
         )
     values = [w.index for w in selected]
-    weights = [w.weight for w in selected] if weighting == "counts" else None
+    weights = [w.weight for w in selected]
     stats = index_summary(values, weights)
 
     x = np.asarray([float(v) for v in values])
-    w = (
-        np.asarray([float(v) for v in weights])
-        if weights is not None
-        else np.ones(len(x))
-    )
+    w = np.asarray([float(v) for v in weights])
     hist, edges = np.histogram(x, bins=bins, range=(-1.0, 1.0), weights=w)
 
     total = w.sum()
@@ -558,7 +553,7 @@ def index_distribution(
     n_eff = float(total**2 / (w**2).sum())
     spread = min(s for s in (sigma, stats.iqr / 1.34) if s > 0) if sigma > 0 else 0.0
     bandwidth = 0.9 * spread * n_eff ** (-1 / 5) if spread > 0 else 0.05
-    grid = np.linspace(-1.0, 1.0, density_points)
+    grid = np.linspace(-1.0, 1.0, DENSITY_POINTS)
     diff = (grid[:, None] - x[None, :]) / bandwidth
     dens = (w[None, :] * np.exp(-0.5 * diff**2)).sum(axis=1)
     dens /= total * bandwidth * np.sqrt(2 * np.pi)
@@ -636,7 +631,6 @@ def leave_one_out(
     table: CountTable,
     factors: Optional[tuple[Fraction, Fraction]] = None,
     mode: str = "ratio",
-    holdout: Optional[Iterable[WordKey]] = None,
 ) -> LeaveOneOutResult:
     """Dissimilarity after omitting each word, with distinctive labels.
 
@@ -645,9 +639,7 @@ def leave_one_out(
     and unaffected by dropping one word) and the sum runs over every
     remaining word. A word is distinctive when its omission strictly
     lowers the dissimilarity; the gender label follows the larger
-    original adjusted rate, women on ties. `holdout` restricts which
-    words are held out (default: all of them); the dissimilarity sums
-    always cover the whole table.
+    original adjusted rate, women on ties.
     """
     counts = table.word_counts()
     if len(counts) < 2:
@@ -660,10 +652,8 @@ def leave_one_out(
     n_m = table.politicians(Gender.M)
     base = dissimilarity(table, factors, mode)
     base_rates = adjusted_rates(table, factors, mode)
-    held = sorted(counts) if holdout is None else sorted(set(holdout) & counts.keys())
-
     out = []
-    for word in held:
+    for word in sorted(counts):
         per = counts[word]
         rd_f = d_f - per[Gender.F]
         rd_m = d_m - per[Gender.M]

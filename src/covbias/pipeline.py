@@ -5,20 +5,25 @@ be rerun from the previous stage's artifacts:
 
     extract  -> records.jsonl, counts.csv, count_table.json,
                 descriptives.json, diagnostics.json
-    analyze  -> bias_profile.json, summary_stats.json, chi_square.json,
-                sentiment_fractions.csv, distinctive_*.csv, quantiles.csv,
-                quantile_coefficients.json, temporal_*.json, trend_*.csv
+    analyze  -> bias_profile.json, summary_stats.json, agreement.json,
+                chi_square.json, sentiment_fractions.csv, distinctive_*.csv,
+                quantiles.csv, quantile_coefficients.json, temporal_*.json,
+                trend_*.csv
     report   -> manifest.json, table1.csv, ccdf_*.csv
 
+A stage computes all its artifacts before `write_artifacts` puts any in
+place, so a stage that fails leaves the output directory as it was.
+
 Given the same inputs, config and seed, the bundle is byte-identical on
-rerun: every stochastic step derives its generator from the configured
-seed and all serialization is order-stable.
+rerun and across worker counts: every stochastic step derives its
+generator from the configured seed and all serialization is order-stable.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import configparser
+import contextlib
 import dataclasses
 import datetime
 import hashlib
@@ -26,7 +31,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .ingestion import CorpusBundle, CorpusDiagnostics, read_corpus, read_metada
 from .lexicon import Lexicon, read_lexicon
 from .model import Category, Document, Gender, PersonalizationRecord, Sentence, SourceType
 from .registry import PoliticianRegistry, read_registry
-from .sentiment import AnnotationMatrix, krippendorff_alpha
+from .sentiment import krippendorff_alpha
 from .temporal import DailySeries
 
 log = logging.getLogger(__name__)
@@ -176,7 +181,9 @@ class PipelineConfig:
         )
 
     def to_json_dict(self) -> dict:
+        """Every setting but `workers`, which changes how fast, not what, is written."""
         out = dataclasses.asdict(self)
+        del out["workers"]
         out["conllu"] = list(self.conllu)
         for key in ("window_start", "window_end"):
             if out[key] is not None:
@@ -189,6 +196,37 @@ class PipelineConfig:
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
+
+
+def write_artifacts(cfg: PipelineConfig, artifacts: Mapping[str, object]) -> None:
+    """Write a stage's artifacts all together or not at all.
+
+    A `*.json` payload is an object, a `*.csv` payload a (header, rows)
+    pair and a `*.jsonl` payload an iterable of objects. Every file is
+    written under a temporary name first and renamed into place only once
+    all are written; on failure the temporaries are removed.
+    """
+    os.makedirs(cfg.out, exist_ok=True)
+    staged: list[tuple[str, str]] = []
+    try:
+        for name, payload in artifacts.items():
+            tmp = cfg.path(f".{name}.tmp")
+            staged.append((tmp, cfg.path(name)))
+            if name.endswith(".json"):
+                reporting.write_json(tmp, payload)
+            elif name.endswith(".csv"):
+                reporting.write_csv(tmp, *payload)
+            elif name.endswith(".jsonl"):
+                reporting.write_jsonl(tmp, payload)
+            else:
+                raise ValueError(f"no writer for artifact {name!r}")
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    for tmp, target in staged:
+        os.replace(tmp, target)
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -272,7 +310,6 @@ def _extract_chunk(args) -> ExtractionResult:
 
 def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
     cfg.validate()
-    os.makedirs(cfg.out, exist_ok=True)
     registry, lexicon, gaz = _load_side_inputs(cfg)
     diagnostics = CorpusDiagnostics()
     stream = read_corpus(cfg.bundle(), diagnostics)
@@ -295,22 +332,20 @@ def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
             for part in pool.map(_extract_chunk, tasks):
                 result.merge(part)
 
-    with open(cfg.path("records.jsonl"), "w", encoding="utf-8", newline="\n") as fh:
-        for rec in result.records:
-            fh.write(json.dumps(rec.to_json_dict(), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-    reporting.write_csv(
-        cfg.path("counts.csv"),
-        ["lemma", "upos", "gender", "category", "source_type", "count"],
-        result.counts.to_csv_rows(),
-    )
-    reporting.write_json(cfg.path("count_table.json"), result.counts.to_json_dict())
-    reporting.write_json(cfg.path("descriptives.json"), result.descriptives.to_json_dict())
-    reporting.write_json(
-        cfg.path("diagnostics.json"),
+    write_artifacts(
+        cfg,
         {
-            "ingest": diagnostics.to_json_dict(),
-            "matching": result.diagnostics.to_json_dict(),
+            "records.jsonl": (rec.to_json_dict() for rec in result.records),
+            "counts.csv": (
+                ["lemma", "upos", "gender", "category", "source_type", "count"],
+                result.counts.to_csv_rows(),
+            ),
+            "count_table.json": result.counts.to_json_dict(),
+            "descriptives.json": result.descriptives.to_json_dict(),
+            "diagnostics.json": {
+                "ingest": diagnostics.to_json_dict(),
+                "matching": result.diagnostics.to_json_dict(),
+            },
         },
     )
     return result
@@ -343,17 +378,15 @@ def _daily_fraction_series(
     return DailySeries(tuple(points))
 
 
-def stage_analyze(cfg: PipelineConfig) -> dict:
-    cfg.validate()
-    lexicon = _load_lexicon(cfg)
-    with open(cfg.path("count_table.json"), encoding="utf-8") as fh:
-        table = CountTable.from_json_dict(json.load(fh))
-    records = _load_records(cfg.path("records.jsonl"))
-    categories = list(Category)
+DISTINCTIVE_HEADER = ["lemma", "upos", "weight", "diss_without"]
 
-    # ---- bias profile, dissimilarity, leave-one-out, summaries -----------
-    # Rates and indices are computed against the full coverage totals;
-    # categories only select which words each table/ranking reports.
+
+def bias_analysis(cfg: PipelineConfig, table: CountTable, lexicon: Lexicon) -> dict:
+    """Bias profile, index summaries and distinctive words per category.
+
+    Rates and indices are computed against the full coverage totals;
+    categories only select which words each table/ranking reports.
+    """
     profiles_json: dict = {
         "rates_mode": cfg.rates_mode,
         "radius": cfg.radius,
@@ -362,7 +395,7 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
     }
     summaries: dict = {}
     try:
-        profile = bias.bias_profile(table, mode=cfg.rates_mode, label="coverage")
+        profile = bias.bias_profile(table, mode=cfg.rates_mode)
     except ValueError as exc:
         log.warning("bias profile skipped: %s", exc)
         profile = None
@@ -377,18 +410,12 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
                 "c_M": float(profile.c_m),
                 "dissimilarity": float(diss),
                 "excluded_words": profile.excluded,
-                "politicians": {
-                    "F": table.politicians(Gender.F),
-                    "M": table.politicians(Gender.M),
-                },
-                "word_totals": {
-                    "F": table.total(Gender.F),
-                    "M": table.total(Gender.M),
-                },
+                "politicians": {g.value: table.politicians(g) for g in Gender},
+                "word_totals": {g.value: table.total(g) for g in Gender},
             }
         )
         profiles_json["categories"] = {}
-        for category in categories:
+        for category in Category:
             selected = profile.select(category)
             profiles_json["categories"][category.value] = {
                 "n_words": len(selected),
@@ -397,20 +424,21 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
             if not selected:
                 summaries[category.value] = {"skipped": "no words"}
                 continue
-            dist = bias.index_distribution(
-                profile, category=category, weighting="counts", bins=cfg.bins
-            )
+            dist = bias.index_distribution(profile, category=category, bins=cfg.bins)
             unweighted = bias.index_summary([w.index for w in selected])
             summaries[category.value] = {
                 "weighted": dist.to_json_dict(),
                 "unweighted": unweighted.to_json_dict(),
             }
+    artifacts: dict = {
+        "bias_profile.json": profiles_json,
+        "summary_stats.json": summaries,
+    }
     # Distinctive words come from the category slice: within one facet,
     # which words drive the gap between the gender distributions?
-    for category in categories:
+    for category in Category:
         slice_table = table.slice(category=category)
         loo = None
-        slice_info: dict = {}
         try:
             slice_factors = bias.correction_factors(slice_table)
             loo = bias.leave_one_out(slice_table, slice_factors, cfg.rates_mode)
@@ -422,53 +450,40 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
         except ValueError as exc:
             log.warning("distinctive words skipped for %s: %s", category.value, exc)
             slice_info = {"skipped": str(exc)}
-        if "categories" in profiles_json and category.value in profiles_json["categories"]:
+        if profile is not None:
             profiles_json["categories"][category.value]["slice"] = slice_info
         for gender in Gender:
-            rows = reporting.distinctive_word_rows(loo, gender) if loo else []
-            reporting.write_csv(
-                cfg.path(f"distinctive_{category.value}_{gender.value}.csv"),
-                ["lemma", "upos", "weight", "diss_without"],
-                rows,
+            stem = f"distinctive_{category.value}_{gender.value}"
+            artifacts[f"{stem}.csv"] = (
+                DISTINCTIVE_HEADER,
+                reporting.distinctive_word_rows(loo, gender) if loo else [],
             )
-            negative = (
+            artifacts[f"{stem}_negative.csv"] = (
+                DISTINCTIVE_HEADER,
                 reporting.distinctive_word_rows(loo, gender, lexicon, negative_only=True)
                 if loo
-                else []
+                else [],
             )
-            reporting.write_csv(
-                cfg.path(f"distinctive_{category.value}_{gender.value}_negative.csv"),
-                ["lemma", "upos", "weight", "diss_without"],
-                negative,
-            )
-    reporting.write_json(cfg.path("bias_profile.json"), profiles_json)
-    reporting.write_json(cfg.path("summary_stats.json"), summaries)
+    return artifacts
 
-    # ---- annotator agreement ---------------------------------------------
-    matrix = AnnotationMatrix(
-        {(e.lemma, e.upos): e.scores for e in sorted(lexicon, key=lambda e: (e.lemma, e.upos))}
-    )
-    alpha_json: dict = {"overall": krippendorff_alpha(matrix).to_json_dict()}
-    for category in categories:
-        rows = {
-            (e.lemma, e.upos): e.scores
-            for e in sorted(lexicon, key=lambda e: (e.lemma, e.upos))
-            if e.category == category
-        }
-        if len(rows) >= 2:
-            alpha_json[category.value] = krippendorff_alpha(
-                AnnotationMatrix(rows)
-            ).to_json_dict()
-    reporting.write_json(cfg.path("agreement.json"), alpha_json)
 
-    # ---- sentiment fractions ----------------------------------------------
-    reporting.write_csv(
-        cfg.path("sentiment_fractions.csv"),
-        ["category", "group"] + reporting.SENTIMENT_COLUMNS,
-        reporting.sentiment_fraction_rows(records, lexicon),
-    )
+def agreement_analysis(lexicon: Lexicon) -> dict:
+    """Ordinal Krippendorff alpha over all lexicon words and per category."""
+    entries = sorted(lexicon, key=lambda e: (e.lemma, e.upos))
+    try:
+        agreement = {"overall": krippendorff_alpha([e.scores for e in entries]).to_json_dict()}
+    except ValueError as exc:
+        log.warning("agreement skipped: %s", exc)
+        agreement = {"overall": {"skipped": str(exc)}}
+    for category in Category:
+        scores = [e.scores for e in entries if e.category == category]
+        if len(scores) >= 2:
+            agreement[category.value] = krippendorff_alpha(scores).to_json_dict()
+    return {"agreement.json": agreement}
 
-    # ---- chi-square --------------------------------------------------------
+
+def chi_square_analysis(table: CountTable) -> dict:
+    """Gender x source-type independence, for coverage and personalization."""
     chi_json = {}
     for label, tbl in (
         ("coverage", table),
@@ -480,14 +495,15 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
         except ValueError as exc:
             log.warning("chi-square %s skipped: %s", label, exc)
             chi_json[label] = {"skipped": str(exc), "observed": [list(r) for r in observed]}
-    reporting.write_json(cfg.path("chi_square.json"), chi_json)
+    return {"chi_square.json": chi_json}
 
-    # ---- quantile regression ----------------------------------------------
+
+def quantile_analysis(cfg: PipelineConfig, records: list[PersonalizationRecord]) -> dict:
+    """Quantile regressions of jittered sentiment with bootstrap intervals."""
     quantile_rows = []
     coef_json: dict = {"taus": list(inference.DEFAULT_TAUS), "jitter_h": cfg.jitter}
-    for c_idx, category in enumerate(categories):
+    for c_idx, category in enumerate(Category):
         cat_records = [r for r in records if r.category == category]
-        entry: dict = {}
         if not cat_records:
             coef_json[category.value] = {"skipped": "no records"}
             continue
@@ -497,8 +513,7 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
         )
         g_dummy = [1 if r.gender == Gender.F else 0 for r in cat_records]
         s_dummy = [1 if r.source_type == SourceType.ONLINE else 0 for r in cat_records]
-        entry["jitter_seed"] = jitter_seed
-        entry["n"] = len(cat_records)
+        entry: dict = {"jitter_seed": jitter_seed, "n": len(cat_records)}
         try:
             models = {
                 tau: inference.quantile_regression(y, g_dummy, s_dummy, tau)
@@ -509,19 +524,14 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
             coef_json[category.value] = {"skipped": str(exc)}
             continue
         for gender, g_val in ((Gender.F, 1), (Gender.M, 0)):
-            for source, s_val in (
-                (SourceType.ONLINE, 1),
-                (SourceType.TRADITIONAL, 0),
-            ):
+            for source, s_val in ((SourceType.ONLINE, 1), (SourceType.TRADITIONAL, 0)):
                 fitted = [
                     models[tau].cell_quantiles.get((g_val, s_val))
                     for tau in inference.DEFAULT_TAUS
                 ]
                 if any(f is None for f in fitted):
                     continue
-                quantile_rows.append(
-                    [category.value, gender.value, source.value] + fitted
-                )
+                quantile_rows.append([category.value, gender.value, source.value] + fitted)
         entry["models"] = {
             str(tau): models[tau].to_json_dict() for tau in inference.DEFAULT_TAUS
         }
@@ -531,14 +541,17 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
             y, g_dummy, s_dummy, inference.DEFAULT_TAUS, cfg.bootstrap, boot_seed
         ).to_json_dict()
         coef_json[category.value] = entry
-    reporting.write_csv(
-        cfg.path("quantiles.csv"),
-        ["category", "gender", "source_type", "D1", "Q1", "D5", "Q3", "D9"],
-        quantile_rows,
-    )
-    reporting.write_json(cfg.path("quantile_coefficients.json"), coef_json)
+    return {
+        "quantiles.csv": (
+            ["category", "gender", "source_type", "D1", "Q1", "D5", "Q3", "D9"],
+            quantile_rows,
+        ),
+        "quantile_coefficients.json": coef_json,
+    }
 
-    # ---- temporal ----------------------------------------------------------
+
+def temporal_analysis(cfg: PipelineConfig, table: CountTable) -> dict:
+    """Moving-average personalization trends and their area decomposition."""
     all_days = sorted(set(table.by_day(Gender.F)) | set(table.by_day(Gender.M)))
     grid = (
         [
@@ -548,7 +561,8 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
         if all_days
         else []
     )
-    for category in categories:
+    artifacts: dict = {}
+    for category in Category:
         pers_slice = table.slice(category=category)
         out: dict = {"ma_window": cfg.ma_window, "fill_policy": FILL_POLICY}
         series = {}
@@ -570,24 +584,36 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
             f_ma, m_ma = series[Gender.F], series[Gender.M]
             share_f, share_m, ties = temporal.dominance_fractions(f_ma, m_ma)
             a_f, a_m, a = temporal.area_decomposition(f_ma, m_ma)
-            out.update(
-                {
-                    "A_F": a_f,
-                    "A_M": a_m,
-                    "A": a,
-                    "share_F": share_f,
-                    "share_M": share_m,
-                    "tie_share": ties,
-                }
-            )
+            out.update(A_F=a_f, A_M=a_m, A=a, share_F=share_f, share_M=share_m, tie_share=ties)
             for gender in Gender:
-                reporting.write_csv(
-                    cfg.path(f"trend_{category.value}_{gender.value}.csv"),
+                artifacts[f"trend_{category.value}_{gender.value}.csv"] = (
                     ["date", "value"],
                     [[d.isoformat(), v] for d, v in series[gender].points],
                 )
-        reporting.write_json(cfg.path(f"temporal_{category.value}.json"), out)
+        artifacts[f"temporal_{category.value}.json"] = out
+    return artifacts
 
+
+def stage_analyze(cfg: PipelineConfig) -> dict:
+    cfg.validate()
+    lexicon = _load_lexicon(cfg)
+    with open(cfg.path("count_table.json"), encoding="utf-8") as fh:
+        table = CountTable.from_json_dict(json.load(fh))
+    records = _load_records(cfg.path("records.jsonl"))
+    write_artifacts(
+        cfg,
+        {
+            **bias_analysis(cfg, table, lexicon),
+            **agreement_analysis(lexicon),
+            "sentiment_fractions.csv": (
+                ["category", "group"] + reporting.SENTIMENT_COLUMNS,
+                reporting.sentiment_fraction_rows(records, lexicon),
+            ),
+            **chi_square_analysis(table),
+            **quantile_analysis(cfg, records),
+            **temporal_analysis(cfg, table),
+        },
+    )
     return {"records": len(records)}
 
 
@@ -619,10 +645,7 @@ def stage_report(cfg: PipelineConfig) -> dict:
                     ),
                 )
 
-    reporting.write_csv(
-        cfg.path("table1.csv"), reporting.TABLE1_HEADER, reporting.table1_rows(desc)
-    )
-
+    artifacts: dict = {"table1.csv": (reporting.TABLE1_HEADER, reporting.table1_rows(desc))}
     for dataset in ("coverage", "personalization"):
         for kind, key in (
             ("neighbors", "words_per_sentence"),
@@ -632,11 +655,7 @@ def stage_report(cfg: PipelineConfig) -> dict:
             for gender in Gender:
                 for x, frac in reporting.ccdf_points(desc[dataset][gender.value][key]):
                     ccdf_rows.append([gender.value, x, frac])
-            reporting.write_csv(
-                cfg.path(f"ccdf_{kind}_{dataset}.csv"),
-                ["gender", "x", "ccdf"],
-                ccdf_rows,
-            )
+            artifacts[f"ccdf_{kind}_{dataset}.csv"] = (["gender", "x", "ccdf"], ccdf_rows)
 
     counts = {
         dataset: {
@@ -661,7 +680,8 @@ def stage_report(cfg: PipelineConfig) -> dict:
         "counts": counts,
         "diagnostics": diagnostics,
     }
-    reporting.write_json(cfg.path("manifest.json"), manifest)
+    artifacts["manifest.json"] = manifest
+    write_artifacts(cfg, artifacts)
     return manifest
 
 

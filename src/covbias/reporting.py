@@ -7,7 +7,7 @@ import bisect
 import csv
 import json
 import logging
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bias import LeaveOneOutResult
 from .lexicon import Lexicon
@@ -27,6 +27,13 @@ def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_jsonl(path, objs: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+            fh.write("\n")
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Score = Union[int, float, Fraction]
 
@@ -78,26 +78,6 @@ def classify(score: Score) -> SentimentClass:
 
 
 @dataclass(frozen=True)
-class AnnotationMatrix:
-    """Annotator scores per lexicon word; missing cells are None.
-
-    Rows are keyed by (lemma, upos). Rows with fewer than two ratings
-    carry no agreement information and are excluded from alpha.
-    """
-
-    rows: Mapping[tuple[str, str], tuple[Optional[int], ...]]
-
-    def units(self) -> list[list[int]]:
-        """Rating lists of the units with at least two ratings."""
-        out = []
-        for cells in self.rows.values():
-            ratings = [c for c in cells if c is not None]
-            if len(ratings) >= 2:
-                out.append(ratings)
-        return out
-
-
-@dataclass(frozen=True)
 class AlphaResult:
     value: float
     d_o: float
@@ -130,20 +110,16 @@ def _ordinal_distances(values: Sequence, marginals: Mapping) -> dict:
     return dist
 
 
-def krippendorff_alpha(
-    matrix: Union[AnnotationMatrix, Iterable[Sequence[int]]],
-) -> AlphaResult:
-    """Krippendorff's alpha with the ordinal metric.
+def krippendorff_alpha(units: Iterable[Sequence[int]]) -> AlphaResult:
+    """Krippendorff's alpha with the ordinal metric over per-unit rating lists.
 
-    Accepts an AnnotationMatrix or any iterable of per-unit rating lists.
-    Computed from the coincidence matrix; the ordinal distance weights use
-    the coincidence value marginals. Exact rational arithmetic throughout,
-    so permutation and duplication invariances hold to the bit.
+    Units with fewer than two ratings carry no agreement information and
+    are left out. Computed from the coincidence matrix; the ordinal
+    distance weights use the coincidence value marginals. Exact rational
+    arithmetic throughout, so permutation and duplication invariances
+    hold to the bit.
     """
-    if isinstance(matrix, AnnotationMatrix):
-        units = matrix.units()
-    else:
-        units = [list(u) for u in matrix if len(u) >= 2]
+    units = [list(u) for u in units if len(u) >= 2]
     if len(units) < 2:
         raise ValueError("alpha needs at least 2 units with >= 2 ratings each")
 

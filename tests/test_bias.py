@@ -369,15 +369,6 @@ class TestLeaveOneOut:
         with pytest.raises(ValueError):
             leave_one_out(table)
 
-    def test_holdout_restriction(self):
-        counts = {("a", "NOUN"): (3, 4), ("b", "NOUN"): (5, 1), ("c", "NOUN"): (2, 8)}
-        table = table_from_counts(counts, n_f=2, n_m=2)
-        result = leave_one_out(table, holdout=[("b", "NOUN")])
-        assert [w.lemma for w in result.words] == ["b"]
-        assert result.words[0].diss_without == diss_recompute(
-            counts, 2, 2, skip=("b", "NOUN")
-        )
-
 
 class TestCountTable:
     @given(

@@ -1,12 +1,23 @@
 import csv
+import dataclasses
 import json
 import os
 
 import pytest
 
+from covbias import inference, reporting
 from covbias.cli import main as cli_main
-from covbias.errors import ConfigError
-from covbias.pipeline import PipelineConfig, ingest_check, run_pipeline, stage_analyze
+from covbias.errors import ConfigError, StageError
+from covbias.model import PersonalizationRecord
+from covbias.pipeline import (
+    PipelineConfig,
+    ingest_check,
+    run_pipeline,
+    stage_analyze,
+    stage_extract,
+    stage_report,
+    write_artifacts,
+)
 from conftest import data_path, write_config
 
 EXPECTED_OUTPUTS = [
@@ -343,13 +354,103 @@ class TestCli:
 
 class TestWorkers:
     def test_parallel_extract_matches_serial(self, tmp_path):
-        out_serial = tmp_path / "serial"
-        out_parallel = tmp_path / "parallel"
-        cfg_s = PipelineConfig.from_ini(write_config(tmp_path / "s.ini", out_serial))
-        cfg_p = PipelineConfig.from_ini(
-            write_config(tmp_path / "p.ini", out_parallel), workers=2
-        )
-        run_pipeline(cfg_s)
-        run_pipeline(cfg_p)
-        for name in ("records.jsonl", "counts.csv", "count_table.json", "descriptives.json"):
-            assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes()
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.ini", out)
+        run_pipeline(PipelineConfig.from_ini(cfg_path, workers=1))
+        serial = read_bundle_bytes(out)
+        run_pipeline(PipelineConfig.from_ini(cfg_path, workers=2))
+        assert read_bundle_bytes(out) == serial
+
+
+class TestSmallLexicon:
+    def test_single_entry_lexicon_skips_overall_agreement(self, tmp_path):
+        with open(data_path("lexicon.csv"), encoding="utf-8") as fh:
+            first = fh.readline()
+        lexicon = tmp_path / "lexicon.csv"
+        lexicon.write_text(first, encoding="utf-8")
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.ini", out, lexicon=str(lexicon))
+        run_pipeline(PipelineConfig.from_ini(cfg_path))
+        agreement = json.loads((out / "agreement.json").read_text())
+        assert agreement == {"overall": {"skipped": agreement["overall"]["skipped"]}}
+        assert "at least 2 units" in agreement["overall"]["skipped"]
+        for name in EXPECTED_OUTPUTS:
+            assert (out / name).exists(), name
+
+
+@pytest.fixture
+def finished_run(tmp_path):
+    out = tmp_path / "out"
+    cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
+    run_pipeline(cfg)
+    return cfg, out
+
+
+class TestAllOrNothing:
+    """A stage that fails leaves every file in out/ as it was."""
+
+    def test_failing_extract_keeps_bundle(self, finished_run, monkeypatch):
+        cfg, out = finished_run
+        before = read_bundle_bytes(out)
+        calls = []
+
+        def fail_on_third(rec):
+            calls.append(rec)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            return original(rec)
+
+        original = PersonalizationRecord.to_json_dict
+        monkeypatch.setattr(PersonalizationRecord, "to_json_dict", fail_on_third)
+        # radius 1 attributes fewer words, so every extract file would change
+        with pytest.raises(RuntimeError, match="boom"):
+            stage_extract(dataclasses.replace(cfg, radius=1))
+        assert read_bundle_bytes(out) == before
+
+    def test_failing_analyze_keeps_bundle(self, finished_run, monkeypatch):
+        cfg, out = finished_run
+        before = read_bundle_bytes(out)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(inference, "bootstrap_significance", boom)
+        # literal rates change bias_profile.json, which is computed first
+        with pytest.raises(RuntimeError, match="boom"):
+            stage_analyze(dataclasses.replace(cfg, rates_mode="literal"))
+        assert read_bundle_bytes(out) == before
+
+    @pytest.mark.parametrize("defect", ["word_total", "ccdf_input"])
+    def test_failing_report_keeps_bundle(self, finished_run, defect):
+        cfg, out = finished_run
+        desc = json.loads((out / "descriptives.json").read_text())
+        if defect == "word_total":
+            desc["coverage"]["F"]["words"] += 1
+            expected = StageError
+        else:
+            # table1.csv would change; the CCDF input fails after Table 1 is built
+            desc["coverage"]["F"]["contents"] += 1
+            desc["coverage"]["F"]["words_per_sentence"].append("many")
+            expected = TypeError
+        reporting.write_json(out / "descriptives.json", desc)
+        before = read_bundle_bytes(out)
+        with pytest.raises(expected):
+            stage_report(cfg)
+        assert read_bundle_bytes(out) == before
+
+    def test_writer_removes_temporaries_when_a_payload_fails(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
+        write_artifacts(cfg, {"a.json": {"v": 1}, "b.csv": (["x"], [[1]])})
+        before = read_bundle_bytes(out)
+
+        def rows():
+            yield [2]
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            write_artifacts(cfg, {"a.json": {"v": 2}, "b.csv": (["x"], rows())})
+        assert read_bundle_bytes(out) == before
+        with pytest.raises(ValueError, match="no writer"):
+            write_artifacts(cfg, {"a.json": {"v": 2}, "c.txt": "text"})
+        assert read_bundle_bytes(out) == before

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covbias.sentiment import (
-    AnnotationMatrix,
     SentimentClass,
     aggregate_score,
     classify,
@@ -168,11 +167,3 @@ class TestKrippendorffAlpha:
     )
     def test_alpha_never_exceeds_one(self, units):
         assert krippendorff_alpha(units).value <= 1.0
-
-
-class TestAnnotationMatrix:
-    def test_rows_with_single_rating_dropped_from_units(self):
-        matrix = AnnotationMatrix(
-            {("a", "ADJ"): (1, None, None, None, None), ("b", "ADJ"): (1, 0, None, None, None)}
-        )
-        assert matrix.units() == [[1, 0]]
