@@ -441,7 +441,7 @@ def bias_analysis(cfg: PipelineConfig, table: CountTable, lexicon: Lexicon) -> d
         loo = None
         try:
             slice_factors = bias.correction_factors(slice_table)
-            loo = bias.leave_one_out(slice_table, slice_factors, cfg.rates_mode)
+            loo = bias.leave_one_out(slice_table, cfg.rates_mode)
             slice_info = {
                 "c_F": float(slice_factors[0]),
                 "c_M": float(slice_factors[1]),

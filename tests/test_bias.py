@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covbias.bias import (
@@ -311,6 +311,54 @@ class TestDissimilarity:
             assert dissimilarity(table) == diss_recompute(counts, n_f, n_m)
 
 
+def diss_without_oracle(counts, n_f, n_m, mode, word):
+    """The oracle's dissimilarity without ``word``; None where that
+    removal leaves a gender with no words."""
+    try:
+        return diss_recompute(counts, n_f, n_m, mode, skip=word)
+    except ValueError:
+        return None
+
+
+@st.composite
+def loo_corpora(draw):
+    """({word: (count_f, count_m)}, n_f, n_m) for the breakpoint sweep.
+
+    Small counts make words with f = 0 or m = 0, and words whose removal
+    empties one gender, common; a run of words shares the ratio m/f = p/q.
+    In half the cases a balancing word equalizes the totals of every word
+    but a last, held-out one, and n_F:n_M = p:q. Holding that word out
+    then puts t = K_F/K_M = n_F d_M'^e / (n_M d_F'^e) (e = 2 in ratio mode,
+    3 in literal mode) exactly on the shared breakpoint p/q.
+    """
+    small = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    pairs = draw(st.lists(small, max_size=8))
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs += [(q * k, p * k) for k in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        d_f = sum(f for f, _ in pairs)
+        d_m = sum(m for _, m in pairs)
+        top = max(d_f, d_m)
+        pairs.append((top - d_f, top - d_m))
+        pairs.append(draw(small.filter(lambda c: c != (0, 0))))
+        n_f, n_m = p, q
+    else:
+        n_f, n_m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    counts = {(f"w{i:02d}", "NOUN"): c for i, c in enumerate(pairs) if c != (0, 0)}
+    assume(len(counts) >= 2)
+    assume(all(sum(c[g] for c in counts.values()) > 0 for g in (0, 1)))
+    return counts, n_f, n_m
+
+
+# Without h the totals are 6 and 6 and n_F:n_M = 1:2, so t = 1/2 in both
+# modes: the breakpoint m/f of a and b.
+ON_BREAKPOINT = (
+    {("a", "NOUN"): (2, 1), ("b", "NOUN"): (4, 2), ("c", "NOUN"): (0, 3), ("h", "NOUN"): (3, 1)},
+    1,
+    2,
+)
+
+
 class TestLeaveOneOut:
     def test_matches_full_recompute_oracle(self):
         rng = np.random.default_rng(37)
@@ -368,6 +416,49 @@ class TestLeaveOneOut:
         table = table_from_counts({("w", "NOUN"): (1, 1)}, n_f=1, n_m=1)
         with pytest.raises(ValueError):
             leave_one_out(table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(loo_corpora(), st.sampled_from(["ratio", "literal"]))
+    @example(ON_BREAKPOINT, "ratio")
+    @example(ON_BREAKPOINT, "literal")
+    @example(({("a", "NOUN"): (3, 0), ("b", "NOUN"): (0, 2), ("c", "NOUN"): (0, 1)}, 2, 1), "ratio")
+    def test_matches_oracle_in_both_modes(self, corpus, mode):
+        counts, n_f, n_m = corpus
+        table = table_from_counts(counts, n_f=n_f, n_m=n_m)
+        result = leave_one_out(table, mode=mode)
+        base = diss_recompute(counts, n_f, n_m, mode)
+        assert result.base_diss == base
+        assert sorted((w.lemma, w.upos) for w in result.words) == sorted(counts)
+        rates = adjusted_rates(table, correction_factors(table), mode)
+        for word in result.words:
+            key = (word.lemma, word.upos)
+            expected = diss_without_oracle(counts, n_f, n_m, mode, key)
+            assert word.diss_without == expected
+            if expected is None:
+                assert word.weight is None and not word.distinctive
+            else:
+                assert word.weight == base - expected
+                assert word.distinctive == (expected < base)
+            r_f, r_m = rates[key]
+            assert word.gender is (Gender.M if r_m > r_f else Gender.F)
+
+    def test_large_vocabulary_sample_matches_oracle(self):
+        # W = 4000 words: the base and 20 evenly spaced held-out words
+        # against the full recompute.
+        rng = np.random.default_rng(4000)
+        counts = {}
+        for i in range(4000):
+            wf, wm = (int(x) for x in rng.integers(0, 30, size=2))
+            counts[(f"w{i:04d}", "NOUN")] = (wf, wm) if wf or wm else (1, 0)
+        n_f, n_m = 37, 52
+        result = leave_one_out(table_from_counts(counts, n_f=n_f, n_m=n_m))
+        assert len(result.words) == 4000
+        assert result.base_diss == diss_recompute(counts, n_f, n_m)
+        by_word = {(w.lemma, w.upos): w for w in result.words}
+        for key in sorted(counts)[::200]:
+            expected = diss_recompute(counts, n_f, n_m, skip=key)
+            assert by_word[key].diss_without == expected
+            assert by_word[key].distinctive == (expected < result.base_diss)
 
 
 class TestCountTable:

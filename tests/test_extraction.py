@@ -318,6 +318,25 @@ class TestExtractRecords:
         )
         assert len(children.records) <= len(undirected.records)
 
+    def test_children_direction_attributes_word_under_the_name(self, fixture_inputs):
+        registry, lexicon = fixture_inputs
+        # "Chiara Appendino elegante ama": the adjective is an amod child of
+        # the surname, which is the nsubj of the root verb
+        rows = [
+            ("Chiara", "chiara", "PROPN", 2, False),
+            ("Appendino", "appendino", "PROPN", 4, False),
+            ("elegante", "elegante", "ADJ", 2, False),
+            ("ama", "amare", "VERB", 0, False),
+        ]
+        sent = sentence_from(rows, doc_id="dd")
+        doc = Document("dd", datetime.date(2018, 7, 1), "s", SourceType.ONLINE)
+        children = extract_records([(doc, sent)], registry, lexicon, direction="children")
+        assert [(r.lemma, r.pid, r.gender) for r in children.records] == [
+            ("elegante", "p_app", Gender.F)
+        ]
+        undirected = extract_records([(doc, sent)], registry, lexicon)
+        assert sorted(r.lemma for r in undirected.records) == ["amare", "elegante"]
+
     def test_descriptives_match_hand_counts(self, tiny_bundle, fixture_inputs):
         registry, lexicon = fixture_inputs
         result = extract_records(read_corpus(tiny_bundle), registry, lexicon, radius=2)
