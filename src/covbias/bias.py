@@ -33,6 +33,16 @@ CellKey = tuple[
     Optional[datetime.date],
 ]
 RATE_MODES = ("ratio", "literal")
+# str() and value of everything an enum slot of a key can hold (None or a
+# member), looked up per cell: str() orders serialized cells, value fills them.
+_SLOT_STR = {x: str(x) for x in (None, *Gender, *Category, *SourceType)}
+_SLOT_VALUE = {x: getattr(x, "value", None) for x in _SLOT_STR}
+
+
+def _cell_sort_key(item: tuple[CellKey, int]) -> tuple[str, ...]:
+    """``tuple(str(x) for x in key)`` of one count cell."""
+    (lemma, upos, g, cat, st, day), _ = item
+    return lemma, upos, _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st], str(day)
 
 
 class CountTable:
@@ -153,13 +163,7 @@ class CountTable:
         """Date-aggregated rows (lemma, upos, gender, category, source_type, count)."""
         agg: dict[tuple[str, str, str, str, str], int] = {}
         for (lemma, upos, g, cat, st, _), n in self.cells.items():
-            k = (
-                lemma,
-                upos,
-                g.value,
-                cat.value if cat is not None else "",
-                st.value if st is not None else "",
-            )
+            k = (lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat] or "", _SLOT_VALUE[st] or "")
             agg[k] = agg.get(k, 0) + n
         return [k + (agg[k],) for k in sorted(agg)]
 
@@ -168,26 +172,18 @@ class CountTable:
             [
                 lemma,
                 upos,
-                g.value,
-                cat.value if cat is not None else None,
-                st.value if st is not None else None,
+                _SLOT_VALUE[g],
+                _SLOT_VALUE[cat],
+                _SLOT_VALUE[st],
                 day.isoformat() if day is not None else None,
                 n,
             ]
-            for (lemma, upos, g, cat, st, day), n in sorted(
-                self.cells.items(),
-                key=lambda kv: tuple(str(x) for x in kv[0]),
-            )
+            for (lemma, upos, g, cat, st, day), n in sorted(self.cells.items(), key=_cell_sort_key)
         ]
         pids = [
-            [
-                g.value,
-                cat.value if cat is not None else None,
-                st.value if st is not None else None,
-                sorted(members),
-            ]
+            [_SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], sorted(members)]
             for (g, cat, st), members in sorted(
-                self.pids.items(), key=lambda kv: tuple(str(x) for x in kv[0])
+                self.pids.items(), key=lambda kv: tuple([_SLOT_STR[x] for x in kv[0]])
             )
         ]
         return {"cells": cells, "politicians": pids}

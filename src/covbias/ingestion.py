@@ -1,9 +1,12 @@
 """Streaming readers for parsed corpora and their side files.
 
-The CoNLL-U reader yields one (Document, Sentence) pair at a time, so
-memory stays bounded by a single document regardless of corpus size.
-Tokens flagged as stopwords, digits, URLs or bare punctuation remain in
-the tree (their heads still resolve) but are excluded downstream.
+The CoNLL-U reader yields one (Document, Sentence) pair at a time. It
+holds one sentence plus a per-file memo in which each distinct FORM/LEMMA
+pair is normalized and classified once, so memory grows with a file's
+vocabulary, not its length; serial extract consumes the stream as it
+comes. Tokens flagged as stopwords, digits, URLs or bare punctuation
+remain in the tree (their heads still resolve) but are excluded
+downstream.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ import datetime
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Iterator, Optional
 
 from .errors import ConlluFormatError, MetadataError
 from .model import Document, Sentence, SourceType, Token, normalize_lemma, tree_defect
 
 _DIGITS_RE = re.compile(r"[\d.,:%/\-]+")
-_NEWDOC_RE = re.compile(r"#\s*newdoc\s+id\s*=\s*(\S+)")
+_NEWDOC_RE = re.compile(r"#\s*newdoc\b(?:\s+id\s*=\s*(\S+))?")
 _SENTID_RE = re.compile(r"#\s*sent_id\s*=\s*(\S+)")
 
 
@@ -142,16 +146,14 @@ def _is_url(text: str) -> bool:
     return "://" in low or low.startswith("www.") or low.startswith("http")
 
 
-def _make_token(
-    index: int,
-    surface: str,
-    raw_lemma: str,
-    upos: str,
-    head: int,
-    deprel: str,
-    stopwords: set[str],
-    lemma_map: dict[str, str],
-) -> Token:
+def _derive_form(
+    surface: str, raw_lemma: str, stopwords: set[str], lemma_map: dict[str, str]
+) -> tuple[str, bool, Optional[str]]:
+    """The (lemma, filtered, norm) of one FORM/LEMMA pair.
+
+    Pure in its inputs, so a reader may compute it once per distinct pair.
+    The lemma is empty only when FORM is empty and LEMMA is empty or `_`.
+    """
     norm_surface = normalize_lemma(surface) if surface else None
     if norm_surface is not None and norm_surface in lemma_map:
         raw_lemma = lemma_map[norm_surface]
@@ -161,12 +163,9 @@ def _make_token(
     if norm is None:
         # Nothing lexical remains: keep the raw string for the tree,
         # never select the token as a word.
-        return Token(
-            index, surface, raw_lemma or surface, upos, head, deprel,
-            filtered=True, norm=norm_surface,
-        )
+        return raw_lemma or surface, True, norm_surface
     filtered = norm in stopwords or _is_digits(norm) or _is_url(surface) or _is_url(norm)
-    return Token(index, surface, norm, upos, head, deprel, filtered=filtered, norm=norm_surface)
+    return norm, filtered, norm_surface
 
 
 def iter_conllu(
@@ -182,13 +181,16 @@ def iter_conllu(
     and `# sent_id = ...` on every sentence. Multiword-token ranges and
     empty nodes are skipped (they are not syntactic words). Malformed
     rows raise with their line number; sentences with cyclic heads or no
-    root are rejected with a diagnostic instead.
+    root are rejected with a diagnostic instead. Each distinct FORM/LEMMA
+    pair is derived once per call; later rows reuse its strings.
     """
     doc_id: Optional[str] = None
     sent_id: Optional[str] = None
     sent_index = 0
-    rows: list[tuple[int, str, str, str, int, str]] = []
+    # Token constructor arguments, in order, one tuple per row
+    rows: list[tuple[int, str, str, str, int, str, bool, Optional[str]]] = []
     block_start_line = 0
+    forms: dict[tuple[str, str], tuple[str, bool, Optional[str]]] = {}
 
     def flush(lineno: int) -> Optional[tuple[str, Sentence]]:
         nonlocal rows, sent_id, sent_index, block_start_line
@@ -216,10 +218,7 @@ def iter_conllu(
         if reason is not None:
             diagnostics.reject(doc_id, sent_id, reason)
         else:
-            tokens = tuple(
-                _make_token(idx, form, lemma, upos, head, deprel, stopwords, lemma_map)
-                for idx, form, lemma, upos, head, deprel in rows
-            )
+            tokens = tuple(starmap(Token, rows))
             out = (doc_id, Sentence(doc_id=doc_id, index=sent_index, tokens=tokens))
         sent_index += 1
         rows = []
@@ -241,6 +240,8 @@ def iter_conllu(
                 if m:
                     if rows:
                         raise ConlluFormatError("newdoc inside a sentence block", lineno)
+                    if m.group(1) is None:
+                        raise ConlluFormatError("'# newdoc' without 'id = ...'", lineno)
                     doc_id = m.group(1)
                     if doc_id in seen_docs:
                         raise ConlluFormatError(f"duplicate document {doc_id!r}", lineno)
@@ -270,7 +271,14 @@ def iter_conllu(
                 raise ConlluFormatError(
                     f"non-integer ID or HEAD ({tok_id!r}, {head!r})", lineno
                 ) from None
-            rows.append((idx, form, lemma, upos, head_i, deprel))
+            derived = forms.get((form, lemma))
+            if derived is None:
+                derived = _derive_form(form, lemma, stopwords, lemma_map)
+                if not derived[0]:
+                    raise ConlluFormatError("token with empty FORM and LEMMA", lineno)
+                forms[form, lemma] = derived
+            lemma, filtered, norm = derived
+            rows.append((idx, form, lemma, upos, head_i, deprel, filtered, norm))
         result = flush(lineno + 1)
         if result:
             yield result

@@ -309,24 +309,19 @@ def _extract_chunk(args) -> ExtractionResult:
 
 
 def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
+    """One worker streams the corpus through one extract_records call; more
+    workers take 200-document chunks, merged back in corpus order."""
     cfg.validate()
     registry, lexicon, gaz = _load_side_inputs(cfg)
     diagnostics = CorpusDiagnostics()
     stream = read_corpus(cfg.bundle(), diagnostics)
 
-    result = ExtractionResult()
+    shared = (registry, lexicon, cfg.radius, cfg.direction, gaz.variants)
     if cfg.workers == 1:
-        for chunk in _doc_chunks(stream, 500):
-            result.merge(
-                _extract_chunk(
-                    (chunk, registry, lexicon, cfg.radius, cfg.direction, gaz.variants)
-                )
-            )
+        result = _extract_chunk((stream, *shared))
     else:
-        tasks = (
-            (chunk, registry, lexicon, cfg.radius, cfg.direction, gaz.variants)
-            for chunk in _doc_chunks(stream, 200)
-        )
+        result = ExtractionResult()
+        tasks = ((chunk, *shared) for chunk in _doc_chunks(stream, 200))
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             # map() yields in submission order, so merging stays deterministic
             for part in pool.map(_extract_chunk, tasks):

@@ -1,16 +1,19 @@
 """Independent reference implementations used to check the engine.
 
 Everything here is written from the definitions, takes the dumbest
-correct path, and shares no code with the package under test. The one
-exception is ``bootstrap_per_tau``, which refits every resample with the
+correct path, and shares no code with the package under test. The
+exceptions: ``bootstrap_per_tau`` refits every resample with the
 package's ``quantile_regression`` (itself checked against the LP and
-exhaustive-search oracles below).
+exhaustive-search oracles below), and ``token_from_row`` builds the
+package's ``Token`` with its ``normalize_lemma``, because it checks the
+reader's memo of the derivation, not the normalization.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 
@@ -336,3 +339,79 @@ def mentions_bruteforce(norms, lemmas, date, registry, canonical):
             chosen.append(cand)
     chosen.sort(key=lambda c: (c[0], _PATTERN_PRECEDENCE[c[2]]))
     return chosen, ambiguous
+
+
+# ---------------------------------------------------------------------------
+# CoNLL-U tokens: every row derived from scratch, no memo
+# ---------------------------------------------------------------------------
+
+_DIGITS_RE = re.compile(r"[\d.,:%/\-]+")
+
+
+def _is_digits(lemma):
+    return bool(_DIGITS_RE.fullmatch(lemma)) and any(c.isdigit() for c in lemma)
+
+
+def _is_url(text):
+    low = text.lower()
+    return "://" in low or low.startswith("www.") or low.startswith("http")
+
+
+def token_from_row(index, surface, raw_lemma, upos, head, deprel, stopwords, lemma_map):
+    """The Token of one CoNLL-U row, normalizing its FORM and LEMMA anew.
+
+    A lemma-map entry for the normalized surface replaces the parser's
+    lemma, and `_` falls back to the surface. When nothing lexical is
+    left the raw lemma (or the surface) stays as the lemma and the token
+    is filtered; otherwise stopwords, digit strings and URLs are.
+    """
+    from covbias.model import Token, normalize_lemma
+
+    norm_surface = normalize_lemma(surface) if surface else None
+    if norm_surface is not None and norm_surface in lemma_map:
+        raw_lemma = lemma_map[norm_surface]
+    elif raw_lemma == "_":
+        raw_lemma = surface
+    norm = normalize_lemma(raw_lemma) if raw_lemma else None
+    if norm is None:
+        return Token(
+            index, surface, raw_lemma or surface, upos, head, deprel,
+            filtered=True, norm=norm_surface,
+        )
+    filtered = norm in stopwords or _is_digits(norm) or _is_url(surface) or _is_url(norm)
+    return Token(index, surface, norm, upos, head, deprel, filtered=filtered, norm=norm_surface)
+
+
+# ---------------------------------------------------------------------------
+# CountTable JSON: sort keys formatted with str() on every cell
+# ---------------------------------------------------------------------------
+
+
+def count_table_json_str_key(table):
+    """``CountTable.to_json_dict()`` sorting by ``tuple(str(x) for x in key)``."""
+    cells = [
+        [
+            lemma,
+            upos,
+            g.value,
+            cat.value if cat is not None else None,
+            st.value if st is not None else None,
+            day.isoformat() if day is not None else None,
+            n,
+        ]
+        for (lemma, upos, g, cat, st, day), n in sorted(
+            table.cells.items(), key=lambda kv: tuple(str(x) for x in kv[0])
+        )
+    ]
+    pids = [
+        [
+            g.value,
+            cat.value if cat is not None else None,
+            st.value if st is not None else None,
+            sorted(members),
+        ]
+        for (g, cat, st), members in sorted(
+            table.pids.items(), key=lambda kv: tuple(str(x) for x in kv[0])
+        )
+    ]
+    return {"cells": cells, "politicians": pids}

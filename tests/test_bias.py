@@ -22,7 +22,7 @@ from covbias.bias import (
 )
 from covbias.model import Category, Gender, SourceType
 from conftest import table_from_counts
-from oracles import diss_recompute, weighted_quantile_scan
+from oracles import count_table_json_str_key, diss_recompute, weighted_quantile_scan
 
 
 class TestCorrectionFactors:
@@ -490,6 +490,39 @@ class TestCountTable:
         for i, (lemma, gender, n) in enumerate(events):
             one_shot.add(lemma, "NOUN", gender, n=n, pid=f"p{i % 3}")
         assert one_shot.cells == merged_forward.cells
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "B", "à", "a b", "None", "Gender.F", ""]),
+                st.sampled_from(["ADJ", "NOUN"]),
+                st.sampled_from(list(Gender)),
+                st.sampled_from([None, *Category]),
+                st.sampled_from([None, *SourceType]),
+                st.sampled_from(
+                    [None, datetime.date(2017, 1, 9), datetime.date(2017, 10, 1),
+                     datetime.date(2020, 12, 31)]
+                ),
+                st.sampled_from([None, "p1", "p2", "p10"]),
+            ),
+            max_size=40,
+        )
+    )
+    @example(
+        [
+            ("a", "ADJ", g, cat, src, day, "p1")
+            for g in Gender
+            for cat in (None, *Category)
+            for src in (None, *SourceType)
+            for day in (None, datetime.date(2018, 5, 6))
+        ]
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_json_order_matches_str_key_oracle(self, events):
+        table = CountTable()
+        for lemma, upos, gender, category, source, day, pid in events:
+            table.add(lemma, upos, gender, category, source, day, pid)
+        assert table.to_json_dict() == count_table_json_str_key(table)
 
     def test_totals_are_cell_sums(self):
         table = table_from_counts({("a", "ADJ"): (2, 3), ("b", "NOUN"): (4, 0)}, 1, 1)

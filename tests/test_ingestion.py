@@ -1,6 +1,11 @@
 import datetime
+import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covbias.errors import ConlluFormatError, LexiconError, MetadataError, RegistryError
 from covbias.ingestion import (
@@ -17,6 +22,7 @@ from covbias.model import Gender, SourceType
 from covbias.registry import read_registry
 from covbias.sentiment import SentimentClass
 from conftest import data_path
+from oracles import token_from_row
 
 
 def run_conllu(text, tmp_path, stopwords=None, lemma_map=None):
@@ -164,6 +170,101 @@ class TestConlluReader:
         text = WELL_FORMED.replace("2\tgatto", "5\tgatto")
         with pytest.raises(ConlluFormatError):
             run_conllu(text, tmp_path)
+
+    @pytest.mark.parametrize("comment", ["# newdoc", "# newdoc id =", "#newdoc  "])
+    def test_newdoc_without_id_is_error_with_line(self, comment, tmp_path):
+        text = WELL_FORMED + WELL_FORMED.replace("# newdoc id = dx", comment).replace("dx.", "dy.")
+        with pytest.raises(ConlluFormatError, match="without 'id") as err:
+            run_conllu(text, tmp_path)
+        assert err.value.line == 7
+
+    @pytest.mark.parametrize("lemma", ["", "_"])
+    def test_empty_form_and_lemma_is_error_with_line(self, lemma, tmp_path):
+        text = WELL_FORMED.replace("2\tgatto\tgatto", f"2\t\t{lemma}")
+        with pytest.raises(ConlluFormatError, match="empty FORM and LEMMA") as err:
+            run_conllu(text, tmp_path)
+        assert err.value.line == 4
+
+    def test_empty_form_with_lemma_is_kept(self, tmp_path):
+        out, _ = run_conllu(WELL_FORMED.replace("2\tgatto\tgatto", "2\t\tgatto"), tmp_path)
+        token = out[0][1].tokens[1]
+        assert (token.surface, token.lemma, token.norm) == ("", "gatto", None)
+
+
+# FORM/LEMMA pairs with repeats, one FORM under two LEMMAs, case and edge
+# punctuation variants that normalize alike, `_` lemmas, stopwords, digits,
+# URLs and punctuation-only forms (norm None).
+_ROWS = [
+    ("il", "il"), ("Il", "il"), ("IL", "_"), ("di", "di"),
+    ("gatto", "gatto"), ("Gatto", "_"), ("«Gatto»", "gatto"), ("gatti", "_"),
+    ("gatti", "gatto"), ("sta", "stare"), ("sta", "essere"), ("Roma", "Roma"),
+    ("lunga", "lungo"), ("Lunga", "lungo"), ("2020", "2020"), ("3,5", "_"),
+    ("www.esempio.it", "www.esempio.it"), ("http://x.it/a", "_"), (".", "."),
+    ("...", "_"), ("«", "«"), ("—", "_"), ("", "casa"), ("x", ""),
+]
+_UPOS = ["NOUN", "ADJ", "PUNCT"]
+_sentence_rows = st.lists(
+    st.tuples(st.integers(0, len(_ROWS) - 1), st.sampled_from(_UPOS)), min_size=1, max_size=6
+)
+_file_docs = st.lists(st.lists(_sentence_rows, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+class TestFormMemoOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        files=st.lists(_file_docs, min_size=1, max_size=2),
+        stopwords=st.sets(st.sampled_from(["il", "di", "gatto", "stare"])),
+        lemma_map=st.dictionaries(
+            st.sampled_from(["gatti", "sta", "roma", "lunga", "il"]),
+            st.sampled_from(["gatto", "stare", "città", "", "_"]),
+        ),
+    )
+    def test_tokens_match_row_by_row_derivation(self, files, stopwords, lemma_map):
+        expected = []
+        with tempfile.TemporaryDirectory() as tmp:
+            conllu, meta = [], []
+            for f, docs in enumerate(files):
+                lines = []
+                for d, sentences in enumerate(docs):
+                    doc_id = f"f{f}d{d}"
+                    meta.append(json.dumps({
+                        "doc_id": doc_id, "date": "2018-01-01",
+                        "source_id": "x", "source_type": "online",
+                    }))
+                    lines.append(f"# newdoc id = {doc_id}")
+                    for s_index, rows in enumerate(sentences):
+                        lines.append(f"# sent_id = {doc_id}.s{s_index}")
+                        tokens = []
+                        for i, (row, upos) in enumerate(rows, start=1):
+                            form, lemma = _ROWS[row]
+                            lines.append(f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{i - 1}\tdep\t_\t_")
+                            tokens.append(
+                                token_from_row(i, form, lemma, upos, i - 1, "dep", stopwords, lemma_map)
+                            )
+                        lines.append("")
+                        expected.append((doc_id, s_index, tuple(tokens)))
+                conllu.append(os.path.join(tmp, f"part{f}.conllu"))
+                with open(conllu[-1], "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(lines) + "\n")
+            paths = {}
+            for name, lines in (
+                ("metadata.jsonl", meta),
+                ("stopwords.txt", sorted(stopwords)),
+                ("lemma_map.tsv", [f"{k}\t{v}" for k, v in lemma_map.items()]),
+            ):
+                paths[name] = os.path.join(tmp, name)
+                with open(paths[name], "w", encoding="utf-8") as fh:
+                    fh.write("".join(line + "\n" for line in lines))
+            bundle = CorpusBundle(
+                conllu=tuple(conllu),
+                metadata=paths["metadata.jsonl"],
+                registry="unused",
+                lexicon="unused",
+                stopwords=paths["stopwords.txt"],
+                lemma_map=paths["lemma_map.tsv"],
+            )
+            got = [(doc.doc_id, s.index, s.tokens) for doc, s in read_corpus(bundle)]
+        assert got == expected
 
 
 class TestMetadata:

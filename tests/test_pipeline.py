@@ -18,6 +18,7 @@ from covbias.pipeline import (
     stage_report,
     write_artifacts,
 )
+import corpusgen
 from conftest import data_path, write_config
 
 EXPECTED_OUTPUTS = [
@@ -360,6 +361,18 @@ class TestWorkers:
         cfg_path = write_config(tmp_path / "cfg.ini", out)
         run_pipeline(PipelineConfig.from_ini(cfg_path, workers=1))
         serial = read_bundle_bytes(out)
+        run_pipeline(PipelineConfig.from_ini(cfg_path, workers=2))
+        assert read_bundle_bytes(out) == serial
+
+    def test_multi_chunk_parallel_extract_matches_streamed_serial(self, tmp_path):
+        # 450 documents are three 200-document chunks under workers=2, so
+        # the merge across chunk results is compared with one serial pass.
+        paths = corpusgen.generate(tmp_path / "in", n_docs=450, seed=11)
+        out = tmp_path / "out"
+        cfg_path = corpusgen.write_config(paths, out, tmp_path / "cfg.ini", seed=11)
+        run_pipeline(PipelineConfig.from_ini(cfg_path, workers=1))
+        serial = read_bundle_bytes(out)
+        assert serial["records.jsonl"].count(b"\n") > 200
         run_pipeline(PipelineConfig.from_ini(cfg_path, workers=2))
         assert read_bundle_bytes(out) == serial
 
