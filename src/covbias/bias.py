@@ -46,13 +46,12 @@ def _cell_sort_key(item: tuple[CellKey, int]) -> tuple[str, ...]:
 
 
 class CountTable:
-    """Associative aggregate of word-event counts.
+    """Aggregate of word-event counts.
 
     Cells are keyed by (lemma, upos, gender, category, source_type, date);
     category is None for words outside the lexicon. Politician identities
     are tracked per (gender, category, source_type) so that slices report
-    their own politician tallies. Merging tables is cellwise addition plus
-    set union, hence order-independent.
+    their own politician tallies.
     """
 
     def __init__(self) -> None:
@@ -76,12 +75,6 @@ class CountTable:
         self.cells[key] = self.cells.get(key, 0) + n
         if pid is not None:
             self.pids.setdefault((gender, category, source_type), set()).add(pid)
-
-    def update(self, other: "CountTable") -> None:
-        for key, n in other.cells.items():
-            self.cells[key] = self.cells.get(key, 0) + n
-        for key, pids in other.pids.items():
-            self.pids.setdefault(key, set()).update(pids)
 
     # -- marginals ---------------------------------------------------------
 

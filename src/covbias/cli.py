@@ -33,7 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="INI config with a [covbias] section")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--workers", type=int, help="parallel extract workers")
     parser.add_argument("--seed", type=int, help="base random seed")
     parser.add_argument("--radius", type=int, help="neighborhood tree radius")
     parser.add_argument(
@@ -56,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args: argparse.Namespace) -> PipelineConfig:
     overrides = {
         key: getattr(args, key)
-        for key in ("out", "workers", "seed", "radius", "rates_mode", "ma_window", "jitter", "bootstrap")
+        for key in ("out", "seed", "radius", "rates_mode", "ma_window", "jitter", "bootstrap")
         if getattr(args, key) is not None
     }
     return PipelineConfig.from_ini(args.config, **overrides)

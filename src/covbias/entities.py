@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .errors import GazetteerError
 from .model import Document, Mention, MentionPattern, Sentence, normalize_lemma
 from .registry import PoliticianRegistry, TokenTuple
 
@@ -48,11 +49,13 @@ class RoleGazetteer:
         """
         variants: dict[str, str] = {}
         with open(path, encoding="utf-8-sig") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 canonical_s, _, syns = line.partition("=")
+                if not canonical_s.strip():
+                    raise GazetteerError(f"{path}: line {lineno}: empty canonical role")
                 canonical = normalize_lemma(canonical_s)
                 if canonical is None:
                     continue
@@ -79,10 +82,6 @@ class MatchDiagnostics:
 
     def drop(self, pattern: MentionPattern) -> None:
         self.ambiguous[pattern.value] = self.ambiguous.get(pattern.value, 0) + 1
-
-    def merge(self, other: "MatchDiagnostics") -> None:
-        for key, n in other.ambiguous.items():
-            self.ambiguous[key] = self.ambiguous.get(key, 0) + n
 
     def to_json_dict(self) -> dict:
         return {"ambiguous_mentions": dict(sorted(self.ambiguous.items()))}

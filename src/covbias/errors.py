@@ -23,6 +23,10 @@ class LexiconError(CovbiasError):
     pass
 
 
+class GazetteerError(CovbiasError):
+    pass
+
+
 class ConfigError(CovbiasError):
     pass
 

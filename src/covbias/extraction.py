@@ -27,7 +27,7 @@ from .model import (
 from .registry import PoliticianRegistry
 
 CANDIDATE_POS = frozenset({"ADJ", "NOUN", "VERB"})
-DEFAULT_MODAL_LEMMAS = frozenset({"potere", "dovere", "volere", "solere"})
+MODAL_LEMMAS = frozenset({"potere", "dovere", "volere", "solere"})
 DIRECTIONS = ("undirected", "children")
 
 
@@ -68,17 +68,13 @@ class DependencyTree:
         return dist
 
 
-def build_tree(sentence: Sentence) -> DependencyTree:
-    return DependencyTree(sentence)
-
-
-def eligible_word(token: Token, modal_lemmas: frozenset[str] = DEFAULT_MODAL_LEMMAS) -> bool:
+def eligible_word(token: Token) -> bool:
     """Can this token be selected as a neighborhood word at all?"""
     if token.filtered:
         return False
     if token.upos not in CANDIDATE_POS:
         return False
-    if token.upos == "VERB" and token.lemma in modal_lemmas:
+    if token.upos == "VERB" and token.lemma in MODAL_LEMMAS:
         return False
     return True
 
@@ -88,13 +84,12 @@ def neighborhood(
     mention: Mention,
     radius: int,
     direction: str = "undirected",
-    modal_lemmas: frozenset[str] = DEFAULT_MODAL_LEMMAS,
 ) -> list[tuple[Token, int]]:
     """Content words within `radius` tree steps of the mention span.
 
     Returns (token, distance) pairs in sentence order. Mention tokens
     themselves are never words; PROPN stays out (proper nouns are
-    entities, not descriptors), as do auxiliaries, configured modal verbs
+    entities, not descriptors), as do auxiliaries, modal verbs
     and filtered tokens. Monotone in the radius.
     """
     if radius < 1:
@@ -108,7 +103,7 @@ def neighborhood(
         d = dist.get(token.index)
         if d is None or d > radius:
             continue
-        if eligible_word(token, modal_lemmas):
+        if eligible_word(token):
             out.append((token, d))
     return out
 
@@ -138,19 +133,6 @@ class DatasetTally:
         per = self.words_per_sentence[gender]
         per[key] = per.get(key, 0) + 1
 
-    def merge(self, other: "DatasetTally") -> None:
-        for g in Gender:
-            self.docs[g] |= other.docs[g]
-            self.sentences[g] |= other.sentences[g]
-            self.words[g] += other.words[g]
-            self.lemmas[g] |= other.lemmas[g]
-            self.pids[g] |= other.pids[g]
-            self.pid_sentences[g] |= other.pid_sentences[g]
-            for key, n in other.words_per_sentence[g].items():
-                self.words_per_sentence[g][key] = (
-                    self.words_per_sentence[g].get(key, 0) + n
-                )
-
     def sentences_per_politician(self, gender: Gender) -> list[int]:
         per: dict[str, int] = {}
         for pid, _, _ in self.pid_sentences[gender]:
@@ -177,10 +159,6 @@ class DescriptiveStats:
         self.coverage = DatasetTally()
         self.personalization = DatasetTally()
 
-    def merge(self, other: "DescriptiveStats") -> None:
-        self.coverage.merge(other.coverage)
-        self.personalization.merge(other.personalization)
-
     def to_json_dict(self) -> dict:
         return {
             "coverage": self.coverage.to_json_dict(),
@@ -195,12 +173,6 @@ class ExtractionResult:
     descriptives: DescriptiveStats = field(default_factory=DescriptiveStats)
     diagnostics: MatchDiagnostics = field(default_factory=MatchDiagnostics)
 
-    def merge(self, other: "ExtractionResult") -> None:
-        self.records.extend(other.records)
-        self.counts.update(other.counts)
-        self.descriptives.merge(other.descriptives)
-        self.diagnostics.merge(other.diagnostics)
-
 
 def extract_records(
     stream: Iterable[tuple[Document, Sentence]],
@@ -209,7 +181,6 @@ def extract_records(
     radius: int = 2,
     direction: str = "undirected",
     gazetteer: Optional[RoleGazetteer] = None,
-    modal_lemmas: frozenset[str] = DEFAULT_MODAL_LEMMAS,
 ) -> ExtractionResult:
     """Run mention detection and neighborhood extraction over a stream.
 
@@ -225,14 +196,14 @@ def extract_records(
         mentions = find_mentions(sentence, doc, registry, gaz, result.diagnostics)
         if not mentions:
             continue
-        tree = build_tree(sentence)
+        tree = DependencyTree(sentence)
         spans: set[int] = set()
         for m in mentions:
             spans.update(m.span)
         # token index -> (token, distance, nearest mentions in mention order)
         nearest: dict[int, tuple[Token, int, list[Mention]]] = {}
         for m in mentions:
-            for token, d in neighborhood(tree, m, radius, direction, modal_lemmas):
+            for token, d in neighborhood(tree, m, radius, direction):
                 if token.index in spans:
                     continue
                 best = nearest.get(token.index)

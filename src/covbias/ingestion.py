@@ -53,10 +53,13 @@ def read_lemma_map(path) -> dict[str, str]:
                 raise MetadataError(
                     f"{path}: line {lineno}: expected surface<TAB>lemma"
                 )
-            surface = normalize_lemma(parts[0])
+            raw_surface, lemma = parts[0].strip(), parts[1].strip()
+            if not raw_surface or not lemma:
+                raise MetadataError(f"{path}: line {lineno}: empty surface or lemma")
+            surface = normalize_lemma(raw_surface)
             if surface is None:
                 continue
-            out[surface] = parts[1].strip()
+            out[surface] = lemma
     return out
 
 
@@ -114,9 +117,6 @@ class CorpusDiagnostics:
 
     def reject(self, doc_id: str, sent_id: str, reason: str) -> None:
         self.rejected_sentences.append((doc_id, sent_id, reason))
-
-    def merge(self, other: "CorpusDiagnostics") -> None:
-        self.rejected_sentences.extend(other.rejected_sentences)
 
     def to_json_dict(self) -> dict:
         return {

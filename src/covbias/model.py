@@ -1,7 +1,7 @@
 """Core domain types shared by every stage of the pipeline.
 
 Everything here is immutable after construction and free of I/O and
-statistics, so instances can be shared read-only across parallel workers.
+statistics.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class Token:
     tokens stay in the tree (pruning nodes would corrupt head indices)
     but are never selected as neighborhood words. ``norm`` is the
     surface passed through ``normalize_lemma``, the form mention matching
-    compares; it is derived from ``surface`` when not given.
+    compares; the CoNLL-U reader derives it, and it is None when nothing
+    lexical remains.
     """
 
     index: int
@@ -118,8 +119,6 @@ class Token:
             raise ValueError(f"token {self.index} is its own head")
         if not self.lemma:
             raise ValueError(f"token {self.index} has an empty lemma")
-        if self.norm is None and self.surface:
-            object.__setattr__(self, "norm", normalize_lemma(self.surface))
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,12 @@ A stage computes all its artifacts before `write_artifacts` puts any in
 place, so a stage that fails leaves the output directory as it was.
 
 Given the same inputs, config and seed, the bundle is byte-identical on
-rerun and across worker counts: every stochastic step derives its
-generator from the configured seed and all serialization is order-stable.
+rerun: every stochastic step derives its generator from the configured
+seed and all serialization is order-stable.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import contextlib
 import dataclasses
@@ -31,7 +30,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -39,10 +38,10 @@ from . import bias, inference, reporting, temporal
 from .bias import CountTable
 from .entities import RoleGazetteer
 from .errors import ConfigError, StageError
-from .extraction import DEFAULT_MODAL_LEMMAS, DIRECTIONS, ExtractionResult, extract_records
+from .extraction import DIRECTIONS, ExtractionResult, extract_records
 from .ingestion import CorpusBundle, CorpusDiagnostics, read_corpus, read_metadata, read_stopwords
 from .lexicon import Lexicon, read_lexicon
-from .model import Category, Document, Gender, PersonalizationRecord, Sentence, SourceType
+from .model import Category, Gender, PersonalizationRecord, SourceType
 from .registry import PoliticianRegistry, read_registry
 from .sentiment import krippendorff_alpha
 from .temporal import DailySeries
@@ -70,13 +69,16 @@ class PipelineConfig:
     jitter: float = inference.JITTER_HALF_WIDTH
     ma_window: int = temporal.MA_WINDOW
     bootstrap: int = 200
-    workers: int = 1
     bins: int = 40
     window_start: Optional[datetime.date] = None
     window_end: Optional[datetime.date] = None
 
     @classmethod
     def from_ini(cls, path, **overrides) -> "PipelineConfig":
+        # bench/child.py still passes workers=1; extract has one serial path,
+        # so that value alone is accepted. Drop this at the next bench change.
+        if overrides.pop("workers", 1) != 1:
+            raise ConfigError("workers: extract runs serially; only workers=1 is accepted")
         parser = configparser.ConfigParser()
         read = parser.read(path, encoding="utf-8")
         if not read:
@@ -106,7 +108,6 @@ class PipelineConfig:
             ("seed", int, "an integer"),
             ("ma_window", int, "an integer"),
             ("bootstrap", int, "an integer"),
-            ("workers", int, "an integer"),
             ("bins", int, "an integer"),
             ("jitter", float, "a number"),
             ("window_start", datetime.date.fromisoformat, "a YYYY-MM-DD date"),
@@ -155,8 +156,6 @@ class PipelineConfig:
             raise ConfigError("jitter must be nonnegative")
         if self.ma_window < 1:
             raise ConfigError("ma_window must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.bootstrap < inference.MIN_REPLICATES:
             raise ConfigError(f"bootstrap must be >= {inference.MIN_REPLICATES}")
         if self.bins < 1:
@@ -181,9 +180,7 @@ class PipelineConfig:
         )
 
     def to_json_dict(self) -> dict:
-        """Every setting but `workers`, which changes how fast, not what, is written."""
         out = dataclasses.asdict(self)
-        del out["workers"]
         out["conllu"] = list(self.conllu)
         for key in ("window_start", "window_end"):
             if out[key] is not None:
@@ -279,54 +276,18 @@ def ingest_check(cfg: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _doc_chunks(
-    stream: Iterable[tuple[Document, Sentence]], docs_per_chunk: int
-) -> Iterator[list[tuple[Document, Sentence]]]:
-    chunk: list[tuple[Document, Sentence]] = []
-    seen: set[str] = set()
-    for doc, sentence in stream:
-        if doc.doc_id not in seen and len(seen) >= docs_per_chunk:
-            yield chunk
-            chunk = []
-            seen = set()
-        seen.add(doc.doc_id)
-        chunk.append((doc, sentence))
-    if chunk:
-        yield chunk
-
-
-def _extract_chunk(args) -> ExtractionResult:
-    pairs, registry, lexicon, radius, direction, variants = args
-    return extract_records(
-        pairs,
-        registry,
-        lexicon,
-        radius=radius,
-        direction=direction,
-        gazetteer=RoleGazetteer(variants),
-        modal_lemmas=DEFAULT_MODAL_LEMMAS,
-    )
-
-
 def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
-    """One worker streams the corpus through one extract_records call; more
-    workers take 200-document chunks, merged back in corpus order."""
     cfg.validate()
     registry, lexicon, gaz = _load_side_inputs(cfg)
     diagnostics = CorpusDiagnostics()
-    stream = read_corpus(cfg.bundle(), diagnostics)
-
-    shared = (registry, lexicon, cfg.radius, cfg.direction, gaz.variants)
-    if cfg.workers == 1:
-        result = _extract_chunk((stream, *shared))
-    else:
-        result = ExtractionResult()
-        tasks = ((chunk, *shared) for chunk in _doc_chunks(stream, 200))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            # map() yields in submission order, so merging stays deterministic
-            for part in pool.map(_extract_chunk, tasks):
-                result.merge(part)
-
+    result = extract_records(
+        read_corpus(cfg.bundle(), diagnostics),
+        registry,
+        lexicon,
+        radius=cfg.radius,
+        direction=cfg.direction,
+        gazetteer=gaz,
+    )
     write_artifacts(
         cfg,
         {

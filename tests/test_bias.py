@@ -465,35 +465,6 @@ class TestCountTable:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["a", "b", "c", "d"]),
-                st.sampled_from([Gender.F, Gender.M]),
-                st.integers(min_value=1, max_value=5),
-            ),
-            max_size=30,
-        ),
-        st.integers(min_value=2, max_value=5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_associative_and_commutative(self, events, split):
-        shards = [CountTable() for _ in range(split)]
-        for i, (lemma, gender, n) in enumerate(events):
-            shards[i % split].add(lemma, "NOUN", gender, n=n, pid=f"p{i % 3}")
-        merged_forward = CountTable()
-        for shard in shards:
-            merged_forward.update(shard)
-        merged_reverse = CountTable()
-        for shard in reversed(shards):
-            merged_reverse.update(shard)
-        assert merged_forward.cells == merged_reverse.cells
-        assert merged_forward.pids == merged_reverse.pids
-        one_shot = CountTable()
-        for i, (lemma, gender, n) in enumerate(events):
-            one_shot.add(lemma, "NOUN", gender, n=n, pid=f"p{i % 3}")
-        assert one_shot.cells == merged_forward.cells
-
-    @given(
-        st.lists(
-            st.tuples(
                 st.sampled_from(["a", "b", "B", "à", "a b", "None", "Gender.F", ""]),
                 st.sampled_from(["ADJ", "NOUN"]),
                 st.sampled_from(list(Gender)),

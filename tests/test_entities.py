@@ -26,7 +26,10 @@ def make_sentence(words, doc_id="d1", index=0):
     """Flat parse: every token hangs off the last one (root); POS PROPN."""
     n = len(words)
     tokens = tuple(
-        Token(i + 1, w, w.lower(), "PROPN" if i < n - 1 else "VERB", n if i < n - 1 else 0, "dep")
+        Token(
+            i + 1, w, w.lower(), "PROPN" if i < n - 1 else "VERB", n if i < n - 1 else 0, "dep",
+            norm=normalize_lemma(w),
+        )
         for i, w in enumerate(words)
     )
     return Sentence(doc_id=doc_id, index=index, tokens=tokens)
@@ -303,6 +306,7 @@ def _sentences(draw):
             n if i < n - 1 else 0,
             "dep",
             filtered=filtered,
+            norm=normalize_lemma(word),
         )
         for i, (word, filtered) in enumerate(words)
     )

@@ -3,12 +3,7 @@ import datetime
 import pytest
 
 from covbias.bias import CountTable
-from covbias.extraction import (
-    ExtractionResult,
-    build_tree,
-    extract_records,
-    neighborhood,
-)
+from covbias.extraction import DependencyTree, extract_records, neighborhood
 from covbias.ingestion import read_corpus
 from covbias.lexicon import read_lexicon
 from covbias.model import (
@@ -19,6 +14,7 @@ from covbias.model import (
     Sentence,
     SourceType,
     Token,
+    normalize_lemma,
 )
 from covbias.registry import read_registry
 from conftest import data_path
@@ -26,7 +22,10 @@ from conftest import data_path
 
 def sentence_from(rows, doc_id="d", index=0):
     tokens = tuple(
-        Token(i + 1, surface, lemma, upos, head, "dep", filtered=filtered)
+        Token(
+            i + 1, surface, lemma, upos, head, "dep",
+            filtered=filtered, norm=normalize_lemma(surface),
+        )
         for i, (surface, lemma, upos, head, filtered) in enumerate(rows)
     )
     return Sentence(doc_id=doc_id, index=index, tokens=tokens)
@@ -41,7 +40,7 @@ class TestDependencyTree:
         sent = sentence_from(
             [("a", "a", "NOUN", 2, False), ("b", "b", "NOUN", 3, False), ("c", "c", "NOUN", 0, False)]
         )
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         assert tree.distances([1])[3] == 2
         assert tree.distances([3])[1] == 2
 
@@ -54,7 +53,7 @@ class TestDependencyTree:
                 ("z", "z", "NOUN", 1, False),
             ]
         )
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         for i in (2, 3, 4):
             for j in (2, 3, 4):
                 if i != j:
@@ -62,7 +61,7 @@ class TestDependencyTree:
 
     def test_single_token(self):
         sent = sentence_from([("a", "a", "NOUN", 0, False)])
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         assert tree.distances([1])[1] == 0
 
     def test_children_direction_descends_only(self):
@@ -71,7 +70,7 @@ class TestDependencyTree:
         sent = sentence_from(
             [("a", "a", "NOUN", 2, False), ("b", "b", "NOUN", 0, False), ("c", "c", "NOUN", 2, False)]
         )
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         assert tree.distances([1], "children") == {1: 0}
         assert tree.distances([2], "children") == {1: 1, 2: 0, 3: 1}
 
@@ -83,7 +82,7 @@ class TestDependencyTree:
         )
         sent = Sentence(doc_id="d", index=0, tokens=tokens)
         with pytest.raises(ValueError, match="cycl"):
-            build_tree(sent)
+            DependencyTree(sent)
 
 
 def pruning_example_sentence():
@@ -108,25 +107,25 @@ class TestNeighborhood:
         # direct tree neighbors of the span are a stopword and a verb;
         # with neither in the lexicon the sentence yields no records
         sent = pruning_example_sentence()
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         words = neighborhood(tree, mention(2, 4), radius=1)
         assert [t.lemma for t, _ in words] == ["meet"]
 
     def test_actress_enters_at_radius_two(self):
         sent = pruning_example_sentence()
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         words = neighborhood(tree, mention(2, 4), radius=2)
         assert [t.lemma for t, _ in words] == ["meet", "actress"]
 
     def test_pairs_carry_tree_distance(self):
         sent = pruning_example_sentence()
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         words = neighborhood(tree, mention(2, 4), radius=2)
         assert [(t.lemma, d) for t, d in words] == [("meet", 1), ("actress", 2)]
 
     def test_monotone_in_radius(self):
         sent = pruning_example_sentence()
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         previous: set = set()
         for radius in range(1, 6):
             current = {t.index for t, _ in neighborhood(tree, mention(2, 4), radius)}
@@ -137,7 +136,7 @@ class TestNeighborhood:
         sent = sentence_from(
             [("a", "a", "NOUN", 2, False), ("b", "b", "NOUN", 0, False)]
         )
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         assert neighborhood(tree, mention(1, 2), radius=3) == []
 
     def test_adjacent_adjective_included(self):
@@ -149,7 +148,7 @@ class TestNeighborhood:
             (".", ".", "PUNCT", 2, True),
         ]
         sent = sentence_from(rows)
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         words = neighborhood(tree, mention(1, 1), radius=1)
         assert [t.lemma for t, _ in words] == ["persona"]
         words = neighborhood(tree, mention(1, 1), radius=2)
@@ -165,13 +164,13 @@ class TestNeighborhood:
             ("filtrato", "filtrato", "ADJ", 3, True),
         ]
         sent = sentence_from(rows)
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         words = neighborhood(tree, mention(1, 1), radius=3)
         assert [t.lemma for t, _ in words] == ["vincere"]
 
     def test_radius_must_be_positive(self):
         sent = pruning_example_sentence()
-        tree = build_tree(sent)
+        tree = DependencyTree(sent)
         with pytest.raises(ValueError):
             neighborhood(tree, mention(2, 4), radius=0)
 
@@ -293,20 +292,6 @@ class TestExtractRecords:
         backward = extract_records(list(reversed(pairs)), registry, lexicon)
         assert forward.counts.cells == backward.counts.cells
         assert sorted(map(repr, forward.records)) == sorted(map(repr, backward.records))
-
-    def test_chunked_merge_equals_serial(self, tiny_bundle, fixture_inputs):
-        registry, lexicon = fixture_inputs
-        pairs = list(read_corpus(tiny_bundle))
-        serial = extract_records(pairs, registry, lexicon)
-        merged = ExtractionResult()
-        for i in range(0, len(pairs), 2):
-            merged.merge(extract_records(pairs[i : i + 2], registry, lexicon))
-        assert merged.counts.cells == serial.counts.cells
-        assert merged.counts.pids == serial.counts.pids
-        assert merged.records == serial.records
-        assert (
-            merged.descriptives.to_json_dict() == serial.descriptives.to_json_dict()
-        )
 
     def test_children_direction_restricts(self, tiny_bundle, fixture_inputs):
         registry, lexicon = fixture_inputs

@@ -216,7 +216,7 @@ class TestFormMemoOracle:
         stopwords=st.sets(st.sampled_from(["il", "di", "gatto", "stare"])),
         lemma_map=st.dictionaries(
             st.sampled_from(["gatti", "sta", "roma", "lunga", "il"]),
-            st.sampled_from(["gatto", "stare", "città", "", "_"]),
+            st.sampled_from(["gatto", "stare", "città", "_"]),
         ),
     )
     def test_tokens_match_row_by_row_derivation(self, files, stopwords, lemma_map):

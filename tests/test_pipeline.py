@@ -18,7 +18,6 @@ from covbias.pipeline import (
     stage_report,
     write_artifacts,
 )
-import corpusgen
 from conftest import data_path, write_config
 
 EXPECTED_OUTPUTS = [
@@ -354,27 +353,47 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["modes"]["radius"] == 1
 
+    @pytest.mark.parametrize("command", ["ingest-check", "extract"])
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("lemma_map", "sceriffa\tsceriffo\n\tfoo\n"),
+            ("lemma_map", "sceriffa\tsceriffo\nfoo\t \n"),
+            ("gazetteer", "sindaco = sindaca\n= foo\n"),
+        ],
+        ids=["lemma-map-empty-surface", "lemma-map-empty-lemma", "gazetteer-empty-canonical"],
+    )
+    def test_side_file_empty_key_is_one_error_line(self, tmp_path, capsys, key, text, command):
+        side = tmp_path / "side.txt"
+        side.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.ini", out, **{key: str(side)})
+        assert cli_main(["--config", str(cfg_path), command]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {side}: line 2: empty")
+        assert not out.exists()
+
 
 class TestWorkers:
-    def test_parallel_extract_matches_serial(self, tmp_path):
-        out = tmp_path / "out"
-        cfg_path = write_config(tmp_path / "cfg.ini", out)
-        run_pipeline(PipelineConfig.from_ini(cfg_path, workers=1))
-        serial = read_bundle_bytes(out)
-        run_pipeline(PipelineConfig.from_ini(cfg_path, workers=2))
-        assert read_bundle_bytes(out) == serial
+    """Extract has one serial path; `from_ini` still accepts workers=1."""
 
-    def test_multi_chunk_parallel_extract_matches_streamed_serial(self, tmp_path):
-        # 450 documents are three 200-document chunks under workers=2, so
-        # the merge across chunk results is compared with one serial pass.
-        paths = corpusgen.generate(tmp_path / "in", n_docs=450, seed=11)
-        out = tmp_path / "out"
-        cfg_path = corpusgen.write_config(paths, out, tmp_path / "cfg.ini", seed=11)
-        run_pipeline(PipelineConfig.from_ini(cfg_path, workers=1))
-        serial = read_bundle_bytes(out)
-        assert serial["records.jsonl"].count(b"\n") > 200
-        run_pipeline(PipelineConfig.from_ini(cfg_path, workers=2))
-        assert read_bundle_bytes(out) == serial
+    def test_from_ini_workers_one_is_no_override(self, tmp_path):
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out")
+        assert PipelineConfig.from_ini(cfg_path, workers=1) == PipelineConfig.from_ini(cfg_path)
+
+    def test_from_ini_rejects_other_worker_counts(self, tmp_path):
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out")
+        with pytest.raises(ConfigError, match="workers"):
+            PipelineConfig.from_ini(cfg_path, workers=2)
+
+    def test_cli_has_no_workers_flag(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(cfg_path), "--workers", "2", "run"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: covbias")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSmallLexicon:
