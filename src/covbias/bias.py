@@ -130,24 +130,17 @@ class CountTable:
         source_type: Optional[SourceType] = None,
         lexicon_only: bool = False,
     ) -> "CountTable":
+        # The category and source-type slot values the slice keeps. Tuples,
+        # not sets: membership then compares by identity instead of calling
+        # the enums' Python-level __hash__.
+        if category is not None:
+            cats: tuple = (category,)
+        else:
+            cats = (*Category,) if lexicon_only else (None, *Category)
+        sts = (source_type,) if source_type is not None else (None, *SourceType)
         out = CountTable()
-        for key, n in self.cells.items():
-            _, _, _, cat, st, _ = key
-            if category is not None and cat != category:
-                continue
-            if lexicon_only and cat is None:
-                continue
-            if source_type is not None and st != source_type:
-                continue
-            out.cells[key] = out.cells.get(key, 0) + n
-        for (g, cat, st), pids in self.pids.items():
-            if category is not None and cat != category:
-                continue
-            if lexicon_only and cat is None:
-                continue
-            if source_type is not None and st != source_type:
-                continue
-            out.pids.setdefault((g, cat, st), set()).update(pids)
+        out.cells = {k: n for k, n in self.cells.items() if k[3] in cats and k[4] in sts}
+        out.pids = {k: set(p) for k, p in self.pids.items() if k[1] in cats and k[2] in sts}
         return out
 
     # -- serialization -----------------------------------------------------
@@ -184,24 +177,28 @@ class CountTable:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CountTable":
         out = cls()
+        decoded: dict[tuple, tuple] = {}  # raw slot values -> members
         for lemma, upos, g, cat, st, day, n in d["cells"]:
-            key = (
-                lemma,
-                upos,
-                Gender(g),
-                Category(cat) if cat is not None else None,
-                SourceType(st) if st is not None else None,
-                datetime.date.fromisoformat(day) if day is not None else None,
-            )
+            slots = decoded.get((g, cat, st))
+            if slots is None:
+                slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
+            day = datetime.date.fromisoformat(day) if day is not None else None
+            key = (lemma, upos, *slots, day)
             out.cells[key] = out.cells.get(key, 0) + n
         for g, cat, st, members in d["politicians"]:
-            key = (
-                Gender(g),
-                Category(cat) if cat is not None else None,
-                SourceType(st) if st is not None else None,
-            )
-            out.pids.setdefault(key, set()).update(members)
+            out.pids.setdefault(_decode_slots(g, cat, st), set()).update(members)
         return out
+
+
+def _decode_slots(
+    g: str, cat: Optional[str], st: Optional[str]
+) -> tuple[Gender, Optional[Category], Optional[SourceType]]:
+    """The (gender, category, source_type) members of serialized slot values."""
+    return (
+        Gender(g),
+        Category(cat) if cat is not None else None,
+        SourceType(st) if st is not None else None,
+    )
 
 
 # ---------------------------------------------------------------------------

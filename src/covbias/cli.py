@@ -8,6 +8,7 @@ can resume from the last completed stage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -53,11 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("out", "seed", "radius", "rates_mode", "ma_window", "jitter", "bootstrap")
-        if getattr(args, key) is not None
-    }
+    """The config file's settings, overridden by every flag given.
+
+    Each override flag's `dest` is the name of a `PipelineConfig` field.
+    """
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    overrides = {key: value for key, value in vars(args).items() if key in fields}
     return PipelineConfig.from_ini(args.config, **overrides)
 
 

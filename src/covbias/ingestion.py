@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import starmap
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ConlluFormatError, MetadataError
 from .model import Document, Sentence, SourceType, Token, normalize_lemma, tree_defect
@@ -77,12 +77,19 @@ def read_metadata(
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MetadataError(f"{path}: line {lineno}: bad JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise MetadataError(f"{path}: line {lineno}: expected a JSON object")
             doc_id = obj.get("doc_id")
             if not doc_id:
                 raise MetadataError(f"{path}: line {lineno}: missing doc_id")
             for key in ("date", "source_id", "source_type"):
                 if key not in obj:
                     raise MetadataError(f"doc {doc_id!r}: missing {key!r}")
+            for key in ("doc_id", "date", "source_type"):
+                if not isinstance(obj[key], str):
+                    raise MetadataError(
+                        f"{path}: line {lineno}: {key} {obj[key]!r} is not a string"
+                    )
             try:
                 date = datetime.date.fromisoformat(obj["date"])
             except ValueError:
@@ -122,19 +129,6 @@ class CorpusDiagnostics:
         return {
             "rejected_sentences": [list(r) for r in self.rejected_sentences],
         }
-
-
-@dataclass(frozen=True)
-class CorpusBundle:
-    """Paths to everything one analysis run consumes."""
-
-    conllu: tuple[str, ...]
-    metadata: str
-    registry: str
-    lexicon: str
-    stopwords: Optional[str] = None
-    lemma_map: Optional[str] = None
-    window: Optional[tuple[datetime.date, datetime.date]] = None
 
 
 def _is_digits(lemma: str) -> bool:
@@ -285,21 +279,22 @@ def iter_conllu(
 
 
 def read_corpus(
-    bundle: CorpusBundle,
-    diagnostics: Optional[CorpusDiagnostics] = None,
+    conllu: Iterable[str],
+    diagnostics: CorpusDiagnostics,
+    metadata: dict[str, Document],
+    stopwords: set[str],
+    lemma_map: dict[str, str],
 ) -> Iterator[tuple[Document, Sentence]]:
-    """Stream (Document, Sentence) pairs for every parse file in the bundle.
+    """Stream (Document, Sentence) pairs from the parse files, in order.
 
-    Every sentence's document must resolve in the metadata; document
-    order within a file is preserved.
+    Takes the loaded side files: `metadata` from `read_metadata`,
+    `stopwords` and `lemma_map` as `iter_conllu` uses them. Every
+    sentence's document must resolve in the metadata; document order
+    within a file is preserved. Rejected sentences go to `diagnostics`.
     """
-    stopwords = read_stopwords(bundle.stopwords) if bundle.stopwords else set()
-    lemma_map = read_lemma_map(bundle.lemma_map) if bundle.lemma_map else {}
-    metadata = read_metadata(bundle.metadata, bundle.window)
-    diag = diagnostics if diagnostics is not None else CorpusDiagnostics()
     seen_docs: set[str] = set()
-    for path in bundle.conllu:
-        for doc_id, sentence in iter_conllu(path, stopwords, lemma_map, diag, seen_docs):
+    for path in conllu:
+        for doc_id, sentence in iter_conllu(path, stopwords, lemma_map, diagnostics, seen_docs):
             doc = metadata.get(doc_id)
             if doc is None:
                 raise MetadataError(f"document {doc_id!r} has no metadata entry")

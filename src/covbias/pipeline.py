@@ -11,6 +11,9 @@ be rerun from the previous stage's artifacts:
                 trend_*.csv
     report   -> manifest.json, table1.csv, ccdf_*.csv
 
+The settings are the fields of `PipelineConfig`, and `from_ini` reads
+exactly those keys. A stage reads each input file once, side files before
+the parses, so a config error or a broken file stops it before any work.
 A stage computes all its artifacts before `write_artifacts` puts any in
 place, so a stage that fails leaves the output directory as it was.
 
@@ -30,7 +33,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, get_type_hints
 
 import numpy as np
 
@@ -39,9 +42,15 @@ from .bias import CountTable
 from .entities import RoleGazetteer
 from .errors import ConfigError, StageError
 from .extraction import DIRECTIONS, ExtractionResult, extract_records
-from .ingestion import CorpusBundle, CorpusDiagnostics, read_corpus, read_metadata, read_stopwords
+from .ingestion import (
+    CorpusDiagnostics,
+    read_corpus,
+    read_lemma_map,
+    read_metadata,
+    read_stopwords,
+)
 from .lexicon import Lexicon, read_lexicon
-from .model import Category, Gender, PersonalizationRecord, SourceType
+from .model import Category, Document, Gender, PersonalizationRecord, SourceType
 from .registry import PoliticianRegistry, read_registry
 from .sentiment import krippendorff_alpha
 from .temporal import DailySeries
@@ -50,6 +59,16 @@ log = logging.getLogger(__name__)
 
 ATTRIBUTION_POLICY = "nearest-mention-in-tree-distance-ties-to-both"
 FILL_POLICY = "missing-days-zero-filled"
+
+
+# How `from_ini` casts a value, by field type, with the kind of value a
+# failed cast names; every other field is read as a string.
+_INI_CASTS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    Optional[datetime.date]: (datetime.date.fromisoformat, "a YYYY-MM-DD date"),
+    tuple[str, ...]: (lambda raw: tuple(p.strip() for p in raw.split(",") if p.strip()), None),
+}
 
 
 @dataclass
@@ -75,76 +94,57 @@ class PipelineConfig:
 
     @classmethod
     def from_ini(cls, path, **overrides) -> "PipelineConfig":
+        """Settings from the `[covbias]` section of an INI file.
+
+        The dataclass fields are the settings: every key of the section
+        must name one, and each value is cast by its field's type. An empty
+        value leaves the default. Overrides that are not None (the CLI's
+        flags) replace the file's values.
+        """
         # bench/child.py still passes workers=1; extract has one serial path,
         # so that value alone is accepted. Drop this at the next bench change.
         if overrides.pop("workers", 1) != 1:
             raise ConfigError("workers: extract runs serially; only workers=1 is accepted")
         parser = configparser.ConfigParser()
-        read = parser.read(path, encoding="utf-8")
-        if not read:
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file {path!r} not found")
         if not parser.has_section("covbias"):
             raise ConfigError(f"{path}: missing [covbias] section")
         section = parser["covbias"]
-
-        def get(key, default=None):
-            value = section.get(key)
-            return value if value not in (None, "") else default
-
-        kwargs = {
-            "conllu": tuple(
-                p.strip() for p in (get("conllu") or "").split(",") if p.strip()
-            ),
-            "metadata": get("metadata"),
-            "registry": get("registry"),
-            "lexicon": get("lexicon"),
-            "out": get("out"),
-            "stopwords": get("stopwords"),
-            "lemma_map": get("lemma_map"),
-            "gazetteer": get("gazetteer"),
-        }
-        for key, cast, kind in (
-            ("radius", int, "an integer"),
-            ("seed", int, "an integer"),
-            ("ma_window", int, "an integer"),
-            ("bootstrap", int, "an integer"),
-            ("bins", int, "an integer"),
-            ("jitter", float, "a number"),
-            ("window_start", datetime.date.fromisoformat, "a YYYY-MM-DD date"),
-            ("window_end", datetime.date.fromisoformat, "a YYYY-MM-DD date"),
-        ):
-            raw = get(key)
-            if raw is not None:
-                try:
-                    kwargs[key] = cast(raw)
-                except ValueError:
-                    raise ConfigError(f"{path}: {key} = {raw!r} is not {kind}") from None
-        for key in ("direction", "rates_mode"):
-            raw = get(key)
-            if raw is not None:
-                kwargs[key] = raw
-        for key, value in overrides.items():
-            if value is not None:
-                kwargs[key] = value
-        missing = [k for k in ("metadata", "registry", "lexicon", "out") if not kwargs.get(k)]
-        if missing or not kwargs["conllu"]:
-            missing = (["conllu"] if not kwargs["conllu"] else []) + missing
+        fields = dataclasses.fields(cls)
+        types = get_type_hints(cls)
+        # Keys inherited from [DEFAULT] are not checked: they may serve interpolation.
+        unknown = [k for k in section if k not in types and k not in parser.defaults()]
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys in [covbias]: {', '.join(unknown)}")
+        kwargs = {}
+        for f in fields:
+            raw = section.get(f.name)
+            if raw in (None, ""):
+                continue
+            cast, kind = _INI_CASTS.get(types[f.name], (str, None))
+            try:
+                kwargs[f.name] = cast(raw)
+            except ValueError:
+                raise ConfigError(f"{path}: {f.name} = {raw!r} is not {kind}") from None
+        kwargs.update((k, v) for k, v in overrides.items() if v is not None)
+        required = (f.name for f in fields if f.default is dataclasses.MISSING)
+        missing = [name for name in required if not kwargs.get(name)]
+        if missing:
             raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
         return cls(**kwargs)
 
     def validate(self) -> None:
-        for label, path in [("metadata", self.metadata), ("registry", self.registry), ("lexicon", self.lexicon)]:
-            if not os.path.exists(path):
-                raise ConfigError(f"{label} file does not exist: {path}")
-        for path in self.conllu:
-            if not os.path.exists(path):
-                raise ConfigError(f"conllu file does not exist: {path}")
         for label, path in [
+            ("metadata", self.metadata),
+            ("registry", self.registry),
+            ("lexicon", self.lexicon),
+            *(("conllu", p) for p in self.conllu),
             ("stopwords", self.stopwords),
             ("lemma_map", self.lemma_map),
             ("gazetteer", self.gazetteer),
         ]:
-            if path and not os.path.exists(path):
+            if path is not None and not os.path.exists(path):
                 raise ConfigError(f"{label} file does not exist: {path}")
         if self.radius < 1:
             raise ConfigError("radius must be >= 1")
@@ -167,17 +167,6 @@ class PipelineConfig:
         if self.window_start and self.window_end:
             return (self.window_start, self.window_end)
         return None
-
-    def bundle(self) -> CorpusBundle:
-        return CorpusBundle(
-            conllu=self.conllu,
-            metadata=self.metadata,
-            registry=self.registry,
-            lexicon=self.lexicon,
-            stopwords=self.stopwords,
-            lemma_map=self.lemma_map,
-            window=self.window(),
-        )
 
     def to_json_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -231,15 +220,27 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([seed, *indices]).generate_state(1)[0])
 
 
-def _load_lexicon(cfg: PipelineConfig) -> Lexicon:
-    stopwords = read_stopwords(cfg.stopwords) if cfg.stopwords else None
-    return read_lexicon(cfg.lexicon, stopwords=stopwords)
+def _load_lexicon(cfg: PipelineConfig) -> tuple[set[str], Lexicon]:
+    """The stopwords and the lexicon, whose lemmas may not be stopwords."""
+    stopwords = read_stopwords(cfg.stopwords) if cfg.stopwords else set()
+    return stopwords, read_lexicon(cfg.lexicon, stopwords=stopwords)
 
 
-def _load_side_inputs(cfg: PipelineConfig) -> tuple[PoliticianRegistry, Lexicon, RoleGazetteer]:
+def _load_inputs(
+    cfg: PipelineConfig,
+) -> tuple[
+    PoliticianRegistry, RoleGazetteer, set[str], Lexicon, dict[str, str], dict[str, Document]
+]:
+    """Read every input file but the parses, each once.
+
+    The order is fixed, so of two broken files the same one is reported.
+    """
     registry = read_registry(cfg.registry)
-    gaz = RoleGazetteer.from_file(cfg.gazetteer) if cfg.gazetteer else RoleGazetteer()
-    return registry, _load_lexicon(cfg), gaz
+    gazetteer = RoleGazetteer.from_file(cfg.gazetteer) if cfg.gazetteer else RoleGazetteer()
+    stopwords, lexicon = _load_lexicon(cfg)
+    lemma_map = read_lemma_map(cfg.lemma_map) if cfg.lemma_map else {}
+    metadata = read_metadata(cfg.metadata, cfg.window())
+    return registry, gazetteer, stopwords, lexicon, lemma_map, metadata
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +251,12 @@ def _load_side_inputs(cfg: PipelineConfig) -> tuple[PoliticianRegistry, Lexicon,
 def ingest_check(cfg: PipelineConfig) -> dict:
     """Validate every input file and return a summary without writing."""
     cfg.validate()
-    registry, lexicon, _ = _load_side_inputs(cfg)
-    metadata = read_metadata(cfg.metadata, cfg.window())
+    registry, _, stopwords, lexicon, lemma_map, metadata = _load_inputs(cfg)
     diagnostics = CorpusDiagnostics()
     docs: set[str] = set()
     sentences = 0
     tokens = 0
-    for doc, sentence in read_corpus(cfg.bundle(), diagnostics):
+    for doc, sentence in read_corpus(cfg.conllu, diagnostics, metadata, stopwords, lemma_map):
         docs.add(doc.doc_id)
         sentences += 1
         tokens += len(sentence.tokens)
@@ -278,15 +278,15 @@ def ingest_check(cfg: PipelineConfig) -> dict:
 
 def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
     cfg.validate()
-    registry, lexicon, gaz = _load_side_inputs(cfg)
+    registry, gazetteer, stopwords, lexicon, lemma_map, metadata = _load_inputs(cfg)
     diagnostics = CorpusDiagnostics()
     result = extract_records(
-        read_corpus(cfg.bundle(), diagnostics),
+        read_corpus(cfg.conllu, diagnostics, metadata, stopwords, lemma_map),
         registry,
         lexicon,
         radius=cfg.radius,
         direction=cfg.direction,
-        gazetteer=gaz,
+        gazetteer=gazetteer,
     )
     write_artifacts(
         cfg,
@@ -552,7 +552,7 @@ def temporal_analysis(cfg: PipelineConfig, table: CountTable) -> dict:
 
 def stage_analyze(cfg: PipelineConfig) -> dict:
     cfg.validate()
-    lexicon = _load_lexicon(cfg)
+    _, lexicon = _load_lexicon(cfg)
     with open(cfg.path("count_table.json"), encoding="utf-8") as fh:
         table = CountTable.from_json_dict(json.load(fh))
     records = _load_records(cfg.path("records.jsonl"))

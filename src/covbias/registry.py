@@ -164,6 +164,10 @@ def read_registry(path) -> PoliticianRegistry:
             parts += [""] * (7 - len(parts))
             pid, given, surname, gender_s, roles_s, aliases_s, tenure_s = parts[:7]
             where = f"{path}: line {lineno}"
+            if not pid.strip():
+                raise RegistryError(f"{where}: empty pid")
+            if not surname.strip():
+                raise RegistryError(f"{where}: empty surname")
             try:
                 gender = Gender(gender_s.strip())
             except ValueError:

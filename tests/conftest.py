@@ -6,7 +6,13 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from covbias.bias import CountTable
-from covbias.ingestion import CorpusBundle
+from covbias.ingestion import (
+    CorpusDiagnostics,
+    read_corpus,
+    read_lemma_map,
+    read_metadata,
+    read_stopwords,
+)
 from covbias.model import Gender
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -17,15 +23,20 @@ def data_path(name: str) -> str:
 
 
 @pytest.fixture
-def tiny_bundle() -> CorpusBundle:
-    return CorpusBundle(
-        conllu=(data_path("tiny.conllu"),),
-        metadata=data_path("metadata.jsonl"),
-        registry=data_path("registry.csv"),
-        lexicon=data_path("lexicon.csv"),
-        stopwords=data_path("stopwords.txt"),
-        lemma_map=data_path("lemma_map.tsv"),
-    )
+def tiny_corpus():
+    """A function returning a fresh (Document, Sentence) stream of the
+    tiny fixture corpus, read with its stopwords and lemma map."""
+
+    def stream():
+        return read_corpus(
+            (data_path("tiny.conllu"),),
+            CorpusDiagnostics(),
+            read_metadata(data_path("metadata.jsonl")),
+            read_stopwords(data_path("stopwords.txt")),
+            read_lemma_map(data_path("lemma_map.tsv")),
+        )
+
+    return stream
 
 
 def table_from_counts(word_counts: dict, n_f: int, n_m: int) -> CountTable:

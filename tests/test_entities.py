@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
-from covbias.ingestion import read_corpus
 from covbias.model import (
     Document,
     Gender,
@@ -196,7 +195,7 @@ class TestAmbiguityAndOverlap:
 
 
 class TestPaddedRegistry:
-    def test_unnamed_rows_change_nothing(self, tiny_bundle, tmp_path):
+    def test_unnamed_rows_change_nothing(self, tiny_corpus, tmp_path):
         # 300 office holders the corpus never names, some sharing a first
         # token with a real surname ("de") or jurisdiction ("roma")
         rows = []
@@ -216,7 +215,7 @@ class TestPaddedRegistry:
             diag = MatchDiagnostics()
             mentions = [
                 find_mentions(sentence, doc, registry, diagnostics=diag)
-                for doc, sentence in read_corpus(tiny_bundle)
+                for doc, sentence in tiny_corpus()
             ]
             return mentions, diag
 

@@ -4,7 +4,6 @@ import pytest
 
 from covbias.bias import CountTable
 from covbias.extraction import DependencyTree, extract_records, neighborhood
-from covbias.ingestion import read_corpus
 from covbias.lexicon import read_lexicon
 from covbias.model import (
     Document,
@@ -182,14 +181,10 @@ def fixture_inputs():
     return registry, lexicon
 
 
-def stream_fixture(tiny_bundle):
-    return read_corpus(tiny_bundle)
-
-
 class TestExtractRecords:
-    def test_fixture_records(self, tiny_bundle, fixture_inputs):
+    def test_fixture_records(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
-        result = extract_records(read_corpus(tiny_bundle), registry, lexicon, radius=2)
+        result = extract_records(tiny_corpus(), registry, lexicon, radius=2)
         got = sorted((r.lemma, r.gender.value, r.category.value) for r in result.records)
         assert got == sorted(
             [
@@ -204,14 +199,14 @@ class TestExtractRecords:
             ]
         )
 
-    def test_lemma_map_reaches_records(self, tiny_bundle, fixture_inputs):
+    def test_lemma_map_reaches_records(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
-        result = extract_records(read_corpus(tiny_bundle), registry, lexicon, radius=2)
+        result = extract_records(tiny_corpus(), registry, lexicon, radius=2)
         assert any(r.lemma == "sceriffo" for r in result.records)
 
-    def test_personalization_subset_of_coverage(self, tiny_bundle, fixture_inputs):
+    def test_personalization_subset_of_coverage(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
-        result = extract_records(read_corpus(tiny_bundle), registry, lexicon, radius=2)
+        result = extract_records(tiny_corpus(), registry, lexicon, radius=2)
         pers = result.counts.slice(lexicon_only=True)
         for g in Gender:
             assert pers.total(g) <= result.counts.total(g)
@@ -219,10 +214,10 @@ class TestExtractRecords:
             1 for r in result.records if r.gender is Gender.F
         )
 
-    def test_coverage_without_records(self, tiny_bundle, fixture_inputs):
+    def test_coverage_without_records(self, tiny_corpus, fixture_inputs):
         # "avere" and "parere" are counted in coverage but are not records
         registry, lexicon = fixture_inputs
-        result = extract_records(read_corpus(tiny_bundle), registry, lexicon, radius=2)
+        result = extract_records(tiny_corpus(), registry, lexicon, radius=2)
         cov_words = {k[0] for k in result.counts.word_counts()}
         rec_words = {r.lemma for r in result.records}
         assert "avere" in cov_words and "avere" not in rec_words
@@ -285,21 +280,21 @@ class TestExtractRecords:
         elegant = [r for r in result.records if r.lemma == "elegante"]
         assert [r.gender.value for r in elegant] == ["M"]
 
-    def test_order_invariance_of_counts(self, tiny_bundle, fixture_inputs):
+    def test_order_invariance_of_counts(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
-        pairs = list(read_corpus(tiny_bundle))
+        pairs = list(tiny_corpus())
         forward = extract_records(pairs, registry, lexicon)
         backward = extract_records(list(reversed(pairs)), registry, lexicon)
         assert forward.counts.cells == backward.counts.cells
         assert sorted(map(repr, forward.records)) == sorted(map(repr, backward.records))
 
-    def test_children_direction_restricts(self, tiny_bundle, fixture_inputs):
+    def test_children_direction_restricts(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
         undirected = extract_records(
-            read_corpus(tiny_bundle), registry, lexicon, direction="undirected"
+            tiny_corpus(), registry, lexicon, direction="undirected"
         )
         children = extract_records(
-            read_corpus(tiny_bundle), registry, lexicon, direction="children"
+            tiny_corpus(), registry, lexicon, direction="children"
         )
         assert len(children.records) <= len(undirected.records)
 
@@ -322,9 +317,9 @@ class TestExtractRecords:
         undirected = extract_records([(doc, sent)], registry, lexicon)
         assert sorted(r.lemma for r in undirected.records) == ["amare", "elegante"]
 
-    def test_descriptives_match_hand_counts(self, tiny_bundle, fixture_inputs):
+    def test_descriptives_match_hand_counts(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
-        result = extract_records(read_corpus(tiny_bundle), registry, lexicon, radius=2)
+        result = extract_records(tiny_corpus(), registry, lexicon, radius=2)
         cov = result.descriptives.coverage.to_json_dict()
         assert cov["F"] == {
             "politicians": 2,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from covbias.errors import ConlluFormatError, LexiconError, MetadataError, RegistryError
 from covbias.ingestion import (
-    CorpusBundle,
     CorpusDiagnostics,
     read_corpus,
     read_lemma_map,
@@ -255,15 +254,14 @@ class TestFormMemoOracle:
                 paths[name] = os.path.join(tmp, name)
                 with open(paths[name], "w", encoding="utf-8") as fh:
                     fh.write("".join(line + "\n" for line in lines))
-            bundle = CorpusBundle(
-                conllu=tuple(conllu),
-                metadata=paths["metadata.jsonl"],
-                registry="unused",
-                lexicon="unused",
-                stopwords=paths["stopwords.txt"],
-                lemma_map=paths["lemma_map.tsv"],
+            stream = read_corpus(
+                conllu,
+                CorpusDiagnostics(),
+                read_metadata(paths["metadata.jsonl"]),
+                read_stopwords(paths["stopwords.txt"]),
+                read_lemma_map(paths["lemma_map.tsv"]),
             )
-            got = [(doc.doc_id, s.index, s.tokens) for doc, s in read_corpus(bundle)]
+            got = [(doc.doc_id, s.index, s.tokens) for doc, s in stream]
         assert got == expected
 
 
@@ -304,34 +302,31 @@ class TestMetadata:
 
 
 class TestReadCorpus:
-    def test_stream_matches_fixture(self, tiny_bundle):
-        pairs = list(read_corpus(tiny_bundle))
+    def test_stream_matches_fixture(self, tiny_corpus):
+        pairs = list(tiny_corpus())
         assert len(pairs) == 6
         assert [doc.doc_id for doc, _ in pairs] == ["d1", "d1", "d2", "d2", "d3", "d3"]
         assert [s.index for _, s in pairs] == [0, 1, 0, 1, 0, 1]
 
-    def test_unknown_doc_id_is_error(self, tiny_bundle, tmp_path):
+    def test_unknown_doc_id_is_error(self, tmp_path):
         meta = tmp_path / "m.jsonl"
         meta.write_text(
             '{"doc_id": "other", "date": "2018-01-01", "source_id": "x", "source_type": "online"}\n'
         )
-        bundle = CorpusBundle(
-            conllu=tiny_bundle.conllu,
-            metadata=str(meta),
-            registry=tiny_bundle.registry,
-            lexicon=tiny_bundle.lexicon,
+        stream = read_corpus(
+            (data_path("tiny.conllu"),), CorpusDiagnostics(), read_metadata(meta), set(), {}
         )
         with pytest.raises(MetadataError, match="d1"):
-            list(read_corpus(bundle))
+            list(stream)
 
-    def test_streaming_is_lazy(self, tiny_bundle):
-        stream = read_corpus(tiny_bundle)
+    def test_streaming_is_lazy(self, tiny_corpus):
+        stream = tiny_corpus()
         first = next(stream)
         assert first[0].doc_id == "d1"
 
-    def test_deterministic(self, tiny_bundle):
-        a = [(d.doc_id, s.index, tuple(t.lemma for t in s.tokens)) for d, s in read_corpus(tiny_bundle)]
-        b = [(d.doc_id, s.index, tuple(t.lemma for t in s.tokens)) for d, s in read_corpus(tiny_bundle)]
+    def test_deterministic(self, tiny_corpus):
+        a = [(d.doc_id, s.index, tuple(t.lemma for t in s.tokens)) for d, s in tiny_corpus()]
+        b = [(d.doc_id, s.index, tuple(t.lemma for t in s.tokens)) for d, s in tiny_corpus()]
         assert a == b
 
 

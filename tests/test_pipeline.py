@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from covbias import inference, reporting
+from covbias import inference, ingestion, pipeline, reporting
+from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
 from covbias.errors import ConfigError, StageError
 from covbias.model import PersonalizationRecord
@@ -196,7 +197,8 @@ class TestConfig:
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[covbias]\nconllu = x.conllu\n")
-        with pytest.raises(ConfigError, match="missing required"):
+        message = "missing required keys: metadata, registry, lexicon, out$"
+        with pytest.raises(ConfigError, match=message):
             PipelineConfig.from_ini(str(path))
 
     def test_missing_section(self, tmp_path):
@@ -260,6 +262,24 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             PipelineConfig.from_ini(cfg_path)
         assert str(err.value).startswith(f"{cfg_path}: {key} = {raw!r} is not ")
+
+    @pytest.mark.parametrize("key, raw", [("radus", "1"), ("workers", "2")])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, key, raw):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.ini", out, **{key: raw})
+        with pytest.raises(ConfigError, match=f"unknown keys in \\[covbias\\]: {key}$"):
+            PipelineConfig.from_ini(cfg_path)
+        assert cli_main(["--config", str(cfg_path), "run"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and key in err[0]
+        assert not out.exists()
+
+    def test_default_section_keys_serve_interpolation(self, tmp_path):
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out", radius="%(r)s")
+        text = (tmp_path / "cfg.ini").read_text()
+        (tmp_path / "cfg.ini").write_text("[DEFAULT]\nr = 3\n" + text)
+        assert PipelineConfig.from_ini(cfg_path).radius == 3
 
     def test_stage_failure_names_the_stage(self, tmp_path):
         from covbias.errors import StageError
@@ -353,6 +373,69 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["modes"]["radius"] == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, field, expected",
+        [
+            ("--out", "elsewhere", "out", "elsewhere"),
+            ("--seed", "7", "seed", 7),
+            ("--radius", "3", "radius", 3),
+            ("--rates-mode", "literal", "rates_mode", "literal"),
+            ("--window", "30", "ma_window", 30),
+            ("--jitter", "0.25", "jitter", 0.25),
+            ("--bootstrap", "150", "bootstrap", 150),
+        ],
+    )
+    def test_each_flag_lands_on_its_field(self, tmp_path, flag, value, field, expected):
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out")
+        plain = PipelineConfig.from_ini(cfg_path)
+        args = build_parser().parse_args(["--config", cfg_path, flag, value, "run"])
+        assert load_config(args) == dataclasses.replace(plain, **{field: expected})
+        assert getattr(plain, field) != expected
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("p9;Anna;;F;;;", "empty surname"), (";Anna;Bianchi;F;;;", "empty pid")],
+        ids=["empty-surname", "empty-pid"],
+    )
+    def test_registry_row_with_empty_key_is_one_error_line(self, tmp_path, capsys, row, message):
+        with open(data_path("registry.csv"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        registry = tmp_path / "registry.csv"
+        registry.write_text("\n".join(lines + [row]) + "\n", encoding="utf-8")
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out", registry=str(registry))
+        assert cli_main(["--config", str(cfg_path), "ingest-check"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {registry}: line {len(lines) + 1}: {message}"]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "expected a JSON object"),
+            (
+                '{"doc_id": "d9", "date": 20180101, "source_id": "x", "source_type": "online"}',
+                "date 20180101 is not a string",
+            ),
+            (
+                '{"doc_id": "d9", "date": "2018-01-01", "source_id": "x", "source_type": 1}',
+                "source_type 1 is not a string",
+            ),
+            (
+                '{"doc_id": ["d9"], "date": "2018-01-01", "source_id": "x", "source_type": "online"}',
+                "doc_id ['d9'] is not a string",
+            ),
+        ],
+        ids=["array", "integer-date", "integer-source-type", "list-doc-id"],
+    )
+    def test_metadata_line_of_wrong_type_is_one_error_line(self, tmp_path, capsys, line, message):
+        with open(data_path("metadata.jsonl"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        metadata = tmp_path / "metadata.jsonl"
+        metadata.write_text("\n".join(lines + [line]) + "\n", encoding="utf-8")
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out", metadata=str(metadata))
+        assert cli_main(["--config", str(cfg_path), "ingest-check"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {metadata}: line {len(lines) + 1}: {message}"]
+
     @pytest.mark.parametrize("command", ["ingest-check", "extract"])
     @pytest.mark.parametrize(
         "key, text",
@@ -373,6 +456,36 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith(f"error: {side}: line 2: empty")
         assert not out.exists()
+
+
+class TestInputReads:
+    """A stage reads each side file once, whichever module calls the reader."""
+
+    @pytest.mark.parametrize(
+        "stage, reader",
+        [
+            (stage_extract, "read_stopwords"),
+            (stage_extract, "read_lemma_map"),
+            (stage_extract, "read_metadata"),
+            (ingest_check, "read_stopwords"),
+            (ingest_check, "read_lemma_map"),
+            (ingest_check, "read_metadata"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_each_side_file_is_read_once(self, tmp_path, monkeypatch, stage, reader):
+        original = getattr(ingestion, reader)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (pipeline, ingestion):
+            monkeypatch.setattr(module, reader, counting)
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out")
+        stage(PipelineConfig.from_ini(cfg_path))
+        assert len(calls) == 1
 
 
 class TestWorkers:
