@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,11 +52,20 @@ class CountTable:
     category is None for words outside the lexicon. Politician identities
     are tracked per (gender, category, source_type) so that slices report
     their own politician tallies.
+
+    The marginals the analyses read over and over are cached: the per-word
+    gender counts of `word_counts()`, the two gender totals of `total()`
+    and the per-day totals of `by_day()`. Each is computed from `cells` on
+    its first read, and `add()` clears them all, so once a marginal has
+    been read the cells may change only through `add()`. `word_counts()`
+    and `by_day()` return fresh dicts: a caller that mutates one leaves the
+    cache intact.
     """
 
     def __init__(self) -> None:
         self.cells: dict[CellKey, int] = {}
         self.pids: dict[tuple[Gender, Optional[Category], Optional[SourceType]], set[str]] = {}
+        self._cache: dict[str, dict] = {}
 
     def add(
         self,
@@ -73,13 +82,42 @@ class CountTable:
             raise ValueError("counts must be nonnegative")
         key = (lemma, upos, gender, category, source_type, date)
         self.cells[key] = self.cells.get(key, 0) + n
+        self._cache.clear()
         if pid is not None:
             self.pids.setdefault((gender, category, source_type), set()).add(pid)
 
     # -- marginals ---------------------------------------------------------
 
+    def _marginal(self, name: str, compute: Callable[[], dict]) -> dict:
+        """The cached marginal ``name``, computed on first read."""
+        value = self._cache.get(name)
+        if value is None:
+            value = self._cache[name] = compute()
+        return value
+
+    def _gender_totals(self) -> dict[Gender, int]:
+        out = {g: 0 for g in Gender}
+        for (_, _, g, _, _, _), n in self.cells.items():
+            out[g] += n
+        return out
+
+    def _count_words(self) -> dict[WordKey, dict[Gender, int]]:
+        out: dict[WordKey, dict[Gender, int]] = {}
+        for (lemma, upos, g, _, _, _), n in self.cells.items():
+            per = out.setdefault((lemma, upos), {Gender.F: 0, Gender.M: 0})
+            per[g] += n
+        return out
+
+    def _days_by_gender(self) -> dict[Gender, dict[datetime.date, int]]:
+        out: dict[Gender, dict[datetime.date, int]] = {g: {} for g in Gender}
+        for (_, _, g, _, _, day), n in self.cells.items():
+            if day is not None:
+                per = out[g]
+                per[day] = per.get(day, 0) + n
+        return out
+
     def total(self, gender: Gender) -> int:
-        return sum(n for (_, _, g, _, _, _), n in self.cells.items() if g == gender)
+        return self._marginal("totals", self._gender_totals)[gender]
 
     @property
     def grand_total(self) -> int:
@@ -93,11 +131,8 @@ class CountTable:
         return len(seen)
 
     def word_counts(self) -> dict[WordKey, dict[Gender, int]]:
-        out: dict[WordKey, dict[Gender, int]] = {}
-        for (lemma, upos, g, _, _, _), n in self.cells.items():
-            per = out.setdefault((lemma, upos), {Gender.F: 0, Gender.M: 0})
-            per[g] += n
-        return out
+        cached = self._marginal("words", self._count_words)
+        return {word: dict(per) for word, per in cached.items()}
 
     def word_categories(self) -> dict[WordKey, Optional[Category]]:
         """Lexicon category per word; None for out-of-lexicon words."""
@@ -109,11 +144,7 @@ class CountTable:
         return out
 
     def by_day(self, gender: Gender) -> dict[datetime.date, int]:
-        out: dict[datetime.date, int] = {}
-        for (_, _, g, _, _, day), n in self.cells.items():
-            if g == gender and day is not None:
-                out[day] = out.get(day, 0) + n
-        return out
+        return dict(self._marginal("days", self._days_by_gender)[gender])
 
     def source_gender_counts(self) -> dict[tuple[SourceType, Gender], int]:
         out: dict[tuple[SourceType, Gender], int] = {}
@@ -410,6 +441,14 @@ def weighted_quantile(
     inverse is set-valued and the midpoint of the bracketing values is
     returned (so symmetric data has median zero).
     """
+    return _sorted_quantile(*_sorted_sample(values, weights), p)
+
+
+def _sorted_sample(
+    values: Sequence[Union[Fraction, float]], weights: Sequence[int]
+) -> tuple[list[Fraction], list[int]]:
+    """The values of positive weight in ascending order, with the running
+    total of their weights."""
     if not values:
         raise ValueError("empty sample")
     if len(values) != len(weights):
@@ -421,18 +460,20 @@ def weighted_quantile(
     )
     if not pairs:
         raise ValueError("all weights are zero")
-    total = sum(w for _, w in pairs)
-    target = p * total
-    cum = 0
-    for i, (v, w) in enumerate(pairs):
-        cum += w
-        if cum > target:
-            return v
-        if cum == target:
-            if i + 1 < len(pairs):
-                return (v + pairs[i + 1][0]) / 2
-            return v
-    return pairs[-1][0]
+    return [v for v, _ in pairs], list(accumulate(w for _, w in pairs))
+
+
+def _sorted_quantile(ordered: list[Fraction], cum: list[int], p: Fraction) -> Fraction:
+    """`weighted_quantile` of a sample from `_sorted_sample`."""
+    target = p * cum[-1]
+    # The running totals strictly increase, so i is the first position
+    # whose cumulative weight reaches the target.
+    i = bisect_left(cum, target)
+    if i == len(cum):
+        return ordered[-1]
+    if cum[i] == target and i + 1 < len(ordered):
+        return (ordered[i] + ordered[i + 1]) / 2
+    return ordered[i]
 
 
 def interpolated_quantile(values: Sequence[float], p: float) -> float:
@@ -456,8 +497,9 @@ def index_summary(
         w = np.asarray(list(weights), dtype=float)
         if w.sum() <= 0:
             raise ValueError("total weight must be positive")
+        ordered, cum = _sorted_sample(values, list(weights))
         q1, d5, q3, d9 = (
-            float(weighted_quantile(values, list(weights), Fraction(*p)))
+            float(_sorted_quantile(ordered, cum, Fraction(*p)))
             for p in ((1, 4), (1, 2), (3, 4), (9, 10))
         )
         weighting = "counts"
@@ -562,17 +604,25 @@ def index_distribution(
 
 
 def dissimilarity(
-    table: CountTable,
+    source: Union[CountTable, BiasProfile],
     factors: Optional[tuple[Fraction, Fraction]] = None,
     mode: str = "ratio",
 ) -> Fraction:
-    """Aggregate absolute gap between the gender rate distributions, in [0, 1]."""
-    if factors is None:
-        factors = correction_factors(table)
-    c_f, c_m = factors
-    rates = adjusted_rates(table, factors, mode)
-    acc = sum((abs(r_f - r_m) for r_f, r_m in rates.values()), Fraction(0))
-    return (c_f * c_m) / (c_f + c_m) * acc
+    """Aggregate absolute gap between the gender rate distributions, in [0, 1].
+
+    A `BiasProfile` supplies its own factors and adjusted rates, so nothing
+    is recomputed; the words it excludes have both rates 0 and add 0.
+    `factors` and `mode` apply to a `CountTable`, whose rates are computed
+    here (with its own correction factors unless `factors` is given).
+    """
+    if isinstance(source, BiasProfile):
+        c_f, c_m = source.c_f, source.c_m
+        gaps = (abs(w.rate_f - w.rate_m) for w in source.words)
+    else:
+        c_f, c_m = factors if factors is not None else correction_factors(source)
+        rates = adjusted_rates(source, (c_f, c_m), mode)
+        gaps = (abs(r_f - r_m) for r_f, r_m in rates.values())
+    return (c_f * c_m) / (c_f + c_m) * sum(gaps, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -605,7 +655,8 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
     S(t) = sum over all v of |f_v*t - m_v|, piecewise linear in t with
     breakpoints m_v / f_v. Sorting the words by breakpoint once and
     bisecting into prefix sums of f and m gives every held-out value
-    exactly, in O(W log W) for W words.
+    exactly, in O(W log W) for W words. The base dissimilarity is the same
+    sum on the full totals, with no term removed.
 
     A word is distinctive when its omission strictly lowers the
     dissimilarity; the gender label follows the larger original adjusted
@@ -615,17 +666,15 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
     counts = table.word_counts()
     if len(counts) < 2:
         raise ValueError("leave-one-out needs at least 2 distinct words")
-    d_f = sum(per[Gender.F] for per in counts.values())
-    d_m = sum(per[Gender.M] for per in counts.values())
+    d_f, d_m = table.total(Gender.F), table.total(Gender.M)
     n_f, n_m = table.politicians(Gender.F), table.politicians(Gender.M)
 
-    def scalars(rd_f: int, rd_m: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """(c_F, c_M, K_F, K_M) on these gender totals."""
+    def scalars(rd_f: int, rd_m: int) -> tuple[Fraction, Fraction, Fraction]:
+        """(c_F c_M / (c_F + c_M), K_F, K_M) on these gender totals."""
         c_f, c_m = factors_from_marginals(rd_f, rd_m, n_f, n_m)
-        return c_f, c_m, _adjusted_rate(1, rd_f, c_f, mode), _adjusted_rate(1, rd_m, c_m, mode)
+        scale = (c_f * c_m) / (c_f + c_m)
+        return scale, _adjusted_rate(1, rd_f, c_f, mode), _adjusted_rate(1, rd_m, c_m, mode)
 
-    c_f, c_m, base_k_f, base_k_m = scalars(d_f, d_m)
-    base = dissimilarity(table, (c_f, c_m), mode)
     # Words with f_v > 0 by breakpoint; those with f_v = 0 add K_M * m_v at
     # every t and enter only through d_m.
     ordered = sorted(
@@ -636,6 +685,16 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
     breaks = [b for b, _, _ in ordered]
     pre_f = list(accumulate((f for _, f, _ in ordered), initial=0))
     pre_m = list(accumulate((m for _, _, m in ordered), initial=0))
+
+    def gap_sum(k_f: Fraction, k_m: Fraction) -> Fraction:
+        """S(t) * K_M: the sum over every word of |f_v*K_F - m_v*K_M|."""
+        # The first i words have m_v/f_v < t, so f_v*K_F - m_v*K_M > 0; the
+        # rest contribute its negation (0 for a breakpoint equal to t).
+        i = bisect_left(breaks, k_f / k_m)
+        return k_f * (2 * pre_f[i] - d_f) + k_m * (d_m - 2 * pre_m[i])
+
+    scale, base_k_f, base_k_m = scalars(d_f, d_m)
+    base = scale * gap_sum(base_k_f, base_k_m)
     out = []
     for word in sorted(counts):
         f_w, m_w = counts[word][Gender.F], counts[word][Gender.M]
@@ -646,16 +705,8 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
             # reduced-corpus factors are undefined.
             out.append(LeaveOneOutWord(word[0], word[1], None, None, False, gender))
             continue
-        c_f, c_m, k_f, k_m = scalars(rd_f, rd_m)
-        # The first i words have m_v/f_v < t, so f_v*K_F - m_v*K_M > 0; the
-        # rest contribute its negation (0 for a breakpoint equal to t).
-        i = bisect_left(breaks, k_f / k_m)
-        acc = (
-            k_f * (2 * pre_f[i] - d_f)
-            + k_m * (d_m - 2 * pre_m[i])
-            - abs(k_f * f_w - k_m * m_w)
-        )
-        without = (c_f * c_m) / (c_f + c_m) * acc
+        scale, k_f, k_m = scalars(rd_f, rd_m)
+        without = scale * (gap_sum(k_f, k_m) - abs(k_f * f_w - k_m * m_w))
         out.append(
             LeaveOneOutWord(word[0], word[1], without, base - without, without < base, gender)
         )

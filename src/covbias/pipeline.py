@@ -71,6 +71,11 @@ _INI_CASTS = {
 }
 
 
+def _ini_error(path, exc: Exception) -> ConfigError:
+    """A read or parse error as a one-line `ConfigError` naming the file."""
+    return ConfigError(f"{path}: {' '.join(str(exc).split())}")
+
+
 @dataclass
 class PipelineConfig:
     conllu: tuple[str, ...]
@@ -99,14 +104,20 @@ class PipelineConfig:
         The dataclass fields are the settings: every key of the section
         must name one, and each value is cast by its field's type. An empty
         value leaves the default. Overrides that are not None (the CLI's
-        flags) replace the file's values.
+        flags) replace the file's values. A file that cannot be read (not
+        UTF-8, no section header, a key given twice, a broken `%(...)s`
+        interpolation) is a `ConfigError` naming the file.
         """
         # bench/child.py still passes workers=1; extract has one serial path,
         # so that value alone is accepted. Drop this at the next bench change.
         if overrides.pop("workers", 1) != 1:
             raise ConfigError("workers: extract runs serially; only workers=1 is accepted")
         parser = configparser.ConfigParser()
-        if not parser.read(path, encoding="utf-8"):
+        try:
+            found = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise _ini_error(path, exc) from None
+        if not found:
             raise ConfigError(f"config file {path!r} not found")
         if not parser.has_section("covbias"):
             raise ConfigError(f"{path}: missing [covbias] section")
@@ -119,7 +130,10 @@ class PipelineConfig:
             raise ConfigError(f"{path}: unknown keys in [covbias]: {', '.join(unknown)}")
         kwargs = {}
         for f in fields:
-            raw = section.get(f.name)
+            try:
+                raw = section.get(f.name)
+            except configparser.Error as exc:
+                raise _ini_error(path, exc) from None
             if raw in (None, ""):
                 continue
             cast, kind = _INI_CASTS.get(types[f.name], (str, None))
@@ -358,8 +372,7 @@ def bias_analysis(cfg: PipelineConfig, table: CountTable, lexicon: Lexicon) -> d
         profiles_json["skipped"] = str(exc)
         summaries["skipped"] = str(exc)
     if profile is not None:
-        factors = (profile.c_f, profile.c_m)
-        diss = bias.dissimilarity(table, factors, cfg.rates_mode)
+        diss = bias.dissimilarity(profile)
         profiles_json.update(
             {
                 "c_F": float(profile.c_f),
@@ -508,7 +521,8 @@ def quantile_analysis(cfg: PipelineConfig, records: list[PersonalizationRecord])
 
 def temporal_analysis(cfg: PipelineConfig, table: CountTable) -> dict:
     """Moving-average personalization trends and their area decomposition."""
-    all_days = sorted(set(table.by_day(Gender.F)) | set(table.by_day(Gender.M)))
+    coverage = {gender: table.by_day(gender) for gender in Gender}
+    all_days = sorted(set(coverage[Gender.F]) | set(coverage[Gender.M]))
     grid = (
         [
             all_days[0] + datetime.timedelta(days=i)
@@ -527,7 +541,7 @@ def temporal_analysis(cfg: PipelineConfig, table: CountTable) -> dict:
         else:
             for gender in Gender:
                 daily = _daily_fraction_series(
-                    table.by_day(gender), pers_slice.by_day(gender), grid
+                    coverage[gender], pers_slice.by_day(gender), grid
                 )
                 try:
                     series[gender] = temporal.moving_average(daily, cfg.ma_window)

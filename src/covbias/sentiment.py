@@ -3,10 +3,16 @@
 Aggregate scores live on the eleven-point grid -1, -0.8, ..., 0.8, 1 and are
 kept as exact rationals (fifths) internally so that class membership never
 depends on float rounding; floats appear only at serialization.
+
+Agreement is the ordinal Krippendorff alpha. Its coincidence matrix is
+built from units counted by rating multiset: a five-annotator lexicon on
+-1/0/1 has at most 21 distinct multisets, however many entries it holds,
+so the exact rational work does not grow with the lexicon.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -118,31 +124,42 @@ def krippendorff_alpha(units: Iterable[Sequence[int]]) -> AlphaResult:
     distance weights use the coincidence value marginals. Exact rational
     arithmetic throughout, so permutation and duplication invariances
     hold to the bit.
+
+    Units are counted by rating multiset, since equal multisets add equal
+    pairs: a unit of m ratings, c_a of them equal to a, has c_a * c_b
+    ordered pairs of positions rating (a, b), each weighing 1/(m - 1) in
+    the coincidence matrix. The integer pair counts are summed per
+    (m, a, b), and each such key adds one fraction to the matrix. Pairs
+    of equal ratings are left out: their ordinal distance is 0.
     """
-    units = [list(u) for u in units if len(u) >= 2]
-    if len(units) < 2:
+    shapes = Counter(tuple(sorted(u)) for u in units if len(u) >= 2)
+    n_units = sum(shapes.values())
+    if n_units < 2:
         raise ValueError("alpha needs at least 2 units with >= 2 ratings each")
 
     marginals: dict[int, int] = {}
-    for ratings in units:
-        for r in ratings:
-            marginals[r] = marginals.get(r, 0) + 1
+    pair_counts: dict[tuple[int, int, int], int] = {}
+    for shape, copies in shapes.items():
+        m = len(shape)
+        tally = Counter(shape)
+        for a, c_a in tally.items():
+            marginals[a] = marginals.get(a, 0) + copies * c_a
+            for b, c_b in tally.items():
+                if b != a:
+                    key = (m, a, b)
+                    pair_counts[key] = pair_counts.get(key, 0) + copies * c_a * c_b
     values = sorted(marginals)
     n = sum(marginals.values())
 
-    # Coincidence matrix: ordered pairs of distinct positions within a unit,
-    # weighted by 1/(m_u - 1).
+    # Coincidence matrix off the diagonal: ordered pairs of distinct
+    # positions within a unit, weighted by 1/(m_u - 1).
     coincidence: dict[tuple[int, int], Fraction] = {}
-    for ratings in units:
-        w = Fraction(1, len(ratings) - 1)
-        for i, a in enumerate(ratings):
-            for j, b in enumerate(ratings):
-                if i != j:
-                    coincidence[(a, b)] = coincidence.get((a, b), Fraction(0)) + w
+    for (m, a, b), count in pair_counts.items():
+        coincidence[(a, b)] = coincidence.get((a, b), Fraction(0)) + Fraction(count, m - 1)
 
     dist = _ordinal_distances(values, marginals)
 
-    d_o = sum(coincidence[p] * dist[p] for p in coincidence) / n
+    d_o = sum((coincidence[p] * dist[p] for p in coincidence), Fraction(0)) / n
     d_e = Fraction(0)
     for c in values:
         for k in values:
@@ -151,6 +168,6 @@ def krippendorff_alpha(units: Iterable[Sequence[int]]) -> AlphaResult:
     d_e /= n * (n - 1)
 
     if d_e == 0:
-        return AlphaResult(1.0, float(d_o), 0.0, marginals, len(units), degenerate=True)
+        return AlphaResult(1.0, float(d_o), 0.0, marginals, n_units, degenerate=True)
     alpha = 1 - d_o / d_e
-    return AlphaResult(float(alpha), float(d_o), float(d_e), marginals, len(units))
+    return AlphaResult(float(alpha), float(d_o), float(d_e), marginals, n_units)

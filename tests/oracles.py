@@ -63,6 +63,57 @@ def alpha_ordinal_bruteforce(units):
     return float(1 - d_o / d_e)
 
 
+def alpha_pairwise(units):
+    """alpha's JSON summary from a coincidence matrix built pair by pair.
+
+    Every ordered pair of distinct positions inside a unit adds
+    1/(m_u - 1) to its cell, one fraction addition per pair. Returns the
+    dict ``AlphaResult.to_json_dict`` gives, and raises ValueError when
+    fewer than 2 units have 2 or more ratings.
+    """
+    units = [list(u) for u in units if len(u) >= 2]
+    if len(units) < 2:
+        raise ValueError("alpha needs at least 2 units with >= 2 ratings each")
+    marginals = {}
+    for ratings in units:
+        for r in ratings:
+            marginals[r] = marginals.get(r, 0) + 1
+    values = sorted(marginals)
+    n = sum(marginals.values())
+
+    coincidence = {}
+    for ratings in units:
+        w = Fraction(1, len(ratings) - 1)
+        for i, a in enumerate(ratings):
+            for j, b in enumerate(ratings):
+                if i != j:
+                    coincidence[(a, b)] = coincidence.get((a, b), Fraction(0)) + w
+
+    dist = {}
+    for i, c in enumerate(values):
+        for j in range(i, len(values)):
+            k = values[j]
+            between = sum(Fraction(marginals[values[g]]) for g in range(i, j + 1))
+            dist[(c, k)] = dist[(k, c)] = (between - Fraction(marginals[c] + marginals[k], 2)) ** 2
+
+    d_o = sum(coincidence[p] * dist[p] for p in coincidence) / n
+    d_e = Fraction(0)
+    for c in values:
+        for k in values:
+            if c != k:
+                d_e += Fraction(marginals[c] * marginals[k]) * dist[(c, k)]
+    d_e /= n * (n - 1)
+    degenerate = d_e == 0
+    return {
+        "alpha": 1.0 if degenerate else float(1 - d_o / d_e),
+        "D_o": float(d_o),
+        "D_e": 0.0 if degenerate else float(d_e),
+        "value_marginals": {str(k): v for k, v in sorted(marginals.items())},
+        "units": len(units),
+        "degenerate": degenerate,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Weighted quantile: cumulative-weight scan
 # ---------------------------------------------------------------------------
@@ -415,3 +466,18 @@ def count_table_json_str_key(table):
         )
     ]
     return {"cells": cells, "politicians": pids}
+
+
+def count_table_marginals(cells):
+    """(per-word gender counts, gender totals, per-day counts by gender)
+    summed afresh from a count table's cells; genders are the keys the
+    cells hold."""
+    words, totals, days = {}, {}, {}
+    for (lemma, upos, g, _, _, day), n in cells.items():
+        per = words.setdefault((lemma, upos), {})
+        per[g] = per.get(g, 0) + n
+        totals[g] = totals.get(g, 0) + n
+        if day is not None:
+            per_day = days.setdefault(g, {})
+            per_day[day] = per_day.get(day, 0) + n
+    return words, totals, days

@@ -22,7 +22,14 @@ from covbias.bias import (
 )
 from covbias.model import Category, Gender, SourceType
 from conftest import table_from_counts
-from oracles import count_table_json_str_key, diss_recompute, weighted_quantile_scan
+from oracles import (
+    count_table_json_str_key,
+    count_table_marginals,
+    diss_recompute,
+    weighted_quantile_scan,
+)
+
+QUANTILE_PS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
 
 
 class TestCorrectionFactors:
@@ -189,6 +196,25 @@ class TestWeightedQuantiles:
 
     def test_symmetric_two_point_median_zero(self):
         assert weighted_quantile([Fraction(-1, 2), Fraction(1, 2)], [3, 3], Fraction(1, 2)) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.fractions(-1, 1, max_denominator=8), st.integers(0, 6)),
+            min_size=1,
+            max_size=12,
+        ).filter(lambda sample: any(w for _, w in sample))
+    )
+    # Cumulative weights 5, 10, 15, 18, 20: all four targets land on a boundary.
+    @example([(Fraction(v, 4), w) for v, w in zip((-4, -1, 0, 2, 4), (5, 5, 5, 3, 2))])
+    @example([(Fraction(1, 2), 2), (Fraction(-1), 0), (Fraction(1, 2), 2)])
+    def test_summary_quantiles_equal_scan_oracle(self, sample):
+        values = [v for v, _ in sample]
+        weights = [w for _, w in sample]
+        expected = [weighted_quantile_scan(values, weights, p) for p in QUANTILE_PS]
+        assert [weighted_quantile(values, weights, p) for p in QUANTILE_PS] == expected
+        stats = index_summary(values, weights)
+        assert [stats.q1, stats.d5, stats.q3, stats.d9] == [float(q) for q in expected]
 
 
 class TestIndexSummary:
@@ -359,6 +385,24 @@ ON_BREAKPOINT = (
 )
 
 
+class TestSharedDissimilarity:
+    @settings(max_examples=200, deadline=None)
+    @given(loo_corpora(), st.sampled_from(["ratio", "literal"]))
+    @example(ON_BREAKPOINT, "ratio")
+    @example(ON_BREAKPOINT, "literal")
+    @example(({("a", "NOUN"): (3, 0), ("b", "NOUN"): (0, 2), ("c", "NOUN"): (0, 1)}, 2, 1), "literal")
+    def test_profile_and_base_equal_table_dissimilarity(self, corpus, mode):
+        counts, n_f, n_m = corpus
+        table = table_from_counts(counts, n_f=n_f, n_m=n_m)
+        table.add("zz_ghost", "NOUN", Gender.F, n=0)  # excluded from the profile
+        from_table = dissimilarity(table, mode=mode)
+        assert from_table == diss_recompute(counts, n_f, n_m, mode)
+        profile = bias_profile(table, mode=mode)
+        assert profile.excluded == 1
+        assert dissimilarity(profile) == from_table
+        assert leave_one_out(table, mode).base_diss == from_table
+
+
 class TestLeaveOneOut:
     def test_matches_full_recompute_oracle(self):
         rng = np.random.default_rng(37)
@@ -461,24 +505,45 @@ class TestLeaveOneOut:
             assert by_word[key].distinctive == (expected < result.base_diss)
 
 
-class TestCountTable:
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["a", "b", "B", "à", "a b", "None", "Gender.F", ""]),
-                st.sampled_from(["ADJ", "NOUN"]),
-                st.sampled_from(list(Gender)),
-                st.sampled_from([None, *Category]),
-                st.sampled_from([None, *SourceType]),
-                st.sampled_from(
-                    [None, datetime.date(2017, 1, 9), datetime.date(2017, 10, 1),
-                     datetime.date(2020, 12, 31)]
-                ),
-                st.sampled_from([None, "p1", "p2", "p10"]),
-            ),
-            max_size=40,
-        )
+# (lemma, upos, gender, category, source_type, date, pid) arguments of add()
+COUNT_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "B", "à", "a b", "None", "Gender.F", ""]),
+        st.sampled_from(["ADJ", "NOUN"]),
+        st.sampled_from(list(Gender)),
+        st.sampled_from([None, *Category]),
+        st.sampled_from([None, *SourceType]),
+        st.sampled_from(
+            [None, datetime.date(2017, 1, 9), datetime.date(2017, 10, 1),
+             datetime.date(2020, 12, 31)]
+        ),
+        st.sampled_from([None, "p1", "p2", "p10"]),
+    ),
+    max_size=40,
+)
+
+
+def read_marginals(table):
+    """The cached marginals, in the shape of `count_table_marginals`."""
+    return (
+        table.word_counts(),
+        {g: table.total(g) for g in Gender},
+        {g: table.by_day(g) for g in Gender},
     )
+
+
+def fresh_marginals(table):
+    """The marginals summed afresh from the cells, with every gender present."""
+    words, totals, days = count_table_marginals(table.cells)
+    return (
+        {w: {g: per.get(g, 0) for g in Gender} for w, per in words.items()},
+        {g: totals.get(g, 0) for g in Gender},
+        {g: days.get(g, {}) for g in Gender},
+    )
+
+
+class TestCountTable:
+    @given(COUNT_EVENTS)
     @example(
         [
             ("a", "ADJ", g, cat, src, day, "p1")
@@ -494,6 +559,33 @@ class TestCountTable:
         for lemma, upos, gender, category, source, day, pid in events:
             table.add(lemma, upos, gender, category, source, day, pid)
         assert table.to_json_dict() == count_table_json_str_key(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(COUNT_EVENTS, st.lists(st.integers(0, 40), max_size=3))
+    def test_cached_marginals_follow_add(self, events, reads):
+        table = CountTable()
+        for i, (lemma, upos, gender, category, source, day, pid) in enumerate(events):
+            if i in reads:
+                read_marginals(table)  # fills the cache that add() must clear
+            table.add(lemma, upos, gender, category, source, day, pid)
+            if i in reads:
+                assert read_marginals(table) == fresh_marginals(table)
+        assert read_marginals(table) == fresh_marginals(table)
+
+    @given(COUNT_EVENTS.filter(lambda events: any(e[5] is not None for e in events)))
+    def test_mutating_a_returned_marginal_leaves_the_cache(self, events):
+        table = CountTable()
+        for event in events:
+            table.add(*event)
+        words, _, days = read_marginals(table)
+        for per in words.values():
+            per[Gender.F] += 7
+        words[("new", "ADJ")] = {Gender.F: 1, Gender.M: 1}
+        for gender in Gender:
+            for day in days[gender]:
+                days[gender][day] += 7
+            days[gender][datetime.date(1999, 1, 1)] = 1
+        assert read_marginals(table) == fresh_marginals(table)
 
     def test_totals_are_cell_sums(self):
         table = table_from_counts({("a", "ADJ"): (2, 3), ("b", "NOUN"): (4, 0)}, 1, 1)

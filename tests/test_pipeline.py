@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -456,6 +457,28 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith(f"error: {side}: line 2: empty")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda text: text.split("\n", 1)[1], "no section headers"),
+            (lambda text: text + "radius = 1\nradius = 2\n", "option 'radius'"),
+            (lambda text: re.sub("^out = .*$", "out = %(nope)s", text, flags=re.M), "key 'nope'"),
+            (lambda text: text + "; caf\xe9\n", "can't decode byte 0xe9"),
+        ],
+        ids=["no-section-header", "duplicate-key", "missing-interpolation-key", "latin-1"],
+    )
+    def test_unreadable_ini_is_one_error_line(self, tmp_path, capsys, edit, fragment):
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out")
+        with open(cfg_path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(cfg_path, "w", encoding="latin-1") as fh:
+            fh.write(edit(text))
+        assert cli_main(["--config", cfg_path, "ingest-check"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cfg_path}: ") and fragment in err[0]
+        assert os.listdir(tmp_path) == ["cfg.ini"]
 
 
 class TestInputReads:

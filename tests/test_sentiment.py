@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covbias.sentiment import (
@@ -12,7 +13,7 @@ from covbias.sentiment import (
     krippendorff_alpha,
     score_fifths,
 )
-from oracles import alpha_ordinal_bruteforce
+from oracles import alpha_ordinal_bruteforce, alpha_pairwise
 
 
 class TestAggregateScore:
@@ -167,3 +168,32 @@ class TestKrippendorffAlpha:
     )
     def test_alpha_never_exceeds_one(self, units):
         assert krippendorff_alpha(units).value <= 1.0
+
+
+@st.composite
+def rating_units(draw):
+    """Units of 1-7 ratings, each a reordering of one of a few multisets,
+    so that equal multisets recur; ratings are any integers, with small
+    ones common."""
+    values = st.one_of(st.integers(-2, 2), st.integers())
+    pool = draw(st.lists(st.lists(values, min_size=1, max_size=7), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=14))
+    return [draw(st.permutations(pool[i])) for i in picks]
+
+
+class TestAlphaPairwiseOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rating_units(), st.randoms(use_true_random=False))
+    @example([[3, 3], [3, 3, 3], [3], [3, 3]], random.Random(0))  # D_e = 0
+    @example([[1], [2, 2], [7]], random.Random(0))  # one unit with 2+ ratings
+    @example([[-1, 0, 1, 1, 1]] * 3 + [[1, 1, 1, 0, -1], [0, 0, 0, 0, 0]], random.Random(0))
+    def test_multiset_counts_equal_pairwise(self, units, rng):
+        shuffled = rng.sample(units, len(units))
+        for variant in (units, shuffled, units + units):
+            try:
+                expected = alpha_pairwise(variant)
+            except ValueError:
+                with pytest.raises(ValueError, match="at least 2 units"):
+                    krippendorff_alpha(variant)
+                continue
+            assert krippendorff_alpha(variant).to_json_dict() == expected
