@@ -603,25 +603,14 @@ def index_distribution(
 # ---------------------------------------------------------------------------
 
 
-def dissimilarity(
-    source: Union[CountTable, BiasProfile],
-    factors: Optional[tuple[Fraction, Fraction]] = None,
-    mode: str = "ratio",
-) -> Fraction:
+def dissimilarity(profile: BiasProfile) -> Fraction:
     """Aggregate absolute gap between the gender rate distributions, in [0, 1].
 
-    A `BiasProfile` supplies its own factors and adjusted rates, so nothing
-    is recomputed; the words it excludes have both rates 0 and add 0.
-    `factors` and `mode` apply to a `CountTable`, whose rates are computed
-    here (with its own correction factors unless `factors` is given).
+    The profile supplies its own factors and adjusted rates, so nothing is
+    recomputed; the words it excludes have both rates 0 and add 0.
     """
-    if isinstance(source, BiasProfile):
-        c_f, c_m = source.c_f, source.c_m
-        gaps = (abs(w.rate_f - w.rate_m) for w in source.words)
-    else:
-        c_f, c_m = factors if factors is not None else correction_factors(source)
-        rates = adjusted_rates(source, (c_f, c_m), mode)
-        gaps = (abs(r_f - r_m) for r_f, r_m in rates.values())
+    c_f, c_m = profile.c_f, profile.c_m
+    gaps = (abs(w.rate_f - w.rate_m) for w in profile.words)
     return (c_f * c_m) / (c_f + c_m) * sum(gaps, Fraction(0))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import GazetteerError
+from .errors import GazetteerError, open_input
 from .model import Document, Mention, MentionPattern, Sentence, normalize_lemma
 from .registry import PoliticianRegistry, TokenTuple
 
@@ -48,7 +48,7 @@ class RoleGazetteer:
         The canonical keyword is always its own variant.
         """
         variants: dict[str, str] = {}
-        with open(path, encoding="utf-8-sig") as fh:
+        with open_input(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -87,18 +87,6 @@ class MatchDiagnostics:
         return {"ambiguous_mentions": dict(sorted(self.ambiguous.items()))}
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    start: int  # 1-based, inclusive
-    end: int
-    pattern: MentionPattern
-    pid: str
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-
 def _match_tuple(norms: list[Optional[str]], pos: int, target: TokenTuple) -> bool:
     if pos + len(target) > len(norms):
         return False
@@ -131,11 +119,12 @@ def find_mentions(
     norms: list[Optional[str]] = [t.norm for t in tokens]
     lemmas: list[Optional[str]] = [t.lemma if not t.filtered else None for t in tokens]
 
-    candidates: list[_Candidate] = []
+    candidates: list[Mention] = []
 
     def resolve(pids: set[str], start: int, end: int, pattern: MentionPattern) -> None:
         if len(pids) == 1:
-            candidates.append(_Candidate(start, end, pattern, next(iter(pids))))
+            pid = next(iter(pids))
+            candidates.append(Mention(pid, sentence.doc_id, sentence.index, start, end, pattern))
         elif len(pids) > 1:
             diag.drop(pattern)
 
@@ -191,27 +180,17 @@ def find_mentions(
 
     # Longest-match-wins on overlap (equal lengths fall back to pattern
     # precedence); each token belongs to at most one mention.
-    chosen: list[_Candidate] = []
+    chosen: list[Mention] = []
     taken: set[int] = set()
     for cand in sorted(
         candidates,
-        key=lambda c: (-c.length, _PATTERN_PRECEDENCE[c.pattern], c.start, c.pid),
+        key=lambda c: (c.start - c.end, _PATTERN_PRECEDENCE[c.pattern], c.start, c.pid),
     ):
-        span = set(range(cand.start, cand.end + 1))
+        span = set(cand.span)
         if span & taken:
             continue
         taken |= span
         chosen.append(cand)
 
     chosen.sort(key=lambda c: (c.start, _PATTERN_PRECEDENCE[c.pattern]))
-    return [
-        Mention(
-            pid=c.pid,
-            doc_id=sentence.doc_id,
-            sentence_index=sentence.index,
-            start=c.start,
-            end=c.end,
-            pattern=c.pattern,
-        )
-        for c in chosen
-    ]
+    return chosen

@@ -22,7 +22,6 @@ from .model import (
     PersonalizationRecord,
     Sentence,
     Token,
-    tree_defect,
 )
 from .registry import PoliticianRegistry
 
@@ -32,12 +31,13 @@ DIRECTIONS = ("undirected", "children")
 
 
 class DependencyTree:
-    """Adjacency view of one sentence's parse, with distance queries."""
+    """Adjacency view of one sentence's parse, with distance queries.
+
+    The sentence is trusted to be a tree, as every sentence the CoNLL-U
+    reader yields is; its heads are not checked again here.
+    """
 
     def __init__(self, sentence: Sentence):
-        reason = tree_defect([t.head for t in sentence.tokens])
-        if reason is not None:
-            raise ValueError(f"{sentence.doc_id}[{sentence.index}]: {reason}")
         self.sentence = sentence
         self.heads = {t.index: t.head for t in sentence.tokens}
         self.children: dict[int, list[int]] = {t.index: [] for t in sentence.tokens}
@@ -109,49 +109,43 @@ def neighborhood(
 
 
 class DatasetTally:
-    """Per-gender descriptive counts for one dataset (coverage or pers.)."""
+    """Per-gender descriptive counts for one dataset (coverage or pers.).
+
+    Three structures hold every fact; the document, sentence, word and
+    politician counts are derived from them.
+    """
 
     def __init__(self) -> None:
-        self.docs: dict[Gender, set[str]] = {g: set() for g in Gender}
-        self.sentences: dict[Gender, set[tuple[str, int]]] = {g: set() for g in Gender}
-        self.words: dict[Gender, int] = {g: 0 for g in Gender}
-        self.lemmas: dict[Gender, set[str]] = {g: set() for g in Gender}
-        self.pids: dict[Gender, set[str]] = {g: set() for g in Gender}
-        self.pid_sentences: dict[Gender, set[tuple[str, str, int]]] = {g: set() for g in Gender}
         self.words_per_sentence: dict[Gender, dict[tuple[str, int], int]] = {
             g: {} for g in Gender
         }
+        self.pid_sentences: dict[Gender, set[tuple[str, str, int]]] = {g: set() for g in Gender}
+        self.lemmas: dict[Gender, set[str]] = {g: set() for g in Gender}
 
     def add(self, gender: Gender, pid: str, doc_id: str, sent_index: int, lemma: str) -> None:
-        key = (doc_id, sent_index)
-        self.docs[gender].add(doc_id)
-        self.sentences[gender].add(key)
-        self.words[gender] += 1
-        self.lemmas[gender].add(lemma)
-        self.pids[gender].add(pid)
-        self.pid_sentences[gender].add((pid, doc_id, sent_index))
         per = self.words_per_sentence[gender]
+        key = (doc_id, sent_index)
         per[key] = per.get(key, 0) + 1
-
-    def sentences_per_politician(self, gender: Gender) -> list[int]:
-        per: dict[str, int] = {}
-        for pid, _, _ in self.pid_sentences[gender]:
-            per[pid] = per.get(pid, 0) + 1
-        return sorted(per.values())
+        self.pid_sentences[gender].add((pid, doc_id, sent_index))
+        self.lemmas[gender].add(lemma)
 
     def to_json_dict(self) -> dict:
-        return {
-            g.value: {
-                "politicians": len(self.pids[g]),
-                "contents": len(self.docs[g]),
-                "sentences": len(self.sentences[g]),
-                "words": self.words[g],
+        out = {}
+        for g in Gender:
+            per_sentence = self.words_per_sentence[g]
+            per_pid: dict[str, int] = {}
+            for pid, _, _ in self.pid_sentences[g]:
+                per_pid[pid] = per_pid.get(pid, 0) + 1
+            out[g.value] = {
+                "politicians": len(per_pid),
+                "contents": len({doc_id for doc_id, _ in per_sentence}),
+                "sentences": len(per_sentence),
+                "words": sum(per_sentence.values()),
                 "distinct_words": len(self.lemmas[g]),
-                "words_per_sentence": sorted(self.words_per_sentence[g].values()),
-                "sentences_per_politician": self.sentences_per_politician(g),
+                "words_per_sentence": sorted(per_sentence.values()),
+                "sentences_per_politician": sorted(per_pid.values()),
             }
-            for g in Gender
-        }
+        return out
 
 
 class DescriptiveStats:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Iterable, Iterator, Optional
 
-from .errors import ConlluFormatError, MetadataError
+from .errors import ConlluFormatError, MetadataError, open_input
 from .model import Document, Sentence, SourceType, Token, normalize_lemma, tree_defect
 
 _DIGITS_RE = re.compile(r"[\d.,:%/\-]+")
@@ -29,7 +29,7 @@ _SENTID_RE = re.compile(r"#\s*sent_id\s*=\s*(\S+)")
 def read_stopwords(path) -> set[str]:
     """One lemma per line; normalized on load."""
     out = set()
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -43,7 +43,7 @@ def read_stopwords(path) -> set[str]:
 def read_lemma_map(path) -> dict[str, str]:
     """Surface-to-lemma overrides, one tab-separated pair per line."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -69,7 +69,7 @@ def read_metadata(
 ) -> dict[str, Document]:
     """Document metadata JSONL keyed by doc_id; duplicates are rejected."""
     docs: dict[str, Document] = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -220,7 +220,7 @@ def iter_conllu(
         block_start_line = 0
         return out
 
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         lineno = 0
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import LexiconError
+from .errors import LexiconError, open_input
 from .model import Category, normalize_lemma
 from .sentiment import SentimentClass, aggregate_score, classify
 
@@ -58,7 +58,7 @@ def read_lexicon(path, stopwords: Optional[set[str]] = None) -> Lexicon:
     before lexicon matching, so such an entry could never fire.
     """
     entries: dict[tuple[str, str], LexiconEntry] = {}
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with open_input(path, newline="") as fh:
         for lineno, rec in enumerate(csv.reader(fh), start=1):
             if not rec or all(not c.strip() for c in rec):
                 continue

@@ -1,7 +1,9 @@
 """Core domain types shared by every stage of the pipeline.
 
 Everything here is immutable after construction and free of I/O and
-statistics.
+statistics. Parse structure is checked in one place: the CoNLL-U reader
+(`ingestion.iter_conllu`) runs its checks and `tree_defect` on the raw
+rows, so `Token` and `Sentence` store what they are given unchecked.
 """
 
 from __future__ import annotations
@@ -110,31 +112,20 @@ class Token:
     filtered: bool = False
     norm: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"token index must be >= 1, got {self.index}")
-        if self.head < 0:
-            raise ValueError(f"token head must be >= 0, got {self.head}")
-        if self.head == self.index:
-            raise ValueError(f"token {self.index} is its own head")
-        if not self.lemma:
-            raise ValueError(f"token {self.index} has an empty lemma")
-
 
 @dataclass(frozen=True)
 class Sentence:
+    """One parsed sentence, as the CoNLL-U reader yields it.
+
+    Nothing here is checked: the reader validates the rows before it
+    builds any `Token`, so `tokens[i].index == i + 1`, every lemma is
+    non-empty, every head is in 0..len(tokens) and the heads form a tree
+    (see `tree_defect`). A sentence built by hand must meet the same rules.
+    """
+
     doc_id: str
     index: int  # 0-based ordinal within the document
     tokens: tuple[Token, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.tokens)
-        for tok in self.tokens:
-            if tok.head > n:
-                raise ValueError(
-                    f"{self.doc_id}[{self.index}]: head {tok.head} of token "
-                    f"{tok.index} does not reference an existing token"
-                )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import datetime
 from typing import Optional
 
-from .errors import RegistryError
+from .errors import RegistryError, open_input
 from .model import Gender, Politician, Role, normalize_lemma
 
 TokenTuple = tuple[str, ...]
@@ -150,7 +150,7 @@ def read_registry(path) -> PoliticianRegistry:
     side open. Blank lines and lines starting with # are skipped.
     """
     politicians = []
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

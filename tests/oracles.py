@@ -6,7 +6,8 @@ exceptions: ``bootstrap_per_tau`` refits every resample with the
 package's ``quantile_regression`` (itself checked against the LP and
 exhaustive-search oracles below), and ``token_from_row`` builds the
 package's ``Token`` with its ``normalize_lemma``, because it checks the
-reader's memo of the derivation, not the normalization.
+reader's memo of the derivation, not the normalization; and
+``SevenStructureTally`` keys its counts by the package's ``Gender``.
 """
 
 from __future__ import annotations
@@ -431,6 +432,101 @@ def token_from_row(index, surface, raw_lemma, upos, head, deprel, stopwords, lem
         )
     filtered = norm in stopwords or _is_digits(norm) or _is_url(surface) or _is_url(norm)
     return Token(index, surface, norm, upos, head, deprel, filtered=filtered, norm=norm_surface)
+
+
+def parse_defects(sentence):
+    """Every defect of one sentence, as a list of messages; [] for a sound parse.
+
+    The token and sentence checks are the ones `Token`, `Sentence` and
+    `DependencyTree` once ran in their constructors, verbatim. The tree
+    check walks each head chain for at most n steps instead of calling the
+    package, and token ids must be 1..n in order.
+    """
+    defects = []
+    n = len(sentence.tokens)
+    for tok in sentence.tokens:
+        if tok.index < 1:
+            defects.append(f"token index must be >= 1, got {tok.index}")
+        if tok.head < 0:
+            defects.append(f"token head must be >= 0, got {tok.head}")
+        if tok.head == tok.index:
+            defects.append(f"token {tok.index} is its own head")
+        if not tok.lemma:
+            defects.append(f"token {tok.index} has an empty lemma")
+    for tok in sentence.tokens:
+        if tok.head > n:
+            defects.append(
+                f"{sentence.doc_id}[{sentence.index}]: head {tok.head} of token "
+                f"{tok.index} does not reference an existing token"
+            )
+    if [t.index for t in sentence.tokens] != list(range(1, n + 1)):
+        defects.append(f"token ids are not 1..{n}")
+    if defects:
+        return defects
+    heads = [t.head for t in sentence.tokens]
+    if 0 not in heads:
+        defects.append("no root")
+    for start in range(1, n + 1):
+        node = start
+        for _ in range(n):  # a chain that has not reached 0 after n steps repeats a token
+            if node == 0:
+                break
+            node = heads[node - 1]
+        if node != 0:
+            defects.append(f"head chain from token {start} never reaches the root")
+    return defects
+
+
+# ---------------------------------------------------------------------------
+# Descriptive tallies: one structure per reported count
+# ---------------------------------------------------------------------------
+
+
+class SevenStructureTally:
+    """``extraction.DatasetTally`` as it was, with a structure per count."""
+
+    def __init__(self):
+        from covbias.model import Gender
+
+        self.genders = tuple(Gender)
+        self.docs = {g: set() for g in Gender}
+        self.sentences = {g: set() for g in Gender}
+        self.words = {g: 0 for g in Gender}
+        self.lemmas = {g: set() for g in Gender}
+        self.pids = {g: set() for g in Gender}
+        self.pid_sentences = {g: set() for g in Gender}
+        self.words_per_sentence = {g: {} for g in Gender}
+
+    def add(self, gender, pid, doc_id, sent_index, lemma):
+        key = (doc_id, sent_index)
+        self.docs[gender].add(doc_id)
+        self.sentences[gender].add(key)
+        self.words[gender] += 1
+        self.lemmas[gender].add(lemma)
+        self.pids[gender].add(pid)
+        self.pid_sentences[gender].add((pid, doc_id, sent_index))
+        per = self.words_per_sentence[gender]
+        per[key] = per.get(key, 0) + 1
+
+    def sentences_per_politician(self, gender):
+        per = {}
+        for pid, _, _ in self.pid_sentences[gender]:
+            per[pid] = per.get(pid, 0) + 1
+        return sorted(per.values())
+
+    def to_json_dict(self):
+        return {
+            g.value: {
+                "politicians": len(self.pids[g]),
+                "contents": len(self.docs[g]),
+                "sentences": len(self.sentences[g]),
+                "words": self.words[g],
+                "distinct_words": len(self.lemmas[g]),
+                "words_per_sentence": sorted(self.words_per_sentence[g].values()),
+                "sentences_per_politician": self.sentences_per_politician(g),
+            }
+            for g in self.genders
+        }
 
 
 # ---------------------------------------------------------------------------

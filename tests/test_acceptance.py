@@ -137,7 +137,7 @@ def test_criterion_05_dissimilarity_and_leave_one_out_oracle():
     fixture = table_from_counts(
         {("w1", "NOUN"): (2, 3), ("w2", "NOUN"): (8, 27)}, n_f=2, n_m=3
     )
-    assert dissimilarity(fixture) == Fraction(1, 3)
+    assert dissimilarity(bias_profile(fixture)) == Fraction(1, 3)
     report("5 dissimilarity + leave-one-out match brute-force recompute; fixture = 1/3 exactly")
 
 

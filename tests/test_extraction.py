@@ -1,9 +1,11 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covbias.bias import CountTable
-from covbias.extraction import DependencyTree, extract_records, neighborhood
+from covbias.extraction import DatasetTally, DependencyTree, extract_records, neighborhood
 from covbias.lexicon import read_lexicon
 from covbias.model import (
     Document,
@@ -17,6 +19,7 @@ from covbias.model import (
 )
 from covbias.registry import read_registry
 from conftest import data_path
+from oracles import SevenStructureTally
 
 
 def sentence_from(rows, doc_id="d", index=0):
@@ -72,16 +75,6 @@ class TestDependencyTree:
         tree = DependencyTree(sent)
         assert tree.distances([1], "children") == {1: 0}
         assert tree.distances([2], "children") == {1: 1, 2: 0, 3: 1}
-
-    def test_cycle_defense(self):
-        tokens = (
-            Token(1, "a", "a", "NOUN", 2, "dep"),
-            Token(2, "b", "b", "NOUN", 1, "dep"),
-            Token(3, "c", "c", "NOUN", 0, "root"),
-        )
-        sent = Sentence(doc_id="d", index=0, tokens=tokens)
-        with pytest.raises(ValueError, match="cycl"):
-            DependencyTree(sent)
 
 
 def pruning_example_sentence():
@@ -334,3 +327,28 @@ class TestExtractRecords:
         pers = result.descriptives.personalization.to_json_dict()
         assert pers["F"]["words"] == 5
         assert pers["M"]["words"] == 3
+
+
+# (gender, pid, doc_id, sentence index, lemma) events from small pools, so
+# documents, sentences, politicians and lemmas repeat within and across genders
+_tally_events = st.lists(
+    st.tuples(
+        st.sampled_from(list(Gender)),
+        st.sampled_from(["p1", "p2", "p3"]),
+        st.sampled_from(["d1", "d2", "d3"]),
+        st.integers(0, 3),
+        st.sampled_from(["bello", "forte", "ricco", "onesto"]),
+    ),
+    max_size=40,
+)
+
+
+class TestDatasetTallyOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_tally_events)
+    def test_derived_counts_equal_seven_structure_tally(self, events):
+        tally, oracle = DatasetTally(), SevenStructureTally()
+        for event in events:
+            tally.add(*event)
+            oracle.add(*event)
+        assert tally.to_json_dict() == oracle.to_json_dict()

@@ -4,7 +4,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covbias.errors import ConlluFormatError, LexiconError, MetadataError, RegistryError
@@ -17,11 +17,11 @@ from covbias.ingestion import (
     iter_conllu,
 )
 from covbias.lexicon import read_lexicon
-from covbias.model import Gender, SourceType
+from covbias.model import Document, Gender, Sentence, SourceType
 from covbias.registry import read_registry
 from covbias.sentiment import SentimentClass
 from conftest import data_path
-from oracles import token_from_row
+from oracles import parse_defects, token_from_row
 
 
 def run_conllu(text, tmp_path, stopwords=None, lemma_map=None):
@@ -165,9 +165,10 @@ class TestConlluReader:
         with pytest.raises(ConlluFormatError):
             run_conllu(WELL_FORMED + WELL_FORMED, tmp_path)
 
-    def test_non_contiguous_ids_rejected(self, tmp_path):
-        text = WELL_FORMED.replace("2\tgatto", "5\tgatto")
-        with pytest.raises(ConlluFormatError):
+    @pytest.mark.parametrize("tok_id", ["5", "0"], ids=["gap", "zero"])
+    def test_non_contiguous_ids_rejected(self, tok_id, tmp_path):
+        text = WELL_FORMED.replace("2\tgatto", f"{tok_id}\tgatto")
+        with pytest.raises(ConlluFormatError, match="token ids are not 1..3"):
             run_conllu(text, tmp_path)
 
     @pytest.mark.parametrize("comment", ["# newdoc", "# newdoc id =", "#newdoc  "])
@@ -263,6 +264,72 @@ class TestFormMemoOracle:
             )
             got = [(doc.doc_id, s.index, s.tokens) for doc, s in stream]
         assert got == expected
+
+
+_PARSE_FORMS = [("gatto", "gatto"), ("Roma", "_"), (".", "."), ("", "casa")]
+
+
+@st.composite
+def _parse_blocks(draw):
+    """(ids, heads, form/lemma pairs) of one CoNLL-U sentence block.
+
+    Ids may have a gap, a repeat or an ID 0; heads are either an acyclic
+    tree (each token headed by 0 or an earlier token) or free integers
+    from -1 to n + 1, which give self-heads, cycles, rootless blocks and
+    out-of-range heads; some rows have an empty FORM and LEMMA.
+    """
+    n = draw(st.integers(1, 5))
+    ids = list(range(1, n + 1))
+    if draw(st.booleans()):
+        ids[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, n + 1, n + 2, 1]))
+    tree = [draw(st.integers(0, k - 1)) for k in range(1, n + 1)]
+    heads = draw(st.one_of(
+        st.just(tree),
+        st.lists(st.integers(-1, n + 1), min_size=n, max_size=n),
+    ))
+    forms = draw(st.lists(st.sampled_from(_PARSE_FORMS), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        forms[draw(st.integers(0, n - 1))] = ("", draw(st.sampled_from(["", "_"])))
+    return ids, heads, forms
+
+
+class TestParseDefectOracle:
+    """The reader is the only place a parse is checked: it yields a sentence
+    exactly when the checks `Token`, `Sentence` and `DependencyTree` once
+    made find no defect in it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_parse_blocks())
+    @example(([1, 2, 3], [2, 1, 0], [("gatto", "gatto")] * 3))  # cycle beside a root
+    @example(([1, 2], [2, 1], [("gatto", "gatto")] * 2))  # no root
+    @example(([1, 2], [0, 1], [("gatto", "gatto")] * 2))  # sound
+    def test_reader_yields_exactly_the_defect_free_sentences(self, block):
+        ids, heads, forms = block
+        rows = [
+            f"{i}\t{form}\t{lemma}\tNOUN\t_\t_\t{h}\tdep\t_\t_"
+            for i, h, (form, lemma) in zip(ids, heads, forms)
+        ]
+        text = "# newdoc id = d0\n# sent_id = d0.s0\n" + "\n".join(rows) + "\n\n"
+        doc = Document("d0", datetime.date(2018, 1, 1), "x", SourceType.ONLINE)
+        as_written = Sentence("d0", 0, tuple(
+            token_from_row(i, form, lemma, "NOUN", h, "dep", set(), {})
+            for i, h, (form, lemma) in zip(ids, heads, forms)
+        ))
+        diag = CorpusDiagnostics()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.conllu")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                got = list(read_corpus([path], diag, {"d0": doc}, set(), {}))
+            except ConlluFormatError:
+                got = None
+        for _, sentence in got or []:
+            assert parse_defects(sentence) == []
+        if parse_defects(as_written):
+            assert not got
+        else:
+            assert got == [(doc, as_written)] and not diag.rejected_sentences
 
 
 class TestMetadata:

@@ -10,9 +10,7 @@ from covbias.model import (
     Mention,
     MentionPattern,
     PersonalizationRecord,
-    Sentence,
     SourceType,
-    Token,
     normalize_lemma,
     tree_defect,
 )
@@ -68,30 +66,6 @@ class TestTreeDefect:
     def test_cycle_names_first_repeated_token(self):
         assert tree_defect([2, 1, 0]) == "cyclic head chain through token 1"
         assert tree_defect([0, 3, 4, 2]) == "cyclic head chain through token 2"
-
-
-class TestToken:
-    def test_rejects_self_head(self):
-        with pytest.raises(ValueError):
-            Token(1, "a", "a", "NOUN", 1, "root")
-
-    def test_rejects_zero_index(self):
-        with pytest.raises(ValueError):
-            Token(0, "a", "a", "NOUN", 1, "root")
-
-    def test_rejects_empty_lemma(self):
-        with pytest.raises(ValueError):
-            Token(1, "a", "", "NOUN", 0, "root")
-
-
-class TestSentence:
-    def test_rejects_out_of_range_head(self):
-        tokens = (
-            Token(1, "a", "a", "NOUN", 3, "dep"),
-            Token(2, "b", "b", "NOUN", 0, "root"),
-        )
-        with pytest.raises(ValueError):
-            Sentence(doc_id="d", index=0, tokens=tokens)
 
 
 class TestMention:

@@ -480,6 +480,32 @@ class TestCli:
         assert err[0].startswith(f"error: {cfg_path}: ") and fragment in err[0]
         assert os.listdir(tmp_path) == ["cfg.ini"]
 
+    @pytest.mark.parametrize(
+        "key, fixture",
+        [
+            ("conllu", "tiny.conllu"),
+            ("metadata", "metadata.jsonl"),
+            ("registry", "registry.csv"),
+            ("lexicon", "lexicon.csv"),
+            ("stopwords", "stopwords.txt"),
+            ("lemma_map", "lemma_map.tsv"),
+            ("gazetteer", None),
+        ],
+    )
+    def test_input_not_utf8_is_one_error_line(self, tmp_path, capsys, key, fixture):
+        text = b"sindaco = sindaca\n"
+        if fixture is not None:
+            with open(data_path(fixture), "rb") as fh:
+                text = fh.read()
+        side = tmp_path / f"latin1_{key}"
+        side.write_bytes(text + "caff\xe8\n".encode("latin-1"))
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.ini", out, **{key: str(side)})
+        assert cli_main(["--config", str(cfg_path), "ingest-check"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {side}: not UTF-8: cannot decode byte 0xe8"]
+        assert not out.exists()
+
 
 class TestInputReads:
     """A stage reads each side file once, whichever module calls the reader."""
