@@ -39,12 +39,6 @@ _SLOT_STR = {x: str(x) for x in (None, *Gender, *Category, *SourceType)}
 _SLOT_VALUE = {x: getattr(x, "value", None) for x in _SLOT_STR}
 
 
-def _cell_sort_key(item: tuple[CellKey, int]) -> tuple[str, ...]:
-    """``tuple(str(x) for x in key)`` of one count cell."""
-    (lemma, upos, g, cat, st, day), _ = item
-    return lemma, upos, _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st], str(day)
-
-
 class CountTable:
     """Aggregate of word-event counts.
 
@@ -185,6 +179,14 @@ class CountTable:
         return [k + (agg[k],) for k in sorted(agg)]
 
     def to_json_dict(self) -> dict:
+        # str() of each distinct day, made once: it is the day's ISO date,
+        # and the cells sort by ``tuple(str(x) for x in key)``
+        day_str = {day: str(day) for day in {key[5] for key in self.cells}}
+
+        def sort_key(item: tuple[CellKey, int]) -> tuple[str, ...]:
+            (lemma, upos, g, cat, st, day), _ = item
+            return lemma, upos, _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st], day_str[day]
+
         cells = [
             [
                 lemma,
@@ -192,10 +194,10 @@ class CountTable:
                 _SLOT_VALUE[g],
                 _SLOT_VALUE[cat],
                 _SLOT_VALUE[st],
-                day.isoformat() if day is not None else None,
+                day_str[day] if day is not None else None,
                 n,
             ]
-            for (lemma, upos, g, cat, st, day), n in sorted(self.cells.items(), key=_cell_sort_key)
+            for (lemma, upos, g, cat, st, day), n in sorted(self.cells.items(), key=sort_key)
         ]
         pids = [
             [_SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], sorted(members)]

@@ -7,7 +7,7 @@ from typing import Optional
 
 from .errors import GazetteerError, open_input
 from .model import Document, Mention, MentionPattern, Sentence, normalize_lemma
-from .registry import PoliticianRegistry, TokenTuple
+from .registry import PoliticianRegistry
 
 # Mention-surface role words mapped to the registry's canonical keywords.
 # "presidente della Regione X" and "governatore della Regione X" denote the
@@ -68,11 +68,6 @@ class RoleGazetteer:
                             variants[norm] = canonical
         return cls(variants)
 
-    def canonical(self, word: Optional[str]) -> Optional[str]:
-        if word is None:
-            return None
-        return self.variants.get(word)
-
 
 @dataclass
 class MatchDiagnostics:
@@ -85,12 +80,6 @@ class MatchDiagnostics:
 
     def to_json_dict(self) -> dict:
         return {"ambiguous_mentions": dict(sorted(self.ambiguous.items()))}
-
-
-def _match_tuple(norms: list[Optional[str]], pos: int, target: TokenTuple) -> bool:
-    if pos + len(target) > len(norms):
-        return False
-    return all(norms[pos + k] == target[k] for k in range(len(target)))
 
 
 def find_mentions(
@@ -116,8 +105,10 @@ def find_mentions(
     diag = diagnostics if diagnostics is not None else MatchDiagnostics()
     tokens = sentence.tokens
     n = len(tokens)
-    norms: list[Optional[str]] = [t.norm for t in tokens]
+    norms: tuple[Optional[str], ...] = tuple([t.norm for t in tokens])
     lemmas: list[Optional[str]] = [t.lemma if not t.filtered else None for t in tokens]
+    names_by_first = registry.names_by_first.get
+    role_of = gaz.variants.get
 
     candidates: list[Mention] = []
 
@@ -131,8 +122,8 @@ def find_mentions(
     # Index entries are longest first, so the greedy scan prefers the most
     # specific reading at each position.
     for i in range(n):
-        for key in registry.names_by_first.get(norms[i], ()):
-            if _match_tuple(norms, i, key):
+        for key in names_by_first(norms[i], ()):
+            if norms[i : i + len(key)] == key:
                 resolve(
                     registry.full_names[key],
                     i + 1,
@@ -141,14 +132,14 @@ def find_mentions(
                 )
                 break
 
-        canonical = gaz.canonical(norms[i]) or gaz.canonical(lemmas[i])
+        canonical = role_of(norms[i]) or role_of(lemmas[i])
         if canonical is None:
             continue
 
         # role + surname, e.g. "ministro Fedeli"
         if i + 1 < n:
             for key in registry.surnames_by_first.get(norms[i + 1], ()):
-                if _match_tuple(norms, i + 1, key):
+                if norms[i + 1 : i + 1 + len(key)] == key:
                     holders = registry.surnames[key] & registry.holders_of_keyword(
                         canonical, doc.date
                     )
@@ -168,7 +159,7 @@ def find_mentions(
             if j < n:
                 by_first = registry.jurisdictions_by_first.get(canonical, {})
                 for jur in by_first.get(norms[j], ()):
-                    if _match_tuple(norms, j, jur):
+                    if norms[j : j + len(jur)] == jur:
                         holders = registry.holders_of_role(canonical, jur, doc.date)
                         resolve(
                             holders,

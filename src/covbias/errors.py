@@ -10,8 +10,8 @@ class CovbiasError(Exception):
 
 
 class ConlluFormatError(CovbiasError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path}: line {line}: {message}")
         self.line = line
 
 

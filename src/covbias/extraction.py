@@ -2,13 +2,14 @@
 
 A mention's neighborhood holds the content words (ADJ/NOUN/VERB, no
 auxiliaries, modals or filtered tokens) within a bounded tree distance of
-its span. Neighborhood words intersected with the lexicon become
-personalization records; all neighborhood words feed the coverage counts.
+its span. The walk is a level-by-level BFS that stops at the radius, so a
+mention costs only the tokens within it, not the whole sentence.
+Neighborhood words intersected with the lexicon become personalization
+records; all neighborhood words feed the coverage counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -33,38 +34,54 @@ DIRECTIONS = ("undirected", "children")
 class DependencyTree:
     """Adjacency view of one sentence's parse, with distance queries.
 
-    The sentence is trusted to be a tree, as every sentence the CoNLL-U
-    reader yields is; its heads are not checked again here.
+    ``heads[i]`` and ``children[i]`` belong to the token at position i
+    (1-based; slot 0 is unused). The sentence is trusted to be a tree, as
+    every sentence the CoNLL-U reader yields is; its heads are not checked
+    again here.
     """
 
     def __init__(self, sentence: Sentence):
         self.sentence = sentence
-        self.heads = {t.index: t.head for t in sentence.tokens}
-        self.children: dict[int, list[int]] = {t.index: [] for t in sentence.tokens}
+        self.heads = [0]
+        self.children: list[list[int]] = [[] for _ in range(len(sentence.tokens) + 1)]
         for t in sentence.tokens:
+            self.heads.append(t.head)
             if t.head != 0:
                 self.children[t.head].append(t.index)
 
-    def distances(self, sources: Iterable[int], direction: str = "undirected") -> dict[int, int]:
-        """BFS distance from a source set to every reachable token.
+    def distances(
+        self,
+        sources: Iterable[int],
+        direction: str = "undirected",
+        limit: Optional[int] = None,
+    ) -> dict[int, int]:
+        """BFS distance from a source set to every token reached.
 
         "undirected" walks head and child edges both ways; "children"
         walks only downward, counting tokens inside the subtrees of the
-        sources.
+        sources. The walk goes level by level and stops after ``limit``
+        steps, so with a limit only tokens within it are returned.
         """
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        dist = {s: 0 for s in sources}
-        queue = deque(dist)
-        while queue:
-            node = queue.popleft()
-            nxt = list(self.children[node])
-            if direction == "undirected" and self.heads[node] != 0:
-                nxt.append(self.heads[node])
-            for other in nxt:
-                if other not in dist:
-                    dist[other] = dist[node] + 1
-                    queue.append(other)
+        upward = direction == "undirected"
+        heads, children = self.heads, self.children
+        dist = dict.fromkeys(sources, 0)
+        frontier = list(dist)
+        steps = 0
+        while frontier and (limit is None or steps < limit):
+            steps += 1
+            reached = []
+            for node in frontier:
+                for other in children[node]:
+                    if other not in dist:
+                        dist[other] = steps
+                        reached.append(other)
+                head = heads[node]
+                if upward and head != 0 and head not in dist:
+                    dist[head] = steps
+                    reached.append(head)
+            frontier = reached
         return dist
 
 
@@ -94,17 +111,11 @@ def neighborhood(
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    span = set(mention.span)
-    dist = tree.distances(span, direction)
+    tokens = tree.sentence.tokens
     out = []
-    for token in tree.sentence.tokens:
-        if token.index in span:
-            continue
-        d = dist.get(token.index)
-        if d is None or d > radius:
-            continue
-        if eligible_word(token):
-            out.append((token, d))
+    for index, d in sorted(tree.distances(mention.span, direction, limit=radius).items()):
+        if d and eligible_word(tokens[index - 1]):
+            out.append((tokens[index - 1], d))
     return out
 
 
@@ -186,6 +197,10 @@ def extract_records(
     """
     gaz = gazetteer if gazetteer is not None else RoleGazetteer()
     result = ExtractionResult()
+    lexicon_get, gender_of = lexicon.get, registry.gender_of
+    count, record = result.counts.add, result.records.append
+    cover = result.descriptives.coverage.add
+    personalize = result.descriptives.personalization.add
     for doc, sentence in stream:
         mentions = find_mentions(sentence, doc, registry, gaz, result.diagnostics)
         if not mentions:
@@ -207,37 +222,20 @@ def extract_records(
                     best[2].append(m)
         for index in sorted(nearest):
             token, _, tied = nearest[index]
+            lemma, upos = token.lemma, token.upos
+            entry = lexicon_get(lemma, upos)
+            category = entry.category if entry is not None else None
+            sentiment = float(entry.aggregate) if entry is not None else None
             for m in tied:
-                gender = registry.gender_of(m.pid)
-                entry = lexicon.get(token.lemma, token.upos)
-                result.counts.add(
-                    token.lemma,
-                    token.upos,
-                    gender,
-                    category=entry.category if entry else None,
-                    source_type=doc.source_type,
-                    date=doc.date,
-                    pid=m.pid,
-                )
-                result.descriptives.coverage.add(
-                    gender, m.pid, doc.doc_id, sentence.index, token.lemma
-                )
+                gender = gender_of(m.pid)
+                count(lemma, upos, gender, category, doc.source_type, doc.date, m.pid)
+                cover(gender, m.pid, doc.doc_id, sentence.index, lemma)
                 if entry is not None:
-                    result.records.append(
+                    record(
                         PersonalizationRecord(
-                            pid=m.pid,
-                            gender=gender,
-                            doc_id=doc.doc_id,
-                            date=doc.date,
-                            source_type=doc.source_type,
-                            lemma=token.lemma,
-                            upos=token.upos,
-                            category=entry.category,
-                            aggregate_sentiment=float(entry.aggregate),
-                            sentence_index=sentence.index,
+                            m.pid, gender, doc.doc_id, doc.date, doc.source_type,
+                            lemma, upos, category, sentiment, sentence.index,
                         )
                     )
-                    result.descriptives.personalization.add(
-                        gender, m.pid, doc.doc_id, sentence.index, token.lemma
-                    )
+                    personalize(gender, m.pid, doc.doc_id, sentence.index, lemma)
     return result

@@ -15,7 +15,6 @@ import datetime
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import starmap
 from typing import Iterable, Iterator, Optional
 
 from .errors import ConlluFormatError, MetadataError, open_input
@@ -181,8 +180,7 @@ def iter_conllu(
     doc_id: Optional[str] = None
     sent_id: Optional[str] = None
     sent_index = 0
-    # Token constructor arguments, in order, one tuple per row
-    rows: list[tuple[int, str, str, str, int, str, bool, Optional[str]]] = []
+    rows: list[Token] = []
     block_start_line = 0
     forms: dict[tuple[str, str], tuple[str, bool, Optional[str]]] = {}
 
@@ -192,28 +190,30 @@ def iter_conllu(
             sent_id = None
             return None
         if doc_id is None:
-            raise ConlluFormatError("sentence before any '# newdoc id' comment", block_start_line)
-        if sent_id is None:
-            raise ConlluFormatError("sentence without '# sent_id' comment", block_start_line)
-        expected = list(range(1, len(rows) + 1))
-        if [r[0] for r in rows] != expected:
             raise ConlluFormatError(
-                f"token ids are not 1..{len(rows)} in sentence {sent_id!r}", block_start_line
+                path, block_start_line, "sentence before any '# newdoc id' comment"
             )
-        heads = [r[4] for r in rows]
-        for idx, head in enumerate(heads, start=1):
-            if not 0 <= head <= len(rows):
-                raise ConlluFormatError(
-                    f"head {head} of token {idx} out of range in sentence {sent_id!r}",
-                    block_start_line,
-                )
+        if sent_id is None:
+            raise ConlluFormatError(path, block_start_line, "sentence without '# sent_id' comment")
+        n = len(rows)
+        if [t.index for t in rows] != list(range(1, n + 1)):
+            raise ConlluFormatError(
+                path, block_start_line, f"token ids are not 1..{n} in sentence {sent_id!r}"
+            )
+        heads = [t.head for t in rows]
+        if min(heads) < 0 or max(heads) > n:
+            idx, head = next((t.index, t.head) for t in rows if not 0 <= t.head <= n)
+            raise ConlluFormatError(
+                path,
+                block_start_line,
+                f"head {head} of token {idx} out of range in sentence {sent_id!r}",
+            )
         reason = tree_defect(heads)
         out = None
         if reason is not None:
             diagnostics.reject(doc_id, sent_id, reason)
         else:
-            tokens = tuple(starmap(Token, rows))
-            out = (doc_id, Sentence(doc_id=doc_id, index=sent_index, tokens=tokens))
+            out = (doc_id, Sentence(doc_id=doc_id, index=sent_index, tokens=tuple(rows)))
         sent_index += 1
         rows = []
         sent_id = None
@@ -233,12 +233,12 @@ def iter_conllu(
                 m = _NEWDOC_RE.match(line)
                 if m:
                     if rows:
-                        raise ConlluFormatError("newdoc inside a sentence block", lineno)
+                        raise ConlluFormatError(path, lineno, "newdoc inside a sentence block")
                     if m.group(1) is None:
-                        raise ConlluFormatError("'# newdoc' without 'id = ...'", lineno)
+                        raise ConlluFormatError(path, lineno, "'# newdoc' without 'id = ...'")
                     doc_id = m.group(1)
                     if doc_id in seen_docs:
-                        raise ConlluFormatError(f"duplicate document {doc_id!r}", lineno)
+                        raise ConlluFormatError(path, lineno, f"duplicate document {doc_id!r}")
                     seen_docs.add(doc_id)
                     sent_index = 0
                     continue
@@ -251,7 +251,7 @@ def iter_conllu(
             cols = line.split("\t")
             if len(cols) != 10:
                 raise ConlluFormatError(
-                    f"expected 10 tab-separated columns, got {len(cols)}", lineno
+                    path, lineno, f"expected 10 tab-separated columns, got {len(cols)}"
                 )
             tok_id, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
             if "-" in tok_id or "." in tok_id:
@@ -263,16 +263,16 @@ def iter_conllu(
                 head_i = int(head)
             except ValueError:
                 raise ConlluFormatError(
-                    f"non-integer ID or HEAD ({tok_id!r}, {head!r})", lineno
+                    path, lineno, f"non-integer ID or HEAD ({tok_id!r}, {head!r})"
                 ) from None
             derived = forms.get((form, lemma))
             if derived is None:
                 derived = _derive_form(form, lemma, stopwords, lemma_map)
                 if not derived[0]:
-                    raise ConlluFormatError("token with empty FORM and LEMMA", lineno)
+                    raise ConlluFormatError(path, lineno, "token with empty FORM and LEMMA")
                 forms[form, lemma] = derived
             lemma, filtered, norm = derived
-            rows.append((idx, form, lemma, upos, head_i, deprel, filtered, norm))
+            rows.append(Token(idx, form, lemma, upos, head_i, deprel, filtered, norm))
         result = flush(lineno + 1)
         if result:
             yield result

@@ -4,6 +4,9 @@ Everything here is immutable after construction and free of I/O and
 statistics. Parse structure is checked in one place: the CoNLL-U reader
 (`ingestion.iter_conllu`) runs its checks and `tree_defect` on the raw
 rows, so `Token` and `Sentence` store what they are given unchecked.
+`Token` and `PersonalizationRecord`, built once per token and once per
+attributed word, are `typing.NamedTuple`s, the cheapest immutable record
+to construct; the other types are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import datetime
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class Gender(str, Enum):
@@ -89,8 +92,7 @@ def tree_defect(heads: Sequence[int]) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token of a dependency-parsed sentence.
 
     ``index`` is the 1-based position within the sentence and ``head``
@@ -100,7 +102,8 @@ class Token:
     but are never selected as neighborhood words. ``norm`` is the
     surface passed through ``normalize_lemma``, the form mention matching
     compares; the CoNLL-U reader derives it, and it is None when nothing
-    lexical remains.
+    lexical remains. The field ``index`` shadows the tuple method
+    ``tuple.index``.
     """
 
     index: int
@@ -197,8 +200,7 @@ class Mention:
         return range(self.start, self.end + 1)
 
 
-@dataclass(frozen=True)
-class PersonalizationRecord:
+class PersonalizationRecord(NamedTuple):
     """One lexicon word attributed to one politician mention."""
 
     pid: str

@@ -349,9 +349,10 @@ def _daily_fraction_series(
 
 
 DISTINCTIVE_HEADER = ["lemma", "upos", "weight", "diss_without"]
+Slices = dict[Category, CountTable]  # ``table.slice(category=c)`` for every category
 
 
-def bias_analysis(cfg: PipelineConfig, table: CountTable, lexicon: Lexicon) -> dict:
+def bias_analysis(cfg: PipelineConfig, table: CountTable, lexicon: Lexicon, slices: Slices) -> dict:
     """Bias profile, index summaries and distinctive words per category.
 
     Rates and indices are computed against the full coverage totals;
@@ -406,7 +407,7 @@ def bias_analysis(cfg: PipelineConfig, table: CountTable, lexicon: Lexicon) -> d
     # Distinctive words come from the category slice: within one facet,
     # which words drive the gap between the gender distributions?
     for category in Category:
-        slice_table = table.slice(category=category)
+        slice_table = slices[category]
         loo = None
         try:
             slice_factors = bias.correction_factors(slice_table)
@@ -519,7 +520,7 @@ def quantile_analysis(cfg: PipelineConfig, records: list[PersonalizationRecord])
     }
 
 
-def temporal_analysis(cfg: PipelineConfig, table: CountTable) -> dict:
+def temporal_analysis(cfg: PipelineConfig, table: CountTable, slices: Slices) -> dict:
     """Moving-average personalization trends and their area decomposition."""
     coverage = {gender: table.by_day(gender) for gender in Gender}
     all_days = sorted(set(coverage[Gender.F]) | set(coverage[Gender.M]))
@@ -533,7 +534,7 @@ def temporal_analysis(cfg: PipelineConfig, table: CountTable) -> dict:
     )
     artifacts: dict = {}
     for category in Category:
-        pers_slice = table.slice(category=category)
+        pers_slice = slices[category]
         out: dict = {"ma_window": cfg.ma_window, "fill_policy": FILL_POLICY}
         series = {}
         if not grid:
@@ -570,10 +571,16 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
     with open(cfg.path("count_table.json"), encoding="utf-8") as fh:
         table = CountTable.from_json_dict(json.load(fh))
     records = _load_records(cfg.path("records.jsonl"))
+    slices = {category: table.slice(category=category) for category in Category}
+    by_category = {
+        **bias_analysis(cfg, table, lexicon, slices),
+        **temporal_analysis(cfg, table, slices),
+    }
+    del slices  # freed before the other analyses run, so peak memory does not grow
     write_artifacts(
         cfg,
         {
-            **bias_analysis(cfg, table, lexicon),
+            **by_category,
             **agreement_analysis(lexicon),
             "sentiment_fractions.csv": (
                 ["category", "group"] + reporting.SENTIMENT_COLUMNS,
@@ -581,7 +588,6 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
             ),
             **chi_square_analysis(table),
             **quantile_analysis(cfg, records),
-            **temporal_analysis(cfg, table),
         },
     )
     return {"records": len(records)}

@@ -6,8 +6,11 @@ exceptions: ``bootstrap_per_tau`` refits every resample with the
 package's ``quantile_regression`` (itself checked against the LP and
 exhaustive-search oracles below), and ``token_from_row`` builds the
 package's ``Token`` with its ``normalize_lemma``, because it checks the
-reader's memo of the derivation, not the normalization; and
-``SevenStructureTally`` keys its counts by the package's ``Gender``.
+reader's memo of the derivation, not the normalization;
+``SevenStructureTally`` keys its counts by the package's ``Gender``; and
+``extract_records_reference`` finds mentions with the package's
+``find_mentions`` and fills its result types, because it checks the tree
+walk and the nearest-mention attribution, not those.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import deque
 from fractions import Fraction
 
 
@@ -577,3 +581,125 @@ def count_table_marginals(cells):
             per_day = days.setdefault(g, {})
             per_day[day] = per_day.get(day, 0) + n
     return words, totals, days
+
+
+# ---------------------------------------------------------------------------
+# Attribution: unbounded BFS over dict adjacency, whole-sentence scan
+# ---------------------------------------------------------------------------
+
+# The walk, the eligibility rule and the nearest-mention loop as first
+# written, before the walk was bounded by the radius.
+_CANDIDATE_POS = frozenset({"ADJ", "NOUN", "VERB"})
+_MODAL_LEMMAS = frozenset({"potere", "dovere", "volere", "solere"})
+
+
+def tree_distances_reference(sentence, sources, direction="undirected"):
+    """BFS distance from a source set to every reachable token."""
+    heads = {t.index: t.head for t in sentence.tokens}
+    children = {t.index: [] for t in sentence.tokens}
+    for t in sentence.tokens:
+        if t.head != 0:
+            children[t.head].append(t.index)
+    dist = {s: 0 for s in sources}
+    queue = deque(dist)
+    while queue:
+        node = queue.popleft()
+        nxt = list(children[node])
+        if direction == "undirected" and heads[node] != 0:
+            nxt.append(heads[node])
+        for other in nxt:
+            if other not in dist:
+                dist[other] = dist[node] + 1
+                queue.append(other)
+    return dist
+
+
+def _eligible_word(token):
+    if token.filtered:
+        return False
+    if token.upos not in _CANDIDATE_POS:
+        return False
+    if token.upos == "VERB" and token.lemma in _MODAL_LEMMAS:
+        return False
+    return True
+
+
+def neighborhood_reference(sentence, mention, radius, direction="undirected"):
+    """(token, distance) pairs within `radius` of the span, in sentence order."""
+    span = set(mention.span)
+    dist = tree_distances_reference(sentence, span, direction)
+    out = []
+    for token in sentence.tokens:
+        if token.index in span:
+            continue
+        d = dist.get(token.index)
+        if d is None or d > radius:
+            continue
+        if _eligible_word(token):
+            out.append((token, d))
+    return out
+
+
+def extract_records_reference(stream, registry, lexicon, radius=2, direction="undirected"):
+    """Every word attributed to its nearest mentions (all of them on a tie),
+    one lexicon lookup and one record per (word, mention) pair."""
+    from covbias.entities import RoleGazetteer, find_mentions
+    from covbias.extraction import ExtractionResult
+    from covbias.model import PersonalizationRecord
+
+    gaz = RoleGazetteer()
+    result = ExtractionResult()
+    for doc, sentence in stream:
+        mentions = find_mentions(sentence, doc, registry, gaz, result.diagnostics)
+        if not mentions:
+            continue
+        spans = set()
+        for m in mentions:
+            spans.update(m.span)
+        # token index -> (token, distance, nearest mentions in mention order)
+        nearest = {}
+        for m in mentions:
+            for token, d in neighborhood_reference(sentence, m, radius, direction):
+                if token.index in spans:
+                    continue
+                best = nearest.get(token.index)
+                if best is None or d < best[1]:
+                    nearest[token.index] = (token, d, [m])
+                elif d == best[1]:
+                    best[2].append(m)
+        for index in sorted(nearest):
+            token, _, tied = nearest[index]
+            for m in tied:
+                gender = registry.gender_of(m.pid)
+                entry = lexicon.get(token.lemma, token.upos)
+                result.counts.add(
+                    token.lemma,
+                    token.upos,
+                    gender,
+                    category=entry.category if entry else None,
+                    source_type=doc.source_type,
+                    date=doc.date,
+                    pid=m.pid,
+                )
+                result.descriptives.coverage.add(
+                    gender, m.pid, doc.doc_id, sentence.index, token.lemma
+                )
+                if entry is not None:
+                    result.records.append(
+                        PersonalizationRecord(
+                            pid=m.pid,
+                            gender=gender,
+                            doc_id=doc.doc_id,
+                            date=doc.date,
+                            source_type=doc.source_type,
+                            lemma=token.lemma,
+                            upos=token.upos,
+                            category=entry.category,
+                            aggregate_sentiment=float(entry.aggregate),
+                            sentence_index=sentence.index,
+                        )
+                    )
+                    result.descriptives.personalization.add(
+                        gender, m.pid, doc.doc_id, sentence.index, token.lemma
+                    )
+    return result

@@ -327,7 +327,7 @@ class TestIndexedMatcherOracle:
             [None if t.filtered else t.lemma for t in sentence.tokens],
             date,
             registry,
-            RoleGazetteer().canonical,
+            RoleGazetteer().variants.get,
         )
         assert [(m.start, m.end, m.pattern.value, m.pid) for m in got] == want
         assert diag.ambiguous == ambiguous
@@ -336,9 +336,9 @@ class TestIndexedMatcherOracle:
 class TestGazetteer:
     def test_default_variants(self):
         gaz = RoleGazetteer()
-        assert gaz.canonical("ministra") == "ministro"
-        assert gaz.canonical("presidente") == "governatore"
-        assert gaz.canonical("attore") is None
+        assert gaz.variants.get("ministra") == "ministro"
+        assert gaz.variants.get("presidente") == "governatore"
+        assert gaz.variants.get("attore") is None
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "roles.txt"
@@ -349,7 +349,7 @@ class TestGazetteer:
             "governatore = governatrice, presidente\n"
         )
         gaz = RoleGazetteer.from_file(path)
-        assert gaz.canonical("sindaca") == "sindaco"
-        assert gaz.canonical("assessore") == "assessore"
-        assert gaz.canonical("presidente") == "governatore"
-        assert gaz.canonical("ministro") is None
+        assert gaz.variants.get("sindaca") == "sindaco"
+        assert gaz.variants.get("assessore") == "assessore"
+        assert gaz.variants.get("presidente") == "governatore"
+        assert gaz.variants.get("ministro") is None

@@ -19,7 +19,12 @@ from covbias.model import (
 )
 from covbias.registry import read_registry
 from conftest import data_path
-from oracles import SevenStructureTally
+from oracles import (
+    SevenStructureTally,
+    extract_records_reference,
+    neighborhood_reference,
+    tree_distances_reference,
+)
 
 
 def sentence_from(rows, doc_id="d", index=0):
@@ -352,3 +357,157 @@ class TestDatasetTallyOracle:
             tally.add(*event)
             oracle.add(*event)
         assert tally.to_json_dict() == oracle.to_json_dict()
+
+
+# -- attribution oracle: random trees, random multi-mention sentences -------
+
+# (surface, lemma, upos, filtered) rows: lexicon words, other content
+# words, and words never selected (PROPN, AUX, a modal, function words)
+_WORDS = [
+    ("bella", "bello", "ADJ", False),
+    ("sorriso", "sorriso", "NOUN", False),
+    ("ama", "amare", "VERB", False),
+    ("duro", "duro", "ADJ", False),
+    ("mamma", "mamma", "NOUN", False),
+    ("ricco", "ricco", "ADJ", False),
+    ("ha", "avere", "VERB", False),
+    ("parere", "parere", "NOUN", False),
+    ("Milano", "milano", "PROPN", False),
+    ("è", "essere", "AUX", False),
+    ("può", "potere", "VERB", False),
+    ("la", "la", "DET", True),
+    ("elegante", "elegante", "ADJ", True),
+    (".", ".", "PUNCT", True),
+]
+# role words, which can open a role mention
+_ROLE_WORDS = [("sindaca", "sindaco", "NOUN", False), ("ministro", "ministro", "NOUN", False)]
+# the content words a forced tie hangs its mentions from
+_HUBS = [w for w in _WORDS if w[2] in ("ADJ", "NOUN", "VERB") and w[1] != "potere" and not w[3]]
+_NAMES = [
+    ["Chiara", "Appendino"],
+    ["Virginia", "Raggi"],
+    ["Attilio", "Fontana"],
+    ["Vincenzo", "De", "Luca"],
+    ["Matteo", "Salvini"],
+]
+
+
+def _name_rows(words):
+    return [(w, w.lower(), "PROPN", False) for w in words]
+
+
+def _random_heads(draw, n, first=(), hub=None):
+    """Heads of a random tree over tokens 1..n.
+
+    Tokens join in a random order, each under one drawn from those before
+    it. With a hub, the hub is the root and every token in ``first`` hangs
+    directly from it.
+    """
+    rest = [i for i in range(1, n + 1) if i != hub and i not in first]
+    order = draw(st.permutations(rest))
+    heads = [0] * (n + 1)
+    placed = []
+    if hub is not None:
+        placed.append(hub)
+        for i in first:
+            heads[i] = hub
+            placed.append(i)
+    for i in order:
+        heads[i] = draw(st.sampled_from(placed)) if placed else 0
+        placed.append(i)
+    return heads[1:]
+
+
+@st.composite
+def _random_trees(draw):
+    rows = draw(st.lists(st.sampled_from(_WORDS + _ROLE_WORDS), min_size=1, max_size=12))
+    heads = _random_heads(draw, len(rows))
+    start = draw(st.integers(1, len(rows)))
+    end = draw(st.integers(start, min(len(rows), start + 2)))
+    sent = sentence_from([(s, l, u, h, f) for (s, l, u, f), h in zip(rows, heads)])
+    return sent, mention(start, end)
+
+
+@st.composite
+def _multi_mention_sentence(draw, index):
+    """A sentence naming two or more politicians; with a forced tie, a
+    content word heads the first token of every name."""
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=2, max_size=3))
+    pieces = [_name_rows(name) for name in names]
+    pieces += [
+        [draw(st.sampled_from(_WORDS + _ROLE_WORDS))]
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    if draw(st.booleans()):
+        pieces.append(_name_rows([draw(st.sampled_from(_NAMES))[-1]]))  # a bare surname
+    tie = draw(st.booleans())
+    hub_piece = [draw(st.sampled_from(_HUBS))]
+    if tie:
+        pieces.append(hub_piece)
+    order = draw(st.permutations(range(len(pieces))))
+    rows, first, hub = [], [], None
+    for k in order:
+        if k < len(names):
+            first.append(len(rows) + 1)
+        elif tie and pieces[k] is hub_piece:
+            hub = len(rows) + 1
+        rows.extend(pieces[k])
+    heads = _random_heads(draw, len(rows), first if tie else (), hub)
+    doc_id = draw(st.sampled_from(["d1", "d2"]))
+    sent = sentence_from(
+        [(s, l, u, h, f) for (s, l, u, f), h in zip(rows, heads)], doc_id=doc_id, index=index
+    )
+    return sent, (hub_piece[0][1], hub_piece[0][2]) if tie else None
+
+
+def _extraction_json(result):
+    return {
+        "records": [r.to_json_dict() for r in result.records],
+        "counts": result.counts.to_json_dict(),
+        "descriptives": result.descriptives.to_json_dict(),
+        "diagnostics": result.diagnostics.to_json_dict(),
+    }
+
+
+_DOCS = {
+    "d1": Document("d1", datetime.date(2018, 7, 1), "s", SourceType.ONLINE),
+    "d2": Document("d2", datetime.date(2018, 9, 3), "s", SourceType.TRADITIONAL),
+}
+
+
+class TestAttributionOracle:
+    """The radius-bounded walk and the hoisted attribution loop against
+    the unbounded walk and the loop as first written (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_random_trees(), st.integers(1, 4), st.sampled_from(["undirected", "children"]))
+    def test_neighborhood_matches_unbounded_walk(self, case, radius, direction):
+        sent, m = case
+        tree = DependencyTree(sent)
+        expected = neighborhood_reference(sent, m, radius, direction)
+        assert neighborhood(tree, m, radius, direction) == expected
+        full = tree_distances_reference(sent, m.span, direction)
+        assert tree.distances(m.span, direction) == full
+        bounded = tree.distances(m.span, direction, limit=radius)
+        assert bounded == {i: d for i, d in full.items() if d <= radius}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=3).flatmap(
+            lambda indexes: st.tuples(*[_multi_mention_sentence(i) for i in indexes])
+        ),
+        st.integers(1, 4),
+        st.sampled_from(["undirected", "children"]),
+    )
+    def test_extraction_matches_first_written_loop(
+        self, fixture_inputs, cases, radius, direction
+    ):
+        registry, lexicon = fixture_inputs
+        stream = [(_DOCS[sent.doc_id], sent) for sent, _ in cases]
+        got = extract_records(stream, registry, lexicon, radius=radius, direction=direction)
+        expected = extract_records_reference(stream, registry, lexicon, radius, direction)
+        assert _extraction_json(got) == _extraction_json(expected)
+        for _, hub in cases:
+            if hub is not None and direction == "undirected":
+                # the hub is one step from every name: it counts once per name
+                assert sum(got.counts.word_counts()[hub].values()) >= 2

@@ -408,6 +408,27 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {registry}: line {len(lines) + 1}: {message}"]
 
+    def test_parse_error_names_the_broken_conllu_file(self, tmp_path, capsys):
+        # the fixture split in two at "# newdoc id = d3"; the second part
+        # gets a HEAD out of range in its first sentence
+        with open(data_path("tiny.conllu"), encoding="utf-8") as fh:
+            text = fh.read()
+        cut = text.index("# newdoc id = d3")
+        good, broken = tmp_path / "a.conllu", tmp_path / "b.conllu"
+        good.write_text(text[:cut], encoding="utf-8")
+        row = "1\tVirginia\tVirginia\tPROPN\t_\t_\t"
+        broken.write_text(text[cut:].replace(row + "3", row + "99"), encoding="utf-8")
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.ini", out, conllu=f"{good}, {broken}")
+        assert cli_main(["--config", str(cfg_path), "extract"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {broken}: line 2: "
+            "head 99 of token 1 out of range in sentence 'd3.s1'"
+        ]
+        assert re.match(r"^error: .*line [0-9]", err[0])
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line, message",
         [
