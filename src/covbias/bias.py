@@ -211,12 +211,15 @@ class CountTable:
     def from_json_dict(cls, d: dict) -> "CountTable":
         out = cls()
         decoded: dict[tuple, tuple] = {}  # raw slot values -> members
+        days: dict[str, datetime.date] = {}  # ISO day string -> date
         for lemma, upos, g, cat, st, day, n in d["cells"]:
             slots = decoded.get((g, cat, st))
             if slots is None:
                 slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
-            day = datetime.date.fromisoformat(day) if day is not None else None
-            key = (lemma, upos, *slots, day)
+            date = days.get(day)
+            if date is None and day is not None:
+                date = days[day] = datetime.date.fromisoformat(day)
+            key = (lemma, upos, *slots, date)
             out.cells[key] = out.cells.get(key, 0) + n
         for g, cat, st, members in d["politicians"]:
             out.pids.setdefault(_decode_slots(g, cat, st), set()).update(members)

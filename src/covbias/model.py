@@ -4,9 +4,10 @@ Everything here is immutable after construction and free of I/O and
 statistics. Parse structure is checked in one place: the CoNLL-U reader
 (`ingestion.iter_conllu`) runs its checks and `tree_defect` on the raw
 rows, so `Token` and `Sentence` store what they are given unchecked.
-`Token` and `PersonalizationRecord`, built once per token and once per
-attributed word, are `typing.NamedTuple`s, the cheapest immutable record
-to construct; the other types are frozen dataclasses.
+`Token`, `PersonalizationRecord` and `SentimentRecord`, built once per
+token, per attributed word and per record analyze loads, are
+`typing.NamedTuple`s, the cheapest immutable record to construct; the
+other types are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -228,17 +229,15 @@ class PersonalizationRecord(NamedTuple):
             "sentence_ref": [self.doc_id, self.sentence_index],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PersonalizationRecord":
-        return cls(
-            pid=d["pid"],
-            gender=Gender(d["gender"]),
-            doc_id=d["doc_id"],
-            date=datetime.date.fromisoformat(d["date"]),
-            source_type=SourceType(d["source_type"]),
-            lemma=d["lemma"],
-            upos=d["upos"],
-            category=Category(d["category"]),
-            aggregate_sentiment=d["aggregate_sentiment"],
-            sentence_index=d["sentence_ref"][1],
-        )
+
+class SentimentRecord(NamedTuple):
+    """The four fields of a `PersonalizationRecord` that analyze reads.
+
+    The quantile regressions and the sentiment fractions need only these,
+    so analyze decodes each `records.jsonl` line into one of them.
+    """
+
+    category: Category
+    gender: Gender
+    source_type: SourceType
+    aggregate_sentiment: float

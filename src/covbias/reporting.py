@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 from .bias import LeaveOneOutResult
 from .lexicon import Lexicon
-from .model import Category, Gender, PersonalizationRecord
+from .model import Category, Gender, SentimentRecord
 from .sentiment import SentimentClass, classify
 
 log = logging.getLogger(__name__)
@@ -23,10 +23,20 @@ TABLE1_FIELDS = ("politicians", "contents", "sentences", "words", "distinct_word
 TABLE1_HEADER = ["measure", "coverage_F", "coverage_M", "personalization_F", "personalization_M"]
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj, compact: bool = False) -> None:
+    """Write `obj` as sorted-key JSON and a final newline.
+
+    Compact output is one line from the C encoder, in one write, for files
+    that only a later stage reads; otherwise the text is indented for
+    people (the pure-Python encoder, several times slower).
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+        if compact:
+            text = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+            fh.write(text + "\n")
+        else:
+            json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
+            fh.write("\n")
 
 
 def write_jsonl(path, objs: Iterable[dict]) -> None:
@@ -44,7 +54,7 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
 
 
 def sentiment_fraction_rows(
-    records: Sequence[PersonalizationRecord],
+    records: Sequence[SentimentRecord],
     lexicon: Lexicon,
 ) -> list[list]:
     """Per category: lexicon class distribution plus per-gender fractions.

@@ -603,6 +603,7 @@ class TestCountTable:
             pid="p1",
         )
         table.add("cosa", "NOUN", Gender.M, pid="p2")
+        table.add("cosa", "NOUN", Gender.M, date=datetime.date(2019, 2, 3), pid="p2")
         back = CountTable.from_json_dict(table.to_json_dict())
         assert back.cells == table.cells
         assert back.pids == table.pids

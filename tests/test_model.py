@@ -1,19 +1,19 @@
-import datetime
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from covbias import pipeline
 from covbias.model import (
     Category,
     Gender,
     Mention,
     MentionPattern,
-    PersonalizationRecord,
     SourceType,
     normalize_lemma,
     tree_defect,
 )
+from covbias.pipeline import PipelineConfig, stage_extract
+from conftest import write_config
 
 
 class TestNormalizeLemma:
@@ -79,17 +79,18 @@ class TestMention:
 
 
 class TestRecordSerialization:
-    def test_json_round_trip(self):
-        rec = PersonalizationRecord(
-            pid="p1",
-            gender=Gender.F,
-            doc_id="d9",
-            date=datetime.date(2019, 4, 3),
-            source_type=SourceType.ONLINE,
-            lemma="bello",
-            upos="ADJ",
-            category=Category.PHYSICAL,
-            aggregate_sentiment=0.8,
-            sentence_index=2,
-        )
-        assert PersonalizationRecord.from_json_dict(rec.to_json_dict()) == rec
+    def test_analyze_loader_reads_the_extracted_records(self, tmp_path):
+        """Analyze's four fields per records.jsonl line equal the extract's records."""
+        out = tmp_path / "out"
+        cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
+        result = stage_extract(cfg)
+        with open(out / "records.jsonl", encoding="utf-8") as fh:
+            loaded = pipeline._load_records(fh)
+        expected = [
+            (r.category, r.gender, r.source_type, r.aggregate_sentiment) for r in result.records
+        ]
+        assert expected and loaded == expected
+        assert {r.category for r in loaded} == set(Category)
+        assert all(type(r.category) is Category for r in loaded)
+        assert all(type(r.gender) is Gender for r in loaded)
+        assert all(type(r.source_type) is SourceType for r in loaded)

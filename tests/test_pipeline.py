@@ -224,8 +224,9 @@ class TestConfig:
         out.mkdir()
         cfg_path = write_config(tmp_path / "cfg.ini", out)
         cfg = PipelineConfig.from_ini(cfg_path)
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(StageError, match="stage 'analyze' failed: .*count_table.json") as err:
             stage_analyze(cfg)
+        assert isinstance(err.value.cause, FileNotFoundError)
 
     def test_run_pipeline_validates_before_any_stage(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out")
@@ -526,6 +527,92 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {side}: not UTF-8: cannot decode byte 0xe8"]
         assert not out.exists()
+
+
+class TestBrokenArtifacts:
+    """A stage resumed on a missing or broken artifact fails in one line."""
+
+    @pytest.mark.parametrize(
+        "command, edit, fragment",
+        [
+            ("analyze", None, "count_table.json"),
+            ("report", None, "descriptives.json"),
+            ("analyze", '{"x":', "records.jsonl: line 3: Expecting value (column 7)"),
+            ("analyze", "fisico", "records.jsonl: line 3: category 'fisico' is not one of"),
+            ("analyze", "[1]", "records.jsonl: line 3: not a JSON object"),
+            ("report", "count_table.json", "count_table.json: Expecting"),
+        ],
+        ids=[
+            "analyze-before-extract",
+            "report-before-extract",
+            "truncated-record",
+            "unknown-category",
+            "record-not-an-object",
+            "truncated-count-table",
+        ],
+    )
+    def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
+        out = tmp_path / "out"
+        cfg_path = str(write_config(tmp_path / "cfg.ini", out))
+        if edit is not None:
+            assert cli_main(["--config", cfg_path, "extract"]) == 0
+            if edit == "count_table.json":
+                (out / edit).write_text('{"cells": [', encoding="utf-8")
+            else:
+                lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines(True)
+                if edit == "fisico":
+                    lines[2] = re.sub('"category": "[a-z_]+"', '"category": "fisico"', lines[2])
+                else:
+                    lines[2] = edit + "\n"
+                (out / "records.jsonl").write_text("".join(lines), encoding="utf-8")
+            capsys.readouterr()
+        before = read_bundle_bytes(out) if out.exists() else None
+        assert cli_main(["--config", cfg_path, command]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: stage '{command}' failed: ")
+        assert fragment in err[0]
+        if before is None:
+            assert not out.exists()
+        else:
+            assert read_bundle_bytes(out) == before
+
+
+class TestHandoffFormat:
+    """Extract's machine artifacts are compact; their layout does not matter to later stages."""
+
+    MACHINE = {"count_table.json", "descriptives.json", "diagnostics.json"}
+
+    def test_machine_artifacts_compact_report_files_indented(self, tiny_run):
+        _, out = tiny_run
+        assert pipeline.MACHINE_ARTIFACTS == self.MACHINE
+        names = sorted(p.name for p in out.glob("*.json"))
+        assert self.MACHINE < set(names)
+        for name in names:
+            text = (out / name).read_text(encoding="utf-8")
+            obj = json.loads(text)
+            if name in self.MACHINE:
+                expected = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+            else:
+                expected = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)
+            assert text == expected + "\n", name
+
+    def test_indented_machine_artifacts_give_the_same_bundle(self, tmp_path):
+        # as an older bundle has them: the later stages read values, not layout
+        out = tmp_path / "out"
+        cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
+        run_pipeline(cfg)
+        compact = read_bundle_bytes(out)
+        for name in self.MACHINE:
+            reporting.write_json(out / name, json.loads(compact[name]))
+            assert (out / name).read_bytes() != compact[name]
+        stage_analyze(cfg)
+        stage_report(cfg)
+        indented = read_bundle_bytes(out)
+        assert indented.keys() == compact.keys()
+        for name in compact:
+            if name not in self.MACHINE:
+                assert indented[name] == compact[name], name
 
 
 class TestInputReads:
