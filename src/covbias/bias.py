@@ -16,6 +16,7 @@ import datetime
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
@@ -249,6 +250,8 @@ def factors_from_marginals(
 
     a_g = |D_g| / |G| is the average words per politician; each factor is
     a_g over the mean of the two averages, so c_F + c_M = 2 identically.
+    These are the only checks that the marginals are positive; the exact
+    values of `_exact_terms` are defined once they pass.
     """
     if n_f <= 0:
         raise ValueError("correction factor undefined: no women politicians")
@@ -273,15 +276,32 @@ def correction_factors(table: CountTable) -> tuple[Fraction, Fraction]:
     )
 
 
-def _adjusted_rate(
-    count: int, d_total: int, factor: Fraction, mode: str
-) -> Fraction:
-    rate = Fraction(count, d_total)
+def _rate_exponent(mode: str) -> int:
+    """k such that an adjusted rate is count / (c_g d_g^k): 1 in ratio
+    mode, 2 in literal mode."""
     if mode == "ratio":
-        return rate / factor
+        return 1
     if mode == "literal":
-        return rate / (factor * d_total)
+        return 2
     raise ValueError(f"unknown rates mode {mode!r}")
+
+
+def _exact_terms(d_f: int, d_m: int, n_f: int, n_m: int, mode: str) -> tuple[int, int, int, int]:
+    """(T, p_F, p_M, D): the integers each exact value on these marginals is a ratio of.
+
+    With T = d_F n_M + d_M n_F the factors are c_F = 2 d_F n_M / T and
+    c_M = 2 d_M n_F / T. With p_F = d_F^e n_M and p_M = d_M^e n_F, where
+    e = k + 1 for the `_rate_exponent` k, a word with counts (f, m) has
+    - the adjusted rates f T / (2 p_F) and m T / (2 p_M);
+    - the index (f p_M - m p_F) / (f p_M + m p_F);
+    - the share |f p_M - m p_F| / D of the dissimilarity
+      c_F c_M / (c_F + c_M) * sum |rate_F - rate_M|, with D = T (d_F d_M)^(e-1).
+    So each value is one `Fraction` of two integers, reduced once. The
+    marginals must be positive (`factors_from_marginals` checks them).
+    """
+    k = _rate_exponent(mode)
+    t = d_f * n_m + d_m * n_f
+    return t, d_f ** (k + 1) * n_m, d_m ** (k + 1) * n_f, t * (d_f * d_m) ** k
 
 
 def adjusted_rates(
@@ -295,16 +315,15 @@ def adjusted_rates(
     mode="literal" additionally divides by the gender word total, exactly
     as printed. Words with zero counts for both genders map to (0, 0).
     """
+    k = _rate_exponent(mode)
     c_f, c_m = factors
-    d_f = table.total(Gender.F)
-    d_m = table.total(Gender.M)
-    out: dict[WordKey, tuple[Fraction, Fraction]] = {}
-    for word, per in table.word_counts().items():
-        out[word] = (
-            _adjusted_rate(per[Gender.F], d_f, c_f, mode),
-            _adjusted_rate(per[Gender.M], d_m, c_m, mode),
-        )
-    return out
+    # count / (d_g^k c_g), one reduced Fraction per rate
+    num_f, den_f = c_f.denominator, table.total(Gender.F) ** k * c_f.numerator
+    num_m, den_m = c_m.denominator, table.total(Gender.M) ** k * c_m.numerator
+    return {
+        word: (Fraction(per[Gender.F] * num_f, den_f), Fraction(per[Gender.M] * num_m, den_m))
+        for word, per in table.word_counts().items()
+    }
 
 
 def coverage_bias_index(rate_f: Fraction, rate_m: Fraction) -> Fraction:
@@ -366,37 +385,37 @@ def bias_profile(table: CountTable, mode: str = "ratio") -> BiasProfile:
     category is carried along so distributions can be summarized per
     category without renormalizing.
     """
-    factors = correction_factors(table)
-    rates = adjusted_rates(table, factors, mode)
+    c_f, c_m = correction_factors(table)
+    t, p_f, p_m, _ = _exact_terms(
+        table.total(Gender.F),
+        table.total(Gender.M),
+        table.politicians(Gender.F),
+        table.politicians(Gender.M),
+        mode,
+    )
+
+    @cache
+    def values(f: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
+        """(rate_F, rate_M, index) of a word with counts (f, m); words with
+        equal counts share them."""
+        return (
+            Fraction(f * t, 2 * p_f),
+            Fraction(m * t, 2 * p_m),
+            Fraction(f * p_m - m * p_f, f * p_m + m * p_f),
+        )
+
     counts = table.word_counts()
     categories = table.word_categories()
     words = []
     excluded = 0
-    for key in sorted(rates):
-        r_f, r_m = rates[key]
-        if r_f == 0 and r_m == 0:
+    for key in sorted(counts):
+        per = counts[key]
+        f, m = per[Gender.F], per[Gender.M]
+        if f == 0 and m == 0:
             excluded += 1
             continue
-        per = counts[key]
-        words.append(
-            WordBias(
-                lemma=key[0],
-                upos=key[1],
-                count_f=per[Gender.F],
-                count_m=per[Gender.M],
-                rate_f=r_f,
-                rate_m=r_m,
-                index=coverage_bias_index(r_f, r_m),
-                category=categories.get(key),
-            )
-        )
-    return BiasProfile(
-        mode=mode,
-        c_f=factors[0],
-        c_m=factors[1],
-        words=tuple(words),
-        excluded=excluded,
-    )
+        words.append(WordBias(key[0], key[1], f, m, *values(f, m), categories.get(key)))
+    return BiasProfile(mode=mode, c_f=c_f, c_m=c_m, words=tuple(words), excluded=excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +662,14 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
     """Dissimilarity after omitting each word, with distinctive labels.
 
     Omitting word w changes only the gender totals d_g' = d_g - x_g(w)
-    (politician tallies are table-level). On the reduced totals each
-    adjusted rate is the word's count times a per-gender scalar K_g, so the
-    reduced sum is K_M * (S(t) - |f_w*t - m_w|) with t = K_F / K_M and
-    S(t) = sum over all v of |f_v*t - m_v|, piecewise linear in t with
-    breakpoints m_v / f_v. Sorting the words by breakpoint once and
-    bisecting into prefix sums of f and m gives every held-out value
-    exactly, in O(W log W) for W words. The base dissimilarity is the same
-    sum on the full totals, with no term removed.
+    (politician tallies are table-level). On the reduced totals the
+    dissimilarity is (S - |f_w p_M - m_w p_F|) / D over the `_exact_terms`
+    of d_F', d_M', where S = sum over all v of |f_v p_M - m_v p_F| is
+    piecewise linear in t = p_M / p_F with breakpoints m_v / f_v. Sorting
+    the words by breakpoint once and bisecting into prefix sums of f and m
+    gives S as A p_M + B p_F for integers A and B, so every held-out value
+    is one integer ratio, in O(W log W) for W words. The base dissimilarity
+    is the same sum on the full totals, with no term removed.
 
     A word is distinctive when its omission strictly lowers the
     dissimilarity; the gender label follows the larger original adjusted
@@ -662,14 +681,9 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
         raise ValueError("leave-one-out needs at least 2 distinct words")
     d_f, d_m = table.total(Gender.F), table.total(Gender.M)
     n_f, n_m = table.politicians(Gender.F), table.politicians(Gender.M)
+    factors_from_marginals(d_f, d_m, n_f, n_m)  # raises where the table's factors are undefined
 
-    def scalars(rd_f: int, rd_m: int) -> tuple[Fraction, Fraction, Fraction]:
-        """(c_F c_M / (c_F + c_M), K_F, K_M) on these gender totals."""
-        c_f, c_m = factors_from_marginals(rd_f, rd_m, n_f, n_m)
-        scale = (c_f * c_m) / (c_f + c_m)
-        return scale, _adjusted_rate(1, rd_f, c_f, mode), _adjusted_rate(1, rd_m, c_m, mode)
-
-    # Words with f_v > 0 by breakpoint; those with f_v = 0 add K_M * m_v at
+    # Words with f_v > 0 by breakpoint; those with f_v = 0 add m_v p_F at
     # every t and enter only through d_m.
     ordered = sorted(
         (Fraction(per[Gender.M], per[Gender.F]), per[Gender.F], per[Gender.M])
@@ -680,35 +694,42 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
     pre_f = list(accumulate((f for _, f, _ in ordered), initial=0))
     pre_m = list(accumulate((m for _, _, m in ordered), initial=0))
 
-    def gap_sum(k_f: Fraction, k_m: Fraction) -> Fraction:
-        """S(t) * K_M: the sum over every word of |f_v*K_F - m_v*K_M|."""
-        # The first i words have m_v/f_v < t, so f_v*K_F - m_v*K_M > 0; the
+    def gap_sum(p_f: int, p_m: int) -> int:
+        """S: the sum over every word of |f_v p_M - m_v p_F|."""
+        # The first i words have m_v/f_v < t, so f_v p_M - m_v p_F > 0; the
         # rest contribute its negation (0 for a breakpoint equal to t).
-        i = bisect_left(breaks, k_f / k_m)
-        return k_f * (2 * pre_f[i] - d_f) + k_m * (d_m - 2 * pre_m[i])
+        i = bisect_left(breaks, Fraction(p_m, p_f))
+        return (2 * pre_f[i] - d_f) * p_m + (d_m - 2 * pre_m[i]) * p_f
 
-    scale, base_k_f, base_k_m = scalars(d_f, d_m)
-    base = scale * gap_sum(base_k_f, base_k_m)
+    _, base_p_f, base_p_m, base_den = _exact_terms(d_f, d_m, n_f, n_m, mode)
+    base = Fraction(gap_sum(base_p_f, base_p_m), base_den)
+
+    @cache
+    def held_out(f_w: int, m_w: int) -> tuple[Fraction, Fraction, bool]:
+        """(diss_without, weight, distinctive) of a word with counts (f_w, m_w);
+        words with equal counts share them."""
+        _, p_f, p_m, den = _exact_terms(d_f - f_w, d_m - m_w, n_f, n_m, mode)
+        without = Fraction(gap_sum(p_f, p_m) - abs(f_w * p_m - m_w * p_f), den)
+        return without, base - without, without < base
+
     out = []
     for word in sorted(counts):
         f_w, m_w = counts[word][Gender.F], counts[word][Gender.M]
-        gender = Gender.M if m_w * base_k_m > f_w * base_k_f else Gender.F
-        rd_f, rd_m = d_f - f_w, d_m - m_w
-        if rd_f <= 0 or rd_m <= 0:
+        gender = Gender.M if m_w * base_p_f > f_w * base_p_m else Gender.F
+        if f_w >= d_f or m_w >= d_m:
             # Removing the word would empty one gender's corpus; the
             # reduced-corpus factors are undefined.
             out.append(LeaveOneOutWord(word[0], word[1], None, None, False, gender))
             continue
-        scale, k_f, k_m = scalars(rd_f, rd_m)
-        without = scale * (gap_sum(k_f, k_m) - abs(k_f * f_w - k_m * m_w))
-        out.append(
-            LeaveOneOutWord(word[0], word[1], without, base - without, without < base, gender)
-        )
+        out.append(LeaveOneOutWord(word[0], word[1], *held_out(f_w, m_w), gender))
 
     def rank(w: LeaveOneOutWord):
-        if w.weight is None:
-            return (1, Fraction(0), w.lemma, w.upos)
-        return (0, -w.weight, w.lemma, w.upos)
+        # Ascending diss_without is descending weight. Rounding to float is
+        # monotone, so the float orders each pair whose floats differ and
+        # the exact value only the rest.
+        if w.diss_without is None:
+            return (1, 0.0, 0, w.lemma, w.upos)
+        return (0, float(w.diss_without), w.diss_without, w.lemma, w.upos)
 
     out.sort(key=rank)
     return LeaveOneOutResult(base_diss=base, mode=mode, words=tuple(out))
@@ -735,11 +756,12 @@ def reliability_curve(
     counts evaluated. Used to check the ordering of the balanced and
     unbalanced-sample scenarios.
     """
+    if w_f == 0 and w_m == 0:
+        raise ValueError("coverage bias index undefined: both rates are zero")
     curve = []
     for d_f in d_f_values:
         d_m = d_total - d_f
-        c_f, c_m = factors_from_marginals(d_f, d_m, n_f, n_m)
-        r_f = _adjusted_rate(w_f, d_f, c_f, mode)
-        r_m = _adjusted_rate(w_m, d_m, c_m, mode)
-        curve.append(coverage_bias_index(r_f, r_m))
+        factors_from_marginals(d_f, d_m, n_f, n_m)  # raises where the factors are undefined
+        _, p_f, p_m, _ = _exact_terms(d_f, d_m, n_f, n_m, mode)
+        curve.append(Fraction(w_f * p_m - w_m * p_f, w_f * p_m + w_m * p_f))
     return curve

@@ -9,7 +9,7 @@ from typing import Iterator, Optional
 
 from .errors import LexiconError, open_input
 from .model import Category, normalize_lemma
-from .sentiment import SentimentClass, aggregate_score, classify
+from .sentiment import GRID_BY_FIFTHS, SentimentClass, aggregate_fifths
 
 LEXICON_POS = ("ADJ", "NOUN", "VERB")
 
@@ -86,7 +86,7 @@ def read_lexicon(path, stopwords: Optional[set[str]] = None) -> Lexicon:
             except ValueError:
                 raise LexiconError(f"{path}: line {lineno}: non-integer score") from None
             try:
-                agg = aggregate_score(scores)
+                agg, sentiment = GRID_BY_FIFTHS[aggregate_fifths(scores)]
             except ValueError as exc:
                 raise LexiconError(f"{path}: line {lineno}: {exc}") from None
             key = (lemma, upos)
@@ -103,6 +103,6 @@ def read_lexicon(path, stopwords: Optional[set[str]] = None) -> Lexicon:
                 category=category,
                 scores=scores,
                 aggregate=agg,
-                sentiment=classify(agg),
+                sentiment=sentiment,
             )
     return Lexicon(entries)

@@ -60,7 +60,7 @@ from .ingestion import (
 from .lexicon import Lexicon, read_lexicon
 from .model import Category, Document, Gender, SentimentRecord, SourceType
 from .registry import PoliticianRegistry, read_registry
-from .sentiment import krippendorff_alpha
+from .sentiment import JSON_GRID_SCORES, krippendorff_alpha
 from .temporal import DailySeries
 
 log = logging.getLogger(__name__)
@@ -271,6 +271,24 @@ def _read_count_table(fh: TextIO) -> CountTable:
     return CountTable.from_json_dict(json.load(fh))
 
 
+def _read_descriptives(fh: TextIO) -> dict:
+    """descriptives.json, checked to hold every value that report reads:
+    per dataset and gender, the Table 1 counts as integers and the two
+    CCDF inputs as lists of integers."""
+    desc = json.load(fh)
+    for dataset in ("coverage", "personalization"):
+        for gender in Gender:
+            tally = desc[dataset][gender.value]
+            for key in reporting.TABLE1_FIELDS:
+                if type(tally[key]) is not int:
+                    raise ValueError(f"{dataset}/{gender.value}/{key} is not an integer")
+            for key in ("words_per_sentence", "sentences_per_politician"):
+                values = tally[key]
+                if type(values) is not list or any(type(v) is not int for v in values):
+                    raise ValueError(f"{dataset}/{gender.value}/{key} is not a list of integers")
+    return desc
+
+
 def derive_seed(seed: int, *indices: int) -> int:
     """Deterministic child seed for one stochastic step."""
     return int(np.random.SeedSequence([seed, *indices]).generate_state(1)[0])
@@ -384,7 +402,12 @@ def _record_defect(obj) -> str:
         value = obj.get(field)
         if not isinstance(value, str) or value not in members:
             return f"{field} {value!r} is not one of {', '.join(members)}"
-    return "no aggregate_sentiment"
+    if "aggregate_sentiment" not in obj:
+        return "no aggregate_sentiment"
+    return (
+        f"aggregate_sentiment {obj['aggregate_sentiment']!r} is not a number "
+        "on the grid -1, -0.8, ..., 1"
+    )
 
 
 def _load_records(fh: TextIO) -> list[SentimentRecord]:
@@ -395,18 +418,20 @@ def _load_records(fh: TextIO) -> list[SentimentRecord]:
     categories = _RECORD_MEMBERS["category"]
     genders = _RECORD_MEMBERS["gender"]
     sources = _RECORD_MEMBERS["source_type"]
+    scores = JSON_GRID_SCORES
     out = []
     for line_no, line in enumerate(fh, 1):
         if not line.strip():
             continue
         try:
             d = json.loads(line)
+            score = d["aggregate_sentiment"]
             out.append(
                 SentimentRecord(
                     categories[d["category"]],
                     genders[d["gender"]],
                     sources[d["source_type"]],
-                    d["aggregate_sentiment"],
+                    scores[type(score), score],
                 )
             )
         except json.JSONDecodeError as exc:
@@ -680,7 +705,7 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
 
 def stage_report(cfg: PipelineConfig) -> dict:
     cfg.validate()
-    desc = _read_artifact(cfg, "report", "descriptives.json", json.load)
+    desc = _read_artifact(cfg, "report", "descriptives.json", _read_descriptives)
     diagnostics = _read_artifact(cfg, "report", "diagnostics.json", json.load)
     table = _read_artifact(cfg, "report", "count_table.json", _read_count_table)
 

@@ -45,6 +45,23 @@ _CLASS_BY_FIFTHS = {
     4: SentimentClass.STRONG_POSITIVE,
     5: SentimentClass.STRONG_POSITIVE,
 }
+# (aggregate, class) at each grid position k: readers look the eleven values
+# up instead of building and classifying one Fraction per score.
+GRID_BY_FIFTHS = {k: (Fraction(k, 5), c) for k, c in _CLASS_BY_FIFTHS.items()}
+# The aggregate scores a decoded JSON record may hold, keyed by (type, value):
+# JSON decodes a score to a float, or to an int where it is whole, and a
+# boolean, though equal to 0 or 1, is no score.
+JSON_GRID_SCORES = {(type(v), v): v for v in [k / 5 for k in _CLASS_BY_FIFTHS] + [-1, 0, 1]}
+
+
+def aggregate_fifths(scores: Sequence[int]) -> int:
+    """Grid position k = 5 * mean of the five annotator scores, in -5..5."""
+    if len(scores) != 5:
+        raise ValueError(f"expected exactly 5 annotator scores, got {len(scores)}")
+    for s in scores:
+        if s not in VALID_RAW_SCORES:
+            raise ValueError(f"annotator score {s!r} not in {{-1, 0, 1}}")
+    return sum(scores)
 
 
 def aggregate_score(scores: Sequence[int]) -> Fraction:
@@ -52,12 +69,7 @@ def aggregate_score(scores: Sequence[int]) -> Fraction:
 
     The result is one of the eleven values k/5, k = -5..5.
     """
-    if len(scores) != 5:
-        raise ValueError(f"expected exactly 5 annotator scores, got {len(scores)}")
-    for s in scores:
-        if s not in VALID_RAW_SCORES:
-            raise ValueError(f"annotator score {s!r} not in {{-1, 0, 1}}")
-    return Fraction(sum(scores), 5)
+    return Fraction(aggregate_fifths(scores), 5)
 
 
 def score_fifths(score: Score) -> int:

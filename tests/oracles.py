@@ -145,15 +145,15 @@ def weighted_quantile_scan(values, weights, p: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def diss_recompute(word_counts, n_f, n_m, mode="ratio", skip=None):
-    """Dissimilarity from scratch given {word: (count_f, count_m)}.
+def profile_recompute(word_counts, n_f, n_m, mode="ratio"):
+    """(c_F, c_M, {word: (rate_F, rate_M)}) from scratch given {word: (count_f, count_m)}.
 
-    Recomputes the totals, averages, correction factors and adjusted
-    rates after (optionally) omitting one word, exactly as defined.
+    The totals, averages and correction factors are recomputed, and each
+    adjusted rate is Fraction(count, d_g) / c_g, further divided by d_g in
+    literal mode, exactly as defined.
     """
-    kept = {w: c for w, c in word_counts.items() if w != skip}
-    d_f = sum(c[0] for c in kept.values())
-    d_m = sum(c[1] for c in kept.values())
+    d_f = sum(c[0] for c in word_counts.values())
+    d_m = sum(c[1] for c in word_counts.values())
     if d_f <= 0 or d_m <= 0:
         raise ValueError("a gender has no words left")
     a_f = Fraction(d_f, n_f)
@@ -161,14 +161,27 @@ def diss_recompute(word_counts, n_f, n_m, mode="ratio", skip=None):
     a_bar = Fraction(1, 2) * (a_f + a_m)
     c_f = a_f / a_bar
     c_m = a_m / a_bar
-    total = Fraction(0)
-    for w, (wf, wm) in kept.items():
+    rates = {}
+    for w, (wf, wm) in word_counts.items():
         t_f = Fraction(wf, d_f)
         t_m = Fraction(wm, d_m)
         if mode == "ratio":
-            adj_f, adj_m = t_f / c_f, t_m / c_m
+            rates[w] = (t_f / c_f, t_m / c_m)
         else:
-            adj_f, adj_m = t_f / (c_f * d_f), t_m / (c_m * d_m)
+            rates[w] = (t_f / (c_f * d_f), t_m / (c_m * d_m))
+    return c_f, c_m, rates
+
+
+def diss_recompute(word_counts, n_f, n_m, mode="ratio", skip=None):
+    """Dissimilarity from scratch given {word: (count_f, count_m)}.
+
+    Recomputes the totals, averages, correction factors and adjusted
+    rates after (optionally) omitting one word, exactly as defined.
+    """
+    kept = {w: c for w, c in word_counts.items() if w != skip}
+    c_f, c_m, rates = profile_recompute(kept, n_f, n_m, mode)
+    total = Fraction(0)
+    for adj_f, adj_m in rates.values():
         total += abs(adj_f - adj_m)
     return (c_f * c_m) / (c_f + c_m) * total
 

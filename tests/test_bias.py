@@ -26,6 +26,7 @@ from oracles import (
     count_table_json_str_key,
     count_table_marginals,
     diss_recompute,
+    profile_recompute,
     weighted_quantile_scan,
 )
 
@@ -172,6 +173,22 @@ class TestReliabilityScenarios:
         balanced = reliability_curve(5, 5, d_total, 50, 50, grid)
         more_women = reliability_curve(5, 5, d_total, 90, 30, grid)
         assert all(u >= b for u, b in zip(more_women, balanced))
+
+    @pytest.mark.parametrize("mode", ["ratio", "literal"])
+    def test_curve_matches_definitions(self, mode):
+        d_total, grid = 1000, [1, 250, 500, 999]
+        curve = reliability_curve(7, 3, d_total, 40, 60, grid, mode)
+        for d_f, index in zip(grid, curve):
+            d_m = d_total - d_f
+            c_f, c_m = factors_from_marginals(d_f, d_m, 40, 60)
+            rate_f, rate_m = Fraction(7, d_f) / c_f, Fraction(3, d_m) / c_m
+            if mode == "literal":
+                rate_f, rate_m = rate_f / d_f, rate_m / d_m
+            assert index == coverage_bias_index(rate_f, rate_m)
+
+    def test_word_never_counted_has_no_index(self):
+        with pytest.raises(ValueError, match="both rates are zero"):
+            reliability_curve(0, 0, 1000, 40, 60, [500])
 
 
 class TestWeightedQuantiles:
@@ -399,6 +416,27 @@ class TestSharedDissimilarity:
         expected = diss_recompute(counts, n_f, n_m, mode)
         assert dissimilarity(profile) == expected
         assert leave_one_out(table, mode).base_diss == expected
+
+
+class TestProfileOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(loo_corpora(), st.sampled_from(["ratio", "literal"]))
+    @example(ON_BREAKPOINT, "ratio")
+    @example(ON_BREAKPOINT, "literal")
+    def test_rates_and_indices_match_definitions(self, corpus, mode):
+        counts, n_f, n_m = corpus
+        table = table_from_counts(counts, n_f=n_f, n_m=n_m)
+        table.add("zz_ghost", "NOUN", Gender.F, n=0)  # excluded from the profile
+        profile = bias_profile(table, mode=mode)
+        c_f, c_m, rates = profile_recompute(counts, n_f, n_m, mode)
+        assert (profile.c_f, profile.c_m) == (c_f, c_m)
+        assert profile.excluded == 1
+        assert [(w.lemma, w.upos) for w in profile.words] == sorted(counts)
+        for w in profile.words:
+            rate_f, rate_m = rates[(w.lemma, w.upos)]
+            assert (w.count_f, w.count_m) == counts[(w.lemma, w.upos)]
+            assert (w.rate_f, w.rate_m) == (rate_f, rate_m)
+            assert w.index == (rate_f - rate_m) / (rate_f + rate_m)
 
 
 class TestLeaveOneOut:

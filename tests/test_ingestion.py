@@ -1,7 +1,9 @@
 import datetime
+import itertools
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from covbias.ingestion import (
 from covbias.lexicon import read_lexicon
 from covbias.model import Document, Gender, Sentence, SourceType
 from covbias.registry import read_registry
-from covbias.sentiment import SentimentClass
+from covbias.sentiment import SentimentClass, aggregate_score, classify
 from conftest import data_path
 from oracles import parse_defects, token_from_row
 
@@ -421,9 +423,33 @@ class TestLexicon:
 
     def test_score_outside_range_rejected(self, tmp_path):
         path = tmp_path / "lex.csv"
-        path.write_text("bello,ADJ,physical,1,2,1,1,1\n")
-        with pytest.raises(LexiconError):
-            read_lexicon(path)
+        for scores, message in [
+            ("1,2,1,1,1", "annotator score 2 not in"),
+            ("-2,0,0,0,0", "annotator score -2 not in"),
+            ("1,1,1,1,x", "non-integer score"),
+            ("1,1,1,1,0.5", "non-integer score"),
+        ]:
+            path.write_text(f"elegante,ADJ,physical,1,1,1,1,1\nbello,ADJ,physical,{scores}\n")
+            with pytest.raises(LexiconError, match=f"lex.csv: line 2: {message}"):
+                read_lexicon(path)
+
+    def test_entries_carry_aggregate_and_class_of_their_scores(self, tmp_path):
+        # every vector of five scores in -1..1, so every grid value occurs
+        vectors = list(itertools.product((-1, 0, 1), repeat=5))
+        path = tmp_path / "lex.csv"
+        path.write_text(
+            "".join(
+                f"parola{i},NOUN,physical,{','.join(map(str, v))}\n"
+                for i, v in enumerate(vectors)
+            )
+        )
+        entries = list(read_lexicon(path)) + list(read_lexicon(data_path("lexicon.csv")))
+        assert len(entries) == len(vectors) + 13
+        assert {sum(e.scores) for e in entries} == set(range(-5, 6))
+        for entry in entries:
+            assert type(entry.aggregate) is Fraction
+            assert entry.aggregate == aggregate_score(entry.scores)
+            assert entry.sentiment is classify(aggregate_score(entry.scores))
 
     def test_stopword_collision_rejected(self, tmp_path):
         path = tmp_path / "lex.csv"

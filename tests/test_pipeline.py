@@ -538,9 +538,34 @@ class TestBrokenArtifacts:
             ("analyze", None, "count_table.json"),
             ("report", None, "descriptives.json"),
             ("analyze", '{"x":', "records.jsonl: line 3: Expecting value (column 7)"),
-            ("analyze", "fisico", "records.jsonl: line 3: category 'fisico' is not one of"),
+            (
+                "analyze",
+                ("category", '"fisico"'),
+                "records.jsonl: line 3: category 'fisico' is not one of",
+            ),
             ("analyze", "[1]", "records.jsonl: line 3: not a JSON object"),
+            (
+                "analyze",
+                ("aggregate_sentiment", '"high"'),
+                "records.jsonl: line 3: aggregate_sentiment 'high'",
+            ),
+            (
+                "analyze",
+                ("aggregate_sentiment", "true"),
+                "records.jsonl: line 3: aggregate_sentiment True",
+            ),
+            (
+                "analyze",
+                ("aggregate_sentiment", "0.3"),
+                "records.jsonl: line 3: aggregate_sentiment 0.3",
+            ),
+            (
+                "analyze",
+                ("aggregate_sentiment", "[0.4]"),
+                "records.jsonl: line 3: aggregate_sentiment [0.4]",
+            ),
             ("report", "count_table.json", "count_table.json: Expecting"),
+            ("report", "descriptives.json", "descriptives.json: coverage/F/words_per_sentence is"),
         ],
         ids=[
             "analyze-before-extract",
@@ -548,7 +573,12 @@ class TestBrokenArtifacts:
             "truncated-record",
             "unknown-category",
             "record-not-an-object",
+            "score-not-a-number",
+            "score-boolean",
+            "score-off-grid",
+            "score-unhashable",
             "truncated-count-table",
+            "descriptives-wrong-shape",
         ],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
@@ -558,10 +588,16 @@ class TestBrokenArtifacts:
             assert cli_main(["--config", cfg_path, "extract"]) == 0
             if edit == "count_table.json":
                 (out / edit).write_text('{"cells": [', encoding="utf-8")
+            elif edit == "descriptives.json":
+                desc = json.loads((out / edit).read_text(encoding="utf-8"))
+                desc["coverage"]["F"]["words_per_sentence"] = "many"
+                (out / edit).write_text(json.dumps(desc), encoding="utf-8")
             else:
                 lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines(True)
-                if edit == "fisico":
-                    lines[2] = re.sub('"category": "[a-z_]+"', '"category": "fisico"', lines[2])
+                if isinstance(edit, tuple):
+                    field, value = edit
+                    lines[2], n = re.subn(f'"{field}": [^,]+', f'"{field}": {value}', lines[2])
+                    assert n == 1
                 else:
                     lines[2] = edit + "\n"
                 (out / "records.jsonl").write_text("".join(lines), encoding="utf-8")
@@ -724,22 +760,24 @@ class TestAllOrNothing:
             stage_analyze(dataclasses.replace(cfg, rates_mode="literal"))
         assert read_bundle_bytes(out) == before
 
-    @pytest.mark.parametrize("defect", ["word_total", "ccdf_input"])
+    @pytest.mark.parametrize("defect", ["word_total", "ccdf_input", "no_coverage"])
     def test_failing_report_keeps_bundle(self, finished_run, defect):
         cfg, out = finished_run
         desc = json.loads((out / "descriptives.json").read_text())
         if defect == "word_total":
             desc["coverage"]["F"]["words"] += 1
-            expected = StageError
-        else:
-            # table1.csv would change; the CCDF input fails after Table 1 is built
+        elif defect == "ccdf_input":
+            # table1.csv would change; the reader rejects the CCDF input first
             desc["coverage"]["F"]["contents"] += 1
             desc["coverage"]["F"]["words_per_sentence"].append("many")
-            expected = TypeError
+        else:
+            del desc["coverage"]
         reporting.write_json(out / "descriptives.json", desc)
         before = read_bundle_bytes(out)
-        with pytest.raises(expected):
+        with pytest.raises(StageError) as info:
             stage_report(cfg)
+        if defect != "word_total":
+            assert "descriptives.json: " in str(info.value)
         assert read_bundle_bytes(out) == before
 
     def test_writer_removes_temporaries_when_a_payload_fails(self, tmp_path):
