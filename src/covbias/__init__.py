@@ -33,6 +33,6 @@ from .sentiment import (
     classify,
     krippendorff_alpha,
 )
-from .temporal import DailySeries, area_decomposition, dominance_fractions, moving_average
+from .temporal import area_decomposition, dominance_fractions, moving_average
 
 __version__ = "0.1.0"

@@ -214,6 +214,8 @@ class CountTable:
         decoded: dict[tuple, tuple] = {}  # raw slot values -> members
         days: dict[str, datetime.date] = {}  # ISO day string -> date
         for lemma, upos, g, cat, st, day, n in d["cells"]:
+            if type(n) is not int or n < 0:
+                raise ValueError(f"cell count {n!r} is not a non-negative integer")
             slots = decoded.get((g, cat, st))
             if slots is None:
                 slots = decoded[g, cat, st] = _decode_slots(g, cat, st)

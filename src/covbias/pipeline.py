@@ -61,7 +61,6 @@ from .lexicon import Lexicon, read_lexicon
 from .model import Category, Document, Gender, SentimentRecord, SourceType
 from .registry import PoliticianRegistry, read_registry
 from .sentiment import JSON_GRID_SCORES, krippendorff_alpha
-from .temporal import DailySeries
 
 log = logging.getLogger(__name__)
 
@@ -441,19 +440,6 @@ def _load_records(fh: TextIO) -> list[SentimentRecord]:
     return out
 
 
-def _daily_fraction_series(
-    coverage_by_day: dict[datetime.date, int],
-    personalization_by_day: dict[datetime.date, int],
-    grid: list[datetime.date],
-) -> DailySeries:
-    points = []
-    for day in grid:
-        denom = coverage_by_day.get(day, 0)
-        num = personalization_by_day.get(day, 0)
-        points.append((day, num / denom if denom else 0.0))
-    return DailySeries(tuple(points))
-
-
 DISTINCTIVE_HEADER = ["lemma", "upos", "weight", "diss_without"]
 Slices = dict[Category, CountTable]  # ``table.slice(category=c)`` for every category
 
@@ -627,7 +613,9 @@ def quantile_analysis(cfg: PipelineConfig, records: list[SentimentRecord]) -> di
 
 
 def temporal_analysis(cfg: PipelineConfig, table: CountTable, slices: Slices) -> dict:
-    """Moving-average personalization trends and their area decomposition."""
+    """Moving-average personalization trends and their area decomposition,
+    on one day grid for both genders where a day without coverage or
+    personalization is 0."""
     coverage = {gender: table.by_day(gender) for gender in Gender}
     all_days = sorted(set(coverage[Gender.F]) | set(coverage[Gender.M]))
     grid = (
@@ -640,32 +628,34 @@ def temporal_analysis(cfg: PipelineConfig, table: CountTable, slices: Slices) ->
     )
     artifacts: dict = {}
     for category in Category:
-        pers_slice = slices[category]
         out: dict = {"ma_window": cfg.ma_window, "fill_policy": FILL_POLICY}
-        series = {}
+        trends = {}
         if not grid:
             out["skipped"] = "no dated coverage"
         else:
             for gender in Gender:
-                daily = _daily_fraction_series(
-                    coverage[gender], pers_slice.by_day(gender), grid
+                cov, pers = coverage[gender], slices[category].by_day(gender)
+                daily = np.array(
+                    [pers.get(day, 0) / cov[day] if cov.get(day) else 0.0 for day in grid]
                 )
                 try:
-                    series[gender] = temporal.moving_average(daily, cfg.ma_window)
+                    trends[gender] = temporal.moving_average(daily, cfg.ma_window)
                 except ValueError as exc:
                     out["skipped"] = str(exc)
                     break
-        if "skipped" not in out and len(series[Gender.F].points) < 3:
+        if "skipped" not in out and len(trends[Gender.F]) < 3:
             out["skipped"] = "fewer than 3 trend points after averaging"
         if "skipped" not in out:
-            f_ma, m_ma = series[Gender.F], series[Gender.M]
+            f_ma, m_ma = trends[Gender.F], trends[Gender.M]
+            days = grid[cfg.ma_window - 1 :]
+            xs = [float(day.toordinal()) for day in days]
             share_f, share_m, ties = temporal.dominance_fractions(f_ma, m_ma)
-            a_f, a_m, a = temporal.area_decomposition(f_ma, m_ma)
+            a_f, a_m, a = temporal.area_decomposition(xs, f_ma, m_ma)
             out.update(A_F=a_f, A_M=a_m, A=a, share_F=share_f, share_M=share_m, tie_share=ties)
             for gender in Gender:
                 artifacts[f"trend_{category.value}_{gender.value}.csv"] = (
                     ["date", "value"],
-                    [[d.isoformat(), v] for d, v in series[gender].points],
+                    [[day.isoformat(), v] for day, v in zip(days, trends[gender].tolist())],
                 )
         artifacts[f"temporal_{category.value}.json"] = out
     return artifacts
@@ -718,8 +708,9 @@ def stage_report(cfg: PipelineConfig) -> dict:
                 raise StageError(
                     "report",
                     ValueError(
-                        f"descriptive word total for {dataset}/{gender.value} "
-                        "does not match the count table"
+                        f"{cfg.path('descriptives.json')}: word total for "
+                        f"{dataset}/{gender.value} does not match "
+                        f"{cfg.path('count_table.json')}"
                     ),
                 )
 

@@ -1,99 +1,54 @@
 """Daily personalization trends: moving averages, dominance shares and the
-Simpson-rule area between the gender trend curves."""
+Simpson-rule area between the gender trend curves.
+
+The functions take plain arrays on one calendar grid that the caller
+builds, with missing days already 0. A zero crossing of the difference
+that rounds onto a grid point makes that point the zero, so no Simpson
+chunk holds two equal xs.
+"""
 
 from __future__ import annotations
 
-import datetime
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 Point = tuple[float, float]
-SeriesLike = Union["DailySeries", Sequence[Point]]
 
 MA_WINDOW = 90
 
 
-@dataclass(frozen=True)
-class DailySeries:
-    """Ordered (date, fraction) pairs; gaps allowed, dates strictly increasing."""
-
-    points: tuple[tuple[datetime.date, float], ...]
-
-    def __post_init__(self) -> None:
-        for (d0, _), (d1, _) in zip(self.points, self.points[1:]):
-            if d1 <= d0:
-                raise ValueError("dates must be strictly increasing")
-        for _, v in self.points:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"daily fraction {v} outside [0, 1]")
-
-    @property
-    def dates(self) -> list[datetime.date]:
-        return [d for d, _ in self.points]
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray([v for _, v in self.points], dtype=float)
-
-    def zero_filled(self) -> "DailySeries":
-        """Every calendar day between first and last, missing days as 0."""
-        if not self.points:
-            return self
-        lookup = dict(self.points)
-        start, end = self.points[0][0], self.points[-1][0]
-        days = (end - start).days + 1
-        filled = tuple(
-            (start + datetime.timedelta(days=i), lookup.get(start + datetime.timedelta(days=i), 0.0))
-            for i in range(days)
-        )
-        return DailySeries(filled)
-
-
-def moving_average(series: DailySeries, window: int = MA_WINDOW) -> DailySeries:
-    """Trailing mean over the last `window` days of the zero-filled series.
+def moving_average(values: np.ndarray, window: int = MA_WINDOW) -> np.ndarray:
+    """Trailing mean over the last `window` days of the daily values.
 
     A day with no personalized mentions genuinely has fraction zero, so
-    missing days are filled with 0 before averaging (not interpolated);
-    the output starts at the first day with a full window behind it.
+    missing days enter as 0 (not interpolated); the output starts at the
+    first day with a full window behind it.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    filled = series.zero_filled()
-    values = filled.values
     if len(values) < window:
         raise ValueError(
             f"series spans {len(values)} days, shorter than the {window}-day window"
         )
-    means = np.lib.stride_tricks.sliding_window_view(values, window).mean(axis=1)
-    dates = filled.dates[window - 1 :]
-    return DailySeries(tuple(zip(dates, (float(m) for m in means))))
+    return np.lib.stride_tricks.sliding_window_view(values, window).mean(axis=1)
 
 
-def _as_xy(series: SeriesLike) -> list[Point]:
-    if isinstance(series, DailySeries):
-        return [(float(d.toordinal()), v) for d, v in series.points]
-    return [(float(x), float(y)) for x, y in series]
+def _checked_pair(f: Sequence[float], m: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    f, m = np.asarray(f, dtype=float), np.asarray(m, dtype=float)
+    if len(f) != len(m):
+        raise ValueError(f"trends differ in length: {len(f)} and {len(m)} days")
+    return f, m
 
 
-def _aligned(a: SeriesLike, b: SeriesLike) -> tuple[list[float], list[float], list[float]]:
-    pa = dict(_as_xy(a))
-    pb = dict(_as_xy(b))
-    common = sorted(set(pa) & set(pb))
-    if not common:
-        raise ValueError("series domains are disjoint")
-    return common, [pa[x] for x in common], [pb[x] for x in common]
-
-
-def dominance_fractions(
-    f_series: SeriesLike, m_series: SeriesLike
-) -> tuple[float, float, float]:
+def dominance_fractions(f: Sequence[float], m: Sequence[float]) -> tuple[float, float, float]:
     """Shares of days where each trend strictly dominates, plus the tie share."""
-    _, fv, mv = _aligned(f_series, m_series)
-    n = len(fv)
-    f_days = sum(1 for a, b in zip(fv, mv) if a > b)
-    m_days = sum(1 for a, b in zip(fv, mv) if b > a)
+    f, m = _checked_pair(f, m)
+    n = len(f)
+    if not n:
+        raise ValueError("trends are empty")
+    f_days = int(np.count_nonzero(f > m))
+    m_days = int(np.count_nonzero(m > f))
     return f_days / n, m_days / n, (n - f_days - m_days) / n
 
 
@@ -153,7 +108,8 @@ def _split_segments(xs: Sequence[float], ds: Sequence[float]) -> list[tuple[int,
     """Maximal sign-constant runs, with interpolated zero crossings inserted.
 
     Exact zeros and inserted crossings act as shared segment boundaries;
-    all-zero runs carry no sign and are dropped.
+    all-zero runs carry no sign and are dropped. A crossing that rounds
+    onto a grid point is not inserted: that point becomes the zero.
     """
     segments: list[tuple[int, list[Point]]] = []
     current: list[Point] = [(xs[0], ds[0])]
@@ -167,16 +123,25 @@ def _split_segments(xs: Sequence[float], ds: Sequence[float]) -> list[tuple[int,
             cur_sign = s
             if s == 0:
                 current = [(x, 0.0)]
-        elif s == cur_sign:
+            continue
+        if s == cur_sign:
             current.append((x, d))
-        elif s == 0:
+            continue
+        prev_x, prev_d = current[-1]
+        # an exact zero at x is a crossing at x
+        cross = x if s == 0 else prev_x + prev_d / (prev_d - d) * (x - prev_x)
+        if cross == prev_x:
+            current[-1] = (prev_x, 0.0)
+            if len(current) > 1:
+                segments.append((cur_sign, current))
+            current = [(prev_x, 0.0), (x, d)]
+            cur_sign = s
+        elif cross == x:
             current.append((x, 0.0))
             segments.append((cur_sign, current))
             current = [(x, 0.0)]
             cur_sign = 0
         else:
-            prev_x, prev_d = current[-1]
-            cross = prev_x + prev_d / (prev_d - d) * (x - prev_x)
             current.append((cross, 0.0))
             segments.append((cur_sign, current))
             current = [(cross, 0.0), (x, d)]
@@ -187,22 +152,23 @@ def _split_segments(xs: Sequence[float], ds: Sequence[float]) -> list[tuple[int,
 
 
 def area_decomposition(
-    f_series: SeriesLike, m_series: SeriesLike
+    xs: Sequence[float], f: Sequence[float], m: Sequence[float]
 ) -> tuple[float, float, float]:
-    """Area between two trend curves, split by which one dominates.
+    """Area between two trend curves on the grid `xs`, split by which one dominates.
 
     The pointwise difference is cut into maximal sign-constant segments
     (zero crossings located by linear interpolation and inserted as grid
     points); each segment is integrated with the composite Simpson rule.
     Returns (A_F, A_M, A) with A = A_F + A_M by construction.
     """
-    xs, fv, mv = _aligned(f_series, m_series)
+    f, m = _checked_pair(f, m)
+    if len(xs) != len(f):
+        raise ValueError(f"grid has {len(xs)} days, trends {len(f)}")
     if len(xs) < 3:
-        raise ValueError("area decomposition needs at least 3 aligned points")
-    ds = [a - b for a, b in zip(fv, mv)]
+        raise ValueError("area decomposition needs at least 3 points")
     a_f = 0.0
     a_m = 0.0
-    for sign, seg in _split_segments(xs, ds):
+    for sign, seg in _split_segments([float(x) for x in xs], (f - m).tolist()):
         sx = [p[0] for p in seg]
         sy = [p[1] for p in seg]
         piece = simpson_integral(sx, sy)

@@ -218,14 +218,14 @@ def test_criterion_08_simpson_integration():
     for _ in range(50):
         n = int(rng.integers(3, 40))
         xs = np.arange(n, dtype=float)
-        f = list(zip(xs, rng.uniform(0, 1, size=n)))
-        m = list(zip(xs, rng.uniform(0, 1, size=n)))
-        a_f, a_m, a = area_decomposition(f, m)
+        f = rng.uniform(0, 1, size=n)
+        m = rng.uniform(0, 1, size=n)
+        a_f, a_m, a = area_decomposition(xs, f, m)
         assert abs(a - (a_f + a_m)) <= 1e-12
-        b_f, b_m, b = area_decomposition(m, f)
+        b_f, b_m, b = area_decomposition(xs, m, f)
         assert (b_f, b_m) == (a_m, a_f) and b == a
     a_f, a_m, a = area_decomposition(
-        [(0, 0.0), (1, 0.0), (2, 1.0)], [(0, 1.0), (1, 0.0), (2, 0.0)]
+        np.arange(3, dtype=float), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
     )
     assert a_f == pytest.approx(0.5, abs=1e-12)
     assert a_m == pytest.approx(0.5, abs=1e-12)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import datetime
 import json
 import os
 import re
@@ -7,10 +8,11 @@ import re
 import pytest
 
 from covbias import inference, ingestion, pipeline, reporting
+from covbias.bias import CountTable
 from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
 from covbias.errors import ConfigError, StageError
-from covbias.model import PersonalizationRecord
+from covbias.model import Category, Gender, PersonalizationRecord
 from covbias.pipeline import (
     PipelineConfig,
     ingest_check,
@@ -566,6 +568,9 @@ class TestBrokenArtifacts:
             ),
             ("report", "count_table.json", "count_table.json: Expecting"),
             ("report", "descriptives.json", "descriptives.json: coverage/F/words_per_sentence is"),
+            ("analyze", ("count_table.json", -1), "count_table.json: cell count -1 is not"),
+            ("report", ("count_table.json", 1.5), "count_table.json: cell count 1.5 is not"),
+            ("analyze", ("count_table.json", True), "count_table.json: cell count True is not"),
         ],
         ids=[
             "analyze-before-extract",
@@ -579,6 +584,9 @@ class TestBrokenArtifacts:
             "score-unhashable",
             "truncated-count-table",
             "descriptives-wrong-shape",
+            "count-negative",
+            "count-float",
+            "count-boolean",
         ],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
@@ -588,6 +596,10 @@ class TestBrokenArtifacts:
             assert cli_main(["--config", cfg_path, "extract"]) == 0
             if edit == "count_table.json":
                 (out / edit).write_text('{"cells": [', encoding="utf-8")
+            elif edit[0] == "count_table.json":
+                table = json.loads((out / edit[0]).read_text(encoding="utf-8"))
+                table["cells"][0][-1] = edit[1]
+                (out / edit[0]).write_text(json.dumps(table), encoding="utf-8")
             elif edit == "descriptives.json":
                 desc = json.loads((out / edit).read_text(encoding="utf-8"))
                 desc["coverage"]["F"]["words_per_sentence"] = "many"
@@ -726,6 +738,33 @@ def finished_run(tmp_path):
     return cfg, out
 
 
+class TestTemporalAnalysis:
+    def test_missing_days_zero_filled(self, tiny_run):
+        # one grid for both genders: day 1 has coverage but no personalized
+        # word, day 2 no coverage at all; both enter the average as 0
+        cfg, _ = tiny_run
+        table = CountTable()
+        for gender in Gender:
+            for i, category in [(0, Category.PHYSICAL), (1, None), (3, Category.PHYSICAL),
+                                (4, Category.PHYSICAL)]:
+                day = datetime.date(2019, 1, 1) + datetime.timedelta(days=i)
+                table.add("volto", "NOUN", gender, category, date=day, pid="p", n=2)
+        slices = {category: table.slice(category=category) for category in Category}
+        artifacts = pipeline.temporal_analysis(
+            dataclasses.replace(cfg, ma_window=3), table, slices
+        )
+        for gender in Gender:
+            _, rows = artifacts[f"trend_physical_{gender.value}.csv"]
+            assert [d for d, _ in rows] == ["2019-01-03", "2019-01-04", "2019-01-05"]
+            assert [v for _, v in rows] == [
+                pytest.approx(1 / 3),
+                pytest.approx(1 / 3),
+                pytest.approx(2 / 3),
+            ]
+        assert artifacts["temporal_physical.json"]["tie_share"] == 1.0
+        assert artifacts["temporal_moral_behavioral.json"]["A"] == 0.0
+
+
 class TestAllOrNothing:
     """A stage that fails leaves every file in out/ as it was."""
 
@@ -776,8 +815,9 @@ class TestAllOrNothing:
         before = read_bundle_bytes(out)
         with pytest.raises(StageError) as info:
             stage_report(cfg)
-        if defect != "word_total":
-            assert "descriptives.json: " in str(info.value)
+        assert "descriptives.json: " in str(info.value)
+        if defect == "word_total":
+            assert "count_table.json" in str(info.value)
         assert read_bundle_bytes(out) == before
 
     def test_writer_removes_temporaries_when_a_payload_fails(self, tmp_path):

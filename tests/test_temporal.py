@@ -1,73 +1,48 @@
-import datetime
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbias.temporal import (
-    DailySeries,
     area_decomposition,
     dominance_fractions,
+    _split_segments,
     moving_average,
     simpson_integral,
 )
 from oracles import poly_integral
 
-D0 = datetime.date(2019, 1, 1)
+
+def series(values):
+    return np.asarray(values, dtype=float)
 
 
-def series(values, start=D0, step=1):
-    return DailySeries(
-        tuple(
-            (start + datetime.timedelta(days=i * step), float(v))
-            for i, v in enumerate(values)
-        )
-    )
-
-
-class TestDailySeries:
-    def test_rejects_nonincreasing_dates(self):
-        with pytest.raises(ValueError):
-            DailySeries(((D0, 0.1), (D0, 0.2)))
-
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
-            series([0.5, 1.5])
-
-    def test_zero_fill(self):
-        s = DailySeries(((D0, 0.5), (D0 + datetime.timedelta(days=3), 0.25)))
-        filled = s.zero_filled()
-        assert [v for _, v in filled.points] == [0.5, 0.0, 0.0, 0.25]
+def grid(n):
+    return np.arange(n, dtype=float)
 
 
 class TestMovingAverage:
     def test_constant_series(self):
         ma = moving_average(series([0.3] * 120), window=90)
-        assert len(ma.points) == 31
-        assert all(v == pytest.approx(0.3, abs=1e-12) for _, v in ma.points)
+        assert len(ma) == 31
+        assert all(v == pytest.approx(0.3, abs=1e-12) for v in ma)
 
     def test_impulse_spreads_over_exactly_window_days(self):
         values = [0.0] * 200
         values[100] = 1.0
         ma = moving_average(series(values), window=90)
-        positive = [v for _, v in ma.points if v > 0]
+        positive = [v for v in ma if v > 0]
         assert len(positive) == 90
         assert all(v == pytest.approx(1 / 90, abs=0) for v in positive)
 
     def test_window_one_is_identity(self):
         s = series([0.1, 0.5, 0.9])
         ma = moving_average(s, window=1)
-        assert ma.points == s.points
+        assert ma.tolist() == s.tolist()
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             moving_average(series([0.1] * 10), window=90)
-
-    def test_missing_days_zero_filled(self):
-        s = DailySeries(((D0, 1.0), (D0 + datetime.timedelta(days=2), 1.0)))
-        ma = moving_average(s, window=3)
-        assert [v for _, v in ma.points] == [pytest.approx(2 / 3)]
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=5, max_size=40),
@@ -77,7 +52,7 @@ class TestMovingAverage:
     def test_commutes_with_constant_shift(self, values, shift):
         base = moving_average(series(values), window=3)
         shifted = moving_average(series([v + shift for v in values]), window=3)
-        for (_, a), (_, b) in zip(base.points, shifted.points):
+        for a, b in zip(base, shifted):
             assert b == pytest.approx(a + shift, abs=1e-12)
 
 
@@ -96,11 +71,15 @@ class TestDominance:
         m = series([0.1, 0.9, 0.1, 0.9])
         assert dominance_fractions(f, m) == (0.5, 0.5, 0.0)
 
-    def test_disjoint_domains_rejected(self):
+    def test_unequal_lengths_rejected(self):
         f = series([0.1, 0.2])
-        m = series([0.1, 0.2], start=D0 + datetime.timedelta(days=50))
+        m = series([0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             dominance_fractions(f, m)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            dominance_fractions(series([]), series([]))
 
 
 class TestSimpsonIntegral:
@@ -124,30 +103,30 @@ class TestSimpsonIntegral:
 
 class TestAreaDecomposition:
     def test_constant_rectangle(self):
-        f = [(0, 0.5), (1, 0.5), (2, 0.5)]
-        m = [(0, 0.0), (1, 0.0), (2, 0.0)]
-        assert area_decomposition(f, m) == (1.0, 0.0, 1.0)
+        f = series([0.5, 0.5, 0.5])
+        m = series([0.0, 0.0, 0.0])
+        assert area_decomposition(grid(3), f, m) == (1.0, 0.0, 1.0)
 
     def test_quadratic_exact(self):
-        f = [(0, 0.0), (1, 1.0), (2, 4.0)]
-        m = [(0, 0.0), (1, 0.0), (2, 0.0)]
-        a_f, a_m, a = area_decomposition(f, m)
+        f = series([0.0, 1.0, 4.0])
+        m = series([0.0, 0.0, 0.0])
+        a_f, a_m, a = area_decomposition(grid(3), f, m)
         assert a_f == pytest.approx(8 / 3, abs=1e-12)
         assert a_m == 0.0
 
     def test_linear_crossing_triangles(self):
-        f = [(0, 0.0), (1, 0.0), (2, 1.0)]
-        m = [(0, 1.0), (1, 0.0), (2, 0.0)]
-        a_f, a_m, a = area_decomposition(f, m)
+        f = series([0.0, 0.0, 1.0])
+        m = series([1.0, 0.0, 0.0])
+        a_f, a_m, a = area_decomposition(grid(3), f, m)
         assert a_f == pytest.approx(0.5, abs=1e-12)
         assert a_m == pytest.approx(0.5, abs=1e-12)
         assert a == pytest.approx(1.0, abs=1e-12)
 
     def test_interior_crossing_located_by_interpolation(self):
         # d(t) = t - 0.5 on {0, 1, 2}: crossing at 0.5 inserted
-        f = [(0, 0.0), (1, 1.0), (2, 2.0)]
-        m = [(0, 0.5), (1, 0.5), (2, 0.5)]
-        a_f, a_m, a = area_decomposition(f, m)
+        f = series([0.0, 1.0, 2.0])
+        m = series([0.5, 0.5, 0.5])
+        a_f, a_m, a = area_decomposition(grid(3), f, m)
         assert a_m == pytest.approx(0.125, abs=1e-12)
         assert a_f == pytest.approx(1.125, abs=1e-12)
 
@@ -158,11 +137,9 @@ class TestAreaDecomposition:
             xs = np.arange(n, dtype=float)
             fv = rng.uniform(0, 1, size=n)
             mv = rng.uniform(0, 1, size=n)
-            f = list(zip(xs, fv))
-            m = list(zip(xs, mv))
-            a_f, a_m, a = area_decomposition(f, m)
+            a_f, a_m, a = area_decomposition(xs, fv, mv)
             assert a == a_f + a_m  # constructed identity
-            b_f, b_m, b = area_decomposition(m, f)
+            b_f, b_m, b = area_decomposition(xs, mv, fv)
             assert (b_f, b_m) == (a_m, a_f)
             assert b == a
 
@@ -174,16 +151,51 @@ class TestAreaDecomposition:
             n_pts = int(rng.integers(3, 9))
             xs = np.linspace(0, b, n_pts)
             fv = [sum(c * x**k for k, c in enumerate(coefs)) for x in xs]
-            f = list(zip(xs, fv))
-            m = [(x, 0.0) for x in xs]
-            a_f, a_m, a = area_decomposition(f, m)
+            a_f, a_m, a = area_decomposition(xs, fv, np.zeros(n_pts))
             assert a_m == 0.0
             assert a_f == pytest.approx(poly_integral(coefs, 0, b), rel=1e-9)
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
-            area_decomposition([(0, 1.0), (1, 0.5)], [(0, 0.0), (1, 0.0)])
+            area_decomposition(grid(2), series([1.0, 0.5]), series([0.0, 0.0]))
 
     def test_all_zero_difference(self):
-        pts = [(0, 0.4), (1, 0.4), (2, 0.4)]
-        assert area_decomposition(pts, pts) == (0.0, 0.0, 0.0)
+        pts = series([0.4, 0.4, 0.4])
+        assert area_decomposition(grid(3), pts, pts) == (0.0, 0.0, 0.0)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            area_decomposition(grid(3), series([0.1, 0.2, 0.3]), series([0.1, 0.2]))
+        with pytest.raises(ValueError):
+            area_decomposition(grid(4), series([0.1, 0.2, 0.3]), series([0.1, 0.2, 0.3]))
+
+
+class TestCrossingOnGridPoint:
+    """A zero crossing that rounds onto a grid point never duplicates its x."""
+
+    ORDINALS = np.arange(736462, 736466, dtype=float)
+
+    def test_crossing_rounding_onto_next_point(self):
+        # d = (-0.5, 1.39e-17, -0.5, -0.5): the first crossing rounds onto 736463
+        f = np.zeros(4)
+        m = series([0.5, -1.39e-17, 0.5, 0.5])
+        a_f, a_m, a = area_decomposition(self.ORDINALS, f, m)
+        assert all(np.isfinite([a_f, a_m, a]))
+        assert a_f == 0
+        assert a == a_f + a_m
+        # the noise point becomes the zero: trapezoid to it, then the 1/3 rule
+        assert a_m == pytest.approx(0.25 + (0 + 4 * 0.5 + 0.5) / 3, abs=1e-12)
+
+    def test_crossing_rounding_onto_previous_point(self):
+        # d = (0.5, 1e-17, -0.5): the crossing rounds onto the noise point itself
+        xs = self.ORDINALS[:3]
+        f = series([0.5, 1e-17, 0.0])
+        m = series([0.0, 0.0, 0.5])
+        a_f, a_m, a = area_decomposition(xs, f, m)
+        assert (a_f, a_m, a) == (0.25, 0.25, 0.5)
+
+    def test_segments_never_repeat_an_x(self):
+        for ds in ([-0.5, 1.39e-17, -0.5, -0.5], [0.5, 1e-17, -0.5, 0.5], [0.5, -1e-17, 0.5, 0.5]):
+            for _, seg in _split_segments(list(self.ORDINALS), ds):
+                xs = [x for x, _ in seg]
+                assert xs == sorted(set(xs))
