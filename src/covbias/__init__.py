@@ -4,10 +4,8 @@ from .bias import (
     BiasProfile,
     CountTable,
     SummaryStats,
-    adjusted_rates,
     bias_profile,
     correction_factors,
-    coverage_bias_index,
     dissimilarity,
     index_distribution,
     leave_one_out,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -216,6 +216,8 @@ class CountTable:
         for lemma, upos, g, cat, st, day, n in d["cells"]:
             if type(n) is not int or n < 0:
                 raise ValueError(f"cell count {n!r} is not a non-negative integer")
+            if type(lemma) is not str or type(upos) is not str:
+                raise ValueError(f"cell word ({lemma!r}, {upos!r}) is not two strings")
             slots = decoded.get((g, cat, st))
             if slots is None:
                 slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
@@ -225,6 +227,8 @@ class CountTable:
             key = (lemma, upos, *slots, date)
             out.cells[key] = out.cells.get(key, 0) + n
         for g, cat, st, members in d["politicians"]:
+            if type(members) is not list or any(type(pid) is not str for pid in members):
+                raise ValueError(f"politician ids {members!r} are not a list of strings")
             out.pids.setdefault(_decode_slots(g, cat, st), set()).update(members)
         return out
 
@@ -241,19 +245,56 @@ def _decode_slots(
 
 
 # ---------------------------------------------------------------------------
-# Correction factors and adjusted rates
+# The exact terms: correction factors, adjusted rates, index and dissimilarity
 # ---------------------------------------------------------------------------
 
 
-def factors_from_marginals(
-    d_f: int, d_m: int, n_f: int, n_m: int
-) -> tuple[Fraction, Fraction]:
-    """Correction factors from word totals and politician tallies.
+class _Terms(NamedTuple):
+    """The integers that every exact value on one set of marginals is a ratio of.
 
-    a_g = |D_g| / |G| is the average words per politician; each factor is
-    a_g over the mean of the two averages, so c_F + c_M = 2 identically.
-    These are the only checks that the marginals are positive; the exact
-    values of `_exact_terms` are defined once they pass.
+    Built only by `_terms`, which checks the marginals. With the word
+    totals d_g and politician tallies n_g, T = d_F n_M + d_M n_F,
+    p_F = d_F^e n_M and p_M = d_M^e n_F, where e = 2 in ratio mode and 3 in
+    literal mode, and D = T (d_F d_M)^(e-1). A word counted f times for
+    women and m times for men then has
+    - the adjusted rates f T / (2 p_F) and m T / (2 p_M): f / d_F over c_F
+      (ratio) or over c_F d_F (literal), and alike for men;
+    - the index (f p_M - m p_F) / (f p_M + m p_F), the normalized
+      difference of the two rates;
+    - the share `gap(f, m)` / D of the dissimilarity
+      c_F c_M / (c_F + c_M) * sum |rate_F - rate_M|.
+    So each value is one `Fraction` of two integers, reduced once.
+    """
+
+    d_f: int
+    d_m: int
+    n_f: int
+    n_m: int
+    t: int
+    p_f: int
+    p_m: int
+    den: int
+
+    @property
+    def factors(self) -> tuple[Fraction, Fraction]:
+        """(c_F, c_M) = (2 d_F n_M / T, 2 d_M n_F / T)."""
+        return Fraction(2 * self.d_f * self.n_m, self.t), Fraction(2 * self.d_m * self.n_f, self.t)
+
+    def rates(self, f: int, m: int) -> tuple[Fraction, Fraction]:
+        return Fraction(f * self.t, 2 * self.p_f), Fraction(m * self.t, 2 * self.p_m)
+
+    def index(self, f: int, m: int) -> Fraction:
+        return Fraction(f * self.p_m - m * self.p_f, f * self.p_m + m * self.p_f)
+
+    def gap(self, f: int, m: int) -> int:
+        return abs(f * self.p_m - m * self.p_f)
+
+
+def _terms(d_f: int, d_m: int, n_f: int, n_m: int, mode: str) -> _Terms:
+    """The `_Terms` of these marginals under rates mode ``mode``.
+
+    These are the only checks that the marginals are positive and the mode
+    known. The factors are the same in either mode.
     """
     if n_f <= 0:
         raise ValueError("correction factor undefined: no women politicians")
@@ -263,77 +304,38 @@ def factors_from_marginals(
         raise ValueError("correction factor undefined: no words for women")
     if d_m <= 0:
         raise ValueError("correction factor undefined: no words for men")
-    a_f = Fraction(d_f, n_f)
-    a_m = Fraction(d_m, n_m)
-    a_mean = (a_f + a_m) / 2
-    return a_f / a_mean, a_m / a_mean
+    if mode not in RATE_MODES:
+        raise ValueError(f"unknown rates mode {mode!r}")
+    e = 2 if mode == "ratio" else 3
+    t = d_f * n_m + d_m * n_f
+    return _Terms(
+        d_f, d_m, n_f, n_m, t, d_f**e * n_m, d_m**e * n_f, t * (d_f * d_m) ** (e - 1)
+    )
 
 
-def correction_factors(table: CountTable) -> tuple[Fraction, Fraction]:
-    return factors_from_marginals(
+def _table_terms(table: CountTable, mode: str) -> _Terms:
+    return _terms(
         table.total(Gender.F),
         table.total(Gender.M),
         table.politicians(Gender.F),
         table.politicians(Gender.M),
+        mode,
     )
 
 
-def _rate_exponent(mode: str) -> int:
-    """k such that an adjusted rate is count / (c_g d_g^k): 1 in ratio
-    mode, 2 in literal mode."""
-    if mode == "ratio":
-        return 1
-    if mode == "literal":
-        return 2
-    raise ValueError(f"unknown rates mode {mode!r}")
+def factors_from_marginals(
+    d_f: int, d_m: int, n_f: int, n_m: int
+) -> tuple[Fraction, Fraction]:
+    """Correction factors from word totals and politician tallies.
 
-
-def _exact_terms(d_f: int, d_m: int, n_f: int, n_m: int, mode: str) -> tuple[int, int, int, int]:
-    """(T, p_F, p_M, D): the integers each exact value on these marginals is a ratio of.
-
-    With T = d_F n_M + d_M n_F the factors are c_F = 2 d_F n_M / T and
-    c_M = 2 d_M n_F / T. With p_F = d_F^e n_M and p_M = d_M^e n_F, where
-    e = k + 1 for the `_rate_exponent` k, a word with counts (f, m) has
-    - the adjusted rates f T / (2 p_F) and m T / (2 p_M);
-    - the index (f p_M - m p_F) / (f p_M + m p_F);
-    - the share |f p_M - m p_F| / D of the dissimilarity
-      c_F c_M / (c_F + c_M) * sum |rate_F - rate_M|, with D = T (d_F d_M)^(e-1).
-    So each value is one `Fraction` of two integers, reduced once. The
-    marginals must be positive (`factors_from_marginals` checks them).
+    a_g = |D_g| / |G| is the average words per politician; each factor is
+    a_g over the mean of the two averages, so c_F + c_M = 2 identically.
     """
-    k = _rate_exponent(mode)
-    t = d_f * n_m + d_m * n_f
-    return t, d_f ** (k + 1) * n_m, d_m ** (k + 1) * n_f, t * (d_f * d_m) ** k
+    return _terms(d_f, d_m, n_f, n_m, "ratio").factors
 
 
-def adjusted_rates(
-    table: CountTable,
-    factors: tuple[Fraction, Fraction],
-    mode: str = "ratio",
-) -> dict[WordKey, tuple[Fraction, Fraction]]:
-    """Per-word gender-adjusted incidence rates.
-
-    mode="ratio" divides the raw incidence rate by the correction factor;
-    mode="literal" additionally divides by the gender word total, exactly
-    as printed. Words with zero counts for both genders map to (0, 0).
-    """
-    k = _rate_exponent(mode)
-    c_f, c_m = factors
-    # count / (d_g^k c_g), one reduced Fraction per rate
-    num_f, den_f = c_f.denominator, table.total(Gender.F) ** k * c_f.numerator
-    num_m, den_m = c_m.denominator, table.total(Gender.M) ** k * c_m.numerator
-    return {
-        word: (Fraction(per[Gender.F] * num_f, den_f), Fraction(per[Gender.M] * num_m, den_m))
-        for word, per in table.word_counts().items()
-    }
-
-
-def coverage_bias_index(rate_f: Fraction, rate_m: Fraction) -> Fraction:
-    """Normalized difference of the adjusted rates; +1 women-exclusive."""
-    total = rate_f + rate_m
-    if total <= 0:
-        raise ValueError("coverage bias index undefined: both rates are zero")
-    return (rate_f - rate_m) / total
+def correction_factors(table: CountTable) -> tuple[Fraction, Fraction]:
+    return _table_terms(table, "ratio").factors
 
 
 @dataclass(frozen=True)
@@ -355,10 +357,17 @@ class WordBias:
 @dataclass(frozen=True)
 class BiasProfile:
     mode: str
-    c_f: Fraction
-    c_m: Fraction
+    terms: _Terms
     words: tuple[WordBias, ...]
     excluded: int  # words with zero counts for both genders
+
+    @property
+    def c_f(self) -> Fraction:
+        return self.terms.factors[0]
+
+    @property
+    def c_m(self) -> Fraction:
+        return self.terms.factors[1]
 
     def select(self, category: Optional[Category]) -> tuple[WordBias, ...]:
         if category is None:
@@ -387,24 +396,13 @@ def bias_profile(table: CountTable, mode: str = "ratio") -> BiasProfile:
     category is carried along so distributions can be summarized per
     category without renormalizing.
     """
-    c_f, c_m = correction_factors(table)
-    t, p_f, p_m, _ = _exact_terms(
-        table.total(Gender.F),
-        table.total(Gender.M),
-        table.politicians(Gender.F),
-        table.politicians(Gender.M),
-        mode,
-    )
+    terms = _table_terms(table, mode)
 
     @cache
     def values(f: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
         """(rate_F, rate_M, index) of a word with counts (f, m); words with
         equal counts share them."""
-        return (
-            Fraction(f * t, 2 * p_f),
-            Fraction(m * t, 2 * p_m),
-            Fraction(f * p_m - m * p_f, f * p_m + m * p_f),
-        )
+        return (*terms.rates(f, m), terms.index(f, m))
 
     counts = table.word_counts()
     categories = table.word_categories()
@@ -417,7 +415,7 @@ def bias_profile(table: CountTable, mode: str = "ratio") -> BiasProfile:
             excluded += 1
             continue
         words.append(WordBias(key[0], key[1], f, m, *values(f, m), categories.get(key)))
-    return BiasProfile(mode=mode, c_f=c_f, c_m=c_m, words=tuple(words), excluded=excluded)
+    return BiasProfile(mode=mode, terms=terms, words=tuple(words), excluded=excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +630,11 @@ def index_distribution(
 def dissimilarity(profile: BiasProfile) -> Fraction:
     """Aggregate absolute gap between the gender rate distributions, in [0, 1].
 
-    The profile supplies its own factors and adjusted rates, so nothing is
-    recomputed; the words it excludes have both rates 0 and add 0.
+    One integer ratio over the profile's terms, sum of `gap` over D; the
+    words the profile excludes have both counts 0 and add 0.
     """
-    c_f, c_m = profile.c_f, profile.c_m
-    gaps = (abs(w.rate_f - w.rate_m) for w in profile.words)
-    return (c_f * c_m) / (c_f + c_m) * sum(gaps, Fraction(0))
+    terms = profile.terms
+    return Fraction(sum(terms.gap(w.count_f, w.count_m) for w in profile.words), terms.den)
 
 
 @dataclass(frozen=True)
@@ -654,6 +651,7 @@ class LeaveOneOutWord:
 class LeaveOneOutResult:
     base_diss: Fraction
     mode: str
+    factors: tuple[Fraction, Fraction]  # (c_F, c_M) before any word is left out
     words: tuple[LeaveOneOutWord, ...]  # ranked by weight, descending
 
     def distinctive_for(self, gender: Gender) -> list[LeaveOneOutWord]:
@@ -665,7 +663,7 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
 
     Omitting word w changes only the gender totals d_g' = d_g - x_g(w)
     (politician tallies are table-level). On the reduced totals the
-    dissimilarity is (S - |f_w p_M - m_w p_F|) / D over the `_exact_terms`
+    dissimilarity is (S - |f_w p_M - m_w p_F|) / D over the `_Terms`
     of d_F', d_M', where S = sum over all v of |f_v p_M - m_v p_F| is
     piecewise linear in t = p_M / p_F with breakpoints m_v / f_v. Sorting
     the words by breakpoint once and bisecting into prefix sums of f and m
@@ -676,14 +674,14 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
     A word is distinctive when its omission strictly lowers the
     dissimilarity; the gender label follows the larger original adjusted
     rate, women on ties. A word whose omission would empty one gender's
-    corpus has no reduced dissimilarity (None).
+    corpus has no reduced dissimilarity (None). The marginals are checked
+    before the number of words.
     """
+    base_terms = _table_terms(table, mode)
     counts = table.word_counts()
     if len(counts) < 2:
         raise ValueError("leave-one-out needs at least 2 distinct words")
-    d_f, d_m = table.total(Gender.F), table.total(Gender.M)
-    n_f, n_m = table.politicians(Gender.F), table.politicians(Gender.M)
-    factors_from_marginals(d_f, d_m, n_f, n_m)  # raises where the table's factors are undefined
+    d_f, d_m, n_f, n_m = base_terms[:4]
 
     # Words with f_v > 0 by breakpoint; those with f_v = 0 add m_v p_F at
     # every t and enter only through d_m.
@@ -696,28 +694,28 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
     pre_f = list(accumulate((f for _, f, _ in ordered), initial=0))
     pre_m = list(accumulate((m for _, _, m in ordered), initial=0))
 
-    def gap_sum(p_f: int, p_m: int) -> int:
-        """S: the sum over every word of |f_v p_M - m_v p_F|."""
+    def gap_sum(terms: _Terms) -> int:
+        """S: the sum of `terms.gap` over every word of the whole table."""
         # The first i words have m_v/f_v < t, so f_v p_M - m_v p_F > 0; the
         # rest contribute its negation (0 for a breakpoint equal to t).
+        p_f, p_m = terms.p_f, terms.p_m
         i = bisect_left(breaks, Fraction(p_m, p_f))
         return (2 * pre_f[i] - d_f) * p_m + (d_m - 2 * pre_m[i]) * p_f
 
-    _, base_p_f, base_p_m, base_den = _exact_terms(d_f, d_m, n_f, n_m, mode)
-    base = Fraction(gap_sum(base_p_f, base_p_m), base_den)
+    base = Fraction(gap_sum(base_terms), base_terms.den)
 
     @cache
     def held_out(f_w: int, m_w: int) -> tuple[Fraction, Fraction, bool]:
         """(diss_without, weight, distinctive) of a word with counts (f_w, m_w);
         words with equal counts share them."""
-        _, p_f, p_m, den = _exact_terms(d_f - f_w, d_m - m_w, n_f, n_m, mode)
-        without = Fraction(gap_sum(p_f, p_m) - abs(f_w * p_m - m_w * p_f), den)
+        terms = _terms(d_f - f_w, d_m - m_w, n_f, n_m, mode)
+        without = Fraction(gap_sum(terms) - terms.gap(f_w, m_w), terms.den)
         return without, base - without, without < base
 
     out = []
     for word in sorted(counts):
         f_w, m_w = counts[word][Gender.F], counts[word][Gender.M]
-        gender = Gender.M if m_w * base_p_f > f_w * base_p_m else Gender.F
+        gender = Gender.M if m_w * base_terms.p_f > f_w * base_terms.p_m else Gender.F
         if f_w >= d_f or m_w >= d_m:
             # Removing the word would empty one gender's corpus; the
             # reduced-corpus factors are undefined.
@@ -734,7 +732,9 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
         return (0, float(w.diss_without), w.diss_without, w.lemma, w.upos)
 
     out.sort(key=rank)
-    return LeaveOneOutResult(base_diss=base, mode=mode, words=tuple(out))
+    return LeaveOneOutResult(
+        base_diss=base, mode=mode, factors=base_terms.factors, words=tuple(out)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -760,10 +760,4 @@ def reliability_curve(
     """
     if w_f == 0 and w_m == 0:
         raise ValueError("coverage bias index undefined: both rates are zero")
-    curve = []
-    for d_f in d_f_values:
-        d_m = d_total - d_f
-        factors_from_marginals(d_f, d_m, n_f, n_m)  # raises where the factors are undefined
-        _, p_f, p_m, _ = _exact_terms(d_f, d_m, n_f, n_m, mode)
-        curve.append(Fraction(w_f * p_m - w_m * p_f, w_f * p_m + w_m * p_f))
-    return curve
+    return [_terms(d_f, d_total - d_f, n_f, n_m, mode).index(w_f, w_m) for d_f in d_f_values]

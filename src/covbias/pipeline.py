@@ -39,6 +39,7 @@ import datetime
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, TextIO, TypeVar, get_type_hints
@@ -175,8 +176,10 @@ class PipelineConfig:
             raise ConfigError(f"direction must be one of {DIRECTIONS}")
         if self.rates_mode not in bias.RATE_MODES:
             raise ConfigError(f"rates_mode must be one of {bias.RATE_MODES}")
-        if self.jitter < 0:
-            raise ConfigError("jitter must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not 0 <= self.jitter < math.inf:
+            raise ConfigError("jitter must be a finite nonnegative number")
         if self.ma_window < 1:
             raise ConfigError("ma_window must be >= 1")
         if self.bootstrap < inference.MIN_REPLICATES:
@@ -185,6 +188,8 @@ class PipelineConfig:
             raise ConfigError("bins must be >= 1")
         if (self.window_start is None) != (self.window_end is None):
             raise ConfigError("window_start and window_end must be given together")
+        if self.window_start and self.window_start > self.window_end:
+            raise ConfigError("window_start must not be after window_end")
 
     def window(self) -> Optional[tuple[datetime.date, datetime.date]]:
         if self.window_start and self.window_end:
@@ -502,11 +507,10 @@ def bias_analysis(cfg: PipelineConfig, table: CountTable, lexicon: Lexicon, slic
         slice_table = slices[category]
         loo = None
         try:
-            slice_factors = bias.correction_factors(slice_table)
             loo = bias.leave_one_out(slice_table, cfg.rates_mode)
             slice_info = {
-                "c_F": float(slice_factors[0]),
-                "c_M": float(slice_factors[1]),
+                "c_F": float(loo.factors[0]),
+                "c_M": float(loo.factors[1]),
                 "dissimilarity": float(loo.base_diss),
             }
         except ValueError as exc:

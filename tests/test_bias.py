@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from covbias.bias import (
     CountTable,
-    adjusted_rates,
     bias_profile,
     correction_factors,
-    coverage_bias_index,
     dissimilarity,
     factors_from_marginals,
     index_distribution,
@@ -64,33 +62,51 @@ class TestCorrectionFactors:
         assert correction_factors(table) == (Fraction(2, 3), Fraction(4, 3))
 
 
+TWO_WORDS = {("w1", "NOUN"): (2, 3), ("w2", "NOUN"): (8, 27)}  # n_F = 2, n_M = 3
+
+
+def profile_words(table, mode="ratio"):
+    """The words of the table's bias profile, by (lemma, upos)."""
+    return {(w.lemma, w.upos): w for w in bias_profile(table, mode).words}
+
+
+def recomputed_index(counts, n_f, n_m, mode, word):
+    """The oracle's index of ``word``: the normalized difference of its rates."""
+    rate_f, rate_m = profile_recompute(counts, n_f, n_m, mode)[2][word]
+    return (rate_f - rate_m) / (rate_f + rate_m)
+
+
 class TestAdjustedRates:
     def table(self):
-        return table_from_counts(
-            {("w1", "NOUN"): (2, 3), ("w2", "NOUN"): (8, 27)}, n_f=2, n_m=3
-        )
+        return table_from_counts(TWO_WORDS, n_f=2, n_m=3)
 
     def test_ratio_mode_hand_values(self):
-        table = self.table()
-        rates = adjusted_rates(table, correction_factors(table))
-        assert rates[("w1", "NOUN")] == (Fraction(3, 10), Fraction(3, 40))
+        w1 = profile_words(self.table())[("w1", "NOUN")]
+        assert (w1.rate_f, w1.rate_m) == (Fraction(3, 10), Fraction(3, 40))
+        assert profile_recompute(TWO_WORDS, 2, 3)[2][("w1", "NOUN")] == (w1.rate_f, w1.rate_m)
 
     def test_literal_mode(self):
-        table = self.table()
-        rates = adjusted_rates(table, correction_factors(table), mode="literal")
+        w1 = profile_words(self.table(), "literal")[("w1", "NOUN")]
         # literal divides the ratio-mode rate by the gender total once more
-        assert rates[("w1", "NOUN")] == (Fraction(3, 100), Fraction(1, 400))
+        assert (w1.rate_f, w1.rate_m) == (Fraction(3, 100), Fraction(1, 400))
+        rates = profile_recompute(TWO_WORDS, 2, 3, "literal")[2]
+        assert rates[("w1", "NOUN")] == (w1.rate_f, w1.rate_m)
 
     def test_unit_factors_recover_raw_rates(self):
         table = table_from_counts({("w", "NOUN"): (5, 10)}, n_f=1, n_m=2)
-        rates = adjusted_rates(table, correction_factors(table))
-        assert rates[("w", "NOUN")] == (Fraction(5, 5), Fraction(10, 10))
+        w = profile_words(table)[("w", "NOUN")]
+        assert (w.rate_f, w.rate_m) == (Fraction(5, 5), Fraction(10, 10))
 
     def test_absent_word_zero(self):
+        # A word counted for neither gender has no rates: the profile
+        # leaves it out, and its gap of 0 leaves the dissimilarity as it was.
         table = self.table()
+        before = dissimilarity(bias_profile(table))
         table.add("ghost", "ADJ", Gender.F, n=0)
-        rates = adjusted_rates(table, correction_factors(table))
-        assert rates[("ghost", "ADJ")] == (0, 0)
+        profile = bias_profile(table)
+        assert profile.excluded == 1
+        assert ("ghost", "ADJ") not in profile_words(table)
+        assert dissimilarity(profile) == before
 
     def test_modes_agree_on_sign_when_totals_match(self):
         rng = np.random.default_rng(5)
@@ -104,31 +120,35 @@ class TestAdjustedRates:
             if d_f != d_m or d_f == 0:
                 continue
             table = table_from_counts(counts, n_f=3, n_m=4)
-            f = correction_factors(table)
-            ratio = adjusted_rates(table, f, "ratio")
-            literal = adjusted_rates(table, f, "literal")
-            for key in ratio:
-                r = ratio[key]
+            ratio = profile_words(table, "ratio")
+            literal = profile_words(table, "literal")
+            for key, r in ratio.items():
                 l = literal[key]
-                if r[0] + r[1] == 0:
-                    continue
-                assert (r[0] - r[1] > 0) == (l[0] - l[1] > 0) or r[0] == r[1]
+                assert (r.rate_f - r.rate_m > 0) == (l.rate_f - l.rate_m > 0) or r.rate_f == r.rate_m
 
 
 class TestCoverageBiasIndex:
     def test_hand_value(self):
-        assert coverage_bias_index(Fraction(3, 10), Fraction(3, 40)) == Fraction(3, 5)
+        w1 = profile_words(table_from_counts(TWO_WORDS, n_f=2, n_m=3))[("w1", "NOUN")]
+        assert (w1.rate_f, w1.rate_m) == (Fraction(3, 10), Fraction(3, 40))
+        assert w1.index == Fraction(3, 5)
+        assert recomputed_index(TWO_WORDS, 2, 3, "ratio", ("w1", "NOUN")) == Fraction(3, 5)
 
     def test_exclusive_words_hit_boundaries(self):
-        assert coverage_bias_index(Fraction(1, 7), Fraction(0)) == 1
-        assert coverage_bias_index(Fraction(0), Fraction(2, 9)) == -1
+        # 7 and 9 words for 7 and 9 politicians: unit factors
+        counts = {("a", "ADJ"): (1, 0), ("b", "ADJ"): (0, 2), ("c", "NOUN"): (6, 7)}
+        words = profile_words(table_from_counts(counts, n_f=7, n_m=9))
+        a, b = words[("a", "ADJ")], words[("b", "ADJ")]
+        assert (a.rate_f, a.rate_m, a.index) == (Fraction(1, 7), 0, 1)
+        assert (b.rate_f, b.rate_m, b.index) == (0, Fraction(2, 9), -1)
+        assert recomputed_index(counts, 7, 9, "ratio", ("a", "ADJ")) == 1
+        assert recomputed_index(counts, 7, 9, "ratio", ("b", "ADJ")) == -1
 
     def test_equal_rates_zero(self):
-        assert coverage_bias_index(Fraction(1, 3), Fraction(1, 3)) == 0
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            coverage_bias_index(Fraction(0), Fraction(0))
+        counts = {("a", "ADJ"): (1, 2), ("b", "NOUN"): (2, 4)}
+        a = profile_words(table_from_counts(counts, n_f=1, n_m=2))[("a", "ADJ")]
+        assert (a.rate_f, a.rate_m, a.index) == (Fraction(1, 3), Fraction(1, 3), 0)
+        assert recomputed_index(counts, 1, 2, "ratio", ("a", "ADJ")) == 0
 
     def test_boundary_law_on_random_tables(self):
         rng = np.random.default_rng(17)
@@ -180,15 +200,64 @@ class TestReliabilityScenarios:
         curve = reliability_curve(7, 3, d_total, 40, 60, grid, mode)
         for d_f, index in zip(grid, curve):
             d_m = d_total - d_f
-            c_f, c_m = factors_from_marginals(d_f, d_m, 40, 60)
-            rate_f, rate_m = Fraction(7, d_f) / c_f, Fraction(3, d_m) / c_m
-            if mode == "literal":
-                rate_f, rate_m = rate_f / d_f, rate_m / d_m
-            assert index == coverage_bias_index(rate_f, rate_m)
+            # The rest of the corpus makes up the totals. The curve reads
+            # only the totals, so the oracle may take a negative rest count.
+            counts = {("w", "NOUN"): (7, 3), ("rest", "NOUN"): (d_f - 7, d_m - 3)}
+            assert index == recomputed_index(counts, 40, 60, mode, ("w", "NOUN"))
+            if d_f > 7 and d_m > 3:
+                words = profile_words(table_from_counts(counts, n_f=40, n_m=60), mode)
+                assert words[("w", "NOUN")].index == index
 
     def test_word_never_counted_has_no_index(self):
         with pytest.raises(ValueError, match="both rates are zero"):
             reliability_curve(0, 0, 1000, 40, 60, [500])
+
+
+class TestNullOffset:
+    """A word used in proportion to the word totals, f/m = d_F/d_M, has the
+    index (r - 1)/(r + 1) with r = (d_M/d_F)^(e-1) n_F/n_M (e = 2 in ratio
+    mode, 3 in literal mode): 0 in ratio mode exactly when both genders
+    have the same words per politician, and in literal mode r = n_M/n_F
+    then."""
+
+    # w and x have f/m = d_F/d_M; y and z make up the totals.
+    EQUAL_AVERAGES = (  # 6 and 12 words for 1 and 2 politicians
+        {("w", "NOUN"): (1, 2), ("x", "NOUN"): (2, 4), ("y", "ADJ"): (3, 1), ("z", "ADJ"): (0, 5)},
+        1,
+        2,
+    )
+    UNEQUAL_AVERAGES = (  # 6 and 18 words for 2 and 3 politicians
+        {("w", "NOUN"): (1, 3), ("x", "NOUN"): (3, 9), ("y", "ADJ"): (2, 0), ("z", "ADJ"): (0, 6)},
+        2,
+        3,
+    )
+
+    @pytest.mark.parametrize(
+        "table, mode, expected",
+        [
+            (EQUAL_AVERAGES, "ratio", Fraction(0)),
+            (EQUAL_AVERAGES, "literal", Fraction(1, 3)),  # r = n_M/n_F = 2
+            (UNEQUAL_AVERAGES, "ratio", Fraction(1, 3)),  # r = 2
+            (UNEQUAL_AVERAGES, "literal", Fraction(5, 7)),  # r = 6
+        ],
+        ids=["equal-ratio", "equal-literal", "unequal-ratio", "unequal-literal"],
+    )
+    def test_proportional_word_index(self, table, mode, expected):
+        counts, n_f, n_m = table
+        d_f = sum(f for f, _ in counts.values())
+        d_m = sum(m for _, m in counts.values())
+        e = {"ratio": 2, "literal": 3}[mode]
+        r = Fraction(d_m, d_f) ** (e - 1) * Fraction(n_f, n_m)
+        assert (r - 1) / (r + 1) == expected
+        if mode == "literal" and Fraction(d_f, n_f) == Fraction(d_m, n_m):
+            assert r == Fraction(n_m, n_f)
+        words = profile_words(table_from_counts(counts, n_f, n_m), mode)
+        for key in (("w", "NOUN"), ("x", "NOUN")):
+            f, m = counts[key]
+            assert Fraction(f, m) == Fraction(d_f, d_m)
+            assert words[key].index == expected
+            assert recomputed_index(counts, n_f, n_m, mode, key) == expected
+            assert reliability_curve(f, m, d_f + d_m, n_f, n_m, [d_f], mode) == [expected]
 
 
 class TestWeightedQuantiles:
@@ -324,9 +393,7 @@ class TestDissimilarity:
         assert dissimilarity(bias_profile(table)) == 0
 
     def test_two_word_fixture_exact_third(self):
-        table = table_from_counts(
-            {("w1", "NOUN"): (2, 3), ("w2", "NOUN"): (8, 27)}, n_f=2, n_m=3
-        )
+        table = table_from_counts(TWO_WORDS, n_f=2, n_m=3)
         assert correction_factors(table) == (Fraction(2, 3), Fraction(4, 3))
         assert dissimilarity(bias_profile(table)) == Fraction(1, 3)
 
@@ -509,7 +576,7 @@ class TestLeaveOneOut:
         base = diss_recompute(counts, n_f, n_m, mode)
         assert result.base_diss == base
         assert sorted((w.lemma, w.upos) for w in result.words) == sorted(counts)
-        rates = adjusted_rates(table, correction_factors(table), mode)
+        _, _, rates = profile_recompute(counts, n_f, n_m, mode)
         for word in result.words:
             key = (word.lemma, word.upos)
             expected = diss_without_oracle(counts, n_f, n_m, mode, key)

@@ -248,6 +248,10 @@ class TestConfig:
             ({"bins": 0}, "bins"),
             ({"window_start": "2018-01-01"}, "window_start"),
             ({"window_end": "2018-12-31"}, "window_end"),
+            ({"window_start": "2020-01-01", "window_end": "2017-01-01"}, "window_start"),
+            ({"seed": -1}, "seed"),
+            ({"jitter": "nan"}, "jitter"),
+            ({"jitter": "inf"}, "jitter"),
         ],
     )
     def test_bad_setting_fails_before_any_stage(self, tmp_path, extra, message):
@@ -568,9 +572,11 @@ class TestBrokenArtifacts:
             ),
             ("report", "count_table.json", "count_table.json: Expecting"),
             ("report", "descriptives.json", "descriptives.json: coverage/F/words_per_sentence is"),
-            ("analyze", ("count_table.json", -1), "count_table.json: cell count -1 is not"),
-            ("report", ("count_table.json", 1.5), "count_table.json: cell count 1.5 is not"),
-            ("analyze", ("count_table.json", True), "count_table.json: cell count True is not"),
+            ("analyze", ("cells", -1, -1), "count_table.json: cell count -1 is not"),
+            ("report", ("cells", -1, 1.5), "count_table.json: cell count 1.5 is not"),
+            ("analyze", ("cells", -1, True), "count_table.json: cell count True is not"),
+            ("analyze", ("cells", 0, 5), "count_table.json: cell word (5, "),
+            ("analyze", ("politicians", -1, [7]), "count_table.json: politician ids [7] are not"),
         ],
         ids=[
             "analyze-before-extract",
@@ -587,6 +593,8 @@ class TestBrokenArtifacts:
             "count-negative",
             "count-float",
             "count-boolean",
+            "lemma-not-a-string",
+            "politician-id-not-a-string",
         ],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
@@ -596,10 +604,11 @@ class TestBrokenArtifacts:
             assert cli_main(["--config", cfg_path, "extract"]) == 0
             if edit == "count_table.json":
                 (out / edit).write_text('{"cells": [', encoding="utf-8")
-            elif edit[0] == "count_table.json":
-                table = json.loads((out / edit[0]).read_text(encoding="utf-8"))
-                table["cells"][0][-1] = edit[1]
-                (out / edit[0]).write_text(json.dumps(table), encoding="utf-8")
+            elif edit[0] in ("cells", "politicians"):
+                # (list, slot, value): set that slot of the list's first row
+                table = json.loads((out / "count_table.json").read_text(encoding="utf-8"))
+                table[edit[0]][0][edit[1]] = edit[2]
+                (out / "count_table.json").write_text(json.dumps(table), encoding="utf-8")
             elif edit == "descriptives.json":
                 desc = json.loads((out / edit).read_text(encoding="utf-8"))
                 desc["coverage"]["F"]["words_per_sentence"] = "many"
