@@ -487,22 +487,20 @@ def _sorted_sample(
     return [v for v, _ in pairs], list(accumulate(w for _, w in pairs))
 
 
+def _quantile_ranks(p: Fraction, total: int) -> tuple[int, int]:
+    """The ranks, in cumulative weight, of the p-quantile's order statistics:
+    ceil(p * total) twice, or p * total and the next rank when p * total is
+    an integer, whose midpoint is taken (so symmetric data has median zero)."""
+    k, rem = divmod(p.numerator * total, p.denominator)
+    return (k + 1, k + 1) if rem else (k, k + 1)
+
+
 def _sorted_quantile(ordered: list[Fraction], cum: list[int], p: Fraction) -> Fraction:
-    """`weighted_quantile` of a sample from `_sorted_sample`."""
-    target = p * cum[-1]
-    # The running totals strictly increase, so i is the first position
-    # whose cumulative weight reaches the target.
-    i = bisect_left(cum, target)
-    if i == len(cum):
-        return ordered[-1]
-    if cum[i] == target and i + 1 < len(ordered):
-        return (ordered[i] + ordered[i + 1]) / 2
-    return ordered[i]
-
-
-def interpolated_quantile(values: Sequence[float], p: float) -> float:
-    """Unweighted quantile, linear interpolation between order statistics."""
-    return float(np.quantile(np.asarray([float(v) for v in values]), p))
+    """`weighted_quantile` of a sample from `_sorted_sample`. The running
+    totals strictly increase, so bisection finds the position of a rank."""
+    last = len(ordered) - 1
+    lo, hi = (ordered[min(bisect_left(cum, r), last)] for r in _quantile_ranks(p, cum[-1]))
+    return (lo + hi) / 2 if lo != hi else lo
 
 
 def index_summary(
@@ -515,7 +513,7 @@ def index_summary(
     x = np.asarray([float(v) for v in values], dtype=float)
     if weights is None:
         w = np.ones(len(x))
-        q1, d5, q3, d9 = (interpolated_quantile(x, p) for p in (0.25, 0.5, 0.75, 0.9))
+        q1, d5, q3, d9 = (float(q) for q in np.quantile(x, (0.25, 0.5, 0.75, 0.9)))
         weighting = "none"
     else:
         w = np.asarray(list(weights), dtype=float)

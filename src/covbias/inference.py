@@ -6,11 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .bias import CountTable
+from .bias import CountTable, _quantile_ranks
 from .model import Gender, SourceType
 from .sentiment import score_fifths
 
@@ -109,8 +109,8 @@ def jitter(
     jittered value stays within 0.05 of its grid point, so rounding back
     to the grid recovers the original sentiment class.
     """
-    if h < 0:
-        raise ValueError("jitter half-width must be nonnegative")
+    if not 0 <= h < math.inf:
+        raise ValueError("jitter half-width must be a finite nonnegative number")
     grid = np.asarray([score_fifths(s) / 5.0 for s in scores], dtype=float)
     if len(grid) == 0:
         return grid
@@ -131,31 +131,70 @@ def pinball_loss(y: np.ndarray, fitted: np.ndarray, tau: float) -> float:
     return float(np.sum(u * (tau - (u < 0))))
 
 
-def _as_tau_fraction(tau: Union[float, Fraction]) -> Fraction:
-    frac = Fraction(str(tau)) if not isinstance(tau, Fraction) else tau
-    if not 0 < frac < 1:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    return frac
+def _as_tau_fractions(taus: Sequence[Union[float, Fraction]]) -> list[Fraction]:
+    fracs = [Fraction(str(tau)) if not isinstance(tau, Fraction) else tau for tau in taus]
+    if not fracs:
+        raise ValueError("no tau given: at least one quantile level is needed")
+    for tau, frac in zip(taus, fracs):
+        if not 0 < frac < 1:
+            raise ValueError(f"tau must be in (0, 1), got {tau}")
+    return fracs
 
 
-def cell_quantile(values: Sequence[float], tau: Union[float, Fraction]) -> float:
-    """Pinball-optimal sample quantile with deterministic tie handling.
+class _Layout(NamedTuple):
+    y: np.ndarray
+    cells: list[tuple[int, int]]  # the design cells, sorted
+    rows: list[np.ndarray]  # each cell's rows, in input order
+    order: np.ndarray  # the rows cell by cell, each cell stable-sorted by y
+    ends: np.ndarray  # the position in `order` of each cell's last row
 
-    When n*tau is not an integer the minimizer is the unique order
-    statistic of rank ceil(n*tau). When it is an integer the minimizers
-    form an interval between two order statistics and the midpoint is
-    returned, which keeps antisymmetric samples at exactly zero.
-    """
-    if not len(values):
-        raise ValueError("empty cell")
-    frac = _as_tau_fraction(tau)
-    ordered = sorted(float(v) for v in values)
-    n = len(ordered)
-    m = frac * n
-    if m.denominator == 1:
-        k = int(m)
-        return (ordered[k - 1] + ordered[k]) / 2
-    return ordered[math.ceil(m) - 1]
+
+def _layout(
+    y: Sequence[float], gender_dummy: Sequence[int], source_dummy: Sequence[int]
+) -> _Layout:
+    """The checked dummy design, laid out once for every fit: each cell
+    implied by the dummy levels present, the reference cell included."""
+    y = np.asarray(list(y), dtype=float)
+    g = np.asarray(list(gender_dummy), dtype=int)
+    s = np.asarray(list(source_dummy), dtype=int)
+    if not (len(y) == len(g) == len(s)):
+        raise ValueError("y, gender and source must have equal length")
+    if len(y) == 0:
+        raise ValueError("empty sample")
+    if not set(np.unique(g)) <= {0, 1} or not set(np.unique(s)) <= {0, 1}:
+        raise ValueError("dummies must be 0/1")
+
+    cells, rows = [], []
+    for gv in np.unique(g):
+        for sv in np.unique(s):
+            members = np.flatnonzero((g == gv) & (s == sv))
+            if len(members) == 0:
+                raise ValueError(f"empty design cell gender={gv}, source={sv}")
+            cells.append((int(gv), int(sv)))
+            rows.append(members)
+    if cells[0] != (0, 0):
+        raise ValueError("reference cell gender=0, source=0 is empty")
+    order = np.concatenate([r[np.argsort(y[r], kind="stable")] for r in rows])
+    return _Layout(y, cells, rows, order, np.cumsum([len(r) for r in rows]) - 1)
+
+
+def _read_quantiles(
+    layout: _Layout, cum: np.ndarray, fracs: Sequence[Fraction]
+) -> Optional[list[dict[tuple[int, int], float]]]:
+    """The cell fits for each tau, read at `_quantile_ranks` from `cum`, the
+    running row multiplicities along `layout.order`; None if a cell is empty."""
+    bounds = [0] + cum[layout.ends].tolist()
+    ranks, exact = [], []
+    for offset, end in zip(bounds, bounds[1:]):
+        if end == offset:
+            return None
+        for frac in fracs:
+            lo, hi = _quantile_ranks(frac, end - offset)
+            ranks += (offset + lo, offset + hi)
+            exact.append(lo != hi)
+    pairs = layout.y[layout.order[np.searchsorted(cum, ranks)]].reshape(-1, 2).tolist()
+    quantiles = [(lo + hi) / 2 if ex else lo for ex, (lo, hi) in zip(exact, pairs)]
+    return [dict(zip(layout.cells, quantiles[t :: len(fracs)])) for t in range(len(fracs))]
 
 
 @dataclass(frozen=True)
@@ -198,9 +237,10 @@ def quantile_regression(
     y: Sequence[float],
     gender_dummy: Sequence[int],
     source_dummy: Sequence[int],
-    tau: Union[float, Fraction],
-) -> QuantileModel:
-    """Fit Quantile(Y) = b0 + b1*Gender + b2*Source + b3*Gender*Source.
+    taus: Sequence[Union[float, Fraction]],
+) -> list[QuantileModel]:
+    """Fit Quantile(Y) = b0 + b1*Gender + b2*Source + b3*Gender*Source,
+    one model per tau in the order given.
 
     Dummy coding: Gender = 1 for women, Source = 1 for online outlets, so
     the reference cell is men/traditional. The design is saturated, so the
@@ -210,42 +250,27 @@ def quantile_regression(
     the dummy levels present in the data must be nonempty; coefficients
     whose cells are outside the design are not identified and reported as
     None.
+
+    The cells are laid out once for all taus; each fit is the bootstrap's
+    read with every row counted once.
     """
-    y = np.asarray(list(y), dtype=float)
-    g = np.asarray(list(gender_dummy), dtype=int)
-    s = np.asarray(list(source_dummy), dtype=int)
-    if not (len(y) == len(g) == len(s)):
-        raise ValueError("y, gender and source must have equal length")
-    if len(y) == 0:
-        raise ValueError("empty sample")
-    if not set(np.unique(g)) <= {0, 1} or not set(np.unique(s)) <= {0, 1}:
-        raise ValueError("dummies must be 0/1")
-
-    cells: dict[tuple[int, int], np.ndarray] = {}
-    for gv in np.unique(g):
-        for sv in np.unique(s):
-            members = y[(g == gv) & (s == sv)]
-            if len(members) == 0:
-                raise ValueError(f"empty design cell gender={gv}, source={sv}")
-            cells[(int(gv), int(sv))] = members
-
-    frac = _as_tau_fraction(tau)
-    fits = {cell: cell_quantile(vals, frac) for cell, vals in cells.items()}
-    coefficients = _coefficients(fits)
-    if coefficients[0] is None:
-        raise ValueError("reference cell gender=0, source=0 is empty")
-
-    loss = sum(
-        pinball_loss(vals, np.full(len(vals), fits[cell]), float(frac))
-        for cell, vals in cells.items()
-    )
-    return QuantileModel(
-        tau=float(frac),
-        coefficients=coefficients,
-        cell_quantiles=fits,
-        cell_sizes={cell: len(vals) for cell, vals in cells.items()},
-        loss=loss,
-    )
+    fracs = _as_tau_fractions(taus)
+    layout = _layout(y, gender_dummy, source_dummy)
+    sizes = {cell: len(rows) for cell, rows in zip(layout.cells, layout.rows)}
+    every_row_once = np.arange(1, len(layout.y) + 1)
+    return [
+        QuantileModel(
+            tau=float(frac),
+            coefficients=_coefficients(fits),
+            cell_quantiles=fits,
+            cell_sizes=dict(sizes),
+            loss=sum(
+                pinball_loss(layout.y[rows], np.full(len(rows), fits[cell]), float(frac))
+                for cell, rows in zip(layout.cells, layout.rows)
+            ),
+        )
+        for frac, fits in zip(fracs, _read_quantiles(layout, every_row_once, fracs))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +326,15 @@ def bootstrap_significance(
     excludes zero.
 
     The design is saturated, so a replicate's fit is the resampled cell
-    quantiles. The rows of each cell are sorted by y once; a replicate
-    reduces its draw to per-row multiplicities and reads each order
-    statistic from their running sums, with ``cell_quantile``'s rule.
+    quantiles. A replicate reduces its draw to per-row multiplicities and
+    reads every cell quantile from their running sums along the layout
+    that `quantile_regression` uses.
     """
     if n_replicates < MIN_REPLICATES:
         raise ValueError(f"bootstrap needs at least {MIN_REPLICATES} replicates")
-    fracs = [_as_tau_fraction(tau) for tau in taus]
-    y = np.asarray(list(y), dtype=float)
-    g = np.asarray(list(gender_dummy), dtype=int)
-    s = np.asarray(list(source_dummy), dtype=int)
-    n = len(y)
-    base = quantile_regression(y, g, s, fracs[0])  # validates the design
-    keys = sorted(base.cell_quantiles)
-
-    # Rows laid out cell by cell, each cell's rows stable-sorted by y.
-    blocks = []
-    for gv, sv in keys:
-        rows = np.flatnonzero((g == gv) & (s == sv))
-        blocks.append(rows[np.argsort(y[rows], kind="stable")])
-    order = np.concatenate(blocks)
-    ys = y[order]
-    ends = np.cumsum([len(b) for b in blocks]) - 1
+    fracs = _as_tau_fractions(taus)
+    layout = _layout(y, gender_dummy, source_dummy)
+    n = len(layout.y)
 
     draws: list[list[tuple[Optional[float], ...]]] = [[] for _ in fracs]
     attempts = 0
@@ -338,25 +350,14 @@ def bootstrap_significance(
         rep += 1
         attempts += 1
         idx = rng.integers(0, n, size=n)
-        cum = np.cumsum(np.bincount(idx, minlength=n)[order])
-        bounds = [0] + cum[ends].tolist()
-        totals = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        if 0 in totals:
+        fits = _read_quantiles(
+            layout, np.cumsum(np.bincount(idx, minlength=n)[layout.order]), fracs
+        )
+        if fits is None:
             discarded += 1
             continue
-        # Two ranks per cell and tau, shifted past the earlier cells: ranks
-        # n*tau and n*tau + 1 when n*tau is an integer, else ceil(n*tau) twice.
-        ranks, exact = [], []
-        for offset, total in zip(bounds, totals):
-            for frac in fracs:
-                k, rem = divmod(frac.numerator * total, frac.denominator)
-                ranks += (offset + k + (rem != 0), offset + k + 1)
-                exact.append(rem == 0)
-        pairs = ys[np.searchsorted(cum, ranks)].reshape(-1, 2).tolist()
-        quantiles = [(lo + hi) / 2 if ex else lo for ex, (lo, hi) in zip(exact, pairs)]
-        for t, draw in enumerate(draws):
-            fits = {key: quantiles[c * len(fracs) + t] for c, key in enumerate(keys)}
-            draw.append(_coefficients(fits))
+        for draw, tau_fits in zip(draws, fits):
+            draw.append(_coefficients(tau_fits))
 
     intervals = {}
     for frac, draw in zip(fracs, draws):

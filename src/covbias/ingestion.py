@@ -23,6 +23,7 @@ from .model import Document, Sentence, SourceType, Token, normalize_lemma, tree_
 _DIGITS_RE = re.compile(r"[\d.,:%/\-]+")
 _NEWDOC_RE = re.compile(r"#\s*newdoc\b(?:\s+id\s*=\s*(\S+))?")
 _SENTID_RE = re.compile(r"#\s*sent_id\s*=\s*(\S+)")
+_SKIPPED_ID_RE = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")  # ranges, empty nodes
 
 
 def read_stopwords(path) -> set[str]:
@@ -254,17 +255,19 @@ def iter_conllu(
                     path, lineno, f"expected 10 tab-separated columns, got {len(cols)}"
                 )
             tok_id, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
-            if "-" in tok_id or "." in tok_id:
-                continue  # multiword-token range or empty node
-            if not rows and block_start_line == 0:
-                block_start_line = lineno
             try:
+                if "-" in tok_id or "." in tok_id:
+                    if _SKIPPED_ID_RE.fullmatch(tok_id):
+                        continue  # multiword-token range or empty node
+                    raise ValueError(tok_id)  # a signed or half-open ID
                 idx = int(tok_id)
                 head_i = int(head)
             except ValueError:
                 raise ConlluFormatError(
                     path, lineno, f"non-integer ID or HEAD ({tok_id!r}, {head!r})"
                 ) from None
+            if not rows and block_start_line == 0:
+                block_start_line = lineno
             derived = forms.get((form, lemma))
             if derived is None:
                 derived = _derive_form(form, lemma, stopwords, lemma_map)

@@ -581,26 +581,19 @@ def quantile_analysis(cfg: PipelineConfig, records: list[SentimentRecord]) -> di
         s_dummy = [1 if r.source_type == SourceType.ONLINE else 0 for r in cat_records]
         entry: dict = {"jitter_seed": jitter_seed, "n": len(cat_records)}
         try:
-            models = {
-                tau: inference.quantile_regression(y, g_dummy, s_dummy, tau)
-                for tau in inference.DEFAULT_TAUS
-            }
+            models = inference.quantile_regression(y, g_dummy, s_dummy, inference.DEFAULT_TAUS)
         except ValueError as exc:
             log.warning("quantile regression skipped for %s: %s", category.value, exc)
             coef_json[category.value] = {"skipped": str(exc)}
             continue
         for gender, g_val in ((Gender.F, 1), (Gender.M, 0)):
             for source, s_val in ((SourceType.ONLINE, 1), (SourceType.TRADITIONAL, 0)):
-                fitted = [
-                    models[tau].cell_quantiles.get((g_val, s_val))
-                    for tau in inference.DEFAULT_TAUS
-                ]
-                if any(f is None for f in fitted):
-                    continue
-                quantile_rows.append([category.value, gender.value, source.value] + fitted)
-        entry["models"] = {
-            str(tau): models[tau].to_json_dict() for tau in inference.DEFAULT_TAUS
-        }
+                if (g_val, s_val) in models[0].cell_quantiles:
+                    quantile_rows.append(
+                        [category.value, gender.value, source.value]
+                        + [m.cell_quantiles[(g_val, s_val)] for m in models]
+                    )
+        entry["models"] = {str(m.tau): m.to_json_dict() for m in models}
         boot_seed = derive_seed(cfg.seed, 2, c_idx)
         entry["bootstrap_seed"] = boot_seed
         entry["bootstrap"] = inference.bootstrap_significance(

@@ -3,8 +3,9 @@
 Everything here is written from the definitions, takes the dumbest
 correct path, and shares no code with the package under test. The
 exceptions: ``bootstrap_per_tau`` refits every resample with the
-package's ``quantile_regression`` (itself checked against the LP and
-exhaustive-search oracles below), and ``token_from_row`` builds the
+package's ``quantile_regression``, one τ at a time as
+``quantile_regression(y, g, s, [tau])[0]`` (that fit is itself checked
+against the LP and exhaustive-search oracles below), and ``token_from_row`` builds the
 package's ``Token`` with its ``normalize_lemma``, because it checks the
 reader's memo of the derivation, not the normalization;
 ``SevenStructureTally`` keys its counts by the package's ``Gender``; and
@@ -274,7 +275,7 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
     g = np.asarray(list(gender_dummy), dtype=int)
     s = np.asarray(list(source_dummy), dtype=int)
     n = len(y)
-    base = quantile_regression(y, g, s, tau)
+    base = quantile_regression(y, g, s, [tau])[0]
     needed = set(base.cell_quantiles)
 
     draws = []
@@ -292,7 +293,7 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
         if cells != needed:
             discarded += 1
             continue
-        model = quantile_regression(y[idx], g[idx], s[idx], tau)
+        model = quantile_regression(y[idx], g[idx], s[idx], [tau])[0]
         draws.append(model.coefficients)
 
     intervals = []

@@ -173,7 +173,7 @@ def test_criterion_07_quantile_regression():
     g = rng.integers(0, 2, size=600)
     s = rng.integers(0, 2, size=600)
     for tau in TAUS:
-        model = quantile_regression(y, g, s, tau)
+        model = quantile_regression(y, g, s, [tau])[0]
         for (gv, sv), fitted in model.cell_quantiles.items():
             cell = list(y[(g == gv) & (s == sv)])
             assert abs(fitted - cell_quantile_bruteforce(cell, tau)) <= 1e-6
@@ -188,7 +188,7 @@ def test_criterion_07_quantile_regression():
         if cells != {(a, b) for a in set(gs) for b in set(ss)}:
             continue
         for tau in TAUS:
-            model = quantile_regression(ys, gs, ss, tau)
+            model = quantile_regression(ys, gs, ss, [tau])[0]
             assert model.loss == pytest.approx(
                 exhaustive_breakpoint_loss(ys, gs, ss, tau), abs=1e-9
             )

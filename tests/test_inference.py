@@ -10,7 +10,6 @@ from covbias.bias import CountTable
 from covbias.inference import (
     DEFAULT_TAUS,
     bootstrap_significance,
-    cell_quantile,
     chi_square,
     contingency_by_source,
     jitter,
@@ -96,9 +95,20 @@ class TestJitter:
             snapped = Fraction(round(jittered * 5), 5)
             assert classify(snapped) is classify(original)
 
+    @pytest.mark.parametrize("h", [-0.1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_half_width_rejected(self, h):
+        with pytest.raises(ValueError, match="half-width"):
+            jitter([0.2, -0.4], seed=1, h=h)
+
     def test_off_grid_rejected(self):
         with pytest.raises(ValueError):
             jitter([0.31], seed=1)
+
+
+def one_cell_quantile(values, tau):
+    """The fitted quantile of a design with a single (0, 0) cell."""
+    n = len(values)
+    return quantile_regression(values, [0] * n, [0] * n, [tau])[0].cell_quantiles[(0, 0)]
 
 
 class TestCellQuantile:
@@ -108,20 +118,20 @@ class TestCellQuantile:
             n = int(rng.integers(1, 25))
             values = list(rng.normal(size=n))
             tau = float(rng.choice(TAUS))
-            assert cell_quantile(values, tau) == pytest.approx(
+            assert one_cell_quantile(values, tau) == pytest.approx(
                 cell_quantile_bruteforce(values, tau), abs=1e-12
             )
 
     def test_median_of_three(self):
-        assert cell_quantile([-1, 0, 1], 0.5) == 0
+        assert one_cell_quantile([-1, 0, 1], 0.5) == 0
 
     def test_tie_interval_midpoint(self):
-        assert cell_quantile([1.0, 3.0], 0.5) == 2.0
+        assert one_cell_quantile([1.0, 3.0], 0.5) == 2.0
 
 
 class TestQuantileRegression:
     def test_single_cell_median(self):
-        model = quantile_regression([-1, 0, 1], [0, 0, 0], [0, 0, 0], 0.5)
+        model = quantile_regression([-1, 0, 1], [0, 0, 0], [0, 0, 0], [0.5])[0]
         assert model.coefficients[0] == 0.0
         assert model.coefficients[1:] == (None, None, None)
 
@@ -129,7 +139,7 @@ class TestQuantileRegression:
         y = [0.1, 0.4, 0.7, 1.0, -0.3, -0.1, 0.2, 0.6]
         s = [0, 0, 0, 0, 1, 1, 1, 1]
         g = [0] * 8
-        model = quantile_regression(y, g, s, 0.25)
+        model = quantile_regression(y, g, s, [0.25])[0]
         assert model.cell_quantiles[(0, 0)] == pytest.approx(
             cell_quantile_bruteforce(y[:4], 0.25), abs=1e-6
         )
@@ -148,7 +158,7 @@ class TestQuantileRegression:
                 y += [-0.9, -0.2, 0.2, 0.9]
                 g += [gv] * 4
                 s += [sv] * 4
-        model = quantile_regression(y, g, s, 0.5)
+        model = quantile_regression(y, g, s, [0.5])[0]
         for cell, fitted in model.cell_quantiles.items():
             assert fitted == 0.0
         assert model.coefficients == (0.0, 0.0, 0.0, 0.0)
@@ -161,7 +171,7 @@ class TestQuantileRegression:
         g = rng.integers(0, 2, size=400)
         s = rng.integers(0, 2, size=400)
         for tau in TAUS:
-            model = quantile_regression(y, g, s, tau)
+            model = quantile_regression(y, g, s, [tau])[0]
             for (gv, sv), fitted in model.cell_quantiles.items():
                 cell = y[(g == gv) & (s == sv)]
                 assert fitted == pytest.approx(
@@ -176,7 +186,7 @@ class TestQuantileRegression:
             g = list(rng.integers(0, 2, size=n))
             s = list(rng.integers(0, 2, size=n))
             for tau in (0.25, 0.5, 0.9):
-                model = quantile_regression(y, g, s, tau)
+                model = quantile_regression(y, g, s, [tau])[0]
                 beta = [c if c is not None else 0.0 for c in model.coefficients]
                 x = np.column_stack(
                     [
@@ -206,7 +216,7 @@ class TestQuantileRegression:
             if cells != need:
                 continue
             for tau in TAUS:
-                model = quantile_regression(y, g, s, tau)
+                model = quantile_regression(y, g, s, [tau])[0]
                 assert model.loss == pytest.approx(
                     exhaustive_breakpoint_loss(y, g, s, tau), abs=1e-9
                 )
@@ -219,21 +229,50 @@ class TestQuantileRegression:
             g = list(rng.integers(0, 2, size=n))
             s = list(rng.integers(0, 2, size=n))
             for tau in (0.25, 0.5, 0.75):
-                model = quantile_regression(y, g, s, tau)
+                model = quantile_regression(y, g, s, [tau])[0]
                 lp_loss, _ = linprog_quantile_loss(y, g, s, tau)
                 assert model.loss == pytest.approx(lp_loss, abs=1e-6)
 
     def test_empty_cell_named_in_error(self):
         with pytest.raises(ValueError, match="gender=1, source=1"):
-            quantile_regression([1.0, 2.0, 3.0], [0, 1, 0], [0, 0, 1], 0.5)
+            quantile_regression([1.0, 2.0, 3.0], [0, 1, 0], [0, 0, 1], [0.5])
 
     def test_degenerate_constant_cell(self):
-        model = quantile_regression([2.0, 2.0, 2.0], [0, 0, 0], [0, 0, 0], 0.25)
+        model = quantile_regression([2.0, 2.0, 2.0], [0, 0, 0], [0, 0, 0], [0.25])[0]
         assert model.coefficients[0] == 2.0
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
-            quantile_regression([1.0], [0], [0], 1.5)
+            quantile_regression([1.0], [0], [0], [1.5])
+
+    def test_no_tau_rejected(self):
+        with pytest.raises(ValueError, match="no tau"):
+            quantile_regression([1.0], [0], [0], [])
+
+    @given(
+        st.one_of(st.sampled_from([20, 40, 60, 80]), st.integers(1, 90)),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_all_taus_equal_single_tau_fits(self, n, seed, on_grid):
+        # Multiples of 20 make n*tau an integer in every cell of a
+        # one-cell design for every default tau, so the midpoint rule runs.
+        rng = np.random.default_rng(seed)
+        y = rng.integers(-5, 6, size=n) / 5
+        if not on_grid:
+            y = y + rng.uniform(-0.05, 0.05, size=n)
+        one_cell = n % 20 == 0
+        g = [0] * n if one_cell else [0] + list(rng.integers(0, 2, size=n - 1))
+        s = [0] * n if one_cell else [0] + list(rng.integers(0, 2, size=n - 1))
+        try:
+            models = quantile_regression(y, g, s, DEFAULT_TAUS)
+        except ValueError:
+            for tau in DEFAULT_TAUS:
+                with pytest.raises(ValueError):
+                    quantile_regression(y, g, s, [tau])
+            return
+        assert models == [quantile_regression(y, g, s, [tau])[0] for tau in DEFAULT_TAUS]
 
 
 class TestBootstrap:
@@ -243,6 +282,11 @@ class TestBootstrap:
         g = rng.integers(0, 2, size=n)
         s = rng.integers(0, 2, size=n)
         return list(y), list(g), list(s)
+
+    def test_no_tau_rejected(self):
+        y, g, s = self.make_data()
+        with pytest.raises(ValueError, match="no tau"):
+            bootstrap_significance(y, g, s, [], 100, seed=1)
 
     def test_replicate_budget_enforced(self):
         y, g, s = self.make_data()

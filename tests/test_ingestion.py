@@ -102,6 +102,31 @@ class TestConlluReader:
         out, _ = run_conllu(text, tmp_path)
         assert [t.surface for t in out[0][1].tokens] == ["di", "il", "mare"]
 
+    def test_empty_nodes_skipped(self, tmp_path):
+        text = """# newdoc id = de
+# sent_id = de.s0
+1\tpiove\tpiovere\tVERB\t_\t_\t0\troot\t_\t_
+1.1\tesso\t_\t_\t_\t_\t_\t_\t_\t_
+2\tforte\tforte\tADV\t_\t_\t1\tadvmod\t_\t_
+
+"""
+        out, _ = run_conllu(text, tmp_path)
+        assert [t.surface for t in out[0][1].tokens] == ["piove", "forte"]
+
+    @pytest.mark.parametrize("bad_id", ["-3", "3-", "1-2-3", "-1.5"])
+    def test_malformed_id_with_dash_or_dot_names_line(self, tmp_path, bad_id):
+        text = """# newdoc id = dm
+# sent_id = dm.s0
+1\tuna\tuno\tDET\t_\t_\t2\tdet\t_\t_
+2\tdonna\tdonna\tNOUN\t_\t_\t0\troot\t_\t_
+3\tbella\tbello\tADJ\t_\t_\t2\tamod\t_\t_
+
+""".replace("3\tbella", bad_id + "\tbella")
+        with pytest.raises(ConlluFormatError, match="non-integer ID or HEAD") as err:
+            run_conllu(text, tmp_path)
+        assert err.value.line == 5
+        assert repr(bad_id) in str(err.value)
+
     def test_bad_column_count_names_line(self, tmp_path):
         text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3\tnsubj\t_\t_", "2\tgatto\tgatto")
         with pytest.raises(ConlluFormatError) as err:

@@ -12,7 +12,7 @@ from covbias.bias import CountTable
 from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
 from covbias.errors import ConfigError, StageError
-from covbias.model import Category, Gender, PersonalizationRecord
+from covbias.model import Category, Gender, PersonalizationRecord, SentimentRecord, SourceType
 from covbias.pipeline import (
     PipelineConfig,
     ingest_check,
@@ -772,6 +772,42 @@ class TestTemporalAnalysis:
             ]
         assert artifacts["temporal_physical.json"]["tie_share"] == 1.0
         assert artifacts["temporal_moral_behavioral.json"]["A"] == 0.0
+
+
+class TestQuantileAnalysis:
+    @pytest.mark.parametrize(
+        "one_sided",
+        [
+            [(Gender.F, SourceType.TRADITIONAL), (Gender.F, SourceType.ONLINE)],
+            [(Gender.M, SourceType.ONLINE), (Gender.F, SourceType.ONLINE)],
+        ],
+        ids=["all_women", "all_online"],
+    )
+    def test_category_without_reference_cell_is_skipped(self, tiny_run, one_sided):
+        cfg = dataclasses.replace(tiny_run[0], bootstrap=inference.MIN_REPLICATES)
+        full = [(gender, source) for gender in Gender for source in SourceType]
+        scores = [-0.6, -0.2, 0.0, 0.4, 0.8]
+        records = [
+            SentimentRecord(category, gender, source, score)
+            for category, cells in (
+                (Category.MORAL_BEHAVIORAL, full),
+                (Category.PHYSICAL, one_sided),
+            )
+            for gender, source in cells
+            for score in scores * 2
+        ]
+        out = pipeline.quantile_analysis(cfg, records)
+        coefficients = out["quantile_coefficients.json"]
+        assert coefficients["physical"] == {
+            "skipped": "reference cell gender=0, source=0 is empty"
+        }
+        assert coefficients["socio_economic"] == {"skipped": "no records"}
+        assert set(coefficients["moral_behavioral"]["models"]) == {
+            str(tau) for tau in inference.DEFAULT_TAUS
+        }
+        header, rows = out["quantiles.csv"]
+        assert header[:3] == ["category", "gender", "source_type"]
+        assert [row[0] for row in rows] == ["moral_behavioral"] * 4
 
 
 class TestAllOrNothing:
