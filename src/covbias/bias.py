@@ -490,9 +490,11 @@ def _sorted_sample(
 def _quantile_ranks(p: Fraction, total: int) -> tuple[int, int]:
     """The ranks, in cumulative weight, of the p-quantile's order statistics:
     ceil(p * total) twice, or p * total and the next rank when p * total is
-    an integer, whose midpoint is taken (so symmetric data has median zero)."""
-    k, rem = divmod(p.numerator * total, p.denominator)
-    return (k + 1, k + 1) if rem else (k, k + 1)
+    an integer, whose midpoint is taken (so symmetric data has median zero).
+    `total` may be an integer array, read elementwise."""
+    scaled = p.numerator * total
+    k = scaled // p.denominator
+    return k + (scaled % p.denominator != 0), k + 1
 
 
 def _sorted_quantile(ordered: list[Fraction], cum: list[int], p: Fraction) -> Fraction:

@@ -16,6 +16,7 @@ from .sentiment import score_fifths
 
 DEFAULT_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
 MIN_REPLICATES = 100
+BLOCK_ROWS = 2**15  # resampled rows one bootstrap block holds: a memory cap
 JITTER_HALF_WIDTH = 0.05  # a quarter of the 0.2 grid step: ties break,
 # class membership never changes
 
@@ -179,22 +180,29 @@ def _layout(
 
 
 def _read_quantiles(
-    layout: _Layout, cum: np.ndarray, fracs: Sequence[Fraction]
-) -> Optional[list[dict[tuple[int, int], float]]]:
-    """The cell fits for each tau, read at `_quantile_ranks` from `cum`, the
-    running row multiplicities along `layout.order`; None if a cell is empty."""
-    bounds = [0] + cum[layout.ends].tolist()
-    ranks, exact = [], []
-    for offset, end in zip(bounds, bounds[1:]):
-        if end == offset:
-            return None
-        for frac in fracs:
-            lo, hi = _quantile_ranks(frac, end - offset)
-            ranks += (offset + lo, offset + hi)
-            exact.append(lo != hi)
-    pairs = layout.y[layout.order[np.searchsorted(cum, ranks)]].reshape(-1, 2).tolist()
-    quantiles = [(lo + hi) / 2 if ex else lo for ex, (lo, hi) in zip(exact, pairs)]
-    return [dict(zip(layout.cells, quantiles[t :: len(fracs)])) for t in range(len(fracs))]
+    layout: _Layout, counts: np.ndarray, fracs: Sequence[Fraction]
+) -> np.ndarray:
+    """The cell fits, shape (kept samples, taus, cells), read at `_quantile_ranks`.
+
+    Each row of `counts` holds one sample's multiplicity of every input
+    row, n in all; a sample in which a design cell is empty is dropped.
+    One running sum along `layout.order` covers all samples, so sample r
+    reads from (r * n, (r + 1) * n] and one `searchsorted` finds every
+    rank of every sample.
+    """
+    reps, n = counts.shape
+    run = np.cumsum(counts[:, layout.order])
+    shift = np.arange(0, reps * n, n)[:, None]
+    ends = run.reshape(reps, n)[:, layout.ends]
+    sizes = np.diff(ends, axis=1, prepend=shift)
+    present = np.all(sizes > 0, axis=1)
+    shift, ends, sizes = shift[present], ends[present], sizes[present]
+    if max(f.numerator for f in fracs) * n > np.iinfo(np.int64).max:
+        sizes = sizes.astype(object)  # numerator * size would wrap in int64
+    ranks = np.array([_quantile_ranks(frac, sizes) for frac in fracs], dtype=np.int64)
+    at = np.searchsorted(run, ranks + (ends - sizes)) - shift
+    lo, hi = layout.y[layout.order][at].swapaxes(0, 1)
+    return np.where(ranks[:, 0] != ranks[:, 1], (lo + hi) / 2, lo).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -221,7 +229,8 @@ class QuantileModel:
 def _coefficients(
     fits: dict[tuple[int, int], float],
 ) -> tuple[Optional[float], Optional[float], Optional[float], Optional[float]]:
-    """(b0, b1, b2, b3) from the cell fits; None where a cell is missing."""
+    """(b0, b1, b2, b3) from the cell fits, floats or arrays of them alike;
+    None where a cell is missing."""
     b0 = fits.get((0, 0))
     b1 = fits[(1, 0)] - b0 if {(1, 0), (0, 0)} <= fits.keys() else None
     b2 = fits[(0, 1)] - b0 if {(0, 1), (0, 0)} <= fits.keys() else None
@@ -257,7 +266,8 @@ def quantile_regression(
     fracs = _as_tau_fractions(taus)
     layout = _layout(y, gender_dummy, source_dummy)
     sizes = {cell: len(rows) for cell, rows in zip(layout.cells, layout.rows)}
-    every_row_once = np.arange(1, len(layout.y) + 1)
+    every_row_once = np.ones((1, len(layout.y)), dtype=np.int64)
+    (quantiles,) = _read_quantiles(layout, every_row_once, fracs).tolist()
     return [
         QuantileModel(
             tau=float(frac),
@@ -269,7 +279,7 @@ def quantile_regression(
                 for cell, rows in zip(layout.cells, layout.rows)
             ),
         )
-        for frac, fits in zip(fracs, _read_quantiles(layout, every_row_once, fracs))
+        for frac, fits in zip(fracs, (dict(zip(layout.cells, q)) for q in quantiles))
     ]
 
 
@@ -326,51 +336,56 @@ def bootstrap_significance(
     excludes zero.
 
     The design is saturated, so a replicate's fit is the resampled cell
-    quantiles. A replicate reduces its draw to per-row multiplicities and
-    reads every cell quantile from their running sums along the layout
-    that `quantile_regression` uses.
+    quantiles. Replicates are drawn in blocks of about `BLOCK_ROWS`
+    resampled rows, a cap on memory: one `bincount` turns a block's draws
+    into per-row multiplicities, and every cell quantile of every
+    replicate in it is read from their running sums along the layout
+    that `quantile_regression` uses. A block never draws past the
+    replicates still needed or past the budget, so the replicates kept
+    and discarded are those of a one-at-a-time loop.
     """
     if n_replicates < MIN_REPLICATES:
         raise ValueError(f"bootstrap needs at least {MIN_REPLICATES} replicates")
     fracs = _as_tau_fractions(taus)
     layout = _layout(y, gender_dummy, source_dummy)
     n = len(layout.y)
+    block = max(1, BLOCK_ROWS // n)
+    budget = 10 * n_replicates
 
-    draws: list[list[tuple[Optional[float], ...]]] = [[] for _ in fracs]
+    blocks: list[np.ndarray] = []  # (kept replicates, taus, cells) per block
+    kept = 0
     attempts = 0
-    discarded = 0
-    rep = 0
-    while len(draws[0]) < n_replicates:
-        if attempts >= 10 * n_replicates:
+    while kept < n_replicates:
+        if attempts >= budget:
             raise RuntimeError(
                 "bootstrap exhausted its redraw budget without filling "
-                f"{n_replicates} replicates ({discarded} discarded)"
+                f"{n_replicates} replicates ({attempts - kept} discarded)"
             )
-        rng = np.random.default_rng([seed, rep])
-        rep += 1
-        attempts += 1
-        idx = rng.integers(0, n, size=n)
-        fits = _read_quantiles(
-            layout, np.cumsum(np.bincount(idx, minlength=n)[layout.order]), fracs
-        )
-        if fits is None:
-            discarded += 1
-            continue
-        for draw, tau_fits in zip(draws, fits):
-            draw.append(_coefficients(tau_fits))
+        size = min(block, n_replicates - kept, budget - attempts)
+        idx = np.empty((size, n), dtype=np.int64)
+        for i in range(size):
+            idx[i] = np.random.default_rng([seed, attempts + i]).integers(0, n, size=n)
+        idx += np.arange(0, size * n, n)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=size * n).reshape(size, n)
+        blocks.append(_read_quantiles(layout, counts, fracs))
+        kept += len(blocks[-1])
+        attempts += size
 
+    fits = np.concatenate(blocks)
+    coefs = _coefficients({cell: fits[..., c] for c, cell in enumerate(layout.cells)})
+    known = [b for b in coefs if b is not None]
+    lower, upper = np.percentile(np.stack(known, axis=-1), (2.5, 97.5), axis=0).tolist()
     intervals = {}
-    for frac, draw in zip(fracs, draws):
+    for frac, lows, highs in zip(fracs, lower, upper):
+        bounds = iter(zip(lows, highs))
         cis = []
-        for j in range(4):
-            vals = [d[j] for d in draw]
-            if any(v is None for v in vals):
+        for b in coefs:
+            if b is None:
                 cis.append(BootstrapCI(None, None, None))
                 continue
-            arr = np.asarray(vals, dtype=float)
-            lo, hi = (float(np.percentile(arr, p)) for p in (2.5, 97.5))
+            lo, hi = next(bounds)
             cis.append(BootstrapCI(lo, hi, not (lo <= 0.0 <= hi)))
         intervals[float(frac)] = tuple(cis)
     return BootstrapResult(
-        n_replicates=n_replicates, discarded=discarded, intervals=intervals
+        n_replicates=n_replicates, discarded=attempts - kept, intervals=intervals
     )

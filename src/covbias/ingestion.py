@@ -255,17 +255,21 @@ def iter_conllu(
                     path, lineno, f"expected 10 tab-separated columns, got {len(cols)}"
                 )
             tok_id, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
-            try:
-                if "-" in tok_id or "." in tok_id:
-                    if _SKIPPED_ID_RE.fullmatch(tok_id):
-                        continue  # multiword-token range or empty node
-                    raise ValueError(tok_id)  # a signed or half-open ID
-                idx = int(tok_id)
-                head_i = int(head)
-            except ValueError:
+            # ASCII digits only, where int() would also take plus signs,
+            # blanks, underscores and other scripts' digits; a HEAD may
+            # carry a minus sign, which the tree check reports as out of range
+            head_digits = head[1:] if head[:1] == "-" else head
+            if not (
+                tok_id.isascii() and tok_id.isdigit()
+                and head_digits.isascii() and head_digits.isdigit()
+            ):
+                if _SKIPPED_ID_RE.fullmatch(tok_id):
+                    continue  # multiword-token range or empty node
                 raise ConlluFormatError(
                     path, lineno, f"non-integer ID or HEAD ({tok_id!r}, {head!r})"
-                ) from None
+                )
+            idx = int(tok_id)
+            head_i = int(head)
             if not rows and block_start_line == 0:
                 block_start_line = lineno
             derived = forms.get((form, lemma))

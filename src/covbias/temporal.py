@@ -4,7 +4,8 @@ Simpson-rule area between the gender trend curves.
 The functions take plain arrays on one calendar grid that the caller
 builds, with missing days already 0. A zero crossing of the difference
 that rounds onto a grid point makes that point the zero, so no Simpson
-chunk holds two equal xs.
+chunk holds two equal xs. The area solves the interpolating polynomials
+of all its Simpson chunks in one stacked call per chunk size.
 """
 
 from __future__ import annotations
@@ -57,23 +58,50 @@ def dominance_fractions(f: Sequence[float], m: Sequence[float]) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 
-def _chunk_integral(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Integral of the interpolating polynomial through 2-4 points.
+def _simpson_totals(runs: Sequence[Sequence[Point]]) -> list[float]:
+    """`simpson_integral` of each run of ordered (x, y) points.
 
-    On uniform grids this reproduces the trapezoid, Simpson 1/3 and
-    Simpson 3/8 rules exactly; on non-uniform chunks (which arise only at
-    inserted zero crossings) it integrates the interpolant through the
-    same points. Coordinates are shifted to the chunk origin to keep the
-    Vandermonde solve well conditioned.
+    A 3- or 4-point chunk is integrated through its interpolating
+    polynomial, which on uniform grids is the 1/3 or 3/8 rule exactly and
+    on non-uniform chunks (which arise only at inserted zero crossings)
+    integrates the interpolant through the same points. Each chunk is
+    shifted to its origin to keep its Vandermonde system well conditioned;
+    the chunks of one size, across all runs, are solved in one stacked
+    `np.linalg.solve`. The tail sums and the totals stay scalar float
+    operations, in chunk order.
     """
-    n = len(xs)
-    if n == 2:
-        return (xs[1] - xs[0]) * (ys[0] + ys[1]) / 2
-    u = np.asarray(xs, dtype=float) - xs[0]
-    v = np.vander(u, n, increasing=True)
-    coef = np.linalg.solve(v, np.asarray(ys, dtype=float))
-    top = u[-1]
-    return float(sum(c * top ** (k + 1) / (k + 1) for k, c in enumerate(coef)))
+    chunks: list[Sequence[Point]] = []
+    owners: list[int] = []
+    for r, run in enumerate(runs):
+        intervals = len(run) - 1
+        i = 0
+        while i < intervals:
+            step = {1: 1, 3: 3}.get(intervals - i, 2)
+            chunks.append(run[i : i + step + 1])
+            owners.append(r)
+            i += step
+    pieces = [0.0] * len(chunks)
+    for k, chunk in enumerate(chunks):
+        if len(chunk) == 2:
+            (x0, y0), (x1, y1) = chunk
+            pieces[k] = (x1 - x0) * (y0 + y1) / 2
+    for size in (3, 4):
+        picked = [k for k, chunk in enumerate(chunks) if len(chunk) == size]
+        if not picked:
+            continue
+        pts = np.array([chunks[k] for k in picked], dtype=float)
+        u = pts[..., 0] - pts[..., :1, 0]
+        v = np.empty((len(picked), size, size))  # np.vander(u, increasing=True), stacked
+        v[..., 0] = 1.0
+        v[..., 1:] = u[..., None]
+        np.multiply.accumulate(v[..., 1:], out=v[..., 1:], axis=-1)
+        coefs = np.linalg.solve(v, pts[..., 1:])[..., 0]  # y as a column: one right-hand side
+        for k, top, coef in zip(picked, u[:, -1].tolist(), coefs.tolist()):
+            pieces[k] = sum(c * top ** (j + 1) / (j + 1) for j, c in enumerate(coef))
+    totals = [0.0] * len(runs)
+    for r, piece in zip(owners, pieces):
+        totals[r] += piece
+    return totals
 
 
 def simpson_integral(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -85,22 +113,7 @@ def simpson_integral(xs: Sequence[float], ys: Sequence[float]) -> float:
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys differ in length")
-    if len(xs) < 2:
-        return 0.0
-    intervals = len(xs) - 1
-    total = 0.0
-    i = 0
-    while intervals - i > 0:
-        left = intervals - i
-        if left == 1:
-            total += _chunk_integral(xs[i : i + 2], ys[i : i + 2])
-            i += 1
-        elif left == 3:
-            total += _chunk_integral(xs[i : i + 4], ys[i : i + 4])
-            i += 3
-        else:
-            total += _chunk_integral(xs[i : i + 3], ys[i : i + 3])
-            i += 2
+    (total,) = _simpson_totals([list(zip(xs, ys))])
     return total
 
 
@@ -158,7 +171,8 @@ def area_decomposition(
 
     The pointwise difference is cut into maximal sign-constant segments
     (zero crossings located by linear interpolation and inserted as grid
-    points); each segment is integrated with the composite Simpson rule.
+    points); each segment is integrated with the composite Simpson rule,
+    the chunks of all segments solved together.
     Returns (A_F, A_M, A) with A = A_F + A_M by construction.
     """
     f, m = _checked_pair(f, m)
@@ -168,10 +182,8 @@ def area_decomposition(
         raise ValueError("area decomposition needs at least 3 points")
     a_f = 0.0
     a_m = 0.0
-    for sign, seg in _split_segments([float(x) for x in xs], (f - m).tolist()):
-        sx = [p[0] for p in seg]
-        sy = [p[1] for p in seg]
-        piece = simpson_integral(sx, sy)
+    segments = _split_segments([float(x) for x in xs], (f - m).tolist())
+    for (sign, _), piece in zip(segments, _simpson_totals([seg for _, seg in segments])):
         if sign > 0:
             a_f += piece
         elif sign < 0:

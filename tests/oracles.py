@@ -8,10 +8,15 @@ package's ``quantile_regression``, one τ at a time as
 against the LP and exhaustive-search oracles below), and ``token_from_row`` builds the
 package's ``Token`` with its ``normalize_lemma``, because it checks the
 reader's memo of the derivation, not the normalization;
-``SevenStructureTally`` keys its counts by the package's ``Gender``; and
+``SevenStructureTally`` keys its counts by the package's ``Gender``;
 ``extract_records_reference`` finds mentions with the package's
 ``find_mentions`` and fills its result types, because it checks the tree
-walk and the nearest-mention attribution, not those.
+walk and the nearest-mention attribution, not those;
+``bootstrap_sequential_reference`` reads through the package's layout,
+rank rule and coefficient step, because it checks the blocked replicate
+loop, not those; and ``area_decomposition_reference`` cuts segments with
+the package's ``_split_segments``, because it checks the stacked Simpson
+solve, not the cut.
 """
 
 from __future__ import annotations
@@ -308,6 +313,83 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
     return n_replicates, discarded, tuple(intervals)
 
 
+def bootstrap_sequential_reference(y, gender_dummy, source_dummy, taus, n_replicates, seed):
+    """``bootstrap_significance`` one replicate at a time.
+
+    Replicate ``rep`` draws from ``default_rng([seed, rep])``, reduces the
+    draw to per-row multiplicities, reads each cell's quantile for every
+    tau at the package's ``_quantile_ranks`` (Python ints, one cell at a
+    time) along the package's ``_layout``, and turns the cell fits into
+    coefficients with the package's ``_coefficients``. A resample missing
+    a design cell is discarded and redrawn, up to 10x the replicate
+    budget. Each percentile is its own ``np.percentile`` call. Returns
+    the package's ``BootstrapResult``.
+    """
+    import numpy as np
+
+    from covbias.bias import _quantile_ranks
+    from covbias.inference import (
+        BootstrapCI,
+        BootstrapResult,
+        _as_tau_fractions,
+        _coefficients,
+        _layout,
+    )
+
+    fracs = _as_tau_fractions(taus)
+    layout = _layout(y, gender_dummy, source_dummy)
+    n = len(layout.y)
+
+    def read(cum):
+        bounds = [0] + cum[layout.ends].tolist()
+        ranks, exact = [], []
+        for offset, end in zip(bounds, bounds[1:]):
+            if end == offset:
+                return None
+            for frac in fracs:
+                lo, hi = _quantile_ranks(frac, end - offset)
+                ranks += (offset + lo, offset + hi)
+                exact.append(lo != hi)
+        pairs = layout.y[layout.order[np.searchsorted(cum, ranks)]].reshape(-1, 2).tolist()
+        quantiles = [(lo + hi) / 2 if ex else lo for ex, (lo, hi) in zip(exact, pairs)]
+        return [dict(zip(layout.cells, quantiles[t :: len(fracs)])) for t in range(len(fracs))]
+
+    draws = [[] for _ in fracs]
+    attempts = 0
+    discarded = 0
+    rep = 0
+    while len(draws[0]) < n_replicates:
+        if attempts >= 10 * n_replicates:
+            raise RuntimeError(
+                "bootstrap exhausted its redraw budget without filling "
+                f"{n_replicates} replicates ({discarded} discarded)"
+            )
+        rng = np.random.default_rng([seed, rep])
+        rep += 1
+        attempts += 1
+        idx = rng.integers(0, n, size=n)
+        fits = read(np.cumsum(np.bincount(idx, minlength=n)[layout.order]))
+        if fits is None:
+            discarded += 1
+            continue
+        for draw, tau_fits in zip(draws, fits):
+            draw.append(_coefficients(tau_fits))
+
+    intervals = {}
+    for frac, draw in zip(fracs, draws):
+        cis = []
+        for j in range(4):
+            vals = [d[j] for d in draw]
+            if any(v is None for v in vals):
+                cis.append(BootstrapCI(None, None, None))
+                continue
+            arr = np.asarray(vals, dtype=float)
+            lo, hi = (float(np.percentile(arr, p)) for p in (2.5, 97.5))
+            cis.append(BootstrapCI(lo, hi, not (lo <= 0.0 <= hi)))
+        intervals[float(frac)] = tuple(cis)
+    return BootstrapResult(n_replicates=n_replicates, discarded=discarded, intervals=intervals)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial integration
 # ---------------------------------------------------------------------------
@@ -316,6 +398,59 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
 def poly_integral(coefs, a, b):
     """Exact integral of sum(c_k x^k) over [a, b]."""
     return sum(c / (k + 1) * (b ** (k + 1) - a ** (k + 1)) for k, c in enumerate(coefs))
+
+
+def chunk_integral(xs, ys):
+    """Integral of the interpolating polynomial through 2-4 points, one
+    Vandermonde solve per chunk, coordinates shifted to the chunk origin."""
+    import numpy as np
+
+    n = len(xs)
+    if n == 2:
+        return (xs[1] - xs[0]) * (ys[0] + ys[1]) / 2
+    u = np.asarray(xs, dtype=float) - xs[0]
+    v = np.vander(u, n, increasing=True)
+    coef = np.linalg.solve(v, np.asarray(ys, dtype=float))
+    top = u[-1]
+    return float(sum(c * top ** (k + 1) / (k + 1) for k, c in enumerate(coef)))
+
+
+def simpson_chunks_reference(xs, ys):
+    """Composite Simpson over an ordered grid, chunk by chunk: pairs of
+    intervals, the final three intervals when their count is odd, a single
+    interval alone."""
+    intervals = len(xs) - 1
+    total = 0.0
+    i = 0
+    while intervals - i > 0:
+        left = intervals - i
+        if left == 1:
+            total += chunk_integral(xs[i : i + 2], ys[i : i + 2])
+            i += 1
+        elif left == 3:
+            total += chunk_integral(xs[i : i + 4], ys[i : i + 4])
+            i += 3
+        else:
+            total += chunk_integral(xs[i : i + 3], ys[i : i + 3])
+            i += 2
+    return total
+
+
+def area_decomposition_reference(xs, f, m):
+    """(A_F, A_M, A) from the package's ``_split_segments``, each segment
+    integrated by ``simpson_chunks_reference``."""
+    from covbias.temporal import _split_segments
+
+    a_f = 0.0
+    a_m = 0.0
+    d = [float(fv) - float(mv) for fv, mv in zip(f, m)]
+    for sign, seg in _split_segments([float(x) for x in xs], d):
+        piece = simpson_chunks_reference([p[0] for p in seg], [p[1] for p in seg])
+        if sign > 0:
+            a_f += piece
+        elif sign < 0:
+            a_m += -piece
+    return a_f, a_m, a_f + a_m
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covbias import inference
 from covbias.bias import CountTable
 from covbias.inference import (
     DEFAULT_TAUS,
@@ -20,6 +22,7 @@ from covbias.model import Gender, SourceType
 from covbias.sentiment import classify
 from oracles import (
     bootstrap_per_tau,
+    bootstrap_sequential_reference,
     cell_quantile_bruteforce,
     exhaustive_breakpoint_loss,
     linprog_quantile_loss,
@@ -424,6 +427,88 @@ class TestSharedDrawOracle:
             assert result.discarded == discarded
             got = tuple((ci.lower, ci.upper, ci.significant) for ci in result.intervals[tau])
             assert got == intervals
+
+
+def lone_row_design(n):
+    """n rows, all in the reference cell but one row in each other cell:
+    about three in four resamples lose a cell and are discarded."""
+    y = list(np.random.default_rng(n).normal(size=n))
+    return y, [0] * (n - 3) + [0, 1, 1], [0] * (n - 3) + [1, 0, 1]
+
+
+def discarded_attempts(g, s, attempts, seed):
+    """Whether each of the first attempts draws a resample missing a cell."""
+    g, s = np.asarray(g), np.asarray(s)
+    cells = set(zip(g.tolist(), s.tolist()))
+    flags = []
+    for rep in range(attempts):
+        idx = np.random.default_rng([seed, rep]).integers(0, len(g), size=len(g))
+        flags.append(set(zip(g[idx].tolist(), s[idx].tolist())) != cells)
+    return flags
+
+
+class TestBlockEdgeOracle:
+    """Blocks of any size keep and discard the replicates that the
+    one-at-a-time bootstrap does, and give the same intervals."""
+
+    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    def test_discards_across_block_edges(self, monkeypatch, per_block):
+        y, g, s = lone_row_design(20)
+        # while half the replicates are still needed every block is full,
+        # so block j holds attempts [j * per_block, (j + 1) * per_block)
+        flags = discarded_attempts(g, s, 50, seed=1)
+        for b in (3, 7):
+            edges = range(b, 50, b)
+            assert any(flags[i - 1] and flags[i] for i in edges)  # a run across an edge
+            assert any(all(flags[i - b : i]) for i in edges)  # a block all discarded
+        monkeypatch.setattr(inference, "BLOCK_ROWS", per_block * len(y))
+        expected = bootstrap_sequential_reference(y, g, s, DEFAULT_TAUS, 101, seed=1)
+        assert expected.discarded > 100
+        assert bootstrap_significance(y, g, s, DEFAULT_TAUS, 101, seed=1) == expected
+
+    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    def test_few_discards_and_a_short_last_block(self, monkeypatch, per_block):
+        rng = np.random.default_rng(29)
+        y, g, s = rng.normal(size=60), rng.integers(0, 2, 60), rng.integers(0, 2, 60)
+        monkeypatch.setattr(inference, "BLOCK_ROWS", per_block * len(y))
+        expected = bootstrap_sequential_reference(y, g, s, DEFAULT_TAUS, 103, seed=6)
+        assert bootstrap_significance(y, g, s, DEFAULT_TAUS, 103, seed=6) == expected
+
+    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    def test_exhausted_budget_same_message(self, monkeypatch, per_block):
+        # one row per cell: a resample keeps all four about one time in ten
+        y, g, s = [0.3, -0.1, 0.7, 0.2], [0, 0, 1, 1], [0, 1, 0, 1]
+        monkeypatch.setattr(inference, "BLOCK_ROWS", per_block * len(y))
+        with pytest.raises(RuntimeError) as expected:
+            bootstrap_sequential_reference(y, g, s, DEFAULT_TAUS, 100, seed=0)
+        with pytest.raises(RuntimeError) as got:
+            bootstrap_significance(y, g, s, DEFAULT_TAUS, 100, seed=0)
+        assert str(got.value) == str(expected.value)
+
+    def test_long_decimal_tau_on_large_cells(self):
+        # 0.3333333333333333 has numerator 3333333333333333: times a cell of
+        # ~3000 rows the rank arithmetic passes 2**63
+        rng = np.random.default_rng(31)
+        n = 12000
+        y, g, s = rng.normal(size=n), rng.integers(0, 2, n), rng.integers(0, 2, n)
+        taus = (0.1, 0.3333333333333333, 0.9)
+        expected = bootstrap_sequential_reference(y, g, s, taus, 100, seed=2)
+        assert bootstrap_significance(y, g, s, taus, 100, seed=2) == expected
+
+
+def test_bootstrap_memory_is_capped():
+    # an uncapped block of 200 replicates x 20000 rows would be 32 MB of
+    # int64 draws alone
+    rng = np.random.default_rng(37)
+    n = 20000
+    y, g, s = rng.normal(size=n), rng.integers(0, 2, n), rng.integers(0, 2, n)
+    tracemalloc.start()
+    try:
+        bootstrap_significance(y, g, s, DEFAULT_TAUS, 200, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_pinball_total_oracle_consistency():

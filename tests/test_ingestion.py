@@ -127,6 +127,33 @@ class TestConlluReader:
         assert err.value.line == 5
         assert repr(bad_id) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            (3, ("+1", "2")),
+            (4, ("0_2", "0")),
+            (5, ("3", " 2")),
+            (5, ("3", "+2")),
+            (4, ("２", "0")),
+            (5, ("3", "٢")),
+            (5, ("3", "2 ")),
+        ],
+    )
+    def test_id_or_head_beyond_ascii_digits_names_line(self, tmp_path, line, bad):
+        # int() reads every one of these as a number
+        rows = [["1", "una", "uno", "DET", "2", "det"],
+                ["2", "donna", "donna", "NOUN", "0", "root"],
+                ["3", "bella", "bello", "ADJ", "2", "amod"]]
+        rows[line - 3][0], rows[line - 3][4] = bad
+        text = "# newdoc id = dn\n# sent_id = dn.s0\n" + "".join(
+            f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{head}\t{rel}\t_\t_\n"
+            for i, form, lemma, upos, head, rel in rows
+        ) + "\n"
+        with pytest.raises(ConlluFormatError, match="non-integer ID or HEAD") as err:
+            run_conllu(text, tmp_path)
+        assert err.value.line == line
+        assert str(tmp_path / "t.conllu") in str(err.value)
+
     def test_bad_column_count_names_line(self, tmp_path):
         text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3\tnsubj\t_\t_", "2\tgatto\tgatto")
         with pytest.raises(ConlluFormatError) as err:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covbias.temporal import (
@@ -10,7 +10,7 @@ from covbias.temporal import (
     moving_average,
     simpson_integral,
 )
-from oracles import poly_integral
+from oracles import area_decomposition_reference, poly_integral, simpson_chunks_reference
 
 
 def series(values):
@@ -199,3 +199,41 @@ class TestCrossingOnGridPoint:
             for _, seg in _split_segments(list(self.ORDINALS), ds):
                 xs = [x for x, _ in seg]
                 assert xs == sorted(set(xs))
+
+
+ORDINALS = [736462.0 + i for i in range(8)]
+
+
+@st.composite
+def trend_pairs(draw):
+    """(xs, f, m) whose difference runs through sign-constant stretches of
+    1-6 points, exact zeros and noise-sized values, so its segments hold
+    2, 3, 4 and 5+ points and some crossings round onto a grid point."""
+    runs = draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 6)), min_size=1, max_size=8))
+    size = st.sampled_from([1e-17, 1.39e-17, 0.5]) | st.floats(1e-6, 1.0)
+    d = [sign * draw(size) for sign, length in runs for _ in range(length)]
+    d += [draw(size) for _ in range(3 - len(d))]
+    origin = draw(st.sampled_from([0.0, 736462.0]))
+    xs = [origin + i for i in range(len(d))]
+    shape = draw(st.sampled_from(["f", "m", "offset"]))
+    if shape == "f":
+        return xs, d, [0.0] * len(d)
+    if shape == "m":
+        return xs, [0.0] * len(d), [-v for v in d]
+    c = draw(st.floats(0.0, 1.0))
+    return xs, [c + v for v in d], [c] * len(d)
+
+
+class TestStackedSimpsonOracle:
+    """The stacked chunk solve equals the per-chunk loop bit for bit."""
+
+    @given(trend_pairs())
+    @example((ORDINALS[:4], [0.0] * 4, [0.5, -1.39e-17, 0.5, 0.5]))
+    @example((ORDINALS[:3], [0.5, 1e-17, 0.0], [0.0, 0.0, 0.5]))
+    @example((ORDINALS[:4], [0.5, 1e-17, -0.5, 0.5], [0.0] * 4))
+    @example((ORDINALS[:4], [0.5, -1e-17, 0.5, 0.5], [0.0] * 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_chunk_reference(self, pair):
+        xs, f, m = pair
+        assert area_decomposition(xs, f, m) == area_decomposition_reference(xs, f, m)
+        assert simpson_integral(xs, f) == simpson_chunks_reference(xs, f)
