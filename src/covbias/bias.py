@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,6 +80,29 @@ class CountTable:
         self._cache.clear()
         if pid is not None:
             self.pids.setdefault((gender, category, source_type), set()).add(pid)
+
+    @classmethod
+    def from_counts(
+        cls,
+        cells: dict[CellKey, int],
+        pid_keys: Iterable[tuple[Gender, Optional[Category], Optional[SourceType], str]],
+    ) -> "CountTable":
+        """A table over counted ``cells``, which it takes as they are.
+
+        Each ``(gender, category, source_type, pid)`` of ``pid_keys`` adds
+        the politician to its slot, as ``add(..., pid=pid)`` would. The
+        cells, in their counted order, and the politician sets are those
+        that one ``add()`` per counted event builds.
+        """
+        out = cls()
+        out.cells = cells
+        pids = out.pids
+        for g, cat, st, pid in pid_keys:
+            members = pids.get((g, cat, st))
+            if members is None:
+                members = pids[g, cat, st] = set()
+            members.add(pid)
+        return out
 
     # -- marginals ---------------------------------------------------------
 

@@ -98,8 +98,11 @@ def find_mentions(
     match first; the result is ordered by span start, then by pattern
     precedence (name+surname, role+surname, specific role).
 
-    Candidate tuples come from the registry's first-token indexes, so the
-    cost per sentence does not grow with the size of the registry.
+    Candidate tuples come from the registry's first-token indexes, and a
+    role + surname candidate tests only the surname's politicians for the
+    role, so the cost per sentence does not grow with the size of the
+    registry. With fewer than two candidates there is no overlap to
+    resolve, and they are returned as found.
     """
     gaz = gazetteer if gazetteer is not None else RoleGazetteer()
     diag = diagnostics if diagnostics is not None else MatchDiagnostics()
@@ -140,9 +143,7 @@ def find_mentions(
         if i + 1 < n:
             for key in registry.surnames_by_first.get(norms[i + 1], ()):
                 if norms[i + 1 : i + 1 + len(key)] == key:
-                    holders = registry.surnames[key] & registry.holders_of_keyword(
-                        canonical, doc.date
-                    )
+                    holders = registry.holders_of_surname(key, canonical, doc.date)
                     resolve(
                         holders, i + 1, i + 1 + len(key), MentionPattern.ROLE_SURNAME
                     )
@@ -169,6 +170,8 @@ def find_mentions(
                         )
                         break
 
+    if len(candidates) < 2:
+        return candidates  # nothing can overlap
     # Longest-match-wins on overlap (equal lengths fall back to pattern
     # precedence); each token belongs to at most one mention.
     chosen: list[Mention] = []

@@ -13,15 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .bias import CountTable
+from .bias import CellKey, CountTable
 from .entities import MatchDiagnostics, RoleGazetteer, find_mentions
 from .lexicon import Lexicon
 from .model import (
+    Category,
     Document,
     Gender,
     Mention,
     PersonalizationRecord,
     Sentence,
+    SourceType,
     Token,
 )
 from .registry import PoliticianRegistry
@@ -194,11 +196,21 @@ def extract_records(
     coverage table; words found in the lexicon additionally yield one
     personalization record per occurrence, so a sentence may contribute
     several records.
+
+    Each word's category and float sentiment come from one dict built
+    from the lexicon, each mention's gender from one pid -> gender dict.
+    Attributed words are counted straight into a plain cell dict plus a
+    set of (gender, category, source_type, pid) keys, both bounded by the
+    distinct cells, and become the `CountTable` once the stream ends.
     """
     gaz = gazetteer if gazetteer is not None else RoleGazetteer()
     result = ExtractionResult()
-    lexicon_get, gender_of = lexicon.get, registry.gender_of
-    count, record = result.counts.add, result.records.append
+    words = {key: (e.category, float(e.aggregate)) for key, e in lexicon.entries.items()}
+    genders = {pid: p.gender for pid, p in registry.politicians.items()}
+    cells: dict[CellKey, int] = {}
+    pid_keys: set[tuple[Gender, Optional[Category], SourceType, str]] = set()
+    word_of, cell_count, add_pid_key = words.get, cells.get, pid_keys.add
+    new_record, record = tuple.__new__, result.records.append
     cover = result.descriptives.coverage.add
     personalize = result.descriptives.personalization.add
     for doc, sentence in stream:
@@ -220,22 +232,28 @@ def extract_records(
                     nearest[token.index] = (token, d, [m])
                 elif d == best[1]:
                     best[2].append(m)
+        doc_id, date, source_type = doc.doc_id, doc.date, doc.source_type
+        sent_index = sentence.index
         for index in sorted(nearest):
             token, _, tied = nearest[index]
             lemma, upos = token.lemma, token.upos
-            entry = lexicon_get(lemma, upos)
-            category = entry.category if entry is not None else None
-            sentiment = float(entry.aggregate) if entry is not None else None
+            word = word_of((lemma, upos))
+            category = word[0] if word is not None else None
             for m in tied:
-                gender = gender_of(m.pid)
-                count(lemma, upos, gender, category, doc.source_type, doc.date, m.pid)
-                cover(gender, m.pid, doc.doc_id, sentence.index, lemma)
-                if entry is not None:
+                pid = m.pid
+                gender = genders[pid]
+                key = (lemma, upos, gender, category, source_type, date)
+                cells[key] = cell_count(key, 0) + 1
+                add_pid_key((gender, category, source_type, pid))
+                cover(gender, pid, doc_id, sent_index, lemma)
+                if word is not None:
                     record(
-                        PersonalizationRecord(
-                            m.pid, gender, doc.doc_id, doc.date, doc.source_type,
-                            lemma, upos, category, sentiment, sentence.index,
+                        new_record(
+                            PersonalizationRecord,
+                            (pid, gender, doc_id, date, source_type,
+                             lemma, upos, category, word[1], sent_index),
                         )
                     )
-                    personalize(gender, m.pid, doc.doc_id, sentence.index, lemma)
+                    personalize(gender, pid, doc_id, sent_index, lemma)
+    result.counts = CountTable.from_counts(cells, pid_keys)
     return result

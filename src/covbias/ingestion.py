@@ -174,19 +174,27 @@ def iter_conllu(
     Requires `# newdoc id = ...` before the first sentence of a document
     and `# sent_id = ...` on every sentence. Multiword-token ranges and
     empty nodes are skipped (they are not syntactic words). Malformed
-    rows raise with their line number; sentences with cyclic heads or no
-    root are rejected with a diagnostic instead. Each distinct FORM/LEMMA
-    pair is derived once per call; later rows reuse its strings.
+    rows raise with their line number, a HEAD out of range with the line
+    of its token; sentences with cyclic heads or no root are rejected
+    with a diagnostic instead. Each distinct FORM/LEMMA pair is derived
+    once per call; later rows reuse its strings.
+
+    Each line is dispatched on its first character: a `#` line is a
+    comment, and only one that names `newdoc` or `sent_id` runs that
+    pattern; a blank or whitespace-only line ends the sentence; every
+    other line is a token row.
     """
     doc_id: Optional[str] = None
     sent_id: Optional[str] = None
     sent_index = 0
     rows: list[Token] = []
+    row_lines: list[int] = []  # the line of each row
     block_start_line = 0
     forms: dict[tuple[str, str], tuple[str, bool, Optional[str]]] = {}
+    new_token = tuple.__new__  # all eight fields given, so no NamedTuple defaults to fill
 
-    def flush(lineno: int) -> Optional[tuple[str, Sentence]]:
-        nonlocal rows, sent_id, sent_index, block_start_line
+    def flush() -> Optional[tuple[str, Sentence]]:
+        nonlocal rows, row_lines, sent_id, sent_index, block_start_line
         if not rows:
             sent_id = None
             return None
@@ -203,11 +211,11 @@ def iter_conllu(
             )
         heads = [t.head for t in rows]
         if min(heads) < 0 or max(heads) > n:
-            idx, head = next((t.index, t.head) for t in rows if not 0 <= t.head <= n)
+            pos = next(i for i, head in enumerate(heads) if not 0 <= head <= n)
             raise ConlluFormatError(
                 path,
-                block_start_line,
-                f"head {head} of token {idx} out of range in sentence {sent_id!r}",
+                row_lines[pos],
+                f"head {heads[pos]} of token {pos + 1} out of range in sentence {sent_id!r}",
             )
         reason = tree_defect(heads)
         out = None
@@ -217,38 +225,42 @@ def iter_conllu(
             out = (doc_id, Sentence(doc_id=doc_id, index=sent_index, tokens=tuple(rows)))
         sent_index += 1
         rows = []
+        row_lines = []
         sent_id = None
         block_start_line = 0
         return out
 
     with open_input(path) as fh:
-        lineno = 0
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                result = flush(lineno)
+            first = line[0]
+            if first == "#":
+                if "newdoc" in line:
+                    m = _NEWDOC_RE.match(line)
+                    if m:
+                        if rows:
+                            raise ConlluFormatError(path, lineno, "newdoc inside a sentence block")
+                        if m.group(1) is None:
+                            raise ConlluFormatError(path, lineno, "'# newdoc' without 'id = ...'")
+                        doc_id = m.group(1)
+                        if doc_id in seen_docs:
+                            raise ConlluFormatError(path, lineno, f"duplicate document {doc_id!r}")
+                        seen_docs.add(doc_id)
+                        sent_index = 0
+                        continue
+                if "sent_id" in line:
+                    m = _SENTID_RE.match(line)
+                    if m:
+                        sent_id = m.group(1)
+                        if not rows:
+                            block_start_line = lineno
+                continue
+            if first == "\n" or (first.isspace() and line.isspace()):
+                result = flush()
                 if result:
                     yield result
                 continue
-            if line.startswith("#"):
-                m = _NEWDOC_RE.match(line)
-                if m:
-                    if rows:
-                        raise ConlluFormatError(path, lineno, "newdoc inside a sentence block")
-                    if m.group(1) is None:
-                        raise ConlluFormatError(path, lineno, "'# newdoc' without 'id = ...'")
-                    doc_id = m.group(1)
-                    if doc_id in seen_docs:
-                        raise ConlluFormatError(path, lineno, f"duplicate document {doc_id!r}")
-                    seen_docs.add(doc_id)
-                    sent_index = 0
-                    continue
-                m = _SENTID_RE.match(line)
-                if m:
-                    sent_id = m.group(1)
-                    if not rows:
-                        block_start_line = lineno
-                continue
+            # A token row. Only the tenth column (MISC, unused) can hold
+            # the line's newline.
             cols = line.split("\t")
             if len(cols) != 10:
                 raise ConlluFormatError(
@@ -257,7 +269,7 @@ def iter_conllu(
             tok_id, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
             # ASCII digits only, where int() would also take plus signs,
             # blanks, underscores and other scripts' digits; a HEAD may
-            # carry a minus sign, which the tree check reports as out of range
+            # carry a minus sign, which the range check reports
             head_digits = head[1:] if head[:1] == "-" else head
             if not (
                 tok_id.isascii() and tok_id.isdigit()
@@ -268,8 +280,6 @@ def iter_conllu(
                 raise ConlluFormatError(
                     path, lineno, f"non-integer ID or HEAD ({tok_id!r}, {head!r})"
                 )
-            idx = int(tok_id)
-            head_i = int(head)
             if not rows and block_start_line == 0:
                 block_start_line = lineno
             derived = forms.get((form, lemma))
@@ -279,8 +289,11 @@ def iter_conllu(
                     raise ConlluFormatError(path, lineno, "token with empty FORM and LEMMA")
                 forms[form, lemma] = derived
             lemma, filtered, norm = derived
-            rows.append(Token(idx, form, lemma, upos, head_i, deprel, filtered, norm))
-        result = flush(lineno + 1)
+            rows.append(
+                new_token(Token, (int(tok_id), form, lemma, upos, int(head), deprel, filtered, norm))
+            )
+            row_lines.append(lineno)
+        result = flush()
         if result:
             yield result
 

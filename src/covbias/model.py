@@ -7,7 +7,9 @@ rows, so `Token` and `Sentence` store what they are given unchecked.
 `Token`, `PersonalizationRecord` and `SentimentRecord`, built once per
 token, per attributed word and per record analyze loads, are
 `typing.NamedTuple`s, the cheapest immutable record to construct; the
-other types are frozen dataclasses.
+reader and extract build theirs with ``tuple.__new__(cls, fields)``,
+all fields given, which skips the NamedTuple's Python-level ``__new__``.
+The other types are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import datetime
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as _encode_str
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -80,16 +83,20 @@ def tree_defect(heads: Sequence[int]) -> Optional[str]:
     """
     if 0 not in heads:
         return "no root token (no head = 0)"
-    rooted = {0}
+    # mark[i] is the start token of the walk that first reached token i
+    # (0: not reached yet; slot 0, the root, is -1). A walk stops at the
+    # first token already marked. Marked by this walk, that token closes a
+    # cycle; marked by an earlier walk, the chain joins one that reached
+    # the root, since a walk that finds a cycle returns at once.
+    mark = [0] * (len(heads) + 1)
+    mark[0] = -1
     for start in range(1, len(heads) + 1):
-        chain = set()
         node = start
-        while node not in rooted:
-            if node in chain:
-                return f"cyclic head chain through token {node}"
-            chain.add(node)
+        while not mark[node]:
+            mark[node] = start
             node = heads[node - 1]
-        rooted |= chain
+        if mark[node] == start:
+            return f"cyclic head chain through token {node}"
     return None
 
 
@@ -215,19 +222,37 @@ class PersonalizationRecord(NamedTuple):
     aggregate_sentiment: float
     sentence_index: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pid": self.pid,
-            "gender": self.gender.value,
-            "doc_id": self.doc_id,
-            "date": self.date.isoformat(),
-            "source_type": self.source_type.value,
-            "lemma": self.lemma,
-            "upos": self.upos,
-            "category": self.category.value,
-            "aggregate_sentiment": self.aggregate_sentiment,
-            "sentence_ref": [self.doc_id, self.sentence_index],
-        }
+    def json_line(self) -> str:
+        """This record as one records.jsonl line, without its newline.
+
+        The text is that of ``json.dumps(..., ensure_ascii=False,
+        sort_keys=True)`` on the record's JSON object, filled into one
+        fixed template: strings go through the encoder's own
+        ``encode_basestring`` (a str-valued enum member is a str holding
+        its value), the finite sentiment through ``float.__repr__``.
+        """
+        return _RECORD_LINE % (
+            float.__repr__(self.aggregate_sentiment),
+            _encode_str(self.category),
+            self.date.isoformat(),
+            _encode_str(self.doc_id),
+            _encode_str(self.gender),
+            _encode_str(self.lemma),
+            _encode_str(self.pid),
+            _encode_str(self.doc_id),
+            self.sentence_index,
+            _encode_str(self.source_type),
+            _encode_str(self.upos),
+        )
+
+
+# The keys of a records.jsonl object in sorted order, with json.dumps's
+# default separators; the ISO date needs no escaping.
+_RECORD_LINE = (
+    '{"aggregate_sentiment": %s, "category": %s, "date": "%s", "doc_id": %s, '
+    '"gender": %s, "lemma": %s, "pid": %s, "sentence_ref": [%s, %d], '
+    '"source_type": %s, "upos": %s}'
+)
 
 
 class SentimentRecord(NamedTuple):

@@ -223,7 +223,7 @@ def write_artifacts(cfg: PipelineConfig, artifacts: Mapping[str, object]) -> Non
 
     A `*.json` payload is an object, written compact if its name is in
     `MACHINE_ARTIFACTS` and indented otherwise; a `*.csv` payload is a
-    (header, rows) pair and a `*.jsonl` payload an iterable of objects.
+    (header, rows) pair and a `*.jsonl` payload an iterable of encoded lines.
     Every file is written under a temporary name first and renamed into
     place only once all are written; on failure the temporaries are removed.
     """
@@ -369,7 +369,7 @@ def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
     write_artifacts(
         cfg,
         {
-            "records.jsonl": (rec.to_json_dict() for rec in result.records),
+            "records.jsonl": (rec.json_line() for rec in result.records),
             "counts.csv": (
                 ["lemma", "upos", "gender", "category", "source_type", "count"],
                 result.counts.to_csv_rows(),

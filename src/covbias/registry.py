@@ -55,8 +55,9 @@ class PoliticianRegistry:
     """Politicians indexed for the three mention patterns.
 
     Indexes: full-name token sequences (including aliases), surname token
-    sequences, role keyword -> holders, and (role keyword, jurisdiction)
-    -> holders. All keys are normalized token tuples, so lookups are
+    sequences, role keyword -> holders, (politician, role keyword) ->
+    roles, and (role keyword, jurisdiction) -> holders. All name and
+    jurisdiction keys are normalized token tuples, so lookups are
     case-insensitive. The match indexes (``names_by_first``,
     ``surnames_by_first``, ``jurisdictions_by_first``) are built here,
     once, so matching a sentence never scans or sorts the whole registry.
@@ -69,6 +70,7 @@ class PoliticianRegistry:
         self.full_names: dict[TokenTuple, set[str]] = {}
         self.surnames: dict[TokenTuple, set[str]] = {}
         self.roles_by_keyword: dict[str, list[tuple[str, Role]]] = {}
+        self.roles_by_pid_keyword: dict[tuple[str, str], list[Role]] = {}
         self.roles_by_key: dict[tuple[str, TokenTuple], list[tuple[str, Role]]] = {}
         for p in politicians:
             surname = _norm_tokens(p.surname)
@@ -88,6 +90,7 @@ class PoliticianRegistry:
                     self.full_names.setdefault(toks, set()).add(p.pid)
             for role in p.roles:
                 self.roles_by_keyword.setdefault(role.keyword, []).append((p.pid, role))
+                self.roles_by_pid_keyword.setdefault((p.pid, role.keyword), []).append(role)
                 if role.jurisdiction:
                     jur = _norm_tokens(role.jurisdiction)
                     if not jur:
@@ -121,14 +124,20 @@ class PoliticianRegistry:
     def __len__(self) -> int:
         return len(self.politicians)
 
-    def gender_of(self, pid: str) -> Gender:
-        return self.politicians[pid].gender
+    def holders_of_surname(
+        self, surname: TokenTuple, keyword: str, date: datetime.date
+    ) -> set[str]:
+        """The politicians named `surname` who hold `keyword` on `date`.
 
-    def holders_of_keyword(self, keyword: str, date: datetime.date) -> set[str]:
+        Only the surname's politicians are tested, each through its own
+        roles under the keyword, so the cost does not grow with the
+        number of the keyword's holders.
+        """
+        roles = self.roles_by_pid_keyword
         return {
             pid
-            for pid, role in self.roles_by_keyword.get(keyword, [])
-            if role.active_on(date)
+            for pid in self.surnames[surname]
+            if any(role.active_on(date) for role in roles.get((pid, keyword), ()))
         }
 
     def holders_of_role(

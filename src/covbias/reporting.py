@@ -39,11 +39,14 @@ def write_json(path, obj, compact: bool = False) -> None:
             fh.write("\n")
 
 
-def write_jsonl(path, objs: Iterable[dict]) -> None:
+def write_jsonl(path, lines: Iterable[str]) -> None:
+    """Write JSON Lines text, each line already encoded, one newline after each.
+
+    Extract's records come as `PersonalizationRecord.json_line` texts.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -819,7 +819,7 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
         for index in sorted(nearest):
             token, _, tied = nearest[index]
             for m in tied:
-                gender = registry.gender_of(m.pid)
+                gender = registry.politicians[m.pid].gender
                 entry = lexicon.get(token.lemma, token.upos)
                 result.counts.add(
                     token.lemma,
@@ -852,3 +852,28 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
                         gender, m.pid, doc.doc_id, sentence.index, token.lemma
                     )
     return result
+
+
+# ---------------------------------------------------------------------------
+# records.jsonl: the JSON object of one record, for json.dumps
+# ---------------------------------------------------------------------------
+
+
+def record_json_dict(rec):
+    """The object a ``PersonalizationRecord`` line encodes, field by field.
+
+    ``json.dumps(record_json_dict(rec), ensure_ascii=False, sort_keys=True)``
+    is the reference text of ``rec.json_line()``.
+    """
+    return {
+        "pid": rec.pid,
+        "gender": rec.gender.value,
+        "doc_id": rec.doc_id,
+        "date": rec.date.isoformat(),
+        "source_type": rec.source_type.value,
+        "lemma": rec.lemma,
+        "upos": rec.upos,
+        "category": rec.category.value,
+        "aggregate_sentiment": rec.aggregate_sentiment,
+        "sentence_ref": [rec.doc_id, rec.sentence_index],
+    }

@@ -333,6 +333,81 @@ class TestIndexedMatcherOracle:
         assert diag.ambiguous == ambiguous
 
 
+# Hundreds of holders of every role keyword, under surnames no sentence
+# names, across every tenure.
+_PADDING = [
+    Politician(
+        pid=f"pad{k}",
+        given_name="",
+        surname=f"Pad{k}",
+        gender=Gender.F if k % 2 else Gender.M,
+        roles=(Role(_KEYWORDS[k % 3], "", *_TENURES[k % len(_TENURES)]),),
+    )
+    for k in range(300)
+]
+
+
+class TestRoleSurnameWithManyHolders:
+    """A role + surname resolves through the surname's own roles, whatever
+    the number of the keyword's other holders."""
+
+    def registry(self):
+        return PoliticianRegistry(_PADDING + [
+            Politician("p_out", "", "Rossi", Gender.F,
+                       roles=(Role("sindaco", "", *_TENURES[1]),)),
+            Politician("p_second", "", "Verdi", Gender.M,
+                       roles=(Role("sindaco", "", *_TENURES[1]), Role("sindaco", "", *_TENURES[3]))),
+            Politician("p_other", "", "Bianchi", Gender.F,
+                       roles=(Role("ministro", "", None, None), Role("sindaco", "", *_TENURES[1]))),
+        ])
+
+    @pytest.mark.parametrize(
+        "words, date, pid",
+        [
+            ("sindaco Rossi", _DOC_DATES[0], "p_out"),
+            ("sindaco Rossi", _DOC_DATES[1], None),  # holds the role only outside the date
+            ("sindaco Verdi", _DOC_DATES[1], None),
+            ("sindaco Verdi", _DOC_DATES[2], "p_second"),  # through the second role
+            ("sindaco Bianchi", _DOC_DATES[2], None),  # holds another keyword then
+            ("ministro Bianchi", _DOC_DATES[2], "p_other"),
+            ("sindaco Pad0", _DOC_DATES[1], "pad0"),
+        ],
+    )
+    def test_tenure_edges_match_bruteforce(self, words, date, pid):
+        registry = self.registry()
+        sentence = make_sentence(words.split() + ["parla"])
+        got = find_mentions(sentence, make_doc(date), registry)
+        want, _ = mentions_bruteforce(
+            [t.norm for t in sentence.tokens],
+            [t.lemma for t in sentence.tokens],
+            date,
+            registry,
+            RoleGazetteer().variants.get,
+        )
+        assert [(m.start, m.end, m.pattern.value, m.pid) for m in got] == want
+        assert [m.pid for m in got] == ([pid] if pid else [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        registry=_registries(),
+        sentence=_sentences(),
+        date=st.sampled_from(_DOC_DATES),
+    )
+    def test_padded_registry_matches_bruteforce_scan(self, registry, sentence, date):
+        padded = PoliticianRegistry(_PADDING + list(registry.politicians.values()))
+        diag = MatchDiagnostics()
+        got = find_mentions(sentence, make_doc(date), padded, diagnostics=diag)
+        want, ambiguous = mentions_bruteforce(
+            [normalize_lemma(t.surface) for t in sentence.tokens],
+            [None if t.filtered else t.lemma for t in sentence.tokens],
+            date,
+            padded,
+            RoleGazetteer().variants.get,
+        )
+        assert [(m.start, m.end, m.pattern.value, m.pid) for m in got] == want
+        assert diag.ambiguous == ambiguous
+
+
 class TestGazetteer:
     def test_default_variants(self):
         gaz = RoleGazetteer()

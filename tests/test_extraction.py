@@ -23,6 +23,7 @@ from oracles import (
     SevenStructureTally,
     extract_records_reference,
     neighborhood_reference,
+    record_json_dict,
     tree_distances_reference,
 )
 
@@ -462,7 +463,7 @@ def _multi_mention_sentence(draw, index):
 
 def _extraction_json(result):
     return {
-        "records": [r.to_json_dict() for r in result.records],
+        "records": [record_json_dict(r) for r in result.records],
         "counts": result.counts.to_json_dict(),
         "descriptives": result.descriptives.to_json_dict(),
         "diagnostics": result.diagnostics.to_json_dict(),
@@ -507,6 +508,9 @@ class TestAttributionOracle:
         got = extract_records(stream, registry, lexicon, radius=radius, direction=direction)
         expected = extract_records_reference(stream, registry, lexicon, radius, direction)
         assert _extraction_json(got) == _extraction_json(expected)
+        # counted into one dict, the cells keep the order of add() per word
+        assert list(got.counts.cells.items()) == list(expected.counts.cells.items())
+        assert got.counts.pids == expected.counts.pids
         for _, hub in cases:
             if hub is not None and direction == "undirected":
                 # the hub is one step from every name: it counts once per name

@@ -169,6 +169,19 @@ class TestConlluReader:
         text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "2\tgatto\tgatto\tNOUN\t_\t_\t-1")
         with pytest.raises(ConlluFormatError, match="head -1 of token 2 out of range") as err:
             run_conllu(text, tmp_path)
+        assert err.value.line == 4
+
+    def test_head_beyond_n_on_a_later_token_names_its_line(self, tmp_path):
+        text = WELL_FORMED.replace("3\tdorme\tdormire\tVERB\t_\t_\t0", "3\tdorme\tdormire\tVERB\t_\t_\t9")
+        text = text.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "2\tgatto\tgatto\tNOUN\t_\t_\t0")
+        with pytest.raises(ConlluFormatError, match="head 9 of token 3 out of range") as err:
+            run_conllu(text, tmp_path)
+        assert err.value.line == 5
+
+    def test_bad_ids_reported_before_a_bad_head(self, tmp_path):
+        text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "5\tgatto\tgatto\tNOUN\t_\t_\t9")
+        with pytest.raises(ConlluFormatError, match="token ids are not 1..3") as err:
+            run_conllu(text, tmp_path)
         assert err.value.line == 2
 
     def test_self_head_rejected_as_cycle(self, tmp_path):
@@ -243,6 +256,64 @@ class TestConlluReader:
         out, _ = run_conllu(WELL_FORMED.replace("2\tgatto\tgatto", "2\t\tgatto"), tmp_path)
         token = out[0][1].tokens[1]
         assert (token.surface, token.lemma, token.norm) == ("", "gatto", None)
+
+
+class TestReaderDispatch:
+    """Each kind of line keeps its meaning whatever its first character."""
+
+    SECOND = """# sent_id = dx.s1
+1\tpiove\tpiovere\tVERB\t_\t_\t0\troot\t_\t_
+"""
+
+    @pytest.mark.parametrize("separator", [" \n", "\t\n", " \t  \n", "\t"])
+    def test_whitespace_only_line_ends_the_sentence(self, tmp_path, separator):
+        text = WELL_FORMED.rstrip("\n") + "\n" + separator + ("\n" if separator == "\t" else "")
+        out, _ = run_conllu(text + self.SECOND, tmp_path)
+        assert [(doc, s.index, len(s.tokens)) for doc, s in out] == [("dx", 0, 3), ("dx", 1, 1)]
+
+    def test_token_row_with_leading_space_is_an_id_error(self, tmp_path):
+        text = WELL_FORMED.replace("2\tgatto", " 2\tgatto")
+        with pytest.raises(ConlluFormatError, match="non-integer ID or HEAD") as err:
+            run_conllu(text, tmp_path)
+        assert err.value.line == 4
+        assert "' 2'" in str(err.value)
+
+    def test_short_row_with_leading_space_is_a_column_error(self, tmp_path):
+        text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3\tnsubj\t_\t_", " 2\tgatto")
+        with pytest.raises(ConlluFormatError, match="expected 10 tab-separated columns, got 2") as err:
+            run_conllu(text, tmp_path)
+        assert err.value.line == 4
+
+    def test_text_comment_naming_newdoc_and_sent_id_is_neither(self, tmp_path):
+        comment = "# text = newdoc id = dq e sent_id = bogus\n"
+        rootless = WELL_FORMED.replace("3\tdorme\tdormire\tVERB\t_\t_\t0", "3\tdorme\tdormire\tVERB\t_\t_\t2")
+        # inside the block, after its first row: a newdoc there would be an error
+        text = rootless.replace("2\tgatto", comment + "2\tgatto")
+        out, diag = run_conllu(text + comment + self.SECOND, tmp_path)
+        assert diag.rejected_sentences == [("dx", "dx.s0", "no root token (no head = 0)")]
+        assert [(doc, s.index) for doc, s in out] == [("dx", 1)]
+
+    def test_ranges_and_empty_nodes_inside_a_block_are_skipped(self, tmp_path):
+        text = WELL_FORMED.replace(
+            "2\tgatto",
+            "2-3\tgattodorme\t_\t_\t_\t_\t_\t_\t_\t_\n1.1\tesso\t_\t_\t_\t_\t_\t_\t_\t_\n2\tgatto",
+        ).replace("3\tdorme", "2.1\tlui\t_\t_\t_\t_\t_\t_\t_\t_\n3\tdorme")
+        out, _ = run_conllu(text, tmp_path)
+        assert [t.surface for t in out[0][1].tokens] == ["Il", "gatto", "dorme"]
+
+    @pytest.mark.parametrize("tail", ["\n", ""])
+    def test_file_without_final_newline(self, tmp_path, tail):
+        out, diag = run_conllu(WELL_FORMED.rstrip("\n") + tail, tmp_path)
+        assert [t.lemma for t in out[0][1].tokens] == ["il", "gatto", "dormire"]
+        assert out[0][1].tokens[2].deprel == "root"
+        assert not diag.rejected_sentences
+
+    def test_crlf_line_endings_read_as_lf(self, tmp_path):
+        path = tmp_path / "crlf.conllu"
+        path.write_bytes((WELL_FORMED + self.SECOND).replace("\n", "\r\n").encode("utf-8"))
+        crlf = list(iter_conllu(path, set(), {}, CorpusDiagnostics(), set()))
+        lf, _ = run_conllu(WELL_FORMED + self.SECOND, tmp_path)
+        assert crlf == lf
 
 
 # FORM/LEMMA pairs with repeats, one FORM under two LEMMAs, case and edge

@@ -1,19 +1,27 @@
+import datetime
+import json
+import os
+import tempfile
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covbias import pipeline
+from covbias import pipeline, reporting
 from covbias.model import (
     Category,
     Gender,
     Mention,
     MentionPattern,
+    PersonalizationRecord,
     SourceType,
     normalize_lemma,
     tree_defect,
 )
 from covbias.pipeline import PipelineConfig, stage_extract
+from covbias.sentiment import JSON_GRID_SCORES
 from conftest import write_config
+from oracles import record_json_dict
 
 
 class TestNormalizeLemma:
@@ -78,7 +86,54 @@ class TestMention:
             Mention("p", "d", 0, 4, 2, MentionPattern.NAME_SURNAME)
 
 
+# Characters JSON escapes or that a line reader might split on: quotes,
+# backslashes, every C0 control, DEL, the two Unicode line separators, and
+# characters outside the Basic Multilingual Plane. Lone surrogates stay
+# out: no string decoded from a UTF-8 input holds one.
+_AWKWARD = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\U0001F600", "\U00010348"]
+_field_text = st.text(st.sampled_from(_AWKWARD) | st.characters(codec="utf-8"), max_size=12)
+_GRID = sorted({v for (_, v) in JSON_GRID_SCORES if type(v) is float})
+_records = st.builds(
+    PersonalizationRecord,
+    pid=_field_text,
+    gender=st.sampled_from(Gender),
+    doc_id=_field_text,
+    date=st.dates(),
+    source_type=st.sampled_from(SourceType),
+    lemma=_field_text,
+    upos=_field_text,
+    category=st.sampled_from(Category),
+    aggregate_sentiment=st.sampled_from(_GRID) | st.floats(allow_nan=False, allow_infinity=False),
+    sentence_index=st.integers(0, 10**9),
+)
+
+
 class TestRecordSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_records, min_size=1, max_size=5))
+    @example([PersonalizationRecord(
+        '"\\\x00\x1f', Gender.F, "\u2028\u2029\x7f", datetime.date(1, 1, 1),
+        SourceType.ONLINE, "\U0001F600", "\n\r\t", Category.PHYSICAL, -0.0, 0,
+    )])
+    def test_json_line_is_the_encoders_text(self, records):
+        """Every line equals json.dumps of the reference object byte for
+        byte, and analyze reads each grid-scored line back."""
+        lines = [rec.json_line() for rec in records]
+        for rec, line in zip(records, lines):
+            assert line == json.dumps(record_json_dict(rec), ensure_ascii=False, sort_keys=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.jsonl")
+            reporting.write_jsonl(path, lines)
+            with open(path, "rb") as fh:
+                assert fh.read() == "".join(line + "\n" for line in lines).encode("utf-8")
+            on_grid = [rec for rec in records if rec.aggregate_sentiment in _GRID]
+            reporting.write_jsonl(path, [rec.json_line() for rec in on_grid])
+            with open(path, encoding="utf-8") as fh:
+                loaded = pipeline._load_records(fh)
+        assert loaded == [
+            (r.category, r.gender, r.source_type, r.aggregate_sentiment) for r in on_grid
+        ]
+
     def test_analyze_loader_reads_the_extracted_records(self, tmp_path):
         """Analyze's four fields per records.jsonl line equal the extract's records."""
         out = tmp_path / "out"

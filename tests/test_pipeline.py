@@ -417,7 +417,7 @@ class TestCli:
 
     def test_parse_error_names_the_broken_conllu_file(self, tmp_path, capsys):
         # the fixture split in two at "# newdoc id = d3"; the second part
-        # gets a HEAD out of range in its first sentence
+        # gets a HEAD out of range on its first token row, line 3
         with open(data_path("tiny.conllu"), encoding="utf-8") as fh:
             text = fh.read()
         cut = text.index("# newdoc id = d3")
@@ -430,7 +430,7 @@ class TestCli:
         assert cli_main(["--config", str(cfg_path), "extract"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [
-            f"error: {broken}: line 2: "
+            f"error: {broken}: line 3: "
             "head 99 of token 1 out of range in sentence 'd3.s1'"
         ]
         assert re.match(r"^error: .*line [0-9]", err[0])
@@ -824,11 +824,12 @@ class TestAllOrNothing:
                 raise RuntimeError("boom")
             return original(rec)
 
-        original = PersonalizationRecord.to_json_dict
-        monkeypatch.setattr(PersonalizationRecord, "to_json_dict", fail_on_third)
+        original = PersonalizationRecord.json_line
+        monkeypatch.setattr(PersonalizationRecord, "json_line", fail_on_third)
         # radius 1 attributes fewer words, so every extract file would change
         with pytest.raises(RuntimeError, match="boom"):
             stage_extract(dataclasses.replace(cfg, radius=1))
+        assert len(calls) == 3  # two lines written, the third failed mid-write
         assert read_bundle_bytes(out) == before
 
     def test_failing_analyze_keeps_bundle(self, finished_run, monkeypatch):
