@@ -16,9 +16,9 @@ import datetime
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +33,7 @@ CellKey = tuple[
     Optional[SourceType],
     Optional[datetime.date],
 ]
+Slots = tuple[Gender, Optional[Category], Optional[SourceType]]  # a politician set's key
 RATE_MODES = ("ratio", "literal")
 # str() and value of everything an enum slot of a key can hold (None or a
 # member), looked up per cell: str() orders serialized cells, value fills them.
@@ -48,38 +49,17 @@ class CountTable:
     are tracked per (gender, category, source_type) so that slices report
     their own politician tallies.
 
-    The marginals the analyses read over and over are cached: the per-word
-    gender counts of `word_counts()`, the two gender totals of `total()`
-    and the per-day totals of `by_day()`. Each is computed from `cells` on
-    its first read, and `add()` clears them all, so once a marginal has
-    been read the cells may change only through `add()`. `word_counts()`
-    and `by_day()` return fresh dicts: a caller that mutates one leaves the
-    cache intact.
+    A table is built once, from its cells and politician sets, and only
+    read after that. So each marginal the analyses read over and over (the
+    gender totals of `total()`, the per-word gender counts of
+    `word_counts()` and the per-day totals of `by_day()`) is summed from
+    the cells on its first read and returned as is: callers must not
+    mutate it.
     """
 
-    def __init__(self) -> None:
-        self.cells: dict[CellKey, int] = {}
-        self.pids: dict[tuple[Gender, Optional[Category], Optional[SourceType]], set[str]] = {}
-        self._cache: dict[str, dict] = {}
-
-    def add(
-        self,
-        lemma: str,
-        upos: str,
-        gender: Gender,
-        category: Optional[Category] = None,
-        source_type: Optional[SourceType] = None,
-        date: Optional[datetime.date] = None,
-        pid: Optional[str] = None,
-        n: int = 1,
-    ) -> None:
-        if n < 0:
-            raise ValueError("counts must be nonnegative")
-        key = (lemma, upos, gender, category, source_type, date)
-        self.cells[key] = self.cells.get(key, 0) + n
-        self._cache.clear()
-        if pid is not None:
-            self.pids.setdefault((gender, category, source_type), set()).add(pid)
+    def __init__(self, cells: dict[CellKey, int], pids: dict[Slots, set[str]]) -> None:
+        self.cells = cells
+        self.pids = pids
 
     @classmethod
     def from_counts(
@@ -87,46 +67,36 @@ class CountTable:
         cells: dict[CellKey, int],
         pid_keys: Iterable[tuple[Gender, Optional[Category], Optional[SourceType], str]],
     ) -> "CountTable":
-        """A table over counted ``cells``, which it takes as they are.
-
-        Each ``(gender, category, source_type, pid)`` of ``pid_keys`` adds
-        the politician to its slot, as ``add(..., pid=pid)`` would. The
-        cells, in their counted order, and the politician sets are those
-        that one ``add()`` per counted event builds.
-        """
-        out = cls()
-        out.cells = cells
-        pids = out.pids
+        """A table over counted ``cells``, which it takes as they are, with
+        each ``(gender, category, source_type, pid)`` of ``pid_keys`` adding
+        the politician to its slot's set."""
+        pids: dict[Slots, set[str]] = {}
         for g, cat, st, pid in pid_keys:
             members = pids.get((g, cat, st))
             if members is None:
                 members = pids[g, cat, st] = set()
             members.add(pid)
-        return out
+        return cls(cells, pids)
 
     # -- marginals ---------------------------------------------------------
 
-    def _marginal(self, name: str, compute: Callable[[], dict]) -> dict:
-        """The cached marginal ``name``, computed on first read."""
-        value = self._cache.get(name)
-        if value is None:
-            value = self._cache[name] = compute()
-        return value
-
-    def _gender_totals(self) -> dict[Gender, int]:
+    @cached_property
+    def _totals(self) -> dict[Gender, int]:
         out = {g: 0 for g in Gender}
         for (_, _, g, _, _, _), n in self.cells.items():
             out[g] += n
         return out
 
-    def _count_words(self) -> dict[WordKey, dict[Gender, int]]:
+    @cached_property
+    def _words(self) -> dict[WordKey, dict[Gender, int]]:
         out: dict[WordKey, dict[Gender, int]] = {}
         for (lemma, upos, g, _, _, _), n in self.cells.items():
             per = out.setdefault((lemma, upos), {Gender.F: 0, Gender.M: 0})
             per[g] += n
         return out
 
-    def _days_by_gender(self) -> dict[Gender, dict[datetime.date, int]]:
+    @cached_property
+    def _days(self) -> dict[Gender, dict[datetime.date, int]]:
         out: dict[Gender, dict[datetime.date, int]] = {g: {} for g in Gender}
         for (_, _, g, _, _, day), n in self.cells.items():
             if day is not None:
@@ -135,7 +105,7 @@ class CountTable:
         return out
 
     def total(self, gender: Gender) -> int:
-        return self._marginal("totals", self._gender_totals)[gender]
+        return self._totals[gender]
 
     @property
     def grand_total(self) -> int:
@@ -149,8 +119,7 @@ class CountTable:
         return len(seen)
 
     def word_counts(self) -> dict[WordKey, dict[Gender, int]]:
-        cached = self._marginal("words", self._count_words)
-        return {word: dict(per) for word, per in cached.items()}
+        return self._words
 
     def word_categories(self) -> dict[WordKey, Optional[Category]]:
         """Lexicon category per word; None for out-of-lexicon words."""
@@ -162,7 +131,7 @@ class CountTable:
         return out
 
     def by_day(self, gender: Gender) -> dict[datetime.date, int]:
-        return dict(self._marginal("days", self._days_by_gender)[gender])
+        return self._days[gender]
 
     def source_gender_counts(self) -> dict[tuple[SourceType, Gender], int]:
         out: dict[tuple[SourceType, Gender], int] = {}
@@ -179,18 +148,15 @@ class CountTable:
         source_type: Optional[SourceType] = None,
         lexicon_only: bool = False,
     ) -> "CountTable":
-        # The category and source-type slot values the slice keeps. Tuples,
-        # not sets: membership then compares by identity instead of calling
-        # the enums' Python-level __hash__.
         if category is not None:
             cats: tuple = (category,)
         else:
             cats = (*Category,) if lexicon_only else (None, *Category)
         sts = (source_type,) if source_type is not None else (None, *SourceType)
-        out = CountTable()
-        out.cells = {k: n for k, n in self.cells.items() if k[3] in cats and k[4] in sts}
-        out.pids = {k: set(p) for k, p in self.pids.items() if k[1] in cats and k[2] in sts}
-        return out
+        return CountTable(
+            {k: n for k, n in self.cells.items() if k[3] in cats and k[4] in sts},
+            {k: p for k, p in self.pids.items() if k[1] in cats and k[2] in sts},
+        )
 
     # -- serialization -----------------------------------------------------
 
@@ -233,7 +199,8 @@ class CountTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CountTable":
-        out = cls()
+        cells: dict[CellKey, int] = {}
+        pids: dict[Slots, set[str]] = {}
         decoded: dict[tuple, tuple] = {}  # raw slot values -> members
         days: dict[str, datetime.date] = {}  # ISO day string -> date
         for lemma, upos, g, cat, st, day, n in d["cells"]:
@@ -248,17 +215,15 @@ class CountTable:
             if date is None and day is not None:
                 date = days[day] = datetime.date.fromisoformat(day)
             key = (lemma, upos, *slots, date)
-            out.cells[key] = out.cells.get(key, 0) + n
+            cells[key] = cells.get(key, 0) + n
         for g, cat, st, members in d["politicians"]:
             if type(members) is not list or any(type(pid) is not str for pid in members):
                 raise ValueError(f"politician ids {members!r} are not a list of strings")
-            out.pids.setdefault(_decode_slots(g, cat, st), set()).update(members)
-        return out
+            pids.setdefault(_decode_slots(g, cat, st), set()).update(members)
+        return cls(cells, pids)
 
 
-def _decode_slots(
-    g: str, cat: Optional[str], st: Optional[str]
-) -> tuple[Gender, Optional[Category], Optional[SourceType]]:
+def _decode_slots(g: str, cat: Optional[str], st: Optional[str]) -> Slots:
     """The (gender, category, source_type) members of serialized slot values."""
     return (
         Gender(g),
@@ -355,10 +320,6 @@ def factors_from_marginals(
     a_g over the mean of the two averages, so c_F + c_M = 2 identically.
     """
     return _terms(d_f, d_m, n_f, n_m, "ratio").factors
-
-
-def correction_factors(table: CountTable) -> tuple[Fraction, Fraction]:
-    return _table_terms(table, "ratio").factors
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ records; all neighborhood words feed the coverage counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bias import CellKey, CountTable
@@ -175,10 +175,10 @@ class DescriptiveStats:
 
 @dataclass
 class ExtractionResult:
-    records: list[PersonalizationRecord] = field(default_factory=list)
-    counts: CountTable = field(default_factory=CountTable)
-    descriptives: DescriptiveStats = field(default_factory=DescriptiveStats)
-    diagnostics: MatchDiagnostics = field(default_factory=MatchDiagnostics)
+    records: list[PersonalizationRecord]
+    counts: CountTable
+    descriptives: DescriptiveStats
+    diagnostics: MatchDiagnostics
 
 
 def extract_records(
@@ -204,17 +204,18 @@ def extract_records(
     distinct cells, and become the `CountTable` once the stream ends.
     """
     gaz = gazetteer if gazetteer is not None else RoleGazetteer()
-    result = ExtractionResult()
+    records: list[PersonalizationRecord] = []
+    descriptives, diagnostics = DescriptiveStats(), MatchDiagnostics()
     words = {key: (e.category, float(e.aggregate)) for key, e in lexicon.entries.items()}
     genders = {pid: p.gender for pid, p in registry.politicians.items()}
     cells: dict[CellKey, int] = {}
     pid_keys: set[tuple[Gender, Optional[Category], SourceType, str]] = set()
     word_of, cell_count, add_pid_key = words.get, cells.get, pid_keys.add
-    new_record, record = tuple.__new__, result.records.append
-    cover = result.descriptives.coverage.add
-    personalize = result.descriptives.personalization.add
+    new_record, record = tuple.__new__, records.append
+    cover = descriptives.coverage.add
+    personalize = descriptives.personalization.add
     for doc, sentence in stream:
-        mentions = find_mentions(sentence, doc, registry, gaz, result.diagnostics)
+        mentions = find_mentions(sentence, doc, registry, gaz, diagnostics)
         if not mentions:
             continue
         tree = DependencyTree(sentence)
@@ -255,5 +256,6 @@ def extract_records(
                         )
                     )
                     personalize(gender, pid, doc_id, sent_index, lemma)
-    result.counts = CountTable.from_counts(cells, pid_keys)
-    return result
+    return ExtractionResult(
+        records, CountTable.from_counts(cells, pid_keys), descriptives, diagnostics
+    )

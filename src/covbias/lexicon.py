@@ -31,9 +31,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self.entries
-
     def get(self, lemma: str, upos: str) -> Optional[LexiconEntry]:
         return self.entries.get((lemma, upos))
 

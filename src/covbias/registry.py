@@ -55,10 +55,9 @@ class PoliticianRegistry:
     """Politicians indexed for the three mention patterns.
 
     Indexes: full-name token sequences (including aliases), surname token
-    sequences, role keyword -> holders, (politician, role keyword) ->
-    roles, and (role keyword, jurisdiction) -> holders. All name and
-    jurisdiction keys are normalized token tuples, so lookups are
-    case-insensitive. The match indexes (``names_by_first``,
+    sequences, (politician, role keyword) -> roles, and (role keyword,
+    jurisdiction) -> holders. All name and jurisdiction keys are
+    normalized token tuples, so lookups are case-insensitive. The match indexes (``names_by_first``,
     ``surnames_by_first``, ``jurisdictions_by_first``) are built here,
     once, so matching a sentence never scans or sorts the whole registry.
     """
@@ -69,7 +68,6 @@ class PoliticianRegistry:
             raise RegistryError("duplicate politician ids")
         self.full_names: dict[TokenTuple, set[str]] = {}
         self.surnames: dict[TokenTuple, set[str]] = {}
-        self.roles_by_keyword: dict[str, list[tuple[str, Role]]] = {}
         self.roles_by_pid_keyword: dict[tuple[str, str], list[Role]] = {}
         self.roles_by_key: dict[tuple[str, TokenTuple], list[tuple[str, Role]]] = {}
         for p in politicians:
@@ -89,7 +87,6 @@ class PoliticianRegistry:
                 else:
                     self.full_names.setdefault(toks, set()).add(p.pid)
             for role in p.roles:
-                self.roles_by_keyword.setdefault(role.keyword, []).append((p.pid, role))
                 self.roles_by_pid_keyword.setdefault((p.pid, role.keyword), []).append(role)
                 if role.jurisdiction:
                     jur = _norm_tokens(role.jurisdiction)

@@ -42,15 +42,29 @@ def tiny_corpus():
 def table_from_counts(word_counts: dict, n_f: int, n_m: int) -> CountTable:
     """CountTable from {(lemma, upos): (count_f, count_m)} plus synthetic
     politician tallies of the requested sizes."""
-    table = CountTable()
-    for (lemma, upos), (wf, wm) in word_counts.items():
-        if wf:
-            table.add(lemma, upos, Gender.F, n=wf)
-        if wm:
-            table.add(lemma, upos, Gender.M, n=wm)
-    table.pids[(Gender.F, None, None)] = {f"f{i}" for i in range(n_f)}
-    table.pids[(Gender.M, None, None)] = {f"m{i}" for i in range(n_m)}
-    return table
+    cells = {
+        (lemma, upos, gender, None, None, None): n
+        for (lemma, upos), counts in word_counts.items()
+        for gender, n in zip((Gender.F, Gender.M), counts)
+        if n
+    }
+    pid_keys = [(Gender.F, None, None, f"f{i}") for i in range(n_f)]
+    pid_keys += [(Gender.M, None, None, f"m{i}") for i in range(n_m)]
+    return CountTable.from_counts(cells, pid_keys)
+
+
+def table_from_events(events) -> CountTable:
+    """CountTable of ``(lemma, upos, gender, category, source_type, date,
+    pid[, n])`` events, n 1 when left out, counted one at a time into a
+    cells dict; a pid of None names no politician."""
+    cells: dict = {}
+    pid_keys = []
+    for lemma, upos, gender, category, source, day, pid, *n in events:
+        key = (lemma, upos, gender, category, source, day)
+        cells[key] = cells.get(key, 0) + (n[0] if n else 1)
+        if pid is not None:
+            pid_keys.append((gender, category, source, pid))
+    return CountTable.from_counts(cells, pid_keys)
 
 
 def write_config(path, out_dir, ma_window=1, bootstrap=100, **extra) -> str:

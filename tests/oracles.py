@@ -11,7 +11,9 @@ reader's memo of the derivation, not the normalization;
 ``SevenStructureTally`` keys its counts by the package's ``Gender``;
 ``extract_records_reference`` finds mentions with the package's
 ``find_mentions`` and fills its result types, because it checks the tree
-walk and the nearest-mention attribution, not those;
+walk and the nearest-mention attribution, not those (its count cells and
+politician sets are its own dicts, only wrapped in the ``CountTable``
+constructor at the end);
 ``bootstrap_sequential_reference`` reads through the package's layout,
 rank rule and coefficient step, because it checks the blocked replicate
 loop, not those; and ``area_decomposition_reference`` cuts segments with
@@ -508,7 +510,10 @@ def mentions_bruteforce(norms, lemmas, date, registry, canonical):
         if keyword is None:
             continue
         holders = {
-            pid for pid, role in registry.roles_by_keyword.get(keyword, []) if active(role)
+            pid
+            for pid, politician in registry.politicians.items()
+            for role in politician.roles
+            if role.keyword == keyword and active(role)
         }
         for key in surnames:
             if at(i + 1, key):
@@ -792,14 +797,16 @@ def neighborhood_reference(sentence, mention, radius, direction="undirected"):
 def extract_records_reference(stream, registry, lexicon, radius=2, direction="undirected"):
     """Every word attributed to its nearest mentions (all of them on a tie),
     one lexicon lookup and one record per (word, mention) pair."""
-    from covbias.entities import RoleGazetteer, find_mentions
-    from covbias.extraction import ExtractionResult
+    from covbias.bias import CountTable
+    from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
+    from covbias.extraction import DescriptiveStats, ExtractionResult
     from covbias.model import PersonalizationRecord
 
     gaz = RoleGazetteer()
-    result = ExtractionResult()
+    records, descriptives, diagnostics = [], DescriptiveStats(), MatchDiagnostics()
+    cells, pids = {}, {}
     for doc, sentence in stream:
-        mentions = find_mentions(sentence, doc, registry, gaz, result.diagnostics)
+        mentions = find_mentions(sentence, doc, registry, gaz, diagnostics)
         if not mentions:
             continue
         spans = set()
@@ -821,20 +828,15 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
             for m in tied:
                 gender = registry.politicians[m.pid].gender
                 entry = lexicon.get(token.lemma, token.upos)
-                result.counts.add(
-                    token.lemma,
-                    token.upos,
-                    gender,
-                    category=entry.category if entry else None,
-                    source_type=doc.source_type,
-                    date=doc.date,
-                    pid=m.pid,
-                )
-                result.descriptives.coverage.add(
+                category = entry.category if entry else None
+                key = (token.lemma, token.upos, gender, category, doc.source_type, doc.date)
+                cells[key] = cells.get(key, 0) + 1
+                pids.setdefault((gender, category, doc.source_type), set()).add(m.pid)
+                descriptives.coverage.add(
                     gender, m.pid, doc.doc_id, sentence.index, token.lemma
                 )
                 if entry is not None:
-                    result.records.append(
+                    records.append(
                         PersonalizationRecord(
                             pid=m.pid,
                             gender=gender,
@@ -848,10 +850,10 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
                             sentence_index=sentence.index,
                         )
                     )
-                    result.descriptives.personalization.add(
+                    descriptives.personalization.add(
                         gender, m.pid, doc.doc_id, sentence.index, token.lemma
                     )
-    return result
+    return ExtractionResult(records, CountTable(cells, pids), descriptives, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from covbias.bias import (
     CountTable,
     bias_profile,
-    correction_factors,
     dissimilarity,
     factors_from_marginals,
     index_distribution,
@@ -19,7 +18,8 @@ from covbias.bias import (
     weighted_quantile,
 )
 from covbias.model import Category, Gender, SourceType
-from conftest import table_from_counts
+from covbias.pipeline import PipelineConfig, temporal_analysis
+from conftest import table_from_counts, table_from_events
 from oracles import (
     count_table_json_str_key,
     count_table_marginals,
@@ -59,7 +59,22 @@ class TestCorrectionFactors:
 
     def test_from_table(self):
         table = table_from_counts({("w", "NOUN"): (10, 30)}, n_f=2, n_m=3)
-        assert correction_factors(table) == (Fraction(2, 3), Fraction(4, 3))
+        assert table_factors(table) == (Fraction(2, 3), Fraction(4, 3))
+
+
+def table_factors(table):
+    """The correction factors of the table's word totals and politician tallies."""
+    return factors_from_marginals(
+        table.total(Gender.F),
+        table.total(Gender.M),
+        table.politicians(Gender.F),
+        table.politicians(Gender.M),
+    )
+
+
+def with_zero_cell(table, lemma, upos):
+    """``table`` plus a women's cell of the word counted 0 times."""
+    return CountTable({**table.cells, (lemma, upos, Gender.F, None, None, None): 0}, table.pids)
 
 
 TWO_WORDS = {("w1", "NOUN"): (2, 3), ("w2", "NOUN"): (8, 27)}  # n_F = 2, n_M = 3
@@ -100,9 +115,8 @@ class TestAdjustedRates:
     def test_absent_word_zero(self):
         # A word counted for neither gender has no rates: the profile
         # leaves it out, and its gap of 0 leaves the dissimilarity as it was.
-        table = self.table()
-        before = dissimilarity(bias_profile(table))
-        table.add("ghost", "ADJ", Gender.F, n=0)
+        before = dissimilarity(bias_profile(self.table()))
+        table = with_zero_cell(self.table(), "ghost", "ADJ")
         profile = bias_profile(table)
         assert profile.excluded == 1
         assert ("ghost", "ADJ") not in profile_words(table)
@@ -394,7 +408,7 @@ class TestDissimilarity:
 
     def test_two_word_fixture_exact_third(self):
         table = table_from_counts(TWO_WORDS, n_f=2, n_m=3)
-        assert correction_factors(table) == (Fraction(2, 3), Fraction(4, 3))
+        assert table_factors(table) == (Fraction(2, 3), Fraction(4, 3))
         assert dissimilarity(bias_profile(table)) == Fraction(1, 3)
 
     def test_disjoint_vocabularies_maximal(self):
@@ -476,8 +490,8 @@ class TestSharedDissimilarity:
     @example(({("a", "NOUN"): (3, 0), ("b", "NOUN"): (0, 2), ("c", "NOUN"): (0, 1)}, 2, 1), "literal")
     def test_profile_and_base_equal_table_dissimilarity(self, corpus, mode):
         counts, n_f, n_m = corpus
-        table = table_from_counts(counts, n_f=n_f, n_m=n_m)
-        table.add("zz_ghost", "NOUN", Gender.F, n=0)  # excluded from the profile
+        # the zero-count cell is excluded from the profile
+        table = with_zero_cell(table_from_counts(counts, n_f=n_f, n_m=n_m), "zz_ghost", "NOUN")
         profile = bias_profile(table, mode=mode)
         assert profile.excluded == 1
         expected = diss_recompute(counts, n_f, n_m, mode)
@@ -492,8 +506,8 @@ class TestProfileOracle:
     @example(ON_BREAKPOINT, "literal")
     def test_rates_and_indices_match_definitions(self, corpus, mode):
         counts, n_f, n_m = corpus
-        table = table_from_counts(counts, n_f=n_f, n_m=n_m)
-        table.add("zz_ghost", "NOUN", Gender.F, n=0)  # excluded from the profile
+        # the zero-count cell is excluded from the profile
+        table = with_zero_cell(table_from_counts(counts, n_f=n_f, n_m=n_m), "zz_ghost", "NOUN")
         profile = bias_profile(table, mode=mode)
         c_f, c_m, rates = profile_recompute(counts, n_f, n_m, mode)
         assert (profile.c_f, profile.c_m) == (c_f, c_m)
@@ -608,7 +622,7 @@ class TestLeaveOneOut:
             assert by_word[key].distinctive == (expected < result.base_diss)
 
 
-# (lemma, upos, gender, category, source_type, date, pid) arguments of add()
+# (lemma, upos, gender, category, source_type, date, pid) events of `table_from_events`
 COUNT_EVENTS = st.lists(
     st.tuples(
         st.sampled_from(["a", "b", "B", "à", "a b", "None", "Gender.F", ""]),
@@ -627,7 +641,7 @@ COUNT_EVENTS = st.lists(
 
 
 def read_marginals(table):
-    """The cached marginals, in the shape of `count_table_marginals`."""
+    """The table's marginals, in the shape of `count_table_marginals`."""
     return (
         table.word_counts(),
         {g: table.total(g) for g in Gender},
@@ -645,6 +659,18 @@ def fresh_marginals(table):
     )
 
 
+# Both genders, two words per category and three days, so that every
+# analysis runs.
+ALL_ANALYSES_EVENTS = [
+    (f"{cat.value}{i}", "ADJ", g, cat, src, datetime.date(2018, 5, day), f"p{g.value}")
+    for cat in Category
+    for i in (1, 2)
+    for g in Gender
+    for src in SourceType
+    for day in (6, 7, 8)
+]
+
+
 class TestCountTable:
     @given(COUNT_EVENTS)
     @example(
@@ -658,37 +684,47 @@ class TestCountTable:
     )
     @settings(max_examples=200, deadline=None)
     def test_json_order_matches_str_key_oracle(self, events):
-        table = CountTable()
-        for lemma, upos, gender, category, source, day, pid in events:
-            table.add(lemma, upos, gender, category, source, day, pid)
+        table = table_from_events(events)
         assert table.to_json_dict() == count_table_json_str_key(table)
 
     @settings(max_examples=200, deadline=None)
-    @given(COUNT_EVENTS, st.lists(st.integers(0, 40), max_size=3))
-    def test_cached_marginals_follow_add(self, events, reads):
-        table = CountTable()
-        for i, (lemma, upos, gender, category, source, day, pid) in enumerate(events):
-            if i in reads:
-                read_marginals(table)  # fills the cache that add() must clear
-            table.add(lemma, upos, gender, category, source, day, pid)
-            if i in reads:
-                assert read_marginals(table) == fresh_marginals(table)
+    @given(COUNT_EVENTS)
+    def test_marginals_match_fresh_sums(self, events):
+        table = table_from_events(events)
         assert read_marginals(table) == fresh_marginals(table)
+        for category in Category:
+            sliced = table.slice(category=category)
+            assert read_marginals(sliced) == fresh_marginals(sliced)
 
-    @given(COUNT_EVENTS.filter(lambda events: any(e[5] is not None for e in events)))
-    def test_mutating_a_returned_marginal_leaves_the_cache(self, events):
-        table = CountTable()
-        for event in events:
-            table.add(*event)
-        words, _, days = read_marginals(table)
-        for per in words.values():
-            per[Gender.F] += 7
-        words[("new", "ADJ")] = {Gender.F: 1, Gender.M: 1}
-        for gender in Gender:
-            for day in days[gender]:
-                days[gender][day] += 7
-            days[gender][datetime.date(1999, 1, 1)] = 1
-        assert read_marginals(table) == fresh_marginals(table)
+    @settings(max_examples=100, deadline=None)
+    @given(COUNT_EVENTS)
+    @example(ALL_ANALYSES_EVENTS)
+    def test_analyses_leave_marginals_intact(self, events):
+        # Marginals are returned as they are cached, so an analysis that
+        # wrote to one would change what every later reader sees.
+        table = table_from_events(events)
+        slices = {category: table.slice(category=category) for category in Category}
+        tables = [table, *slices.values()]
+        for t in tables:
+            read_marginals(t)
+        try:
+            profile = bias_profile(table)
+        except ValueError:
+            profile = None
+        for category in (None, *Category) if profile is not None else ():
+            try:
+                index_distribution(profile, category)
+            except ValueError:
+                pass
+        for t in tables:
+            try:
+                leave_one_out(t)
+            except ValueError:
+                pass
+        cfg = PipelineConfig(conllu=(), metadata="", registry="", lexicon="", out="", ma_window=1)
+        temporal_analysis(cfg, table, slices)
+        for t in tables:
+            assert read_marginals(t) == fresh_marginals(t)
 
     def test_totals_are_cell_sums(self):
         table = table_from_counts({("a", "ADJ"): (2, 3), ("b", "NOUN"): (4, 0)}, 1, 1)
@@ -697,40 +733,34 @@ class TestCountTable:
         assert table.grand_total == 9
 
     def test_json_round_trip(self):
-        table = CountTable()
-        table.add(
-            "bello",
-            "ADJ",
-            Gender.F,
-            category=Category.PHYSICAL,
-            source_type=SourceType.ONLINE,
-            date=datetime.date(2019, 2, 3),
-            pid="p1",
+        day = datetime.date(2019, 2, 3)
+        table = table_from_events(
+            [
+                ("bello", "ADJ", Gender.F, Category.PHYSICAL, SourceType.ONLINE, day, "p1"),
+                ("cosa", "NOUN", Gender.M, None, None, None, "p2"),
+                ("cosa", "NOUN", Gender.M, None, None, day, "p2"),
+            ]
         )
-        table.add("cosa", "NOUN", Gender.M, pid="p2")
-        table.add("cosa", "NOUN", Gender.M, date=datetime.date(2019, 2, 3), pid="p2")
         back = CountTable.from_json_dict(table.to_json_dict())
         assert back.cells == table.cells
         assert back.pids == table.pids
 
     def test_csv_rows_sorted_and_aggregated(self):
-        table = CountTable()
-        for day in (1, 2):
-            table.add(
-                "bello",
-                "ADJ",
-                Gender.F,
-                category=Category.PHYSICAL,
-                source_type=SourceType.ONLINE,
-                date=datetime.date(2019, 2, day),
-            )
+        table = table_from_events(
+            ("bello", "ADJ", Gender.F, Category.PHYSICAL, SourceType.ONLINE,
+             datetime.date(2019, 2, day), None)
+            for day in (1, 2)
+        )
         rows = table.to_csv_rows()
         assert rows == [("bello", "ADJ", "F", "physical", "online", 2)]
 
     def test_slice_politicians(self):
-        table = CountTable()
-        table.add("a", "ADJ", Gender.F, category=Category.PHYSICAL, pid="p1")
-        table.add("b", "ADJ", Gender.F, category=Category.SOCIO_ECONOMIC, pid="p2")
+        table = table_from_events(
+            [
+                ("a", "ADJ", Gender.F, Category.PHYSICAL, None, None, "p1"),
+                ("b", "ADJ", Gender.F, Category.SOCIO_ECONOMIC, None, None, "p2"),
+            ]
+        )
         sliced = table.slice(category=Category.PHYSICAL)
         assert sliced.politicians(Gender.F) == 1
         assert sliced.total(Gender.F) == 1

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbias import inference
-from covbias.bias import CountTable
 from covbias.inference import (
     DEFAULT_TAUS,
     bootstrap_significance,
@@ -20,6 +19,7 @@ from covbias.inference import (
 )
 from covbias.model import Gender, SourceType
 from covbias.sentiment import classify
+from conftest import table_from_events
 from oracles import (
     bootstrap_per_tau,
     bootstrap_sequential_reference,
@@ -71,9 +71,12 @@ class TestChiSquare:
         assert time.perf_counter() - start < 1e-3
 
     def test_contingency_builder_orders_rows_and_columns(self):
-        table = CountTable()
-        table.add("a", "ADJ", Gender.F, source_type=SourceType.TRADITIONAL, n=3)
-        table.add("a", "ADJ", Gender.M, source_type=SourceType.ONLINE, n=5)
+        table = table_from_events(
+            [
+                ("a", "ADJ", Gender.F, None, SourceType.TRADITIONAL, None, None, 3),
+                ("a", "ADJ", Gender.M, None, SourceType.ONLINE, None, None, 5),
+            ]
+        )
         obs = contingency_by_source(table)
         assert obs == ((3, 0), (0, 5))
 

@@ -610,7 +610,9 @@ class TestRegistry:
         path.write_text("p1;Ada;Rossi;F;;;\n")
         reg = read_registry(path)
         assert reg.surnames[("rossi",)] == {"p1"}
-        assert not reg.roles_by_keyword
+        assert not reg.roles_by_pid_keyword
+        assert not reg.roles_by_key
+        assert not reg.jurisdictions_by_first
 
     def test_overlapping_tenure_ambiguity_rejected(self, tmp_path):
         path = tmp_path / "reg.csv"

@@ -1,12 +1,15 @@
 import datetime
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import covbias
 from covbias import pipeline, reporting
 from covbias.model import (
     Category,
@@ -149,3 +152,31 @@ class TestRecordSerialization:
         assert all(type(r.category) is Category for r in loaded)
         assert all(type(r.gender) is Gender for r in loaded)
         assert all(type(r.source_type) is SourceType for r in loaded)
+
+
+# What a fresh interpreter holds after ``import covbias``, and whether numpy
+# is loaded once the extract-side modules are imported as well.
+IMPORT_PROBE = """
+import json, sys
+import covbias
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("covbias."))
+import covbias.entities, covbias.ingestion, covbias.lexicon, covbias.registry
+print(json.dumps([loaded, "numpy" in sys.modules]))
+"""
+
+
+class TestImports:
+    def test_package_and_extract_side_modules_load_no_numpy(self):
+        src = os.path.dirname(os.path.dirname(covbias.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        out = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        loaded, numpy_after_extract_side = json.loads(out)
+        assert loaded == []
+        assert not numpy_after_extract_side

@@ -8,7 +8,6 @@ import re
 import pytest
 
 from covbias import inference, ingestion, pipeline, reporting
-from covbias.bias import CountTable
 from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
 from covbias.errors import ConfigError, StageError
@@ -22,7 +21,7 @@ from covbias.pipeline import (
     stage_report,
     write_artifacts,
 )
-from conftest import data_path, write_config
+from conftest import data_path, table_from_events, write_config
 
 EXPECTED_OUTPUTS = [
     "records.jsonl",
@@ -752,12 +751,13 @@ class TestTemporalAnalysis:
         # one grid for both genders: day 1 has coverage but no personalized
         # word, day 2 no coverage at all; both enter the average as 0
         cfg, _ = tiny_run
-        table = CountTable()
-        for gender in Gender:
+        table = table_from_events(
+            ("volto", "NOUN", gender, category, None,
+             datetime.date(2019, 1, 1) + datetime.timedelta(days=i), "p", 2)
+            for gender in Gender
             for i, category in [(0, Category.PHYSICAL), (1, None), (3, Category.PHYSICAL),
-                                (4, Category.PHYSICAL)]:
-                day = datetime.date(2019, 1, 1) + datetime.timedelta(days=i)
-                table.add("volto", "NOUN", gender, category, date=day, pid="p", n=2)
+                                (4, Category.PHYSICAL)]
+        )
         slices = {category: table.slice(category=category) for category in Category}
         artifacts = pipeline.temporal_analysis(
             dataclasses.replace(cfg, ma_window=3), table, slices
