@@ -18,6 +18,7 @@ from .pipeline import (
     PipelineConfig,
     ingest_check,
     run_pipeline,
+    run_stage,
     stage_analyze,
     stage_extract,
     stage_report,
@@ -71,13 +72,13 @@ def main(argv=None) -> int:
         if args.command == "ingest-check":
             print(json.dumps(ingest_check(cfg), indent=2, sort_keys=True))
         elif args.command == "extract":
-            result = stage_extract(cfg)
+            result = run_stage("extract", stage_extract, cfg, CovbiasError)
             print(f"extracted {len(result.records)} records -> {cfg.out}")
         elif args.command == "analyze":
-            stage_analyze(cfg)
+            run_stage("analyze", stage_analyze, cfg, CovbiasError)
             print(f"analysis written -> {cfg.out}")
         elif args.command == "report":
-            stage_report(cfg)
+            run_stage("report", stage_report, cfg, CovbiasError)
             print(f"report written -> {cfg.out}")
         else:
             run_pipeline(cfg)

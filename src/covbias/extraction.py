@@ -197,7 +197,7 @@ def extract_records(
     personalization record per occurrence, so a sentence may contribute
     several records.
 
-    Each word's category and float sentiment come from one dict built
+    Each word's category and grid position come from one dict built
     from the lexicon, each mention's gender from one pid -> gender dict.
     Attributed words are counted straight into a plain cell dict plus a
     set of (gender, category, source_type, pid) keys, both bounded by the
@@ -206,7 +206,7 @@ def extract_records(
     gaz = gazetteer if gazetteer is not None else RoleGazetteer()
     records: list[PersonalizationRecord] = []
     descriptives, diagnostics = DescriptiveStats(), MatchDiagnostics()
-    words = {key: (e.category, float(e.aggregate)) for key, e in lexicon.entries.items()}
+    words = {key: (e.category, e.fifths) for key, e in lexicon.entries.items()}
     genders = {pid: p.gender for pid, p in registry.politicians.items()}
     cells: dict[CellKey, int] = {}
     pid_keys: set[tuple[Gender, Optional[Category], SourceType, str]] = set()

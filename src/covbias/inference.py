@@ -12,7 +12,6 @@ import numpy as np
 
 from .bias import CountTable, _quantile_ranks
 from .model import Gender, SourceType
-from .sentiment import score_fifths
 
 DEFAULT_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
 MIN_REPLICATES = 100
@@ -99,23 +98,21 @@ def contingency_by_source(
 # ---------------------------------------------------------------------------
 
 
-def jitter(
-    scores: Sequence[Union[int, float, Fraction]],
-    seed: int,
-    h: float = JITTER_HALF_WIDTH,
-) -> np.ndarray:
-    """Add uniform (-h, h) noise to grid sentiment scores, seeded.
+def jitter(fifths: Sequence[int], seed: int, h: float = JITTER_HALF_WIDTH) -> np.ndarray:
+    """The sentiment scores k/5 at grid positions `fifths`, plus uniform
+    (-h, h) noise, seeded.
 
-    Inputs must lie on the eleven-point grid; with the default h the
-    jittered value stays within 0.05 of its grid point, so rounding back
-    to the grid recovers the original sentiment class.
+    Each position must be an int in -5..5; a float or a bool is refused,
+    not truncated. With the default h the jittered value stays within 0.05
+    of its grid point, so rounding back to the grid recovers k.
     """
     if not 0 <= h < math.inf:
         raise ValueError("jitter half-width must be a finite nonnegative number")
-    grid = np.asarray([score_fifths(s) / 5.0 for s in scores], dtype=float)
-    if len(grid) == 0:
-        return grid
-    if h == 0:
+    for k in fifths:
+        if type(k) is not int or not -5 <= k <= 5:
+            raise ValueError(f"grid position {k!r} is not an integer in -5..5")
+    grid = np.asarray(fifths, dtype=float) / 5.0
+    if len(grid) == 0 or h == 0:
         return grid
     u = np.random.default_rng(seed).uniform(-h, h, size=len(grid))
     return grid + u

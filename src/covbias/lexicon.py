@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import LexiconError, open_input
 from .model import Category, normalize_lemma
-from .sentiment import GRID_BY_FIFTHS, SentimentClass, aggregate_fifths
+from .sentiment import CLASS_BY_FIFTHS, SentimentClass, aggregate_fifths
 
 LEXICON_POS = ("ADJ", "NOUN", "VERB")
 
@@ -20,7 +19,7 @@ class LexiconEntry:
     upos: str
     category: Category
     scores: tuple[int, int, int, int, int]
-    aggregate: Fraction
+    fifths: int  # grid position k = 5 * aggregate score, in -5..5
     sentiment: SentimentClass
 
 
@@ -78,12 +77,14 @@ def read_lexicon(path, stopwords: Optional[set[str]] = None) -> Lexicon:
                 raise LexiconError(
                     f"{path}: line {lineno}: unknown category {rec[2].strip()!r}"
                 ) from None
+            # ASCII digits only, where int() would also take plus signs,
+            # other scripts' digits and non-ASCII spaces
+            cells = [c.strip(" \t") for c in rec[3:8]]
+            if not all(c.isascii() and c.removeprefix("-").isdigit() for c in cells):
+                raise LexiconError(f"{path}: line {lineno}: non-integer score")
+            scores = tuple(map(int, cells))
             try:
-                scores = tuple(int(c) for c in rec[3:8])
-            except ValueError:
-                raise LexiconError(f"{path}: line {lineno}: non-integer score") from None
-            try:
-                agg, sentiment = GRID_BY_FIFTHS[aggregate_fifths(scores)]
+                fifths = aggregate_fifths(scores)
             except ValueError as exc:
                 raise LexiconError(f"{path}: line {lineno}: {exc}") from None
             key = (lemma, upos)
@@ -99,7 +100,7 @@ def read_lexicon(path, stopwords: Optional[set[str]] = None) -> Lexicon:
                 upos=upos,
                 category=category,
                 scores=scores,
-                aggregate=agg,
-                sentiment=sentiment,
+                fifths=fifths,
+                sentiment=CLASS_BY_FIFTHS[fifths],
             )
     return Lexicon(entries)

@@ -219,7 +219,7 @@ class PersonalizationRecord(NamedTuple):
     lemma: str
     upos: str
     category: Category
-    aggregate_sentiment: float
+    fifths: int  # grid position k = 5 * aggregate sentiment, in -5..5
     sentence_index: int
 
     def json_line(self) -> str:
@@ -229,10 +229,12 @@ class PersonalizationRecord(NamedTuple):
         sort_keys=True)`` on the record's JSON object, filled into one
         fixed template: strings go through the encoder's own
         ``encode_basestring`` (a str-valued enum member is a str holding
-        its value), the finite sentiment through ``float.__repr__``.
+        its value). The aggregate sentiment is the float k/5 through
+        ``float.__repr__``; the division is correctly rounded, so it is the
+        float nearest the exact score, as ``float(Fraction(k, 5))`` is.
         """
         return _RECORD_LINE % (
-            float.__repr__(self.aggregate_sentiment),
+            float.__repr__(self.fifths / 5),
             _encode_str(self.category),
             self.date.isoformat(),
             _encode_str(self.doc_id),
@@ -259,10 +261,11 @@ class SentimentRecord(NamedTuple):
     """The four fields of a `PersonalizationRecord` that analyze reads.
 
     The quantile regressions and the sentiment fractions need only these,
-    so analyze decodes each `records.jsonl` line into one of them.
+    so analyze decodes each `records.jsonl` line into one of them; the
+    aggregate sentiment comes back as its grid position k in -5..5.
     """
 
     category: Category
     gender: Gender
     source_type: SourceType
-    aggregate_sentiment: float
+    fifths: int

@@ -61,7 +61,7 @@ from .ingestion import (
 from .lexicon import Lexicon, read_lexicon
 from .model import Category, Document, Gender, SentimentRecord, SourceType
 from .registry import PoliticianRegistry, read_registry
-from .sentiment import JSON_GRID_SCORES, krippendorff_alpha
+from .sentiment import FIFTHS_BY_JSON, krippendorff_alpha
 
 log = logging.getLogger(__name__)
 
@@ -417,12 +417,13 @@ def _record_defect(obj) -> str:
 def _load_records(fh: TextIO) -> list[SentimentRecord]:
     """The records of records.jsonl in file order, four fields each.
 
-    The order matters: jitter and the bootstrap draw per record position.
+    Each score is read as its grid position. The order matters: jitter and
+    the bootstrap draw per record position.
     """
     categories = _RECORD_MEMBERS["category"]
     genders = _RECORD_MEMBERS["gender"]
     sources = _RECORD_MEMBERS["source_type"]
-    scores = JSON_GRID_SCORES
+    fifths = FIFTHS_BY_JSON
     out = []
     for line_no, line in enumerate(fh, 1):
         if not line.strip():
@@ -435,7 +436,7 @@ def _load_records(fh: TextIO) -> list[SentimentRecord]:
                     categories[d["category"]],
                     genders[d["gender"]],
                     sources[d["source_type"]],
-                    scores[type(score), score],
+                    fifths[type(score), score],
                 )
             )
         except json.JSONDecodeError as exc:
@@ -575,7 +576,7 @@ def quantile_analysis(cfg: PipelineConfig, records: list[SentimentRecord]) -> di
             continue
         jitter_seed = derive_seed(cfg.seed, 1, c_idx)
         y = inference.jitter(
-            [r.aggregate_sentiment for r in cat_records], jitter_seed, cfg.jitter
+            [r.fifths for r in cat_records], jitter_seed, cfg.jitter
         )
         g_dummy = [1 if r.gender == Gender.F else 0 for r in cat_records]
         s_dummy = [1 if r.source_type == SourceType.ONLINE else 0 for r in cat_records]
@@ -751,6 +752,26 @@ def stage_report(cfg: PipelineConfig) -> dict:
     return manifest
 
 
+def run_stage(
+    name: str,
+    stage: Callable[[PipelineConfig], T],
+    cfg: PipelineConfig,
+    keep: type[Exception] = StageError,
+) -> T:
+    """`stage(cfg)`, with any failure that is no `keep` raised as a
+    `StageError` naming stage `name`.
+
+    `run` names the stage of every failure; a single-stage command passes
+    `keep=CovbiasError`, so an input error reads as it does on its own.
+    """
+    try:
+        return stage(cfg)
+    except keep:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run extract, analyze and report; abort naming the failing stage.
 
@@ -758,15 +779,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     processing rather than inside the first stage.
     """
     cfg.validate()
-    for stage_name, stage in (
-        ("extract", stage_extract),
-        ("analyze", stage_analyze),
-        ("report", stage_report),
-    ):
-        try:
-            outcome = stage(cfg)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(stage_name, exc) from exc
-    return outcome
+    run_stage("extract", stage_extract, cfg)
+    run_stage("analyze", stage_analyze, cfg)
+    return run_stage("report", stage_report, cfg)

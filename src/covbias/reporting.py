@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 from .bias import LeaveOneOutResult
 from .lexicon import Lexicon
 from .model import Category, Gender, SentimentRecord
-from .sentiment import SentimentClass, classify
+from .sentiment import CLASS_BY_FIFTHS, SentimentClass
 
 log = logging.getLogger(__name__)
 
@@ -80,7 +80,7 @@ def sentiment_fraction_rows(
             n = 0
             for rec in records:
                 if rec.category == category and rec.gender == gender:
-                    tally[classify(rec.aggregate_sentiment)] += 1
+                    tally[CLASS_BY_FIFTHS[rec.fifths]] += 1
                     n += 1
             if n == 0:
                 log.warning(

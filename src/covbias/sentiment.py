@@ -1,8 +1,12 @@
 """Annotator-score aggregation, sentiment classes and inter-annotator agreement.
 
-Aggregate scores live on the eleven-point grid -1, -0.8, ..., 0.8, 1 and are
-kept as exact rationals (fifths) internally so that class membership never
-depends on float rounding; floats appear only at serialization.
+An aggregate score is the mean of five annotator scores in {-1, 0, 1}, so
+it lies on the eleven-point grid -1, -0.8, ..., 0.8, 1. Every stage keeps
+it as its grid position k = 5 * score, an int in -5..5: the lexicon reads
+the annotator scores to k, each record carries k, and the sentiment class
+is `CLASS_BY_FIFTHS[k]`, so class membership never depends on float
+rounding. The float k/5 appears only in records.jsonl, and
+`FIFTHS_BY_JSON` reads it back to k.
 
 Agreement is the ordinal Krippendorff alpha. Its coincidence matrix is
 built from units counted by rating multiset: a five-annotator lexicon on
@@ -16,9 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
-
-Score = Union[int, float, Fraction]
+from typing import Iterable, Mapping, Sequence
 
 VALID_RAW_SCORES = (-1, 0, 1)
 
@@ -31,8 +33,8 @@ class SentimentClass(str, Enum):
     STRONG_POSITIVE = "strong_positive"
 
 
-# Bucket edges in fifths of the aggregate score (score * 5).
-_CLASS_BY_FIFTHS = {
+# Bucket edges in grid positions k = 5 * aggregate score.
+CLASS_BY_FIFTHS = {
     -5: SentimentClass.STRONG_NEGATIVE,
     -4: SentimentClass.STRONG_NEGATIVE,
     -3: SentimentClass.WEAKLY_NEGATIVE,
@@ -45,13 +47,13 @@ _CLASS_BY_FIFTHS = {
     4: SentimentClass.STRONG_POSITIVE,
     5: SentimentClass.STRONG_POSITIVE,
 }
-# (aggregate, class) at each grid position k: readers look the eleven values
-# up instead of building and classifying one Fraction per score.
-GRID_BY_FIFTHS = {k: (Fraction(k, 5), c) for k, c in _CLASS_BY_FIFTHS.items()}
-# The aggregate scores a decoded JSON record may hold, keyed by (type, value):
-# JSON decodes a score to a float, or to an int where it is whole, and a
-# boolean, though equal to 0 or 1, is no score.
-JSON_GRID_SCORES = {(type(v), v): v for v in [k / 5 for k in _CLASS_BY_FIFTHS] + [-1, 0, 1]}
+# Grid position of each aggregate score a decoded JSON record may hold, keyed
+# by (type, value): JSON decodes a score to the float k/5, or to an int where
+# it is whole, and a boolean, though equal to 0 or 1, is no score.
+FIFTHS_BY_JSON = {
+    **{(float, k / 5): k for k in CLASS_BY_FIFTHS},
+    **{(int, v): 5 * v for v in (-1, 0, 1)},
+}
 
 
 def aggregate_fifths(scores: Sequence[int]) -> int:
@@ -62,37 +64,6 @@ def aggregate_fifths(scores: Sequence[int]) -> int:
         if s not in VALID_RAW_SCORES:
             raise ValueError(f"annotator score {s!r} not in {{-1, 0, 1}}")
     return sum(scores)
-
-
-def aggregate_score(scores: Sequence[int]) -> Fraction:
-    """Mean of the five annotator scores, as an exact rational.
-
-    The result is one of the eleven values k/5, k = -5..5.
-    """
-    return Fraction(aggregate_fifths(scores), 5)
-
-
-def score_fifths(score: Score) -> int:
-    """Map an aggregate score to its grid position k = score * 5 in -5..5.
-
-    Raises ValueError for values off the eleven-point grid; this guards
-    against float drift sneaking into class assignment.
-    """
-    if isinstance(score, (int, Fraction)):
-        k = Fraction(score) * 5
-        if k.denominator != 1 or not -5 <= k <= 5:
-            raise ValueError(f"score {score} is not on the (k-5)/5 grid")
-        return int(k)
-    k = score * 5.0
-    rounded = round(k)
-    if abs(k - rounded) > 1e-9 or not -5 <= rounded <= 5:
-        raise ValueError(f"score {score} is not on the (k-5)/5 grid")
-    return int(rounded)
-
-
-def classify(score: Score) -> SentimentClass:
-    """Sentiment class of an aggregate score on the eleven-point grid."""
-    return _CLASS_BY_FIFTHS[score_fifths(score)]
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,9 @@
 
 Everything here is written from the definitions, takes the dumbest
 correct path, and shares no code with the package under test. The
-exceptions: ``bootstrap_per_tau`` refits every resample with the
-package's ``quantile_regression``, one τ at a time as
-``quantile_regression(y, g, s, [tau])[0]`` (that fit is itself checked
-against the LP and exhaustive-search oracles below), and ``token_from_row`` builds the
-package's ``Token`` with its ``normalize_lemma``, because it checks the
-reader's memo of the derivation, not the normalization;
+exceptions: ``token_from_row`` builds the package's ``Token`` with its
+``normalize_lemma``, because it checks the reader's memo of the
+derivation, not the normalization;
 ``SevenStructureTally`` keys its counts by the package's ``Gender``;
 ``extract_records_reference`` finds mentions with the package's
 ``find_mentions`` and fills its result types, because it checks the tree
@@ -262,28 +259,38 @@ def linprog_quantile_loss(y, g, s, tau):
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap: one tau at a time, each resample refitted from scratch
+# Bootstrap: one tau at a time, each resample's cell quantiles from their definition
 # ---------------------------------------------------------------------------
 
 
 def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
-    """Percentile intervals for one tau, drawing and refitting every resample.
+    """Percentile intervals for one tau, every resample read from the definitions.
 
     Replicate ``rep`` draws rows from ``default_rng([seed, rep])``; a
-    resample missing a design cell is discarded and redrawn, up to 10x the
-    replicate budget. Returns ``(n_replicates, discarded, intervals)`` with
-    one ``(lower, upper, significant)`` per coefficient.
+    resample missing a design cell (a pair of dummy levels present in the
+    data) is discarded and redrawn, up to 10x the replicate budget. Each
+    cell's resampled values are sorted, and its tau-quantile over m values
+    is the order statistic at ceil(tau * m), or the midpoint of those at
+    tau * m and tau * m + 1 when tau * m is an integer. The coefficients are
+    differences of cell quantiles: q00, q10 - q00, q01 - q00 and
+    q11 - q10 - q01 + q00, None where a cell is outside the design.
+    Returns ``(n_replicates, discarded, intervals)`` with one
+    ``(lower, upper, significant)`` per coefficient.
     """
     import numpy as np
 
-    from covbias.inference import quantile_regression
-
-    y = np.asarray(list(y), dtype=float)
-    g = np.asarray(list(gender_dummy), dtype=int)
-    s = np.asarray(list(source_dummy), dtype=int)
+    y = [float(v) for v in y]
+    cell_of = [(int(gv), int(sv)) for gv, sv in zip(gender_dummy, source_dummy)]
     n = len(y)
-    base = quantile_regression(y, g, s, [tau])[0]
-    needed = set(base.cell_quantiles)
+    needed = {(gv, sv) for gv in {c[0] for c in cell_of} for sv in {c[1] for c in cell_of}}
+    frac = tau if isinstance(tau, Fraction) else Fraction(str(tau))
+
+    def quantile(values):
+        ordered = sorted(values)
+        rank = frac * len(ordered)
+        if rank.denominator == 1:
+            return (ordered[int(rank) - 1] + ordered[int(rank)]) / 2
+        return ordered[math.ceil(rank) - 1]
 
     draws = []
     attempts = 0
@@ -295,13 +302,19 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
         rng = np.random.default_rng([seed, rep])
         rep += 1
         attempts += 1
-        idx = rng.integers(0, n, size=n)
-        cells = {(int(gv), int(sv)) for gv, sv in zip(g[idx], s[idx])}
-        if cells != needed:
+        by_cell = {}
+        for i in rng.integers(0, n, size=n).tolist():
+            by_cell.setdefault(cell_of[i], []).append(y[i])
+        if by_cell.keys() != needed:
             discarded += 1
             continue
-        model = quantile_regression(y[idx], g[idx], s[idx], [tau])[0]
-        draws.append(model.coefficients)
+        q = {cell: quantile(values) for cell, values in by_cell.items()}
+        draws.append((
+            q[(0, 0)],
+            q[(1, 0)] - q[(0, 0)] if (1, 0) in q else None,
+            q[(0, 1)] - q[(0, 0)] if (0, 1) in q else None,
+            q[(1, 1)] - q[(1, 0)] - q[(0, 1)] + q[(0, 0)] if (1, 1) in q else None,
+        ))
 
     intervals = []
     for j in range(4):
@@ -846,7 +859,7 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
                             lemma=token.lemma,
                             upos=token.upos,
                             category=entry.category,
-                            aggregate_sentiment=float(entry.aggregate),
+                            fifths=entry.fifths,
                             sentence_index=sentence.index,
                         )
                     )
@@ -876,6 +889,6 @@ def record_json_dict(rec):
         "lemma": rec.lemma,
         "upos": rec.upos,
         "category": rec.category.value,
-        "aggregate_sentiment": rec.aggregate_sentiment,
+        "aggregate_sentiment": float(Fraction(rec.fifths, 5)),
         "sentence_ref": [rec.doc_id, rec.sentence_index],
     }

@@ -18,7 +18,6 @@ from covbias.inference import (
     quantile_regression,
 )
 from covbias.model import Gender, SourceType
-from covbias.sentiment import classify
 from conftest import table_from_events
 from oracles import (
     bootstrap_per_tau,
@@ -86,29 +85,36 @@ class TestJitter:
         assert len(jitter([], seed=1)) == 0
 
     def test_deterministic(self):
-        scores = [-1, -0.6, 0, 0.4, 1]
-        assert np.array_equal(jitter(scores, seed=42), jitter(scores, seed=42))
+        fifths = [-5, -3, 0, 2, 5]
+        assert np.array_equal(jitter(fifths, seed=42), jitter(fifths, seed=42))
 
     def test_zero_width_is_identity(self):
-        scores = [-0.8, 0.2, 0.6]
-        assert np.array_equal(jitter(scores, seed=3, h=0), np.array(scores))
+        out = jitter([-4, 1, 3], seed=3, h=0)
+        assert np.array_equal(out, np.array([-0.8, 0.2, 0.6]))
 
     def test_range_and_class_preserved(self):
-        scores = [Fraction(k, 5) for k in range(-5, 6)] * 40
-        out = jitter(scores, seed=7)
+        # landing on the original grid point keeps the class too
+        fifths = list(range(-5, 6)) * 40
+        out = jitter(fifths, seed=7)
         assert np.all(out >= -1.05) and np.all(out <= 1.05)
-        for jittered, original in zip(out, scores):
-            snapped = Fraction(round(jittered * 5), 5)
-            assert classify(snapped) is classify(original)
+        for jittered, k in zip(out, fifths):
+            assert round(jittered * 5) == k
 
     @pytest.mark.parametrize("h", [-0.1, float("nan"), float("inf")])
     def test_negative_or_non_finite_half_width_rejected(self, h):
         with pytest.raises(ValueError, match="half-width"):
-            jitter([0.2, -0.4], seed=1, h=h)
+            jitter([1, -2], seed=1, h=h)
 
     def test_off_grid_rejected(self):
-        with pytest.raises(ValueError):
-            jitter([0.31], seed=1)
+        for fifths in ([6], [-6], [2, 6]):
+            with pytest.raises(ValueError, match="grid position -?6 "):
+                jitter(fifths, seed=1)
+
+    @pytest.mark.parametrize("position", [0.4, 2.0, True, False])
+    def test_float_or_bool_position_rejected(self, position):
+        # refused, never truncated to an int
+        with pytest.raises(ValueError, match="grid position"):
+            jitter([0, position], seed=1)
 
 
 def one_cell_quantile(values, tau):

@@ -3,7 +3,6 @@ import itertools
 import json
 import os
 import tempfile
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +20,7 @@ from covbias.ingestion import (
 from covbias.lexicon import read_lexicon
 from covbias.model import Document, Gender, Sentence, SourceType
 from covbias.registry import read_registry
-from covbias.sentiment import SentimentClass, aggregate_score, classify
+from covbias.sentiment import CLASS_BY_FIFTHS, SentimentClass, aggregate_fifths
 from conftest import data_path
 from oracles import parse_defects, token_from_row
 
@@ -528,7 +527,7 @@ class TestLexicon:
         entry = lex.get("sceriffo", "NOUN")
         assert entry.scores == (-1, -1, 0, -1, -1)
         assert entry.sentiment is SentimentClass.STRONG_NEGATIVE
-        assert float(entry.aggregate) == -0.8
+        assert entry.fifths == -4
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "lex.csv"
@@ -551,10 +550,23 @@ class TestLexicon:
             ("-2,0,0,0,0", "annotator score -2 not in"),
             ("1,1,1,1,x", "non-integer score"),
             ("1,1,1,1,0.5", "non-integer score"),
+            # int() reads each of these as 1; a score is ASCII digits only
+            ("1,1,1,1,\u0661", "non-integer score"),
+            ("1,1,1,1,+1", "non-integer score"),
+            ("1,1,1,1,\uff11", "non-integer score"),
+            ("1,1,1,1,\u00a01\u00a0", "non-integer score"),
+            ("1,1,1,1,-", "non-integer score"),
+            ("1,1,1,1,--1", "non-integer score"),
         ]:
             path.write_text(f"elegante,ADJ,physical,1,1,1,1,1\nbello,ADJ,physical,{scores}\n")
             with pytest.raises(LexiconError, match=f"lex.csv: line 2: {message}"):
                 read_lexicon(path)
+
+    def test_blank_padded_scores_read(self, tmp_path):
+        # blanks around a cell are stripped, as in every other column
+        path = tmp_path / "lex.csv"
+        path.write_text("bello,ADJ,physical, 1 ,\t1,1 , -1,0\n")
+        assert read_lexicon(path).get("bello", "ADJ").scores == (1, 1, 1, -1, 0)
 
     def test_entries_carry_aggregate_and_class_of_their_scores(self, tmp_path):
         # every vector of five scores in -1..1, so every grid value occurs
@@ -570,9 +582,9 @@ class TestLexicon:
         assert len(entries) == len(vectors) + 13
         assert {sum(e.scores) for e in entries} == set(range(-5, 6))
         for entry in entries:
-            assert type(entry.aggregate) is Fraction
-            assert entry.aggregate == aggregate_score(entry.scores)
-            assert entry.sentiment is classify(aggregate_score(entry.scores))
+            assert type(entry.fifths) is int
+            assert entry.fifths == aggregate_fifths(entry.scores)
+            assert entry.sentiment is CLASS_BY_FIFTHS[entry.fifths]
 
     def test_stopword_collision_rejected(self, tmp_path):
         path = tmp_path / "lex.csv"

@@ -22,7 +22,6 @@ from covbias.model import (
     tree_defect,
 )
 from covbias.pipeline import PipelineConfig, stage_extract
-from covbias.sentiment import JSON_GRID_SCORES
 from conftest import write_config
 from oracles import record_json_dict
 
@@ -95,7 +94,6 @@ class TestMention:
 # out: no string decoded from a UTF-8 input holds one.
 _AWKWARD = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\U0001F600", "\U00010348"]
 _field_text = st.text(st.sampled_from(_AWKWARD) | st.characters(codec="utf-8"), max_size=12)
-_GRID = sorted({v for (_, v) in JSON_GRID_SCORES if type(v) is float})
 _records = st.builds(
     PersonalizationRecord,
     pid=_field_text,
@@ -106,7 +104,7 @@ _records = st.builds(
     lemma=_field_text,
     upos=_field_text,
     category=st.sampled_from(Category),
-    aggregate_sentiment=st.sampled_from(_GRID) | st.floats(allow_nan=False, allow_infinity=False),
+    fifths=st.integers(-5, 5),
     sentence_index=st.integers(0, 10**9),
 )
 
@@ -116,11 +114,11 @@ class TestRecordSerialization:
     @given(st.lists(_records, min_size=1, max_size=5))
     @example([PersonalizationRecord(
         '"\\\x00\x1f', Gender.F, "\u2028\u2029\x7f", datetime.date(1, 1, 1),
-        SourceType.ONLINE, "\U0001F600", "\n\r\t", Category.PHYSICAL, -0.0, 0,
+        SourceType.ONLINE, "\U0001F600", "\n\r\t", Category.PHYSICAL, 0, 0,
     )])
     def test_json_line_is_the_encoders_text(self, records):
         """Every line equals json.dumps of the reference object byte for
-        byte, and analyze reads each grid-scored line back."""
+        byte, and analyze reads each line back to its grid position."""
         lines = [rec.json_line() for rec in records]
         for rec, line in zip(records, lines):
             assert line == json.dumps(record_json_dict(rec), ensure_ascii=False, sort_keys=True)
@@ -129,13 +127,9 @@ class TestRecordSerialization:
             reporting.write_jsonl(path, lines)
             with open(path, "rb") as fh:
                 assert fh.read() == "".join(line + "\n" for line in lines).encode("utf-8")
-            on_grid = [rec for rec in records if rec.aggregate_sentiment in _GRID]
-            reporting.write_jsonl(path, [rec.json_line() for rec in on_grid])
             with open(path, encoding="utf-8") as fh:
                 loaded = pipeline._load_records(fh)
-        assert loaded == [
-            (r.category, r.gender, r.source_type, r.aggregate_sentiment) for r in on_grid
-        ]
+        assert loaded == [(r.category, r.gender, r.source_type, r.fifths) for r in records]
 
     def test_analyze_loader_reads_the_extracted_records(self, tmp_path):
         """Analyze's four fields per records.jsonl line equal the extract's records."""
@@ -144,9 +138,7 @@ class TestRecordSerialization:
         result = stage_extract(cfg)
         with open(out / "records.jsonl", encoding="utf-8") as fh:
             loaded = pipeline._load_records(fh)
-        expected = [
-            (r.category, r.gender, r.source_type, r.aggregate_sentiment) for r in result.records
-        ]
+        expected = [(r.category, r.gender, r.source_type, r.fifths) for r in result.records]
         assert expected and loaded == expected
         assert {r.category for r in loaded} == set(Category)
         assert all(type(r.category) is Category for r in loaded)

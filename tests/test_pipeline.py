@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import datetime
+import errno
+import io
 import json
 import os
 import re
@@ -365,6 +367,17 @@ class TestCli:
             if name != "manifest.json":
                 assert a[name] == b[name], name
 
+    def test_extract_under_a_regular_file_is_one_stage_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        cfg_path = str(write_config(tmp_path / "cfg.ini", blocker / "out"))
+        assert cli_main(["--config", cfg_path, "extract"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: stage 'extract' failed: ")
+        assert "Not a directory" in err[0]
+        assert blocker.read_text(encoding="utf-8") == ""
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[covbias]\nconllu = x\n")
@@ -634,6 +647,24 @@ class TestBrokenArtifacts:
             assert read_bundle_bytes(out) == before
 
 
+class TestRecordScores:
+    """records.jsonl holds each score as the float k/5; analyze reads back k."""
+
+    LINE = '{"aggregate_sentiment": %s, "category": "physical", "gender": "F", "source_type": "online"}\n'
+
+    def test_every_grid_position_in_both_spellings(self):
+        spelled = [(repr(k / 5), k) for k in range(-5, 6)]
+        spelled += [(str(k // 5), k) for k in (-5, 0, 5)]  # -1, 0 and 1 as JSON ints
+        text = "".join(self.LINE % score for score, _ in spelled)
+        loaded = pipeline._load_records(io.StringIO(text))
+        assert [r.fifths for r in loaded] == [k for _, k in spelled]
+        assert all(type(r.fifths) is int for r in loaded)
+        for score in ("true", "0.3", "0.30000000000000004"):
+            shown = re.escape(repr(json.loads(score)))
+            with pytest.raises(ValueError, match=f"^line 15: aggregate_sentiment {shown} is not"):
+                pipeline._load_records(io.StringIO(text + self.LINE % score))
+
+
 class TestHandoffFormat:
     """Extract's machine artifacts are compact; their layout does not matter to later stages."""
 
@@ -786,15 +817,15 @@ class TestQuantileAnalysis:
     def test_category_without_reference_cell_is_skipped(self, tiny_run, one_sided):
         cfg = dataclasses.replace(tiny_run[0], bootstrap=inference.MIN_REPLICATES)
         full = [(gender, source) for gender in Gender for source in SourceType]
-        scores = [-0.6, -0.2, 0.0, 0.4, 0.8]
+        fifths = [-3, -1, 0, 2, 4]
         records = [
-            SentimentRecord(category, gender, source, score)
+            SentimentRecord(category, gender, source, k)
             for category, cells in (
                 (Category.MORAL_BEHAVIORAL, full),
                 (Category.PHYSICAL, one_sided),
             )
             for gender, source in cells
-            for score in scores * 2
+            for k in fifths * 2
         ]
         out = pipeline.quantile_analysis(cfg, records)
         coefficients = out["quantile_coefficients.json"]
@@ -843,6 +874,39 @@ class TestAllOrNothing:
         # literal rates change bias_profile.json, which is computed first
         with pytest.raises(RuntimeError, match="boom"):
             stage_analyze(dataclasses.replace(cfg, rates_mode="literal"))
+        assert read_bundle_bytes(out) == before
+
+    @pytest.mark.parametrize("failure", ["write", "bootstrap"])
+    def test_failing_analyze_command_is_one_stage_error_line(
+        self, tmp_path, finished_run, monkeypatch, capsys, failure
+    ):
+        cfg, out = finished_run
+        before = read_bundle_bytes(out)
+        if failure == "write":
+            write_csv = reporting.write_csv
+
+            def full_disk(path, header, rows):
+                if os.path.basename(path) == ".quantiles.csv.tmp":
+                    raise OSError(errno.ENOSPC, "No space left on device", path)
+                write_csv(path, header, rows)
+
+            monkeypatch.setattr(reporting, "write_csv", full_disk)
+            fragment = "No space left on device"
+        else:
+
+            def boom(*args, **kwargs):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(inference, "bootstrap_significance", boom)
+            fragment = "boom"
+        capsys.readouterr()
+        # literal rates change bias_profile.json, so a partial write would show
+        argv = ["--config", str(tmp_path / "cfg.ini"), "--rates-mode", "literal", "analyze"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: stage 'analyze' failed: ")
+        assert fragment in err[0]
         assert read_bundle_bytes(out) == before
 
     @pytest.mark.parametrize("defect", ["word_total", "ccdf_input", "no_coverage"])

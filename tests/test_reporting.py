@@ -15,7 +15,7 @@ from covbias.reporting import (
 from conftest import data_path, table_from_counts
 
 
-def record(lemma, gender, category, sentiment, upos="ADJ"):
+def record(lemma, gender, category, fifths, upos="ADJ"):
     return PersonalizationRecord(
         pid="p",
         gender=gender,
@@ -25,7 +25,7 @@ def record(lemma, gender, category, sentiment, upos="ADJ"):
         lemma=lemma,
         upos=upos,
         category=category,
-        aggregate_sentiment=sentiment,
+        fifths=fifths,
         sentence_index=0,
     )
 
@@ -38,7 +38,7 @@ def lexicon():
 class TestSentimentFractions:
     def test_all_strong_negative(self, lexicon):
         records = [
-            record("incapace", Gender.F, Category.MORAL_BEHAVIORAL, -1.0)
+            record("incapace", Gender.F, Category.MORAL_BEHAVIORAL, -5)
             for _ in range(4)
         ]
         rows = sentiment_fraction_rows(records, lexicon)
@@ -46,17 +46,17 @@ class TestSentimentFractions:
         assert f_rows[0][2:] == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_balanced_five_classes(self, lexicon):
-        sentiments = [-1.0, -0.4, 0.0, 0.4, 0.8]
+        fifths = [-5, -2, 0, 2, 4]
         records = [
-            record("w", Gender.M, Category.PHYSICAL, s) for s in sentiments
+            record("w", Gender.M, Category.PHYSICAL, k) for k in fifths
         ]
         rows = sentiment_fraction_rows(records, lexicon)
         m_row = [r for r in rows if r[0] == "physical" and r[1] == "M"][0]
         assert m_row[2:] == [0.2, 0.2, 0.2, 0.2, 0.2]
 
     def test_three_quarters_weakly_positive(self, lexicon):
-        records = [record("w", Gender.F, Category.PHYSICAL, 0.4)] * 3 + [
-            record("w", Gender.F, Category.PHYSICAL, 0.0)
+        records = [record("w", Gender.F, Category.PHYSICAL, 2)] * 3 + [
+            record("w", Gender.F, Category.PHYSICAL, 0)
         ]
         rows = sentiment_fraction_rows(records, lexicon)
         f_row = [r for r in rows if r[0] == "physical" and r[1] == "F"][0]
@@ -64,7 +64,7 @@ class TestSentimentFractions:
 
     def test_rows_sum_to_one(self, lexicon):
         records = [
-            record("a", Gender.F, Category.PHYSICAL, s) for s in (-1.0, 0.2, 0.2, 0.6)
+            record("a", Gender.F, Category.PHYSICAL, k) for k in (-5, 1, 1, 3)
         ]
         rows = sentiment_fraction_rows(records, lexicon)
         for row in rows:

@@ -1,5 +1,5 @@
+import itertools
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,78 +7,83 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covbias.sentiment import (
+    CLASS_BY_FIFTHS,
+    FIFTHS_BY_JSON,
     SentimentClass,
-    aggregate_score,
-    classify,
+    aggregate_fifths,
     krippendorff_alpha,
-    score_fifths,
 )
 from oracles import alpha_ordinal_bruteforce, alpha_pairwise
 
 
 class TestAggregateScore:
     def test_hand_arithmetic(self):
-        assert aggregate_score([-1, 0, 1, 1, 1]) == Fraction(2, 5)
-        assert float(aggregate_score([-1, 0, 1, 1, 1])) == 0.4
+        # mean 2/5, grid position 2
+        assert aggregate_fifths([-1, 0, 1, 1, 1]) == 2
 
     def test_all_zero(self):
-        assert aggregate_score([0, 0, 0, 0, 0]) == 0
+        assert aggregate_fifths([0, 0, 0, 0, 0]) == 0
 
     def test_unanimous_negative(self):
-        assert aggregate_score([-1] * 5) == -1
+        assert aggregate_fifths([-1] * 5) == -5
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
-            aggregate_score([1, 1, 1])
+            aggregate_fifths([1, 1, 1])
 
     def test_score_outside_range(self):
         with pytest.raises(ValueError):
-            aggregate_score([2, 0, 0, 0, 0])
+            aggregate_fifths([2, 0, 0, 0, 0])
+
+
+_BUCKETS = [
+    (2, SentimentClass.WEAKLY_POSITIVE),
+    (1, SentimentClass.NEUTRAL),
+    (-4, SentimentClass.STRONG_NEGATIVE),
+    (5, SentimentClass.STRONG_POSITIVE),
+    (4, SentimentClass.STRONG_POSITIVE),
+    (3, SentimentClass.WEAKLY_POSITIVE),
+    (0, SentimentClass.NEUTRAL),
+    (-1, SentimentClass.NEUTRAL),
+    (-2, SentimentClass.WEAKLY_NEGATIVE),
+    (-3, SentimentClass.WEAKLY_NEGATIVE),
+    (-5, SentimentClass.STRONG_NEGATIVE),
+]
 
 
 class TestClassify:
+    # each case named by the aggregate score k/5 of its grid position k
     @pytest.mark.parametrize(
-        "score,expected",
-        [
-            (0.4, SentimentClass.WEAKLY_POSITIVE),
-            (0.2, SentimentClass.NEUTRAL),
-            (-0.8, SentimentClass.STRONG_NEGATIVE),
-            (1.0, SentimentClass.STRONG_POSITIVE),
-            (0.8, SentimentClass.STRONG_POSITIVE),
-            (0.6, SentimentClass.WEAKLY_POSITIVE),
-            (0.0, SentimentClass.NEUTRAL),
-            (-0.2, SentimentClass.NEUTRAL),
-            (-0.4, SentimentClass.WEAKLY_NEGATIVE),
-            (-0.6, SentimentClass.WEAKLY_NEGATIVE),
-            (-1.0, SentimentClass.STRONG_NEGATIVE),
-        ],
+        "k,expected", _BUCKETS, ids=[f"{k / 5}-{c.value}" for k, c in _BUCKETS]
     )
-    def test_bucket_table(self, score, expected):
-        assert classify(score) is expected
+    def test_bucket_table(self, k, expected):
+        assert CLASS_BY_FIFTHS[k] is expected
 
     def test_off_grid_rejected(self):
-        with pytest.raises(ValueError):
-            classify(0.3)
-
-    def test_fraction_input(self):
-        assert classify(Fraction(2, 5)) is SentimentClass.WEAKLY_POSITIVE
+        assert sorted(CLASS_BY_FIFTHS) == list(range(-5, 6))
+        for k in (-6, 6):
+            with pytest.raises(KeyError):
+                CLASS_BY_FIFTHS[k]
 
     def test_buckets_partition_grid(self):
-        seen = [classify(Fraction(k, 5)) for k in range(-5, 6)]
+        seen = [CLASS_BY_FIFTHS[k] for k in range(-5, 6)]
         assert len(seen) == 11
         assert set(seen) == set(SentimentClass)
 
     def test_classify_of_aggregate_total(self):
-        # classify(aggregate_score(s)) defined for every raw score vector
-        for total in range(-5, 6):
-            scores = [1] * max(total, 0) + [-1] * max(-total, 0)
-            scores += [0] * (5 - len(scores))
-            assert classify(aggregate_score(scores)) is not None
+        # every raw score vector has a grid position with a class
+        for scores in itertools.product((-1, 0, 1), repeat=5):
+            assert CLASS_BY_FIFTHS[aggregate_fifths(scores)] in SentimentClass
 
-    def test_score_fifths_guard(self):
-        assert score_fifths(0.4) == 2
-        with pytest.raises(ValueError):
-            score_fifths(0.4000001)
+    def test_json_scores_read_to_grid_positions(self):
+        # a JSON score is the float k/5, or an int where it is whole
+        floats = {k: v for (t, v), k in FIFTHS_BY_JSON.items() if t is float}
+        ints = {k: v for (t, v), k in FIFTHS_BY_JSON.items() if t is int}
+        assert floats == {k: k / 5 for k in range(-5, 6)}
+        assert ints == {-5: -1, 0: 0, 5: 1}
+        assert len(FIFTHS_BY_JSON) == 14
+        for off_grid in [(float, 0.4000001), (float, 0.3), (bool, True), (int, 2)]:
+            assert off_grid not in FIFTHS_BY_JSON
 
 
 def random_units(rng, max_units=10, max_raters=5):
