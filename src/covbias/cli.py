@@ -72,13 +72,13 @@ def main(argv=None) -> int:
         if args.command == "ingest-check":
             print(json.dumps(ingest_check(cfg), indent=2, sort_keys=True))
         elif args.command == "extract":
-            result = run_stage("extract", stage_extract, cfg, CovbiasError)
+            result = run_stage("extract", stage_extract, cfg)
             print(f"extracted {len(result.records)} records -> {cfg.out}")
         elif args.command == "analyze":
-            run_stage("analyze", stage_analyze, cfg, CovbiasError)
+            run_stage("analyze", stage_analyze, cfg)
             print(f"analysis written -> {cfg.out}")
         elif args.command == "report":
-            run_stage("report", stage_report, cfg, CovbiasError)
+            run_stage("report", stage_report, cfg)
             print(f"report written -> {cfg.out}")
         else:
             run_pipeline(cfg)

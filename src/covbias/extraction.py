@@ -10,8 +10,9 @@ records; all neighborhood words feed the coverage counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .bias import CellKey, CountTable
 from .entities import MatchDiagnostics, RoleGazetteer, find_mentions
@@ -121,63 +122,44 @@ def neighborhood(
     return out
 
 
-class DatasetTally:
-    """Per-gender descriptive counts for one dataset (coverage or pers.).
+SentenceKey = tuple[Gender, str, str, int]  # (gender, pid, doc_id, sentence index)
 
-    Three structures hold every fact; the document, sentence, word and
-    politician counts are derived from them.
-    """
 
-    def __init__(self) -> None:
-        self.words_per_sentence: dict[Gender, dict[tuple[str, int], int]] = {
-            g: {} for g in Gender
-        }
-        self.pid_sentences: dict[Gender, set[tuple[str, str, int]]] = {g: set() for g in Gender}
-        self.lemmas: dict[Gender, set[str]] = {g: set() for g in Gender}
-
-    def add(self, gender: Gender, pid: str, doc_id: str, sent_index: int, lemma: str) -> None:
-        per = self.words_per_sentence[gender]
-        key = (doc_id, sent_index)
-        per[key] = per.get(key, 0) + 1
-        self.pid_sentences[gender].add((pid, doc_id, sent_index))
-        self.lemmas[gender].add(lemma)
-
-    def to_json_dict(self) -> dict:
-        out = {}
-        for g in Gender:
-            per_sentence = self.words_per_sentence[g]
-            per_pid: dict[str, int] = {}
-            for pid, _, _ in self.pid_sentences[g]:
+def dataset_descriptives(
+    words: Mapping[SentenceKey, int], lemmas: set[tuple[Gender, str]]
+) -> dict:
+    """One dataset's (coverage or personalization) per-gender entries of
+    descriptives.json, from its attributed words per `SentenceKey` and its
+    distinct (gender, lemma) pairs. The lists are sorted."""
+    out = {}
+    for g in Gender:
+        per_sentence: dict[tuple[str, int], int] = {}
+        per_pid: dict[str, int] = {}
+        for (key_gender, pid, doc_id, sent_index), n in words.items():
+            if key_gender == g:
+                sent = (doc_id, sent_index)
+                per_sentence[sent] = per_sentence.get(sent, 0) + n
                 per_pid[pid] = per_pid.get(pid, 0) + 1
-            out[g.value] = {
-                "politicians": len(per_pid),
-                "contents": len({doc_id for doc_id, _ in per_sentence}),
-                "sentences": len(per_sentence),
-                "words": sum(per_sentence.values()),
-                "distinct_words": len(self.lemmas[g]),
-                "words_per_sentence": sorted(per_sentence.values()),
-                "sentences_per_politician": sorted(per_pid.values()),
-            }
-        return out
-
-
-class DescriptiveStats:
-    def __init__(self) -> None:
-        self.coverage = DatasetTally()
-        self.personalization = DatasetTally()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coverage": self.coverage.to_json_dict(),
-            "personalization": self.personalization.to_json_dict(),
+        out[g.value] = {
+            "politicians": len(per_pid),
+            "contents": len({doc_id for doc_id, _ in per_sentence}),
+            "sentences": len(per_sentence),
+            "words": sum(per_sentence.values()),
+            "distinct_words": sum(lemma_gender == g for lemma_gender, _ in lemmas),
+            "words_per_sentence": sorted(per_sentence.values()),
+            "sentences_per_politician": sorted(per_pid.values()),
         }
+    return out
 
 
 @dataclass
 class ExtractionResult:
+    """What extract holds once the stream ends; `descriptives` is the
+    descriptives.json object."""
+
     records: list[PersonalizationRecord]
     counts: CountTable
-    descriptives: DescriptiveStats
+    descriptives: dict
     diagnostics: MatchDiagnostics
 
 
@@ -202,18 +184,18 @@ def extract_records(
     Attributed words are counted straight into a plain cell dict plus a
     set of (gender, category, source_type, pid) keys, both bounded by the
     distinct cells, and become the `CountTable` once the stream ends.
+    The descriptives come from per-`SentenceKey` counts, the cells and the records.
     """
     gaz = gazetteer if gazetteer is not None else RoleGazetteer()
     records: list[PersonalizationRecord] = []
-    descriptives, diagnostics = DescriptiveStats(), MatchDiagnostics()
+    diagnostics = MatchDiagnostics()
     words = {key: (e.category, e.fifths) for key, e in lexicon.entries.items()}
     genders = {pid: p.gender for pid, p in registry.politicians.items()}
     cells: dict[CellKey, int] = {}
     pid_keys: set[tuple[Gender, Optional[Category], SourceType, str]] = set()
+    covered: dict[SentenceKey, int] = {}
     word_of, cell_count, add_pid_key = words.get, cells.get, pid_keys.add
-    new_record, record = tuple.__new__, records.append
-    cover = descriptives.coverage.add
-    personalize = descriptives.personalization.add
+    covered_count, new_record, record = covered.get, tuple.__new__, records.append
     for doc, sentence in stream:
         mentions = find_mentions(sentence, doc, registry, gaz, diagnostics)
         if not mentions:
@@ -246,7 +228,8 @@ def extract_records(
                 key = (lemma, upos, gender, category, source_type, date)
                 cells[key] = cell_count(key, 0) + 1
                 add_pid_key((gender, category, source_type, pid))
-                cover(gender, pid, doc_id, sent_index, lemma)
+                sent_key = (gender, pid, doc_id, sent_index)
+                covered[sent_key] = covered_count(sent_key, 0) + 1
                 if word is not None:
                     record(
                         new_record(
@@ -255,7 +238,13 @@ def extract_records(
                              lemma, upos, category, word[1], sent_index),
                         )
                     )
-                    personalize(gender, pid, doc_id, sent_index, lemma)
+    personalized = Counter((r.gender, r.pid, r.doc_id, r.sentence_index) for r in records)
+    descriptives = {
+        "coverage": dataset_descriptives(covered, {(k[2], k[0]) for k in cells}),
+        "personalization": dataset_descriptives(
+            personalized, {(r.gender, r.lemma) for r in records}
+        ),
+    }
     return ExtractionResult(
         records, CountTable.from_counts(cells, pid_keys), descriptives, diagnostics
     )

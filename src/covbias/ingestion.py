@@ -67,8 +67,13 @@ def read_metadata(
     path,
     window: Optional[tuple[datetime.date, datetime.date]] = None,
 ) -> dict[str, Document]:
-    """Document metadata JSONL keyed by doc_id; duplicates are rejected."""
+    """Document metadata JSONL keyed by doc_id, duplicates rejected; each error
+    names the file and line."""
     docs: dict[str, Document] = {}
+
+    def defect(message: str) -> MetadataError:
+        return MetadataError(f"{path}: line {lineno}: {message}")
+
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -76,36 +81,32 @@ def read_metadata(
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MetadataError(f"{path}: line {lineno}: bad JSON: {exc}") from None
+                raise defect(f"bad JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise MetadataError(f"{path}: line {lineno}: expected a JSON object")
+                raise defect("expected a JSON object")
             doc_id = obj.get("doc_id")
             if not doc_id:
-                raise MetadataError(f"{path}: line {lineno}: missing doc_id")
+                raise defect("missing doc_id")
             for key in ("date", "source_id", "source_type"):
                 if key not in obj:
-                    raise MetadataError(f"doc {doc_id!r}: missing {key!r}")
+                    raise defect(f"doc {doc_id!r}: missing {key!r}")
             for key in ("doc_id", "date", "source_type"):
                 if not isinstance(obj[key], str):
-                    raise MetadataError(
-                        f"{path}: line {lineno}: {key} {obj[key]!r} is not a string"
-                    )
+                    raise defect(f"{key} {obj[key]!r} is not a string")
             try:
                 date = datetime.date.fromisoformat(obj["date"])
             except ValueError:
-                raise MetadataError(
-                    f"doc {doc_id!r}: bad date {obj['date']!r}"
-                ) from None
+                raise defect(f"doc {doc_id!r}: bad date {obj['date']!r}") from None
             try:
                 source_type = SourceType(obj["source_type"])
             except ValueError:
-                raise MetadataError(
+                raise defect(
                     f"doc {doc_id!r}: unknown source_type {obj['source_type']!r}"
                 ) from None
             if doc_id in docs:
-                raise MetadataError(f"duplicate doc_id {doc_id!r}")
+                raise defect(f"duplicate doc_id {doc_id!r}")
             if window is not None and not window[0] <= date <= window[1]:
-                raise MetadataError(
+                raise defect(
                     f"doc {doc_id!r}: date {date} outside analysis window "
                     f"{window[0]}..{window[1]}"
                 )

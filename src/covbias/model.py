@@ -4,11 +4,11 @@ Everything here is immutable after construction and free of I/O and
 statistics. Parse structure is checked in one place: the CoNLL-U reader
 (`ingestion.iter_conllu`) runs its checks and `tree_defect` on the raw
 rows, so `Token` and `Sentence` store what they are given unchecked.
-`Token`, `PersonalizationRecord` and `SentimentRecord`, built once per
-token, per attributed word and per record analyze loads, are
-`typing.NamedTuple`s, the cheapest immutable record to construct; the
-reader and extract build theirs with ``tuple.__new__(cls, fields)``,
-all fields given, which skips the NamedTuple's Python-level ``__new__``.
+`Token` and `PersonalizationRecord`, built once per token and per
+attributed lexicon word, are `typing.NamedTuple`s, the cheapest
+immutable record to construct; the reader and extract build theirs with
+``tuple.__new__(cls, fields)``, all fields given, which skips the
+NamedTuple's Python-level ``__new__``.
 The other types are frozen dataclasses.
 """
 
@@ -256,16 +256,3 @@ _RECORD_LINE = (
     '"source_type": %s, "upos": %s}'
 )
 
-
-class SentimentRecord(NamedTuple):
-    """The four fields of a `PersonalizationRecord` that analyze reads.
-
-    The quantile regressions and the sentiment fractions need only these,
-    so analyze decodes each `records.jsonl` line into one of them; the
-    aggregate sentiment comes back as its grid position k in -5..5.
-    """
-
-    category: Category
-    gender: Gender
-    source_type: SourceType
-    fifths: int

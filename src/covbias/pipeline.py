@@ -14,10 +14,10 @@ be rerun from the previous stage's artifacts:
 The JSON files a later stage reads back, `MACHINE_ARTIFACTS`
 (count_table.json, descriptives.json and diagnostics.json), are written
 compact, on one line; every other JSON file is a report file, indented
-for people. records.jsonl is one object per line; analyze keeps only the
-four fields of each that it reads (`SentimentRecord`). A missing or broken
-artifact stops the stage that reads it with a `StageError` naming the
-file (and, for records.jsonl, the line).
+for people. records.jsonl is one object per line; analyze reads each
+straight into a row of its category, three small ints (`RecordRows`). A
+missing or broken artifact stops the stage that reads it with a
+`StageError` naming the file (and, for records.jsonl, the line).
 
 The settings are the fields of `PipelineConfig`, and `from_ini` reads
 exactly those keys. A stage reads each input file once, side files before
@@ -49,7 +49,7 @@ import numpy as np
 from . import bias, inference, reporting, temporal
 from .bias import CountTable
 from .entities import RoleGazetteer
-from .errors import ConfigError, StageError
+from .errors import ConfigError, CovbiasError, StageError
 from .extraction import DIRECTIONS, ExtractionResult, extract_records
 from .ingestion import (
     CorpusDiagnostics,
@@ -59,7 +59,7 @@ from .ingestion import (
     read_stopwords,
 )
 from .lexicon import Lexicon, read_lexicon
-from .model import Category, Document, Gender, SentimentRecord, SourceType
+from .model import Category, Document, Gender, SourceType
 from .registry import PoliticianRegistry, read_registry
 from .sentiment import FIFTHS_BY_JSON, krippendorff_alpha
 
@@ -375,7 +375,7 @@ def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
                 result.counts.to_csv_rows(),
             ),
             "count_table.json": result.counts.to_json_dict(),
-            "descriptives.json": result.descriptives.to_json_dict(),
+            "descriptives.json": result.descriptives,
             "diagnostics.json": {
                 "ingest": diagnostics.to_json_dict(),
                 "matching": result.diagnostics.to_json_dict(),
@@ -390,12 +390,15 @@ def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
 # ---------------------------------------------------------------------------
 
 
-# Value -> member of each enum field of a record, so a line costs lookups, not Enum calls.
+# Value -> what a row keeps of each enum field of a record, so a line costs
+# lookups, not Enum calls; gender and source as `quantile_regression`'s 0/1.
 _RECORD_MEMBERS = {
     "category": {c.value: c for c in Category},
-    "gender": {g.value: g for g in Gender},
-    "source_type": {s.value: s for s in SourceType},
+    "gender": {Gender.F.value: 1, Gender.M.value: 0},
+    "source_type": {SourceType.TRADITIONAL.value: 0, SourceType.ONLINE.value: 1},
 }
+# Each category's records as (grid position k in -5..5, women, online) rows.
+RecordRows = dict[Category, list[tuple[int, int, int]]]
 
 
 def _record_defect(obj) -> str:
@@ -414,8 +417,8 @@ def _record_defect(obj) -> str:
     )
 
 
-def _load_records(fh: TextIO) -> list[SentimentRecord]:
-    """The records of records.jsonl in file order, four fields each.
+def _load_records(fh: TextIO) -> RecordRows:
+    """Each category's rows of records.jsonl, in file order.
 
     Each score is read as its grid position. The order matters: jitter and
     the bootstrap draw per record position.
@@ -424,20 +427,15 @@ def _load_records(fh: TextIO) -> list[SentimentRecord]:
     genders = _RECORD_MEMBERS["gender"]
     sources = _RECORD_MEMBERS["source_type"]
     fifths = FIFTHS_BY_JSON
-    out = []
+    out: RecordRows = {c: [] for c in Category}
     for line_no, line in enumerate(fh, 1):
         if not line.strip():
             continue
         try:
             d = json.loads(line)
             score = d["aggregate_sentiment"]
-            out.append(
-                SentimentRecord(
-                    categories[d["category"]],
-                    genders[d["gender"]],
-                    sources[d["source_type"]],
-                    fifths[type(score), score],
-                )
+            out[categories[d["category"]]].append(
+                (fifths[type(score), score], genders[d["gender"]], sources[d["source_type"]])
             )
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {line_no}: {exc.msg} (column {exc.pos + 1})") from None
@@ -565,22 +563,18 @@ def chi_square_analysis(table: CountTable) -> dict:
     return {"chi_square.json": chi_json}
 
 
-def quantile_analysis(cfg: PipelineConfig, records: list[SentimentRecord]) -> dict:
+def quantile_analysis(cfg: PipelineConfig, rows: RecordRows) -> dict:
     """Quantile regressions of jittered sentiment with bootstrap intervals."""
     quantile_rows = []
     coef_json: dict = {"taus": list(inference.DEFAULT_TAUS), "jitter_h": cfg.jitter}
     for c_idx, category in enumerate(Category):
-        cat_records = [r for r in records if r.category == category]
-        if not cat_records:
+        if not rows[category]:
             coef_json[category.value] = {"skipped": "no records"}
             continue
+        fifths, g_dummy, s_dummy = zip(*rows[category])
         jitter_seed = derive_seed(cfg.seed, 1, c_idx)
-        y = inference.jitter(
-            [r.fifths for r in cat_records], jitter_seed, cfg.jitter
-        )
-        g_dummy = [1 if r.gender == Gender.F else 0 for r in cat_records]
-        s_dummy = [1 if r.source_type == SourceType.ONLINE else 0 for r in cat_records]
-        entry: dict = {"jitter_seed": jitter_seed, "n": len(cat_records)}
+        y = inference.jitter(fifths, jitter_seed, cfg.jitter)
+        entry: dict = {"jitter_seed": jitter_seed, "n": len(fifths)}
         try:
             models = inference.quantile_regression(y, g_dummy, s_dummy, inference.DEFAULT_TAUS)
         except ValueError as exc:
@@ -663,7 +657,7 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
     cfg.validate()
     _, lexicon = _load_lexicon(cfg)
     table = _read_artifact(cfg, "analyze", "count_table.json", _read_count_table)
-    records = _read_artifact(cfg, "analyze", "records.jsonl", _load_records)
+    rows = _read_artifact(cfg, "analyze", "records.jsonl", _load_records)
     slices = {category: table.slice(category=category) for category in Category}
     by_category = {
         **bias_analysis(cfg, table, lexicon, slices),
@@ -677,13 +671,13 @@ def stage_analyze(cfg: PipelineConfig) -> dict:
             **agreement_analysis(lexicon),
             "sentiment_fractions.csv": (
                 ["category", "group"] + reporting.SENTIMENT_COLUMNS,
-                reporting.sentiment_fraction_rows(records, lexicon),
+                reporting.sentiment_fraction_rows(rows, lexicon),
             ),
             **chi_square_analysis(table),
-            **quantile_analysis(cfg, records),
+            **quantile_analysis(cfg, rows),
         },
     )
-    return {"records": len(records)}
+    return {"records": sum(map(len, rows.values()))}
 
 
 # ---------------------------------------------------------------------------
@@ -752,21 +746,13 @@ def stage_report(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def run_stage(
-    name: str,
-    stage: Callable[[PipelineConfig], T],
-    cfg: PipelineConfig,
-    keep: type[Exception] = StageError,
-) -> T:
-    """`stage(cfg)`, with any failure that is no `keep` raised as a
-    `StageError` naming stage `name`.
-
-    `run` names the stage of every failure; a single-stage command passes
-    `keep=CovbiasError`, so an input error reads as it does on its own.
-    """
+def run_stage(name: str, stage: Callable[[PipelineConfig], T], cfg: PipelineConfig) -> T:
+    """`stage(cfg)`, with any failure that is no `CovbiasError` raised as a
+    `StageError` naming stage `name`. A `CovbiasError` passes as it is, so
+    it reads the same under `run` and under the single-stage command."""
     try:
         return stage(cfg)
-    except keep:
+    except CovbiasError:
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc

@@ -7,11 +7,12 @@ import bisect
 import csv
 import json
 import logging
-from typing import Iterable, Optional, Sequence
+from collections import Counter
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .bias import LeaveOneOutResult
 from .lexicon import Lexicon
-from .model import Category, Gender, SentimentRecord
+from .model import Category, Gender
 from .sentiment import CLASS_BY_FIFTHS, SentimentClass
 
 log = logging.getLogger(__name__)
@@ -57,14 +58,14 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
 
 
 def sentiment_fraction_rows(
-    records: Sequence[SentimentRecord],
+    records: Mapping[Category, Sequence[tuple[int, int, int]]],
     lexicon: Lexicon,
 ) -> list[list]:
     """Per category: lexicon class distribution plus per-gender fractions.
 
-    Gender rows are fractions of record events over the five sentiment
-    classes and sum to 1; empty (category, gender) slices are omitted
-    with a warning.
+    ``records`` holds each category's (k, women, online) rows. Gender rows
+    are fractions of record events over the five sentiment classes and sum
+    to 1; empty (category, gender) slices are omitted with a warning.
     """
     rows: list[list] = []
     for category in Category:
@@ -75,13 +76,14 @@ def sentiment_fraction_rows(
                 [category.value, "lexicon"]
                 + [dist[cls] / total for cls in SentimentClass]
             )
-        for gender in (Gender.M, Gender.F):
-            tally = {cls: 0 for cls in SentimentClass}
-            n = 0
-            for rec in records:
-                if rec.category == category and rec.gender == gender:
-                    tally[CLASS_BY_FIFTHS[rec.fifths]] += 1
-                    n += 1
+        # one pass over the category: at most 11 x 2 x 2 distinct rows
+        seen = Counter(records[category])
+        for gender, women in ((Gender.M, 0), (Gender.F, 1)):
+            tally = dict.fromkeys(SentimentClass, 0)
+            for (k, w, _), count in seen.items():
+                if w == women:
+                    tally[CLASS_BY_FIFTHS[k]] += count
+            n = sum(tally.values())
             if n == 0:
                 log.warning(
                     "no records for category=%s gender=%s; row omitted",

@@ -1,3 +1,5 @@
+import datetime
+import io
 import os
 import sys
 
@@ -13,7 +15,8 @@ from covbias.ingestion import (
     read_metadata,
     read_stopwords,
 )
-from covbias.model import Gender
+from covbias.model import Gender, PersonalizationRecord
+from covbias.pipeline import _load_records
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -65,6 +68,28 @@ def table_from_events(events) -> CountTable:
         if pid is not None:
             pid_keys.append((gender, category, source, pid))
     return CountTable.from_counts(cells, pid_keys)
+
+
+def sentiment_record(category, gender, source_type, fifths, lemma="w", upos="ADJ"):
+    """A record with the fields analyze reads, the others fixed."""
+    return PersonalizationRecord(
+        pid="p",
+        gender=gender,
+        doc_id="d",
+        date=datetime.date(2018, 1, 1),
+        source_type=source_type,
+        lemma=lemma,
+        upos=upos,
+        category=category,
+        fifths=fifths,
+        sentence_index=0,
+    )
+
+
+def record_rows(records):
+    """Analyze's per-category rows of ``records``: each written as its
+    records.jsonl line, and the lines read back as analyze reads them."""
+    return _load_records(io.StringIO("".join(r.json_line() + "\n" for r in records)))
 
 
 def write_config(path, out_dir, ma_window=1, bootstrap=100, **extra) -> str:

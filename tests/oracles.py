@@ -654,7 +654,8 @@ def parse_defects(sentence):
 
 
 class SevenStructureTally:
-    """``extraction.DatasetTally`` as it was, with a structure per count."""
+    """One dataset's descriptives, tallied word by word with a structure
+    per reported count."""
 
     def __init__(self):
         from covbias.model import Gender
@@ -812,11 +813,12 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
     one lexicon lookup and one record per (word, mention) pair."""
     from covbias.bias import CountTable
     from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
-    from covbias.extraction import DescriptiveStats, ExtractionResult
+    from covbias.extraction import ExtractionResult
     from covbias.model import PersonalizationRecord
 
     gaz = RoleGazetteer()
-    records, descriptives, diagnostics = [], DescriptiveStats(), MatchDiagnostics()
+    records, diagnostics = [], MatchDiagnostics()
+    coverage, personalization = SevenStructureTally(), SevenStructureTally()
     cells, pids = {}, {}
     for doc, sentence in stream:
         mentions = find_mentions(sentence, doc, registry, gaz, diagnostics)
@@ -845,9 +847,7 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
                 key = (token.lemma, token.upos, gender, category, doc.source_type, doc.date)
                 cells[key] = cells.get(key, 0) + 1
                 pids.setdefault((gender, category, doc.source_type), set()).add(m.pid)
-                descriptives.coverage.add(
-                    gender, m.pid, doc.doc_id, sentence.index, token.lemma
-                )
+                coverage.add(gender, m.pid, doc.doc_id, sentence.index, token.lemma)
                 if entry is not None:
                     records.append(
                         PersonalizationRecord(
@@ -863,9 +863,13 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
                             sentence_index=sentence.index,
                         )
                     )
-                    descriptives.personalization.add(
+                    personalization.add(
                         gender, m.pid, doc.doc_id, sentence.index, token.lemma
                     )
+    descriptives = {
+        "coverage": coverage.to_json_dict(),
+        "personalization": personalization.to_json_dict(),
+    }
     return ExtractionResult(records, CountTable(cells, pids), descriptives, diagnostics)
 
 

@@ -1,11 +1,17 @@
 import datetime
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbias.bias import CountTable
-from covbias.extraction import DatasetTally, DependencyTree, extract_records, neighborhood
+from covbias.extraction import (
+    DependencyTree,
+    dataset_descriptives,
+    extract_records,
+    neighborhood,
+)
 from covbias.lexicon import read_lexicon
 from covbias.model import (
     Document,
@@ -319,7 +325,7 @@ class TestExtractRecords:
     def test_descriptives_match_hand_counts(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
         result = extract_records(tiny_corpus(), registry, lexicon, radius=2)
-        cov = result.descriptives.coverage.to_json_dict()
+        cov = result.descriptives["coverage"]
         assert cov["F"] == {
             "politicians": 2,
             "contents": 3,
@@ -330,7 +336,7 @@ class TestExtractRecords:
             "sentences_per_politician": [2, 2],
         }
         assert cov["M"]["words"] == 3
-        pers = result.descriptives.personalization.to_json_dict()
+        pers = result.descriptives["personalization"]
         assert pers["F"]["words"] == 5
         assert pers["M"]["words"] == 3
 
@@ -353,11 +359,12 @@ class TestDatasetTallyOracle:
     @settings(max_examples=200, deadline=None)
     @given(_tally_events)
     def test_derived_counts_equal_seven_structure_tally(self, events):
-        tally, oracle = DatasetTally(), SevenStructureTally()
+        oracle = SevenStructureTally()
         for event in events:
-            tally.add(*event)
             oracle.add(*event)
-        assert tally.to_json_dict() == oracle.to_json_dict()
+        words = Counter((g, pid, doc_id, sent) for g, pid, doc_id, sent, _ in events)
+        lemmas = {(g, lemma) for g, _, _, _, lemma in events}
+        assert dataset_descriptives(words, lemmas) == oracle.to_json_dict()
 
 
 # -- attribution oracle: random trees, random multi-mention sentences -------
@@ -465,7 +472,7 @@ def _extraction_json(result):
     return {
         "records": [record_json_dict(r) for r in result.records],
         "counts": result.counts.to_json_dict(),
-        "descriptives": result.descriptives.to_json_dict(),
+        "descriptives": result.descriptives,
         "diagnostics": result.diagnostics.to_json_dict(),
     }
 
@@ -511,6 +518,18 @@ class TestAttributionOracle:
         # counted into one dict, the cells keep the order of add() per word
         assert list(got.counts.cells.items()) == list(expected.counts.cells.items())
         assert got.counts.pids == expected.counts.pids
+        # Table 1's word and politician counts agree with the count table
+        for result in (got, expected):
+            for dataset, table in (
+                ("coverage", result.counts),
+                ("personalization", result.counts.slice(lexicon_only=True)),
+            ):
+                for g in Gender:
+                    entry = result.descriptives[dataset][g.value]
+                    assert (entry["words"], entry["politicians"]) == (
+                        table.total(g),
+                        table.politicians(g),
+                    )
         for _, hub in cases:
             if hub is not None and direction == "undirected":
                 # the hub is one step from every name: it counts once per name

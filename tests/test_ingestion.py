@@ -2,6 +2,7 @@ import datetime
 import itertools
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -462,17 +463,22 @@ class TestMetadata:
         assert docs["d1"].source_type is SourceType.TRADITIONAL
         assert docs["d2"].date == datetime.date(2018, 7, 16)
 
+    @staticmethod
+    def at_line(path, n, rest):
+        """A pattern for an error that names the file and line `n` first."""
+        return f"^{re.escape(f'{path}: line {n}: ')}.*{rest}"
+
     def test_missing_source_type_names_doc(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"doc_id": "dq", "date": "2020-01-01", "source_id": "x"}\n')
-        with pytest.raises(MetadataError, match="dq"):
+        with pytest.raises(MetadataError, match=self.at_line(path, 1, "dq")):
             read_metadata(path)
 
     def test_duplicate_doc_id_rejected(self, tmp_path):
         row = '{"doc_id": "dq", "date": "2020-01-01", "source_id": "x", "source_type": "online"}\n'
         path = tmp_path / "m.jsonl"
         path.write_text(row + row)
-        with pytest.raises(MetadataError, match="duplicate"):
+        with pytest.raises(MetadataError, match=self.at_line(path, 2, "duplicate")):
             read_metadata(path)
 
     def test_window_enforced(self, tmp_path):
@@ -480,7 +486,7 @@ class TestMetadata:
         path = tmp_path / "m.jsonl"
         path.write_text(row)
         window = (datetime.date(2017, 1, 1), datetime.date(2019, 12, 31))
-        with pytest.raises(MetadataError, match="window"):
+        with pytest.raises(MetadataError, match=self.at_line(path, 1, "window")):
             read_metadata(path, window)
 
     def test_bad_source_type(self, tmp_path):
@@ -488,7 +494,16 @@ class TestMetadata:
         path.write_text(
             '{"doc_id": "dq", "date": "2020-01-01", "source_id": "x", "source_type": "radio"}\n'
         )
-        with pytest.raises(MetadataError, match="source_type"):
+        with pytest.raises(MetadataError, match=self.at_line(path, 1, "source_type")):
+            read_metadata(path)
+
+    def test_bad_date(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            "\n"
+            '{"doc_id": "dq", "date": "2020-13-01", "source_id": "x", "source_type": "online"}\n'
+        )
+        with pytest.raises(MetadataError, match=self.at_line(path, 2, "bad date '2020-13-01'")):
             read_metadata(path)
 
 

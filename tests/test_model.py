@@ -118,7 +118,7 @@ class TestRecordSerialization:
     )])
     def test_json_line_is_the_encoders_text(self, records):
         """Every line equals json.dumps of the reference object byte for
-        byte, and analyze reads each line back to its grid position."""
+        byte, and analyze reads each line back to its category's row."""
         lines = [rec.json_line() for rec in records]
         for rec, line in zip(records, lines):
             assert line == json.dumps(record_json_dict(rec), ensure_ascii=False, sort_keys=True)
@@ -129,21 +129,33 @@ class TestRecordSerialization:
                 assert fh.read() == "".join(line + "\n" for line in lines).encode("utf-8")
             with open(path, encoding="utf-8") as fh:
                 loaded = pipeline._load_records(fh)
-        assert loaded == [(r.category, r.gender, r.source_type, r.fifths) for r in records]
+        assert loaded == reference_rows(map(json.loads, lines))
 
     def test_analyze_loader_reads_the_extracted_records(self, tmp_path):
-        """Analyze's four fields per records.jsonl line equal the extract's records."""
+        """Analyze's rows of records.jsonl equal the extract's records."""
         out = tmp_path / "out"
         cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
         result = stage_extract(cfg)
         with open(out / "records.jsonl", encoding="utf-8") as fh:
             loaded = pipeline._load_records(fh)
-        expected = [(r.category, r.gender, r.source_type, r.fifths) for r in result.records]
-        assert expected and loaded == expected
-        assert {r.category for r in loaded} == set(Category)
-        assert all(type(r.category) is Category for r in loaded)
-        assert all(type(r.gender) is Gender for r in loaded)
-        assert all(type(r.source_type) is SourceType for r in loaded)
+        assert loaded == reference_rows(map(record_json_dict, result.records))
+        assert list(loaded) == list(Category) and all(loaded.values())
+        assert all(type(x) is int for rows in loaded.values() for row in rows for x in row)
+
+
+def reference_rows(objects):
+    """Each category's (k, women, online) rows of records.jsonl objects,
+    in order: k = 5 x the score, rounded, and 1 for "F" and "online"."""
+    rows = {c: [] for c in Category}
+    for obj in objects:
+        rows[Category(obj["category"])].append(
+            (
+                round(5 * obj["aggregate_sentiment"]),
+                int(obj["gender"] == Gender.F.value),
+                int(obj["source_type"] == SourceType.ONLINE.value),
+            )
+        )
+    return rows
 
 
 # What a fresh interpreter holds after ``import covbias``, and whether numpy

@@ -13,7 +13,7 @@ from covbias import inference, ingestion, pipeline, reporting
 from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
 from covbias.errors import ConfigError, StageError
-from covbias.model import Category, Gender, PersonalizationRecord, SentimentRecord, SourceType
+from covbias.model import Category, Gender, PersonalizationRecord, SourceType
 from covbias.pipeline import (
     PipelineConfig,
     ingest_check,
@@ -23,7 +23,7 @@ from covbias.pipeline import (
     stage_report,
     write_artifacts,
 )
-from conftest import data_path, table_from_events, write_config
+from conftest import data_path, record_rows, sentiment_record, table_from_events, write_config
 
 EXPECTED_OUTPUTS = [
     "records.jsonl",
@@ -290,21 +290,33 @@ class TestConfig:
         (tmp_path / "cfg.ini").write_text("[DEFAULT]\nr = 3\n" + text)
         assert PipelineConfig.from_ini(cfg_path).radius == 3
 
-    def test_stage_failure_names_the_stage(self, tmp_path):
-        from covbias.errors import StageError
-
-        # metadata that lacks the corpus documents: extract must fail and
-        # the error must carry the stage name and the offending id
-        meta = tmp_path / "meta.jsonl"
-        meta.write_text(
-            '{"doc_id": "zz", "date": "2018-01-01", "source_id": "x", "source_type": "online"}\n'
-        )
+    @pytest.mark.parametrize("defect", ["missing_metadata", "head_out_of_range"])
+    def test_input_error_reads_the_same_under_run_and_extract(self, tmp_path, capsys, defect):
+        if defect == "missing_metadata":
+            # metadata that lacks the corpus documents
+            side = tmp_path / "meta.jsonl"
+            side.write_text(
+                '{"doc_id": "zz", "date": "2018-01-01", "source_id": "x", "source_type": "online"}\n'
+            )
+            key, fragment = "metadata", "'d1'"
+        else:
+            with open(data_path("tiny.conllu"), encoding="utf-8") as fh:
+                lines = fh.readlines()
+            lines[2] = lines[2].replace("\t2\tdet\t", "\t99\tdet\t")
+            side = tmp_path / "bad_head.conllu"
+            side.write_text("".join(lines), encoding="utf-8")
+            key, fragment = "conllu", f"{side}: line 3: "
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path / "cfg.ini", out, metadata=str(meta))
-        cfg = PipelineConfig.from_ini(cfg_path)
-        with pytest.raises(StageError, match="extract") as err:
-            run_pipeline(cfg)
-        assert "d1" in str(err.value)
+        cfg_path = write_config(tmp_path / "cfg.ini", out, **{key: str(side)})
+        errors = {}
+        for command in ("run", "extract"):
+            capsys.readouterr()
+            assert cli_main(["--config", cfg_path, command]) == 1
+            errors[command] = capsys.readouterr().err.splitlines()
+        assert errors["run"] == errors["extract"]
+        assert len(errors["run"]) == 1 and errors["run"][0].startswith("error: ")
+        assert "stage" not in errors["run"][0] and fragment in errors["run"][0]
+        assert not out.exists()
 
     def test_literal_rates_mode_end_to_end(self, tmp_path):
         out = tmp_path / "out"
@@ -561,6 +573,16 @@ class TestBrokenArtifacts:
                 ("category", '"fisico"'),
                 "records.jsonl: line 3: category 'fisico' is not one of",
             ),
+            (
+                "analyze",
+                ("gender", '"X"'),
+                "records.jsonl: line 3: gender 'X' is not one of F, M",
+            ),
+            (
+                "analyze",
+                ("source_type", "1"),
+                "records.jsonl: line 3: source_type 1 is not one of traditional, online",
+            ),
             ("analyze", "[1]", "records.jsonl: line 3: not a JSON object"),
             (
                 "analyze",
@@ -595,6 +617,8 @@ class TestBrokenArtifacts:
             "report-before-extract",
             "truncated-record",
             "unknown-category",
+            "unknown-gender",
+            "source-type-not-a-string",
             "record-not-an-object",
             "score-not-a-number",
             "score-boolean",
@@ -657,8 +681,15 @@ class TestRecordScores:
         spelled += [(str(k // 5), k) for k in (-5, 0, 5)]  # -1, 0 and 1 as JSON ints
         text = "".join(self.LINE % score for score, _ in spelled)
         loaded = pipeline._load_records(io.StringIO(text))
-        assert [r.fifths for r in loaded] == [k for _, k in spelled]
-        assert all(type(r.fifths) is int for r in loaded)
+        assert loaded[Category.PHYSICAL] == [(k, 1, 1) for _, k in spelled]
+        assert all(type(k) is int for k, _, _ in loaded[Category.PHYSICAL])
+        assert not loaded[Category.MORAL_BEHAVIORAL] and not loaded[Category.SOCIO_ECONOMIC]
+        # every grid position, gender and source, written by extract's own encoder
+        cells = [(k, g, s) for k in range(-5, 6) for g in Gender for s in SourceType]
+        written = [sentiment_record(Category.PHYSICAL, g, s, k) for k, g, s in cells]
+        assert record_rows(written)[Category.PHYSICAL] == [
+            (k, int(g is Gender.F), int(s is SourceType.ONLINE)) for k, g, s in cells
+        ]
         for score in ("true", "0.3", "0.30000000000000004"):
             shown = re.escape(repr(json.loads(score)))
             with pytest.raises(ValueError, match=f"^line 15: aggregate_sentiment {shown} is not"):
@@ -819,7 +850,7 @@ class TestQuantileAnalysis:
         full = [(gender, source) for gender in Gender for source in SourceType]
         fifths = [-3, -1, 0, 2, 4]
         records = [
-            SentimentRecord(category, gender, source, k)
+            sentiment_record(category, gender, source, k)
             for category, cells in (
                 (Category.MORAL_BEHAVIORAL, full),
                 (Category.PHYSICAL, one_sided),
@@ -827,7 +858,7 @@ class TestQuantileAnalysis:
             for gender, source in cells
             for k in fifths * 2
         ]
-        out = pipeline.quantile_analysis(cfg, records)
+        out = pipeline.quantile_analysis(cfg, record_rows(records))
         coefficients = out["quantile_coefficients.json"]
         assert coefficients["physical"] == {
             "skipped": "reference cell gender=0, source=0 is empty"
@@ -876,9 +907,18 @@ class TestAllOrNothing:
             stage_analyze(dataclasses.replace(cfg, rates_mode="literal"))
         assert read_bundle_bytes(out) == before
 
-    @pytest.mark.parametrize("failure", ["write", "bootstrap"])
+    @pytest.mark.parametrize(
+        "failure, command",
+        [
+            ("write", "analyze"),
+            ("bootstrap", "analyze"),
+            ("write", "run"),
+            ("bootstrap", "run"),
+        ],
+        ids=["write", "bootstrap", "write-run", "bootstrap-run"],
+    )
     def test_failing_analyze_command_is_one_stage_error_line(
-        self, tmp_path, finished_run, monkeypatch, capsys, failure
+        self, tmp_path, finished_run, monkeypatch, capsys, failure, command
     ):
         cfg, out = finished_run
         before = read_bundle_bytes(out)
@@ -901,7 +941,7 @@ class TestAllOrNothing:
             fragment = "boom"
         capsys.readouterr()
         # literal rates change bias_profile.json, so a partial write would show
-        argv = ["--config", str(tmp_path / "cfg.ini"), "--rates-mode", "literal", "analyze"]
+        argv = ["--config", str(tmp_path / "cfg.ini"), "--rates-mode", "literal", command]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1

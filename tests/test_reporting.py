@@ -1,10 +1,8 @@
-import datetime
-
 import pytest
 
 from covbias.bias import leave_one_out
 from covbias.lexicon import read_lexicon
-from covbias.model import Category, Gender, PersonalizationRecord, SourceType
+from covbias.model import Category, Gender, SourceType
 from covbias.reporting import (
     TABLE1_FIELDS,
     ccdf_points,
@@ -12,22 +10,12 @@ from covbias.reporting import (
     sentiment_fraction_rows,
     table1_rows,
 )
-from conftest import data_path, table_from_counts
+from conftest import data_path, record_rows, sentiment_record, table_from_counts
 
 
-def record(lemma, gender, category, fifths, upos="ADJ"):
-    return PersonalizationRecord(
-        pid="p",
-        gender=gender,
-        doc_id="d",
-        date=datetime.date(2018, 1, 1),
-        source_type=SourceType.ONLINE,
-        lemma=lemma,
-        upos=upos,
-        category=category,
-        fifths=fifths,
-        sentence_index=0,
-    )
+def rows_of(gender, category, fifths, source_type=SourceType.ONLINE):
+    """Analyze's rows of one record per grid position in `fifths`."""
+    return record_rows(sentiment_record(category, gender, source_type, k) for k in fifths)
 
 
 @pytest.fixture(scope="module")
@@ -37,46 +25,56 @@ def lexicon():
 
 class TestSentimentFractions:
     def test_all_strong_negative(self, lexicon):
-        records = [
-            record("incapace", Gender.F, Category.MORAL_BEHAVIORAL, -5)
-            for _ in range(4)
-        ]
-        rows = sentiment_fraction_rows(records, lexicon)
+        rows = sentiment_fraction_rows(
+            rows_of(Gender.F, Category.MORAL_BEHAVIORAL, [-5] * 4), lexicon
+        )
         f_rows = [r for r in rows if r[0] == "moral_behavioral" and r[1] == "F"]
         assert f_rows[0][2:] == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_balanced_five_classes(self, lexicon):
-        fifths = [-5, -2, 0, 2, 4]
-        records = [
-            record("w", Gender.M, Category.PHYSICAL, k) for k in fifths
-        ]
-        rows = sentiment_fraction_rows(records, lexicon)
+        rows = sentiment_fraction_rows(
+            rows_of(Gender.M, Category.PHYSICAL, [-5, -2, 0, 2, 4]), lexicon
+        )
         m_row = [r for r in rows if r[0] == "physical" and r[1] == "M"][0]
         assert m_row[2:] == [0.2, 0.2, 0.2, 0.2, 0.2]
 
     def test_three_quarters_weakly_positive(self, lexicon):
-        records = [record("w", Gender.F, Category.PHYSICAL, 2)] * 3 + [
-            record("w", Gender.F, Category.PHYSICAL, 0)
-        ]
-        rows = sentiment_fraction_rows(records, lexicon)
+        rows = sentiment_fraction_rows(
+            rows_of(Gender.F, Category.PHYSICAL, [2, 2, 2, 0]), lexicon
+        )
         f_row = [r for r in rows if r[0] == "physical" and r[1] == "F"][0]
         assert f_row[2:] == [0.0, 0.0, 0.25, 0.75, 0.0]
 
     def test_rows_sum_to_one(self, lexicon):
-        records = [
-            record("a", Gender.F, Category.PHYSICAL, k) for k in (-5, 1, 1, 3)
-        ]
-        rows = sentiment_fraction_rows(records, lexicon)
+        rows = sentiment_fraction_rows(
+            rows_of(Gender.F, Category.PHYSICAL, [-5, 1, 1, 3]), lexicon
+        )
         for row in rows:
             assert sum(row[2:]) == pytest.approx(1.0)
 
+    def test_genders_and_sources_counted_apart(self, lexicon):
+        records = [
+            sentiment_record(Category.PHYSICAL, gender, source, k)
+            for gender, source, ks in (
+                (Gender.F, SourceType.ONLINE, [-5, -5]),
+                (Gender.F, SourceType.TRADITIONAL, [5, 0]),
+                (Gender.M, SourceType.TRADITIONAL, [2]),
+            )
+            for k in ks
+        ]
+        rows = sentiment_fraction_rows(record_rows(records), lexicon)
+        physical = {r[1]: r[2:] for r in rows if r[0] == "physical"}
+        assert physical["F"] == [0.5, 0.0, 0.25, 0.0, 0.25]
+        assert physical["M"] == [0.0, 0.0, 0.0, 1.0, 0.0]
+        assert [r[1] for r in rows if r[0] == "physical"] == ["lexicon", "M", "F"]
+
     def test_empty_slice_omitted(self, lexicon, caplog):
-        rows = sentiment_fraction_rows([], lexicon)
+        rows = sentiment_fraction_rows(record_rows([]), lexicon)
         # only the three lexicon rows remain
         assert {r[1] for r in rows} == {"lexicon"}
 
     def test_lexicon_distribution_row(self, lexicon):
-        rows = sentiment_fraction_rows([], lexicon)
+        rows = sentiment_fraction_rows(record_rows([]), lexicon)
         physical = [r for r in rows if r[0] == "physical" and r[1] == "lexicon"][0]
         # lexicon fixture: bello(strong pos), sorriso(weak pos),
         # elegante(strong pos), sciatto(strong neg) -> 4 entries
