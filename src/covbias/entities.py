@@ -45,7 +45,9 @@ class RoleGazetteer:
     def from_file(cls, path) -> "RoleGazetteer":
         """One role per line: `canonical` or `canonical = variant, variant`.
 
-        The canonical keyword is always its own variant.
+        The canonical keyword is always its own variant. An empty
+        canonical role, or a canonical role or variant with no lexical
+        token (such as `--`), is an error naming the file and line.
         """
         variants: dict[str, str] = {}
         with open_input(path) as fh:
@@ -56,16 +58,18 @@ class RoleGazetteer:
                 canonical_s, _, syns = line.partition("=")
                 if not canonical_s.strip():
                     raise GazetteerError(f"{path}: line {lineno}: empty canonical role")
-                canonical = normalize_lemma(canonical_s)
-                if canonical is None:
-                    continue
-                variants[canonical] = canonical
-                for syn in syns.split(","):
-                    syn = syn.strip()
-                    if syn:
-                        norm = normalize_lemma(syn)
-                        if norm:
-                            variants[norm] = canonical
+                roles = []
+                for raw in [canonical_s, *syns.split(",")]:
+                    if raw.strip():
+                        norm = normalize_lemma(raw)
+                        if norm is None:
+                            raise GazetteerError(
+                                f"{path}: line {lineno}: role {raw.strip()!r} "
+                                "has no lexical token"
+                            )
+                        roles.append(norm)
+                for norm in roles:
+                    variants[norm] = roles[0]
         return cls(variants)
 
 

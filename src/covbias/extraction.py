@@ -1,18 +1,21 @@
-"""Dependency-tree neighborhoods of mentions and personalization records.
+"""Attribution of content words to politician mentions, and the
+personalization records and counts built from it.
 
-A mention's neighborhood holds the content words (ADJ/NOUN/VERB, no
-auxiliaries, modals or filtered tokens) within a bounded tree distance of
-its span. The walk is a level-by-level BFS that stops at the radius, so a
-mention costs only the tokens within it, not the whole sentence.
-Neighborhood words intersected with the lexicon become personalization
-records; all neighborhood words feed the coverage counts.
+A sentence's content words are its ADJ/NOUN/VERB tokens that are not
+modal verbs or filtered tokens and lie outside every mention span; PROPN
+stays out, since proper nouns are entities, not descriptors.
+`attribute` gives each one within a bounded tree distance of some mention
+to its nearest mentions, ties to all of them, in one level-by-level walk
+per sentence that stops at the radius, so a sentence costs only the
+tokens within it. Attributed words feed the coverage counts; those found
+in the lexicon also become personalization records.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .bias import CellKey, CountTable
 from .entities import MatchDiagnostics, RoleGazetteer, find_mentions
@@ -34,62 +37,8 @@ MODAL_LEMMAS = frozenset({"potere", "dovere", "volere", "solere"})
 DIRECTIONS = ("undirected", "children")
 
 
-class DependencyTree:
-    """Adjacency view of one sentence's parse, with distance queries.
-
-    ``heads[i]`` and ``children[i]`` belong to the token at position i
-    (1-based; slot 0 is unused). The sentence is trusted to be a tree, as
-    every sentence the CoNLL-U reader yields is; its heads are not checked
-    again here.
-    """
-
-    def __init__(self, sentence: Sentence):
-        self.sentence = sentence
-        self.heads = [0]
-        self.children: list[list[int]] = [[] for _ in range(len(sentence.tokens) + 1)]
-        for t in sentence.tokens:
-            self.heads.append(t.head)
-            if t.head != 0:
-                self.children[t.head].append(t.index)
-
-    def distances(
-        self,
-        sources: Iterable[int],
-        direction: str = "undirected",
-        limit: Optional[int] = None,
-    ) -> dict[int, int]:
-        """BFS distance from a source set to every token reached.
-
-        "undirected" walks head and child edges both ways; "children"
-        walks only downward, counting tokens inside the subtrees of the
-        sources. The walk goes level by level and stops after ``limit``
-        steps, so with a limit only tokens within it are returned.
-        """
-        if direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
-        upward = direction == "undirected"
-        heads, children = self.heads, self.children
-        dist = dict.fromkeys(sources, 0)
-        frontier = list(dist)
-        steps = 0
-        while frontier and (limit is None or steps < limit):
-            steps += 1
-            reached = []
-            for node in frontier:
-                for other in children[node]:
-                    if other not in dist:
-                        dist[other] = steps
-                        reached.append(other)
-                head = heads[node]
-                if upward and head != 0 and head not in dist:
-                    dist[head] = steps
-                    reached.append(head)
-            frontier = reached
-        return dist
-
-
 def eligible_word(token: Token) -> bool:
-    """Can this token be selected as a neighborhood word at all?"""
+    """Can this token be attributed as a word at all?"""
     if token.filtered:
         return False
     if token.upos not in CANDIDATE_POS:
@@ -99,26 +48,60 @@ def eligible_word(token: Token) -> bool:
     return True
 
 
-def neighborhood(
-    tree: DependencyTree,
-    mention: Mention,
-    radius: int,
-    direction: str = "undirected",
-) -> list[tuple[Token, int]]:
-    """Content words within `radius` tree steps of the mention span.
+def attribute(
+    sentence: Sentence, mentions: Sequence[Mention], radius: int, direction: str
+) -> list[tuple[Token, list[Mention]]]:
+    """Each content word within `radius` tree steps of some mention, with
+    the mentions nearest to it in tree distance (all of them on a tie).
 
-    Returns (token, distance) pairs in sentence order. Mention tokens
-    themselves are never words; PROPN stays out (proper nouns are
-    entities, not descriptors), as do auxiliaries, modal verbs
-    and filtered tokens. Monotone in the radius.
+    Returns (token, nearest mentions) pairs in sentence order, the
+    mentions in their given order. One level-by-level walk starts from
+    the spans of all mentions at once: span tokens are level 0 and are
+    never words, and a token reached first at level d belongs to every
+    mention that reached it at that level, kept as a bitmask over mention
+    positions. A walk that meets another mention's span stops there,
+    since that mention is strictly nearer to everything beyond it.
+    "undirected" steps along head and child edges, "children" only down
+    to children. `eligible_word` filters the output, not the walk. The
+    caller checks `radius` >= 1 and `direction` in `DIRECTIONS`.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    tokens = tree.sentence.tokens
+    tokens = sentence.tokens
+    heads = [0]
+    children: list[list[int]] = [[] for _ in range(len(tokens) + 1)]
+    for t in tokens:
+        heads.append(t.head)
+        children[t.head].append(t.index)  # slot 0 collects the roots, never walked
+    upward = direction == "undirected"
+    owners: dict[int, int] = {}  # token index -> bitmask of its nearest mentions
+    for bit, m in enumerate(mentions):
+        for index in m.span:
+            owners[index] = owners.get(index, 0) | 1 << bit
+    frontier: dict[int, int] = owners
+    reached: dict[int, int] = {}  # the same, for tokens beyond level 0
+    for _ in range(radius):
+        level: dict[int, int] = {}
+        for node, mask in frontier.items():
+            for other in children[node]:
+                if other not in owners:
+                    level[other] = level.get(other, 0) | mask
+            head = heads[node]
+            if upward and head and head not in owners:
+                level[head] = level.get(head, 0) | mask
+        if not level:
+            break
+        owners.update(level)
+        reached.update(level)
+        frontier = level
     out = []
-    for index, d in sorted(tree.distances(mention.span, direction, limit=radius).items()):
-        if d and eligible_word(tokens[index - 1]):
-            out.append((tokens[index - 1], d))
+    tied: dict[int, list[Mention]] = {}
+    for index in sorted(reached):
+        token = tokens[index - 1]
+        if eligible_word(token):
+            mask = reached[index]
+            group = tied.get(mask)
+            if group is None:
+                group = tied[mask] = [m for bit, m in enumerate(mentions) if mask >> bit & 1]
+            out.append((token, group))
     return out
 
 
@@ -171,13 +154,13 @@ def extract_records(
     direction: str = "undirected",
     gazetteer: Optional[RoleGazetteer] = None,
 ) -> ExtractionResult:
-    """Run mention detection and neighborhood extraction over a stream.
+    """Run mention detection and attribution over a stream.
 
-    Every neighborhood word is attributed to its nearest mention in tree
-    distance (ties attribute to all tied mentions) and counted in the
-    coverage table; words found in the lexicon additionally yield one
-    personalization record per occurrence, so a sentence may contribute
-    several records.
+    Every word `attribute` finds is counted once per nearest mention in
+    the coverage table; words found in the lexicon additionally yield one
+    personalization record per (word, mention) pair, so a sentence may
+    contribute several records. `radius` and `direction` are checked
+    once, before the stream is read.
 
     Each word's category and grid position come from one dict built
     from the lexicon, each mention's gender from one pid -> gender dict.
@@ -186,6 +169,10 @@ def extract_records(
     distinct cells, and become the `CountTable` once the stream ends.
     The descriptives come from per-`SentenceKey` counts, the cells and the records.
     """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}")
     gaz = gazetteer if gazetteer is not None else RoleGazetteer()
     records: list[PersonalizationRecord] = []
     diagnostics = MatchDiagnostics()
@@ -200,25 +187,9 @@ def extract_records(
         mentions = find_mentions(sentence, doc, registry, gaz, diagnostics)
         if not mentions:
             continue
-        tree = DependencyTree(sentence)
-        spans: set[int] = set()
-        for m in mentions:
-            spans.update(m.span)
-        # token index -> (token, distance, nearest mentions in mention order)
-        nearest: dict[int, tuple[Token, int, list[Mention]]] = {}
-        for m in mentions:
-            for token, d in neighborhood(tree, m, radius, direction):
-                if token.index in spans:
-                    continue
-                best = nearest.get(token.index)
-                if best is None or d < best[1]:
-                    nearest[token.index] = (token, d, [m])
-                elif d == best[1]:
-                    best[2].append(m)
         doc_id, date, source_type = doc.doc_id, doc.date, doc.source_type
         sent_index = sentence.index
-        for index in sorted(nearest):
-            token, _, tied = nearest[index]
+        for token, tied in attribute(sentence, mentions, radius, direction):
             lemma, upos = token.lemma, token.upos
             word = word_of((lemma, upos))
             category = word[0] if word is not None else None

@@ -90,7 +90,7 @@ def read_metadata(
             for key in ("date", "source_id", "source_type"):
                 if key not in obj:
                     raise defect(f"doc {doc_id!r}: missing {key!r}")
-            for key in ("doc_id", "date", "source_type"):
+            for key in ("doc_id", "date", "source_id", "source_type"):
                 if not isinstance(obj[key], str):
                     raise defect(f"{key} {obj[key]!r} is not a string")
             try:
@@ -110,12 +110,7 @@ def read_metadata(
                     f"doc {doc_id!r}: date {date} outside analysis window "
                     f"{window[0]}..{window[1]}"
                 )
-            docs[doc_id] = Document(
-                doc_id=doc_id,
-                date=date,
-                source_id=str(obj["source_id"]),
-                source_type=source_type,
-            )
+            docs[doc_id] = Document(doc_id=doc_id, date=date, source_type=source_type)
     return docs
 
 

@@ -143,7 +143,6 @@ class Sentence:
 class Document:
     doc_id: str
     date: datetime.date
-    source_id: str
     source_type: SourceType
 
 

@@ -67,6 +67,7 @@ log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
+# The rule `extraction.attribute` applies, as the manifest names it.
 ATTRIBUTION_POLICY = "nearest-mention-in-tree-distance-ties-to-both"
 FILL_POLICY = "missing-days-zero-filled"
 

@@ -153,7 +153,9 @@ def read_registry(path) -> PoliticianRegistry:
     Columns: pid;given_name;surname;gender;roles;aliases;tenure. Roles are
     comma-separated keyword:jurisdiction pairs (jurisdiction optional);
     tenure entries align with roles by position as FROM..TO with either
-    side open. Blank lines and lines starting with # are skipped.
+    side open. Trailing columns may be left out; a row with more than
+    seven fields is an error. Blank lines and lines starting with # are
+    skipped.
     """
     politicians = []
     with open_input(path) as fh:
@@ -167,9 +169,14 @@ def read_registry(path) -> PoliticianRegistry:
                     f"{path}: line {lineno}: expected at least "
                     "pid;given_name;surname;gender"
                 )
-            parts += [""] * (7 - len(parts))
-            pid, given, surname, gender_s, roles_s, aliases_s, tenure_s = parts[:7]
             where = f"{path}: line {lineno}"
+            if len(parts) > 7:
+                raise RegistryError(
+                    f"{where}: {len(parts)} fields, expected at most 7 "
+                    "(pid;given_name;surname;gender;roles;aliases;tenure)"
+                )
+            parts += [""] * (7 - len(parts))
+            pid, given, surname, gender_s, roles_s, aliases_s, tenure_s = parts
             if not pid.strip():
                 raise RegistryError(f"{where}: empty pid")
             if not surname.strip():

@@ -1,10 +1,12 @@
 import datetime
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
+from covbias.errors import GazetteerError
 from covbias.model import (
     Document,
     Gender,
@@ -35,7 +37,7 @@ def make_sentence(words, doc_id="d1", index=0):
 
 
 def make_doc(date=datetime.date(2018, 7, 15)):
-    return Document("d1", date, "src", SourceType.TRADITIONAL)
+    return Document("d1", date, SourceType.TRADITIONAL)
 
 
 @pytest.fixture(scope="module")
@@ -428,3 +430,14 @@ class TestGazetteer:
         assert gaz.variants.get("assessore") == "assessore"
         assert gaz.variants.get("presidente") == "governatore"
         assert gaz.variants.get("ministro") is None
+
+    @pytest.mark.parametrize(
+        "line, role",
+        [("-- = sindaca", "--"), ("ministro = ministra, ...", "...")],
+    )
+    def test_role_without_lexical_token_rejected(self, tmp_path, line, role):
+        path = tmp_path / "roles.txt"
+        path.write_text(f"sindaco = sindaca\n{line}\n")
+        pattern = f"^{re.escape(f'{path}: line 2: role {role!r}')} has no lexical token"
+        with pytest.raises(GazetteerError, match=pattern):
+            RoleGazetteer.from_file(path)

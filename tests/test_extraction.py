@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbias.bias import CountTable
-from covbias.extraction import (
-    DependencyTree,
-    dataset_descriptives,
-    extract_records,
-    neighborhood,
-)
+from covbias.extraction import attribute, dataset_descriptives, extract_records
 from covbias.lexicon import read_lexicon
 from covbias.model import (
     Document,
@@ -30,7 +25,6 @@ from oracles import (
     extract_records_reference,
     neighborhood_reference,
     record_json_dict,
-    tree_distances_reference,
 )
 
 
@@ -49,14 +43,23 @@ def mention(start, end, pid="p", doc_id="d"):
     return Mention(pid, doc_id, 0, start, end, MentionPattern.NAME_SURNAME)
 
 
+def reach(sent, start, end, radius, direction="undirected"):
+    """Indexes of the words one mention over tokens start..end is given."""
+    pairs = attribute(sent, [mention(start, end)], radius, direction)
+    return [t.index for t, _ in pairs]
+
+
 class TestDependencyTree:
+    """Tree distance, seen as the least radius at which a word is reached."""
+
     def test_chain_distances(self):
         sent = sentence_from(
             [("a", "a", "NOUN", 2, False), ("b", "b", "NOUN", 3, False), ("c", "c", "NOUN", 0, False)]
         )
-        tree = DependencyTree(sent)
-        assert tree.distances([1])[3] == 2
-        assert tree.distances([3])[1] == 2
+        assert reach(sent, 1, 1, radius=1) == [2]
+        assert reach(sent, 1, 1, radius=2) == [2, 3]
+        assert reach(sent, 3, 3, radius=1) == [2]
+        assert reach(sent, 3, 3, radius=2) == [1, 2]
 
     def test_star_distances(self):
         sent = sentence_from(
@@ -67,16 +70,13 @@ class TestDependencyTree:
                 ("z", "z", "NOUN", 1, False),
             ]
         )
-        tree = DependencyTree(sent)
         for i in (2, 3, 4):
-            for j in (2, 3, 4):
-                if i != j:
-                    assert tree.distances([i])[j] == 2
+            assert reach(sent, i, i, radius=1) == [1]
+            assert reach(sent, i, i, radius=2) == [j for j in (1, 2, 3, 4) if j != i]
 
     def test_single_token(self):
         sent = sentence_from([("a", "a", "NOUN", 0, False)])
-        tree = DependencyTree(sent)
-        assert tree.distances([1])[1] == 0
+        assert reach(sent, 1, 1, radius=1) == []
 
     def test_children_direction_descends_only(self):
         # root(2) with children 1 and 3; from {1} nothing is reachable
@@ -84,9 +84,9 @@ class TestDependencyTree:
         sent = sentence_from(
             [("a", "a", "NOUN", 2, False), ("b", "b", "NOUN", 0, False), ("c", "c", "NOUN", 2, False)]
         )
-        tree = DependencyTree(sent)
-        assert tree.distances([1], "children") == {1: 0}
-        assert tree.distances([2], "children") == {1: 1, 2: 0, 3: 1}
+        assert reach(sent, 1, 1, radius=2, direction="children") == []
+        assert reach(sent, 2, 2, radius=1, direction="children") == [1, 3]
+        assert reach(sent, 1, 1, radius=1) == [2]
 
 
 def pruning_example_sentence():
@@ -107,41 +107,46 @@ def pruning_example_sentence():
 
 
 class TestNeighborhood:
+    """The words `attribute` gives one mention, each paired with it."""
+
     def test_pruning_example_at_radius_one(self):
         # direct tree neighbors of the span are a stopword and a verb;
         # with neither in the lexicon the sentence yields no records
         sent = pruning_example_sentence()
-        tree = DependencyTree(sent)
-        words = neighborhood(tree, mention(2, 4), radius=1)
-        assert [t.lemma for t, _ in words] == ["meet"]
+        m = mention(2, 4)
+        words = attribute(sent, [m], 1, "undirected")
+        assert [(t.lemma, tied) for t, tied in words] == [("meet", [m])]
 
     def test_actress_enters_at_radius_two(self):
         sent = pruning_example_sentence()
-        tree = DependencyTree(sent)
-        words = neighborhood(tree, mention(2, 4), radius=2)
+        words = attribute(sent, [mention(2, 4)], 2, "undirected")
         assert [t.lemma for t, _ in words] == ["meet", "actress"]
 
     def test_pairs_carry_tree_distance(self):
+        # a word's tree distance is the least radius that reaches it
         sent = pruning_example_sentence()
-        tree = DependencyTree(sent)
-        words = neighborhood(tree, mention(2, 4), radius=2)
-        assert [(t.lemma, d) for t, d in words] == [("meet", 1), ("actress", 2)]
+        first_radius: dict = {}
+        for radius in range(1, 4):
+            for t, _ in attribute(sent, [mention(2, 4)], radius, "undirected"):
+                first_radius.setdefault(t.lemma, radius)
+        assert first_radius == {"meet": 1, "actress": 2, "visit": 3}
 
     def test_monotone_in_radius(self):
         sent = pruning_example_sentence()
-        tree = DependencyTree(sent)
-        previous: set = set()
-        for radius in range(1, 6):
-            current = {t.index for t, _ in neighborhood(tree, mention(2, 4), radius)}
-            assert previous <= current
-            previous = current
+        for direction in ("undirected", "children"):
+            previous: set = set()
+            for radius in range(1, 6):
+                current = {
+                    t.index for t, _ in attribute(sent, [mention(2, 4)], radius, direction)
+                }
+                assert previous <= current
+                previous = current
 
     def test_mention_spanning_sentence_has_empty_neighborhood(self):
         sent = sentence_from(
             [("a", "a", "NOUN", 2, False), ("b", "b", "NOUN", 0, False)]
         )
-        tree = DependencyTree(sent)
-        assert neighborhood(tree, mention(1, 2), radius=3) == []
+        assert attribute(sent, [mention(1, 2)], 3, "undirected") == []
 
     def test_adjacent_adjective_included(self):
         # 4-token fixture: adjective headed by the noun that heads the span
@@ -152,10 +157,9 @@ class TestNeighborhood:
             (".", ".", "PUNCT", 2, True),
         ]
         sent = sentence_from(rows)
-        tree = DependencyTree(sent)
-        words = neighborhood(tree, mention(1, 1), radius=1)
+        words = attribute(sent, [mention(1, 1)], 1, "undirected")
         assert [t.lemma for t, _ in words] == ["persona"]
-        words = neighborhood(tree, mention(1, 1), radius=2)
+        words = attribute(sent, [mention(1, 1)], 2, "undirected")
         assert [t.lemma for t, _ in words] == ["persona", "bello"]
 
     def test_propn_aux_modal_and_filtered_excluded(self):
@@ -168,15 +172,16 @@ class TestNeighborhood:
             ("filtrato", "filtrato", "ADJ", 3, True),
         ]
         sent = sentence_from(rows)
-        tree = DependencyTree(sent)
-        words = neighborhood(tree, mention(1, 1), radius=3)
+        words = attribute(sent, [mention(1, 1)], 3, "undirected")
         assert [t.lemma for t, _ in words] == ["vincere"]
 
-    def test_radius_must_be_positive(self):
-        sent = pruning_example_sentence()
-        tree = DependencyTree(sent)
-        with pytest.raises(ValueError):
-            neighborhood(tree, mention(2, 4), radius=0)
+    def test_radius_must_be_positive(self, fixture_inputs):
+        # checked once per call, before the stream is read
+        registry, lexicon = fixture_inputs
+        with pytest.raises(ValueError, match="radius"):
+            extract_records(iter(()), registry, lexicon, radius=0)
+        with pytest.raises(ValueError, match="direction"):
+            extract_records(iter(()), registry, lexicon, direction="parents")
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +242,7 @@ class TestExtractRecords:
             ("bella", "bello", "ADJ", 0, False),
         ]
         sent = sentence_from(rows, doc_id="dd")
-        doc = Document("dd", datetime.date(2018, 7, 1), "s", SourceType.ONLINE)
+        doc = Document("dd", datetime.date(2018, 7, 1), SourceType.ONLINE)
         result = extract_records([(doc, sent)], registry, lexicon)
         assert [r.lemma for r in result.records] == ["bello", "bello"]
         counts = result.counts.word_counts()[("bello", "ADJ")]
@@ -257,7 +262,7 @@ class TestExtractRecords:
             ("bello", "bello", "ADJ", 3, False),
         ]
         sent = sentence_from(rows, doc_id="dd")
-        doc = Document("dd", datetime.date(2018, 7, 1), "s", SourceType.ONLINE)
+        doc = Document("dd", datetime.date(2018, 7, 1), SourceType.ONLINE)
         result = extract_records([(doc, sent)], registry, lexicon)
         bello = [r for r in result.records if r.lemma == "bello"]
         assert sorted(r.gender.value for r in bello) == ["F", "M"]
@@ -280,7 +285,7 @@ class TestExtractRecords:
             ("elegante", "elegante", "ADJ", 4, False),
         ]
         sent = sentence_from(rows, doc_id="dd")
-        doc = Document("dd", datetime.date(2018, 7, 1), "s", SourceType.ONLINE)
+        doc = Document("dd", datetime.date(2018, 7, 1), SourceType.ONLINE)
         result = extract_records([(doc, sent)], registry, lexicon)
         elegant = [r for r in result.records if r.lemma == "elegante"]
         assert [r.gender.value for r in elegant] == ["M"]
@@ -314,7 +319,7 @@ class TestExtractRecords:
             ("ama", "amare", "VERB", 0, False),
         ]
         sent = sentence_from(rows, doc_id="dd")
-        doc = Document("dd", datetime.date(2018, 7, 1), "s", SourceType.ONLINE)
+        doc = Document("dd", datetime.date(2018, 7, 1), SourceType.ONLINE)
         children = extract_records([(doc, sent)], registry, lexicon, direction="children")
         assert [(r.lemma, r.pid, r.gender) for r in children.records] == [
             ("elegante", "p_app", Gender.F)
@@ -478,26 +483,22 @@ def _extraction_json(result):
 
 
 _DOCS = {
-    "d1": Document("d1", datetime.date(2018, 7, 1), "s", SourceType.ONLINE),
-    "d2": Document("d2", datetime.date(2018, 9, 3), "s", SourceType.TRADITIONAL),
+    "d1": Document("d1", datetime.date(2018, 7, 1), SourceType.ONLINE),
+    "d2": Document("d2", datetime.date(2018, 9, 3), SourceType.TRADITIONAL),
 }
 
 
 class TestAttributionOracle:
-    """The radius-bounded walk and the hoisted attribution loop against
-    the unbounded walk and the loop as first written (tests/oracles.py)."""
+    """`attribute` for one mention against the unbounded walk, and extract
+    against its loop as first written, one walk per mention
+    (tests/oracles.py)."""
 
     @settings(max_examples=300, deadline=None)
     @given(_random_trees(), st.integers(1, 4), st.sampled_from(["undirected", "children"]))
     def test_neighborhood_matches_unbounded_walk(self, case, radius, direction):
         sent, m = case
-        tree = DependencyTree(sent)
         expected = neighborhood_reference(sent, m, radius, direction)
-        assert neighborhood(tree, m, radius, direction) == expected
-        full = tree_distances_reference(sent, m.span, direction)
-        assert tree.distances(m.span, direction) == full
-        bounded = tree.distances(m.span, direction, limit=radius)
-        assert bounded == {i: d for i, d in full.items() if d <= radius}
+        assert attribute(sent, [m], radius, direction) == [(t, [m]) for t, _ in expected]
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -435,7 +435,7 @@ class TestParseDefectOracle:
             for i, h, (form, lemma) in zip(ids, heads, forms)
         ]
         text = "# newdoc id = d0\n# sent_id = d0.s0\n" + "\n".join(rows) + "\n\n"
-        doc = Document("d0", datetime.date(2018, 1, 1), "x", SourceType.ONLINE)
+        doc = Document("d0", datetime.date(2018, 1, 1), SourceType.ONLINE)
         as_written = Sentence("d0", 0, tuple(
             token_from_row(i, form, lemma, "NOUN", h, "dep", set(), {})
             for i, h, (form, lemma) in zip(ids, heads, forms)
@@ -495,6 +495,17 @@ class TestMetadata:
             '{"doc_id": "dq", "date": "2020-01-01", "source_id": "x", "source_type": "radio"}\n'
         )
         with pytest.raises(MetadataError, match=self.at_line(path, 1, "source_type")):
+            read_metadata(path)
+
+    @pytest.mark.parametrize("value", ["null", '{"a": 1}', "7"])
+    def test_source_id_must_be_a_string(self, tmp_path, value):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"doc_id": "dq", "date": "2020-01-01", "source_id": "x", "source_type": "online"}\n'
+            f'{{"doc_id": "dr", "date": "2020-01-01", "source_id": {value}, '
+            '"source_type": "online"}\n'
+        )
+        with pytest.raises(MetadataError, match=self.at_line(path, 2, "source_id .* not a string")):
             read_metadata(path)
 
     def test_bad_date(self, tmp_path):
@@ -665,6 +676,16 @@ class TestRegistry:
         path = tmp_path / "reg.csv"
         path.write_text("p1;Ada;Rossi;F;sindaco:-;;\n")
         with pytest.raises(RegistryError, match="p1: jurisdiction '-' normalizes to nothing"):
+            read_registry(path)
+
+    def test_more_than_seven_fields_rejected(self, tmp_path):
+        path = tmp_path / "reg.csv"
+        path.write_text(
+            "p0;Ugo;Bianchi;M;;;\n"
+            "p1;Anna;Rossi;F;sindaco:Roma;;2017-01-01..;extra;more\n"
+        )
+        pattern = f"^{re.escape(f'{path}: line 2: ')}9 fields, expected at most 7"
+        with pytest.raises(RegistryError, match=pattern):
             read_registry(path)
 
     def test_bad_gender_rejected(self, tmp_path):
