@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import GazetteerError, open_input
+from .errors import InputError, open_input
 from .model import Document, Mention, MentionPattern, Sentence, normalize_lemma
 from .registry import PoliticianRegistry
 
@@ -46,8 +46,9 @@ class RoleGazetteer:
         """One role per line: `canonical` or `canonical = variant, variant`.
 
         The canonical keyword is always its own variant. An empty
-        canonical role, or a canonical role or variant with no lexical
-        token (such as `--`), is an error naming the file and line.
+        canonical role, a canonical role or variant with no lexical token
+        (such as `--`), or a role word given two canonical roles is an
+        error naming the file and line.
         """
         variants: dict[str, str] = {}
         with open_input(path) as fh:
@@ -57,19 +58,22 @@ class RoleGazetteer:
                     continue
                 canonical_s, _, syns = line.partition("=")
                 if not canonical_s.strip():
-                    raise GazetteerError(f"{path}: line {lineno}: empty canonical role")
+                    raise InputError(path, lineno, "empty canonical role")
                 roles = []
                 for raw in [canonical_s, *syns.split(",")]:
                     if raw.strip():
                         norm = normalize_lemma(raw)
                         if norm is None:
-                            raise GazetteerError(
-                                f"{path}: line {lineno}: role {raw.strip()!r} "
-                                "has no lexical token"
+                            raise InputError(
+                                path, lineno, f"role {raw.strip()!r} has no lexical token"
                             )
                         roles.append(norm)
                 for norm in roles:
-                    variants[norm] = roles[0]
+                    if variants.setdefault(norm, roles[0]) != roles[0]:
+                        raise InputError(
+                            path, lineno,
+                            f"role {norm!r} mapped to both {variants[norm]!r} and {roles[0]!r}",
+                        )
         return cls(variants)
 
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .errors import ConlluFormatError, MetadataError, open_input
+from .errors import InputError, open_input
 from .model import Document, Sentence, SourceType, Token, normalize_lemma, tree_defect
 
 _DIGITS_RE = re.compile(r"[\d.,:%/\-]+")
@@ -41,7 +41,8 @@ def read_stopwords(path) -> set[str]:
 
 
 def read_lemma_map(path) -> dict[str, str]:
-    """Surface-to-lemma overrides, one tab-separated pair per line."""
+    """Surface-to-lemma overrides, one tab-separated pair per line; two
+    surfaces that normalize alike may not give different lemmas."""
     out: dict[str, str] = {}
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -50,16 +51,18 @@ def read_lemma_map(path) -> dict[str, str]:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise MetadataError(
-                    f"{path}: line {lineno}: expected surface<TAB>lemma"
-                )
+                raise InputError(path, lineno, "expected surface<TAB>lemma")
             raw_surface, lemma = parts[0].strip(), parts[1].strip()
             if not raw_surface or not lemma:
-                raise MetadataError(f"{path}: line {lineno}: empty surface or lemma")
+                raise InputError(path, lineno, "empty surface or lemma")
             surface = normalize_lemma(raw_surface)
             if surface is None:
                 continue
-            out[surface] = lemma
+            if out.setdefault(surface, lemma) != lemma:
+                raise InputError(
+                    path, lineno,
+                    f"surface {surface!r} mapped to both {out[surface]!r} and {lemma!r}",
+                )
     return out
 
 
@@ -70,10 +73,6 @@ def read_metadata(
     """Document metadata JSONL keyed by doc_id, duplicates rejected; each error
     names the file and line."""
     docs: dict[str, Document] = {}
-
-    def defect(message: str) -> MetadataError:
-        return MetadataError(f"{path}: line {lineno}: {message}")
-
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -81,33 +80,35 @@ def read_metadata(
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise defect(f"bad JSON: {exc}") from None
+                raise InputError(path, lineno, f"bad JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise defect("expected a JSON object")
+                raise InputError(path, lineno, "expected a JSON object")
             doc_id = obj.get("doc_id")
             if not doc_id:
-                raise defect("missing doc_id")
+                raise InputError(path, lineno, "missing doc_id")
             for key in ("date", "source_id", "source_type"):
                 if key not in obj:
-                    raise defect(f"doc {doc_id!r}: missing {key!r}")
+                    raise InputError(path, lineno, f"doc {doc_id!r}: missing {key!r}")
             for key in ("doc_id", "date", "source_id", "source_type"):
                 if not isinstance(obj[key], str):
-                    raise defect(f"{key} {obj[key]!r} is not a string")
+                    raise InputError(path, lineno, f"{key} {obj[key]!r} is not a string")
             try:
                 date = datetime.date.fromisoformat(obj["date"])
             except ValueError:
-                raise defect(f"doc {doc_id!r}: bad date {obj['date']!r}") from None
+                raise InputError(
+                    path, lineno, f"doc {doc_id!r}: bad date {obj['date']!r}"
+                ) from None
             try:
                 source_type = SourceType(obj["source_type"])
             except ValueError:
-                raise defect(
-                    f"doc {doc_id!r}: unknown source_type {obj['source_type']!r}"
+                raise InputError(
+                    path, lineno, f"doc {doc_id!r}: unknown source_type {obj['source_type']!r}"
                 ) from None
             if doc_id in docs:
-                raise defect(f"duplicate doc_id {doc_id!r}")
+                raise InputError(path, lineno, f"duplicate doc_id {doc_id!r}")
             if window is not None and not window[0] <= date <= window[1]:
-                raise defect(
-                    f"doc {doc_id!r}: date {date} outside analysis window "
+                raise InputError(
+                    path, lineno, f"doc {doc_id!r}: date {date} outside analysis window "
                     f"{window[0]}..{window[1]}"
                 )
             docs[doc_id] = Document(doc_id=doc_id, date=date, source_type=source_type)
@@ -160,27 +161,30 @@ def _derive_form(
 
 def iter_conllu(
     path,
+    diagnostics: CorpusDiagnostics,
+    metadata: dict[str, Document],
     stopwords: set[str],
     lemma_map: dict[str, str],
-    diagnostics: CorpusDiagnostics,
     seen_docs: set[str],
-) -> Iterator[tuple[str, Sentence]]:
-    """Yield (doc_id, Sentence) pairs from one CoNLL-U file.
+) -> Iterator[tuple[Document, Sentence]]:
+    """Yield (Document, Sentence) pairs from one CoNLL-U file.
 
     Requires `# newdoc id = ...` before the first sentence of a document
-    and `# sent_id = ...` on every sentence. Multiword-token ranges and
-    empty nodes are skipped (they are not syntactic words). Malformed
-    rows raise with their line number, a HEAD out of range with the line
-    of its token; sentences with cyclic heads or no root are rejected
-    with a diagnostic instead. Each distinct FORM/LEMMA pair is derived
-    once per call; later rows reuse its strings.
+    and `# sent_id = ...` on every sentence. Each document is looked up
+    in `metadata` at its `# newdoc` line; an id missing there, or one
+    already in `seen_docs`, is an error naming that line. Multiword-token
+    ranges and empty nodes are skipped (they are not syntactic words).
+    Malformed rows raise with their line number, a HEAD out of range with
+    the line of its token; sentences with cyclic heads or no root are
+    rejected with a diagnostic instead. Each distinct FORM/LEMMA pair is
+    derived once per call; later rows reuse its strings.
 
     Each line is dispatched on its first character: a `#` line is a
     comment, and only one that names `newdoc` or `sent_id` runs that
     pattern; a blank or whitespace-only line ends the sentence; every
     other line is a token row.
     """
-    doc_id: Optional[str] = None
+    doc: Optional[Document] = None
     sent_id: Optional[str] = None
     sent_index = 0
     rows: list[Token] = []
@@ -189,26 +193,26 @@ def iter_conllu(
     forms: dict[tuple[str, str], tuple[str, bool, Optional[str]]] = {}
     new_token = tuple.__new__  # all eight fields given, so no NamedTuple defaults to fill
 
-    def flush() -> Optional[tuple[str, Sentence]]:
+    def flush() -> Optional[tuple[Document, Sentence]]:
         nonlocal rows, row_lines, sent_id, sent_index, block_start_line
         if not rows:
             sent_id = None
             return None
-        if doc_id is None:
-            raise ConlluFormatError(
+        if doc is None:
+            raise InputError(
                 path, block_start_line, "sentence before any '# newdoc id' comment"
             )
         if sent_id is None:
-            raise ConlluFormatError(path, block_start_line, "sentence without '# sent_id' comment")
+            raise InputError(path, block_start_line, "sentence without '# sent_id' comment")
         n = len(rows)
         if [t.index for t in rows] != list(range(1, n + 1)):
-            raise ConlluFormatError(
+            raise InputError(
                 path, block_start_line, f"token ids are not 1..{n} in sentence {sent_id!r}"
             )
         heads = [t.head for t in rows]
         if min(heads) < 0 or max(heads) > n:
             pos = next(i for i, head in enumerate(heads) if not 0 <= head <= n)
-            raise ConlluFormatError(
+            raise InputError(
                 path,
                 row_lines[pos],
                 f"head {heads[pos]} of token {pos + 1} out of range in sentence {sent_id!r}",
@@ -216,9 +220,9 @@ def iter_conllu(
         reason = tree_defect(heads)
         out = None
         if reason is not None:
-            diagnostics.reject(doc_id, sent_id, reason)
+            diagnostics.reject(doc.doc_id, sent_id, reason)
         else:
-            out = (doc_id, Sentence(doc_id=doc_id, index=sent_index, tokens=tuple(rows)))
+            out = (doc, Sentence(doc_id=doc.doc_id, index=sent_index, tokens=tuple(rows)))
         sent_index += 1
         rows = []
         row_lines = []
@@ -234,12 +238,17 @@ def iter_conllu(
                     m = _NEWDOC_RE.match(line)
                     if m:
                         if rows:
-                            raise ConlluFormatError(path, lineno, "newdoc inside a sentence block")
+                            raise InputError(path, lineno, "newdoc inside a sentence block")
                         if m.group(1) is None:
-                            raise ConlluFormatError(path, lineno, "'# newdoc' without 'id = ...'")
+                            raise InputError(path, lineno, "'# newdoc' without 'id = ...'")
                         doc_id = m.group(1)
                         if doc_id in seen_docs:
-                            raise ConlluFormatError(path, lineno, f"duplicate document {doc_id!r}")
+                            raise InputError(path, lineno, f"duplicate document {doc_id!r}")
+                        doc = metadata.get(doc_id)
+                        if doc is None:
+                            raise InputError(
+                                path, lineno, f"document {doc_id!r} has no metadata entry"
+                            )
                         seen_docs.add(doc_id)
                         sent_index = 0
                         continue
@@ -259,7 +268,7 @@ def iter_conllu(
             # the line's newline.
             cols = line.split("\t")
             if len(cols) != 10:
-                raise ConlluFormatError(
+                raise InputError(
                     path, lineno, f"expected 10 tab-separated columns, got {len(cols)}"
                 )
             tok_id, form, lemma, upos, _xpos, _feats, head, deprel, _deps, _misc = cols
@@ -273,7 +282,7 @@ def iter_conllu(
             ):
                 if _SKIPPED_ID_RE.fullmatch(tok_id):
                     continue  # multiword-token range or empty node
-                raise ConlluFormatError(
+                raise InputError(
                     path, lineno, f"non-integer ID or HEAD ({tok_id!r}, {head!r})"
                 )
             if not rows and block_start_line == 0:
@@ -282,7 +291,7 @@ def iter_conllu(
             if derived is None:
                 derived = _derive_form(form, lemma, stopwords, lemma_map)
                 if not derived[0]:
-                    raise ConlluFormatError(path, lineno, "token with empty FORM and LEMMA")
+                    raise InputError(path, lineno, "token with empty FORM and LEMMA")
                 forms[form, lemma] = derived
             lemma, filtered, norm = derived
             rows.append(
@@ -304,14 +313,10 @@ def read_corpus(
     """Stream (Document, Sentence) pairs from the parse files, in order.
 
     Takes the loaded side files: `metadata` from `read_metadata`,
-    `stopwords` and `lemma_map` as `iter_conllu` uses them. Every
-    sentence's document must resolve in the metadata; document order
-    within a file is preserved. Rejected sentences go to `diagnostics`.
+    `stopwords` and `lemma_map` as `iter_conllu` uses them. A document
+    id may occur once across all files. Rejected sentences go to
+    `diagnostics`.
     """
     seen_docs: set[str] = set()
     for path in conllu:
-        for doc_id, sentence in iter_conllu(path, stopwords, lemma_map, diagnostics, seen_docs):
-            doc = metadata.get(doc_id)
-            if doc is None:
-                raise MetadataError(f"document {doc_id!r} has no metadata entry")
-            yield doc, sentence
+        yield from iter_conllu(path, diagnostics, metadata, stopwords, lemma_map, seen_docs)

@@ -6,7 +6,7 @@ import csv
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import LexiconError, open_input
+from .errors import InputError, open_input
 from .model import Category, normalize_lemma
 from .sentiment import CLASS_BY_FIFTHS, SentimentClass, aggregate_fifths
 
@@ -59,41 +59,36 @@ def read_lexicon(path, stopwords: Optional[set[str]] = None) -> Lexicon:
             if not rec or all(not c.strip() for c in rec):
                 continue
             if len(rec) != 8:
-                raise LexiconError(
-                    f"{path}: line {lineno}: expected 8 columns "
-                    f"(lemma,upos,category,s1..s5), got {len(rec)}"
+                raise InputError(
+                    path, lineno, f"expected 8 columns (lemma,upos,category,s1..s5), got {len(rec)}"
                 )
             lemma = normalize_lemma(rec[0])
             if lemma is None:
-                raise LexiconError(f"{path}: line {lineno}: lemma {rec[0]!r} is not lexical")
+                raise InputError(path, lineno, f"lemma {rec[0]!r} is not lexical")
             upos = rec[1].strip()
             if upos not in LEXICON_POS:
-                raise LexiconError(
-                    f"{path}: line {lineno}: upos {upos!r} not one of {LEXICON_POS}"
-                )
+                raise InputError(path, lineno, f"upos {upos!r} not one of {LEXICON_POS}")
             try:
                 category = Category(rec[2].strip())
             except ValueError:
-                raise LexiconError(
-                    f"{path}: line {lineno}: unknown category {rec[2].strip()!r}"
-                ) from None
+                raise InputError(path, lineno, f"unknown category {rec[2].strip()!r}") from None
             # ASCII digits only, where int() would also take plus signs,
             # other scripts' digits and non-ASCII spaces
             cells = [c.strip(" \t") for c in rec[3:8]]
             if not all(c.isascii() and c.removeprefix("-").isdigit() for c in cells):
-                raise LexiconError(f"{path}: line {lineno}: non-integer score")
+                raise InputError(path, lineno, "non-integer score")
             scores = tuple(map(int, cells))
             try:
                 fifths = aggregate_fifths(scores)
             except ValueError as exc:
-                raise LexiconError(f"{path}: line {lineno}: {exc}") from None
+                raise InputError(path, lineno, str(exc)) from None
             key = (lemma, upos)
             if key in entries:
-                raise LexiconError(f"{path}: line {lineno}: duplicate entry {key}")
+                raise InputError(path, lineno, f"duplicate entry {key}")
             if stopwords is not None and lemma in stopwords:
-                raise LexiconError(
-                    f"{path}: line {lineno}: lemma {lemma!r} is a stopword; "
-                    "stopwords are filtered before lexicon matching"
+                raise InputError(
+                    path, lineno, f"lemma {lemma!r} is a stopword; "
+                    "stopwords are filtered before lexicon matching",
                 )
             entries[key] = LexiconEntry(
                 lemma=lemma,

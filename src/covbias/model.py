@@ -179,13 +179,6 @@ class Politician:
     roles: tuple[Role, ...] = ()
     aliases: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.surname:
-            raise ValueError(f"politician {self.pid}: surname is empty")
-        for role in self.roles:
-            if not role.keyword:
-                raise ValueError(f"politician {self.pid}: role without keyword")
-
 
 @dataclass(frozen=True)
 class Mention:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
-from covbias.errors import GazetteerError
+from covbias.errors import InputError
 from covbias.model import (
     Document,
     Gender,
@@ -439,5 +439,27 @@ class TestGazetteer:
         path = tmp_path / "roles.txt"
         path.write_text(f"sindaco = sindaca\n{line}\n")
         pattern = f"^{re.escape(f'{path}: line 2: role {role!r}')} has no lexical token"
-        with pytest.raises(GazetteerError, match=pattern):
+        with pytest.raises(InputError, match=pattern):
             RoleGazetteer.from_file(path)
+
+    @pytest.mark.parametrize(
+        "text, role",
+        [
+            ("sindaco\nministro = ministra, sindaco\n", "sindaco"),
+            ("sindaco = ministro\nministro\n", "ministro"),
+        ],
+        ids=["canonical-as-variant", "variant-as-canonical"],
+    )
+    def test_role_word_given_two_canonical_roles_rejected(self, tmp_path, text, role):
+        path = tmp_path / "roles.txt"
+        path.write_text(text)
+        message = f"role {role!r} mapped to both 'sindaco' and 'ministro'"
+        with pytest.raises(InputError, match=f"^{re.escape(f'{path}: line 2: {message}')}$") as err:
+            RoleGazetteer.from_file(path)
+        assert err.value.line == 2
+
+    def test_repeated_mapping_accepted(self, tmp_path):
+        path = tmp_path / "roles.txt"
+        path.write_text("sindaco = sindaca\nsindaco = sindaca, Sindaco\n")
+        variants = RoleGazetteer.from_file(path).variants
+        assert variants == {"sindaco": "sindaco", "sindaca": "sindaco"}

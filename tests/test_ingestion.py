@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covbias.errors import ConlluFormatError, LexiconError, MetadataError, RegistryError
+from covbias.entities import RoleGazetteer
+from covbias.errors import InputError
 from covbias.ingestion import (
     CorpusDiagnostics,
     read_corpus,
@@ -26,12 +27,20 @@ from conftest import data_path
 from oracles import parse_defects, token_from_row
 
 
+def metadata_for(text):
+    """A metadata entry for every `# newdoc id` in `text`."""
+    ids = re.findall(r"#\s*newdoc\s+id\s*=\s*(\S+)", text)
+    return {d: Document(d, datetime.date(2018, 1, 1), SourceType.ONLINE) for d in ids}
+
+
 def run_conllu(text, tmp_path, stopwords=None, lemma_map=None):
+    """The (doc_id, Sentence) pairs of `text` read as one CoNLL-U file, and
+    the diagnostics."""
     path = tmp_path / "t.conllu"
     path.write_text(text, encoding="utf-8")
     diag = CorpusDiagnostics()
-    out = list(iter_conllu(path, stopwords or set(), lemma_map or {}, diag, set()))
-    return out, diag
+    stream = iter_conllu(path, diag, metadata_for(text), stopwords or set(), lemma_map or {}, set())
+    return [(doc.doc_id, sentence) for doc, sentence in stream], diag
 
 
 WELL_FORMED = """# newdoc id = dx
@@ -122,7 +131,7 @@ class TestConlluReader:
 3\tbella\tbello\tADJ\t_\t_\t2\tamod\t_\t_
 
 """.replace("3\tbella", bad_id + "\tbella")
-        with pytest.raises(ConlluFormatError, match="non-integer ID or HEAD") as err:
+        with pytest.raises(InputError, match="non-integer ID or HEAD") as err:
             run_conllu(text, tmp_path)
         assert err.value.line == 5
         assert repr(bad_id) in str(err.value)
@@ -149,38 +158,38 @@ class TestConlluReader:
             f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{head}\t{rel}\t_\t_\n"
             for i, form, lemma, upos, head, rel in rows
         ) + "\n"
-        with pytest.raises(ConlluFormatError, match="non-integer ID or HEAD") as err:
+        with pytest.raises(InputError, match="non-integer ID or HEAD") as err:
             run_conllu(text, tmp_path)
         assert err.value.line == line
         assert str(tmp_path / "t.conllu") in str(err.value)
 
     def test_bad_column_count_names_line(self, tmp_path):
         text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3\tnsubj\t_\t_", "2\tgatto\tgatto")
-        with pytest.raises(ConlluFormatError) as err:
+        with pytest.raises(InputError) as err:
             run_conllu(text, tmp_path)
         assert err.value.line == 4
 
     def test_head_out_of_range_is_error(self, tmp_path):
         text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "2\tgatto\tgatto\tNOUN\t_\t_\t9")
-        with pytest.raises(ConlluFormatError):
+        with pytest.raises(InputError):
             run_conllu(text, tmp_path)
 
     def test_negative_head_is_error_with_line(self, tmp_path):
         text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "2\tgatto\tgatto\tNOUN\t_\t_\t-1")
-        with pytest.raises(ConlluFormatError, match="head -1 of token 2 out of range") as err:
+        with pytest.raises(InputError, match="head -1 of token 2 out of range") as err:
             run_conllu(text, tmp_path)
         assert err.value.line == 4
 
     def test_head_beyond_n_on_a_later_token_names_its_line(self, tmp_path):
         text = WELL_FORMED.replace("3\tdorme\tdormire\tVERB\t_\t_\t0", "3\tdorme\tdormire\tVERB\t_\t_\t9")
         text = text.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "2\tgatto\tgatto\tNOUN\t_\t_\t0")
-        with pytest.raises(ConlluFormatError, match="head 9 of token 3 out of range") as err:
+        with pytest.raises(InputError, match="head 9 of token 3 out of range") as err:
             run_conllu(text, tmp_path)
         assert err.value.line == 5
 
     def test_bad_ids_reported_before_a_bad_head(self, tmp_path):
         text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "5\tgatto\tgatto\tNOUN\t_\t_\t9")
-        with pytest.raises(ConlluFormatError, match="token ids are not 1..3") as err:
+        with pytest.raises(InputError, match="token ids are not 1..3") as err:
             run_conllu(text, tmp_path)
         assert err.value.line == 2
 
@@ -220,35 +229,35 @@ class TestConlluReader:
 
     def test_missing_sent_id_is_error(self, tmp_path):
         text = WELL_FORMED.replace("# sent_id = dx.s0\n", "")
-        with pytest.raises(ConlluFormatError):
+        with pytest.raises(InputError):
             run_conllu(text, tmp_path)
 
     def test_sentence_before_newdoc_is_error(self, tmp_path):
         text = WELL_FORMED.replace("# newdoc id = dx\n", "")
-        with pytest.raises(ConlluFormatError):
+        with pytest.raises(InputError):
             run_conllu(text, tmp_path)
 
     def test_duplicate_newdoc_is_error(self, tmp_path):
-        with pytest.raises(ConlluFormatError):
+        with pytest.raises(InputError):
             run_conllu(WELL_FORMED + WELL_FORMED, tmp_path)
 
     @pytest.mark.parametrize("tok_id", ["5", "0"], ids=["gap", "zero"])
     def test_non_contiguous_ids_rejected(self, tok_id, tmp_path):
         text = WELL_FORMED.replace("2\tgatto", f"{tok_id}\tgatto")
-        with pytest.raises(ConlluFormatError, match="token ids are not 1..3"):
+        with pytest.raises(InputError, match="token ids are not 1..3"):
             run_conllu(text, tmp_path)
 
     @pytest.mark.parametrize("comment", ["# newdoc", "# newdoc id =", "#newdoc  "])
     def test_newdoc_without_id_is_error_with_line(self, comment, tmp_path):
         text = WELL_FORMED + WELL_FORMED.replace("# newdoc id = dx", comment).replace("dx.", "dy.")
-        with pytest.raises(ConlluFormatError, match="without 'id") as err:
+        with pytest.raises(InputError, match="without 'id") as err:
             run_conllu(text, tmp_path)
         assert err.value.line == 7
 
     @pytest.mark.parametrize("lemma", ["", "_"])
     def test_empty_form_and_lemma_is_error_with_line(self, lemma, tmp_path):
         text = WELL_FORMED.replace("2\tgatto\tgatto", f"2\t\t{lemma}")
-        with pytest.raises(ConlluFormatError, match="empty FORM and LEMMA") as err:
+        with pytest.raises(InputError, match="empty FORM and LEMMA") as err:
             run_conllu(text, tmp_path)
         assert err.value.line == 4
 
@@ -273,14 +282,14 @@ class TestReaderDispatch:
 
     def test_token_row_with_leading_space_is_an_id_error(self, tmp_path):
         text = WELL_FORMED.replace("2\tgatto", " 2\tgatto")
-        with pytest.raises(ConlluFormatError, match="non-integer ID or HEAD") as err:
+        with pytest.raises(InputError, match="non-integer ID or HEAD") as err:
             run_conllu(text, tmp_path)
         assert err.value.line == 4
         assert "' 2'" in str(err.value)
 
     def test_short_row_with_leading_space_is_a_column_error(self, tmp_path):
         text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3\tnsubj\t_\t_", " 2\tgatto")
-        with pytest.raises(ConlluFormatError, match="expected 10 tab-separated columns, got 2") as err:
+        with pytest.raises(InputError, match="expected 10 tab-separated columns, got 2") as err:
             run_conllu(text, tmp_path)
         assert err.value.line == 4
 
@@ -311,7 +320,11 @@ class TestReaderDispatch:
     def test_crlf_line_endings_read_as_lf(self, tmp_path):
         path = tmp_path / "crlf.conllu"
         path.write_bytes((WELL_FORMED + self.SECOND).replace("\n", "\r\n").encode("utf-8"))
-        crlf = list(iter_conllu(path, set(), {}, CorpusDiagnostics(), set()))
+        metadata = metadata_for(WELL_FORMED + self.SECOND)
+        crlf = [
+            (doc.doc_id, sentence)
+            for doc, sentence in iter_conllu(path, CorpusDiagnostics(), metadata, set(), {}, set())
+        ]
         lf, _ = run_conllu(WELL_FORMED + self.SECOND, tmp_path)
         assert crlf == lf
 
@@ -447,7 +460,7 @@ class TestParseDefectOracle:
                 fh.write(text)
             try:
                 got = list(read_corpus([path], diag, {"d0": doc}, set(), {}))
-            except ConlluFormatError:
+            except InputError:
                 got = None
         for _, sentence in got or []:
             assert parse_defects(sentence) == []
@@ -471,14 +484,14 @@ class TestMetadata:
     def test_missing_source_type_names_doc(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"doc_id": "dq", "date": "2020-01-01", "source_id": "x"}\n')
-        with pytest.raises(MetadataError, match=self.at_line(path, 1, "dq")):
+        with pytest.raises(InputError, match=self.at_line(path, 1, "dq")):
             read_metadata(path)
 
     def test_duplicate_doc_id_rejected(self, tmp_path):
         row = '{"doc_id": "dq", "date": "2020-01-01", "source_id": "x", "source_type": "online"}\n'
         path = tmp_path / "m.jsonl"
         path.write_text(row + row)
-        with pytest.raises(MetadataError, match=self.at_line(path, 2, "duplicate")):
+        with pytest.raises(InputError, match=self.at_line(path, 2, "duplicate")):
             read_metadata(path)
 
     def test_window_enforced(self, tmp_path):
@@ -486,7 +499,7 @@ class TestMetadata:
         path = tmp_path / "m.jsonl"
         path.write_text(row)
         window = (datetime.date(2017, 1, 1), datetime.date(2019, 12, 31))
-        with pytest.raises(MetadataError, match=self.at_line(path, 1, "window")):
+        with pytest.raises(InputError, match=self.at_line(path, 1, "window")):
             read_metadata(path, window)
 
     def test_bad_source_type(self, tmp_path):
@@ -494,7 +507,7 @@ class TestMetadata:
         path.write_text(
             '{"doc_id": "dq", "date": "2020-01-01", "source_id": "x", "source_type": "radio"}\n'
         )
-        with pytest.raises(MetadataError, match=self.at_line(path, 1, "source_type")):
+        with pytest.raises(InputError, match=self.at_line(path, 1, "source_type")):
             read_metadata(path)
 
     @pytest.mark.parametrize("value", ["null", '{"a": 1}', "7"])
@@ -505,7 +518,7 @@ class TestMetadata:
             f'{{"doc_id": "dr", "date": "2020-01-01", "source_id": {value}, '
             '"source_type": "online"}\n'
         )
-        with pytest.raises(MetadataError, match=self.at_line(path, 2, "source_id .* not a string")):
+        with pytest.raises(InputError, match=self.at_line(path, 2, "source_id .* not a string")):
             read_metadata(path)
 
     def test_bad_date(self, tmp_path):
@@ -514,7 +527,7 @@ class TestMetadata:
             "\n"
             '{"doc_id": "dq", "date": "2020-13-01", "source_id": "x", "source_type": "online"}\n'
         )
-        with pytest.raises(MetadataError, match=self.at_line(path, 2, "bad date '2020-13-01'")):
+        with pytest.raises(InputError, match=self.at_line(path, 2, "bad date '2020-13-01'")):
             read_metadata(path)
 
 
@@ -533,7 +546,7 @@ class TestReadCorpus:
         stream = read_corpus(
             (data_path("tiny.conllu"),), CorpusDiagnostics(), read_metadata(meta), set(), {}
         )
-        with pytest.raises(MetadataError, match="d1"):
+        with pytest.raises(InputError, match="d1"):
             list(stream)
 
     def test_streaming_is_lazy(self, tiny_corpus):
@@ -560,13 +573,13 @@ class TestLexicon:
         path.write_text(
             "bello,ADJ,physical,1,1,1,1,1\nbello,ADJ,physical,0,0,0,0,0\n"
         )
-        with pytest.raises(LexiconError, match="duplicate"):
+        with pytest.raises(InputError, match="duplicate"):
             read_lexicon(path)
 
     def test_unknown_category_rejected(self, tmp_path):
         path = tmp_path / "lex.csv"
         path.write_text("bello,ADJ,looks,1,1,1,1,1\n")
-        with pytest.raises(LexiconError, match="looks"):
+        with pytest.raises(InputError, match="looks"):
             read_lexicon(path)
 
     def test_score_outside_range_rejected(self, tmp_path):
@@ -585,7 +598,7 @@ class TestLexicon:
             ("1,1,1,1,--1", "non-integer score"),
         ]:
             path.write_text(f"elegante,ADJ,physical,1,1,1,1,1\nbello,ADJ,physical,{scores}\n")
-            with pytest.raises(LexiconError, match=f"lex.csv: line 2: {message}"):
+            with pytest.raises(InputError, match=f"lex.csv: line 2: {message}"):
                 read_lexicon(path)
 
     def test_blank_padded_scores_read(self, tmp_path):
@@ -615,7 +628,7 @@ class TestLexicon:
     def test_stopword_collision_rejected(self, tmp_path):
         path = tmp_path / "lex.csv"
         path.write_text("bello,ADJ,physical,1,1,1,1,1\n")
-        with pytest.raises(LexiconError, match="stopword"):
+        with pytest.raises(InputError, match="stopword"):
             read_lexicon(path, stopwords={"bello"})
 
     def test_class_distribution(self):
@@ -658,7 +671,7 @@ class TestRegistry:
             "p1;Ada;Rossi;F;sindaco:Roma;;2016-01-01..2019-01-01\n"
             "p2;Ugo;Bianchi;M;sindaco:Roma;;2018-01-01..2021-01-01\n"
         )
-        with pytest.raises(RegistryError, match="overlapping"):
+        with pytest.raises(InputError, match="overlapping"):
             read_registry(path)
 
     def test_disjoint_tenures_accepted(self, tmp_path):
@@ -675,7 +688,7 @@ class TestRegistry:
         # An empty jurisdiction tuple would match after every "sindaco di".
         path = tmp_path / "reg.csv"
         path.write_text("p1;Ada;Rossi;F;sindaco:-;;\n")
-        with pytest.raises(RegistryError, match="p1: jurisdiction '-' normalizes to nothing"):
+        with pytest.raises(InputError, match="p1: jurisdiction '-' normalizes to nothing"):
             read_registry(path)
 
     def test_more_than_seven_fields_rejected(self, tmp_path):
@@ -685,13 +698,13 @@ class TestRegistry:
             "p1;Anna;Rossi;F;sindaco:Roma;;2017-01-01..;extra;more\n"
         )
         pattern = f"^{re.escape(f'{path}: line 2: ')}9 fields, expected at most 7"
-        with pytest.raises(RegistryError, match=pattern):
+        with pytest.raises(InputError, match=pattern):
             read_registry(path)
 
     def test_bad_gender_rejected(self, tmp_path):
         path = tmp_path / "reg.csv"
         path.write_text("p1;Ada;Rossi;X;;;\n")
-        with pytest.raises(RegistryError, match="gender"):
+        with pytest.raises(InputError, match="gender"):
             read_registry(path)
 
     def test_aliases_indexed(self, tmp_path):
@@ -713,5 +726,88 @@ class TestSideFiles:
     def test_lemma_map_bad_row(self, tmp_path):
         path = tmp_path / "lm.tsv"
         path.write_text("solo_una_colonna\n")
-        with pytest.raises(MetadataError):
+        with pytest.raises(InputError):
             read_lemma_map(path)
+
+    def test_lemma_map_repeat_of_one_mapping_accepted(self, tmp_path):
+        # surfaces that normalize alike with different lemmas are refused
+        # (TestInputErrors); the same lemma again is not
+        path = tmp_path / "lm.tsv"
+        path.write_text("Sceriffa\tsceriffo\n«sceriffa»\tsceriffo\n")
+        assert read_lemma_map(path) == {"sceriffa": "sceriffo"}
+
+
+def _read_one_conllu(path):
+    """The corpus stream of one CoNLL-U file whose metadata holds only d1."""
+    metadata = metadata_for("# newdoc id = d1")
+    return list(read_corpus([path], CorpusDiagnostics(), metadata, set(), {}))
+
+
+_READERS = {
+    "conllu": _read_one_conllu,
+    "metadata": read_metadata,
+    "registry": read_registry,
+    "lexicon": read_lexicon,
+    "gazetteer": RoleGazetteer.from_file,
+    "lemma map": read_lemma_map,
+}
+_SENTENCE = "# sent_id = {0}.s0\n1\tgatto\tgatto\tNOUN\t_\t_\t0\troot\t_\t_\n\n"
+_META = '{{"doc_id": "{0}", "date": "2018-01-01", "source_id": "x", "source_type": "online"}}\n'
+
+
+class TestInputErrors:
+    """Every reader raises its input defects as one `InputError` that names
+    the file and the line (no line only for bytes that are not UTF-8)."""
+
+    @pytest.mark.parametrize(
+        "reader, content, line, message",
+        [
+            ("conllu", "# newdoc id = d1\n# sent_id = d1.s0\n1\tgatto\n\n", 3,
+             "expected 10 tab-separated columns, got 2"),
+            ("conllu", "# newdoc id = d2\n" + _SENTENCE.format("d2"), 1,
+             "document 'd2' has no metadata entry"),
+            ("conllu", "# newdoc id = d1\n" + _SENTENCE.format("d1") + "# newdoc id = d2\n", 5,
+             "document 'd2' has no metadata entry"),
+            ("metadata", _META.format("d1") + _META.format("d1"), 2, "duplicate doc_id 'd1'"),
+            ("registry", "p1;Ada;Rossi;F;;;\np2;Ugo;Bianchi;M;;;\np1;Ada;Rossi;F;;;\n", 3,
+             "duplicate politician id 'p1' (first on line 1)"),
+            ("registry",
+             "p1;Ada;Rossi;F;sindaco:Roma;;2016-01-01..2019-01-01\n"
+             "p2;Ugo;Bianchi;M;sindaco:Roma;;2018-01-01..\n", 2,
+             "politicians p1 and p2 both hold (sindaco, roma) with overlapping tenure "
+             "(p1 is on line 1)"),
+            ("registry", "p0;Ugo;Bianchi;M;;;\np1;Ada;Rossi;F;sindaco:-;;\n", 2,
+             "p1: jurisdiction '-' normalizes to nothing"),
+            ("registry", "p0;Ugo;Bianchi;M;;;\np1;Ada;--;F;;;\n", 2,
+             "p1: surname normalizes to nothing"),
+            ("registry", "p1;Chiara;Verdi;F;sindaco:Milano;--, Chiaretta;\n", 1,
+             "p1: alias '--' normalizes to nothing"),
+            ("registry", "p1;Ada;Rossi;F;sindaco:Roma;;2019-01-01..2018-01-01\n", 1,
+             "tenure ends before it starts"),
+            ("lexicon", "bello,ADJ,physical,1,1,1,1,1\nbello,ADJ,physical,0,0,0,0,0\n", 2,
+             "duplicate entry ('bello', 'ADJ')"),
+            ("lexicon", "caff\xe8,ADJ,physical,1,1,1,1,1\n".encode("latin-1"), None,
+             "not UTF-8: cannot decode byte 0xe8"),
+            ("gazetteer", "sindaco = sindaca\nministro = sindaca\n", 2,
+             "role 'sindaca' mapped to both 'sindaco' and 'ministro'"),
+            ("gazetteer", "sindaco = sindaca\n= foo\n", 2, "empty canonical role"),
+            ("lemma map", "Sceriffa\tsceriffo\nsceriffa\tsceriffa\n", 2,
+             "surface 'sceriffa' mapped to both 'sceriffo' and 'sceriffa'"),
+            ("lemma map", "solo_una_colonna\n", 1, "expected surface<TAB>lemma"),
+        ],
+        ids=[
+            "conllu-columns", "conllu-no-metadata", "conllu-empty-document-no-metadata",
+            "metadata-duplicate", "registry-repeated-pid", "registry-overlapping-tenure",
+            "registry-jurisdiction", "registry-surname", "registry-alias", "registry-tenure",
+            "lexicon-duplicate", "lexicon-not-utf8", "gazetteer-two-canonical-roles",
+            "gazetteer-empty-canonical", "lemma-map-two-lemmas", "lemma-map-columns",
+        ],
+    )
+    def test_error_names_file_and_line(self, tmp_path, reader, content, line, message):
+        path = tmp_path / "input"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        with pytest.raises(InputError) as err:
+            _READERS[reader](path)
+        assert (err.value.path, err.value.line) == (path, line)
+        prefix = f"{path}: " if line is None else f"{path}: line {line}: "
+        assert str(err.value) == prefix + message

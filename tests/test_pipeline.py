@@ -510,6 +510,38 @@ class TestCli:
         assert err[0].startswith(f"error: {side}: line 2: empty")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest-check", "extract"])
+    @pytest.mark.parametrize(
+        "name, extra, line, message",
+        [
+            ("registry.csv", "p_app;Chiara;Appendino;F;sindaco:Torino;;2016-06-30..2021-10-27", 8,
+             "duplicate politician id 'p_app' (first on line 2)"),
+            ("registry.csv", "p99;Ada;Rossi;F;sindaco:Torino;;2017-01-01..2018-01-01", 8,
+             "politicians p_app and p99 both hold (sindaco, torino) with overlapping tenure "
+             "(p_app is on line 2)"),
+            ("registry.csv", "p99;Ada;Rossi;F;sindaco:-;;", 8,
+             "p99: jurisdiction '-' normalizes to nothing"),
+            ("registry.csv", "p99;Ada;--;F;;;", 8, "p99: surname normalizes to nothing"),
+            ("metadata.jsonl", None, 1, "document 'd1' has no metadata entry"),
+        ],
+        ids=["repeated-pid", "overlapping-tenure", "jurisdiction", "surname", "no-metadata"],
+    )
+    def test_input_error_is_one_line_naming_file_and_line(
+        self, tmp_path, capsys, name, extra, line, message, command
+    ):
+        """The fixture file `name` with the row `extra` added, or without
+        its first row (the metadata of d1) when `extra` is None."""
+        with open(data_path(name), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        side = tmp_path / name
+        side.write_text("\n".join(lines + [extra] if extra else lines[1:]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.ini", out, **{name.split(".")[0]: str(side)})
+        assert cli_main(["--config", str(cfg_path), command]) == 1
+        named = side if extra else data_path("tiny.conllu")
+        assert capsys.readouterr().err.splitlines() == [f"error: {named}: line {line}: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit, fragment",
         [
