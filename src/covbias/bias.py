@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import datetime
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate
@@ -322,8 +321,7 @@ def factors_from_marginals(
     return _terms(d_f, d_m, n_f, n_m, "ratio").factors
 
 
-@dataclass(frozen=True)
-class WordBias:
+class WordBias(NamedTuple):
     lemma: str
     upos: str
     count_f: int
@@ -338,8 +336,7 @@ class WordBias:
         return self.count_f + self.count_m
 
 
-@dataclass(frozen=True)
-class BiasProfile:
+class BiasProfile(NamedTuple):
     mode: str
     terms: _Terms
     words: tuple[WordBias, ...]
@@ -407,8 +404,7 @@ def bias_profile(table: CountTable, mode: str = "ratio") -> BiasProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     mu: float
     gamma3: float
     q1: float
@@ -456,19 +452,24 @@ def _sorted_sample(
     values: Sequence[Union[Fraction, float]], weights: Sequence[int]
 ) -> tuple[list[Fraction], list[int]]:
     """The values of positive weight in ascending order, with the running
-    total of their weights."""
+    total of their weights.
+
+    Rounding to float is monotone, so ordering by the float first and by
+    the exact value only where two floats are equal is the exact order;
+    most comparisons are then float comparisons.
+    """
     if not values:
         raise ValueError("empty sample")
     if len(values) != len(weights):
         raise ValueError("values and weights differ in length")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    pairs = sorted(
-        (Fraction(v), w) for v, w in zip(values, weights) if w > 0
+    triples = sorted(
+        (float(v), Fraction(v), w) for v, w in zip(values, weights) if w > 0
     )
-    if not pairs:
+    if not triples:
         raise ValueError("all weights are zero")
-    return [v for v, _ in pairs], list(accumulate(w for _, w in pairs))
+    return [v for _, v, _ in triples], list(accumulate(w for _, _, w in triples))
 
 
 def _quantile_ranks(p: Fraction, total: int) -> tuple[int, int]:
@@ -532,8 +533,7 @@ def index_summary(
     )
 
 
-@dataclass(frozen=True)
-class IndexDistribution:
+class IndexDistribution(NamedTuple):
     stats: SummaryStats
     bin_edges: tuple[float, ...]
     bin_weights: tuple[float, ...]
@@ -621,8 +621,7 @@ def dissimilarity(profile: BiasProfile) -> Fraction:
     return Fraction(sum(terms.gap(w.count_f, w.count_m) for w in profile.words), terms.den)
 
 
-@dataclass(frozen=True)
-class LeaveOneOutWord:
+class LeaveOneOutWord(NamedTuple):
     lemma: str
     upos: str
     diss_without: Optional[Fraction]
@@ -631,8 +630,7 @@ class LeaveOneOutWord:
     gender: Gender
 
 
-@dataclass(frozen=True)
-class LeaveOneOutResult:
+class LeaveOneOutResult(NamedTuple):
     base_diss: Fraction
     mode: str
     factors: tuple[Fraction, Fraction]  # (c_F, c_M) before any word is left out

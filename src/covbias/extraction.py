@@ -14,8 +14,7 @@ in the lexicon also become personalization records.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .bias import CellKey, CountTable
 from .entities import MatchDiagnostics, RoleGazetteer, find_mentions
@@ -135,8 +134,7 @@ def dataset_descriptives(
     return out
 
 
-@dataclass
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     """What extract holds once the stream ends; `descriptives` is the
     descriptives.json object."""
 

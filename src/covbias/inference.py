@@ -4,7 +4,6 @@ on the gender x source dummy design, and bootstrap significance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -25,8 +24,7 @@ JITTER_HALF_WIDTH = 0.05  # a quarter of the 0.2 grid step: ties break,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(NamedTuple):
     observed: tuple[tuple[float, float], tuple[float, float]]
     expected: tuple[tuple[float, float], tuple[float, float]]
     statistic: float
@@ -202,8 +200,7 @@ def _read_quantiles(
     return np.where(ranks[:, 0] != ranks[:, 1], (lo + hi) / 2, lo).swapaxes(0, 1)
 
 
-@dataclass(frozen=True)
-class QuantileModel:
+class QuantileModel(NamedTuple):
     tau: float
     coefficients: tuple[Optional[float], Optional[float], Optional[float], Optional[float]]
     cell_quantiles: dict[tuple[int, int], float]
@@ -285,8 +282,7 @@ def quantile_regression(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BootstrapCI:
+class BootstrapCI(NamedTuple):
     lower: Optional[float]
     upper: Optional[float]
     significant: Optional[bool]
@@ -295,8 +291,7 @@ class BootstrapCI:
         return {"lower": self.lower, "upper": self.upper, "significant": self.significant}
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(NamedTuple):
     n_replicates: int
     discarded: int
     intervals: dict[float, tuple[BootstrapCI, BootstrapCI, BootstrapCI, BootstrapCI]]

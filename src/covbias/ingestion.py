@@ -57,7 +57,7 @@ def read_lemma_map(path) -> dict[str, str]:
                 raise InputError(path, lineno, "empty surface or lemma")
             surface = normalize_lemma(raw_surface)
             if surface is None:
-                continue
+                raise InputError(path, lineno, f"surface {raw_surface!r} has no lexical token")
             if out.setdefault(surface, lemma) != lemma:
                 raise InputError(
                     path, lineno,

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InputError, open_input
 from .model import Category, normalize_lemma
@@ -13,8 +12,7 @@ from .sentiment import CLASS_BY_FIFTHS, SentimentClass, aggregate_fifths
 LEXICON_POS = ("ADJ", "NOUN", "VERB")
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     lemma: str
     upos: str
     category: Category
@@ -55,7 +53,11 @@ def read_lexicon(path, stopwords: Optional[set[str]] = None) -> Lexicon:
     """
     entries: dict[tuple[str, str], LexiconEntry] = {}
     with open_input(path, newline="") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        end = 0  # file line on which the previous record ended
+        for rec in reader:
+            # a quoted cell may hold newlines: name the record's first line
+            lineno, end = end + 1, reader.line_num
             if not rec or all(not c.strip() for c in rec):
                 continue
             if len(rec) != 8:

@@ -4,19 +4,21 @@ Everything here is immutable after construction and free of I/O and
 statistics. Parse structure is checked in one place: the CoNLL-U reader
 (`ingestion.iter_conllu`) runs its checks and `tree_defect` on the raw
 rows, so `Token` and `Sentence` store what they are given unchecked.
-`Token` and `PersonalizationRecord`, built once per token and per
-attributed lexicon word, are `typing.NamedTuple`s, the cheapest
-immutable record to construct; the reader and extract build theirs with
+Every immutable record in covbias is a `typing.NamedTuple`, the cheapest
+immutable record to declare and to construct; only types that are mutated
+or configured (`pipeline.PipelineConfig` and the diagnostics accumulators)
+are dataclasses. A record is a tuple: it compares equal to a plain tuple
+of the same fields, iterates and orders like one, and `json.dumps` writes
+it as a list. `Token` and `PersonalizationRecord`, built once per token and
+per attributed lexicon word, are built by the reader and extract with
 ``tuple.__new__(cls, fields)``, all fields given, which skips the
 NamedTuple's Python-level ``__new__``.
-The other types are frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import datetime
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring as _encode_str
 from typing import NamedTuple, Optional, Sequence
@@ -124,8 +126,7 @@ class Token(NamedTuple):
     norm: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One parsed sentence, as the CoNLL-U reader yields it.
 
     Nothing here is checked: the reader validates the rows before it
@@ -135,19 +136,17 @@ class Sentence:
     """
 
     doc_id: str
-    index: int  # 0-based ordinal within the document
+    index: int  # 0-based ordinal within the document; shadows tuple.index
     tokens: tuple[Token, ...]
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     date: datetime.date
     source_type: SourceType
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(NamedTuple):
     """A political office: keyword plus optional jurisdiction and tenure."""
 
     keyword: str
@@ -170,8 +169,7 @@ class Role:
         return lo <= hi
 
 
-@dataclass(frozen=True)
-class Politician:
+class Politician(NamedTuple):
     pid: str
     given_name: str
     surname: str
@@ -180,10 +178,7 @@ class Politician:
     aliases: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Mention:
-    """A detected politician mention: a token span within one sentence."""
-
+class _MentionFields(NamedTuple):
     pid: str
     doc_id: str
     sentence_index: int
@@ -191,9 +186,16 @@ class Mention:
     end: int  # 1-based token index, inclusive
     pattern: MentionPattern
 
-    def __post_init__(self) -> None:
-        if self.start < 1 or self.end < self.start:
-            raise ValueError(f"invalid mention span ({self.start}, {self.end})")
+
+class Mention(_MentionFields):
+    """A detected politician mention: a token span within one sentence."""
+
+    __slots__ = ()
+
+    def __new__(cls, pid, doc_id, sentence_index, start, end, pattern):
+        if start < 1 or end < start:
+            raise ValueError(f"invalid mention span ({start}, {end})")
+        return tuple.__new__(cls, (pid, doc_id, sentence_index, start, end, pattern))
 
     @property
     def span(self) -> range:

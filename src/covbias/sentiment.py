@@ -17,10 +17,9 @@ so the exact rational work does not grow with the lexicon.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 VALID_RAW_SCORES = (-1, 0, 1)
 
@@ -66,8 +65,7 @@ def aggregate_fifths(scores: Sequence[int]) -> int:
     return sum(scores)
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     value: float
     d_o: float
     d_e: float

@@ -145,6 +145,13 @@ def weighted_quantile_scan(values, weights, p: Fraction):
     return pairs[-1][0]
 
 
+def sorted_sample_reference(values, weights):
+    """The positive-weight values sorted by exact value, then weight, with
+    their running weight totals: the sort before the float-first key."""
+    pairs = sorted((Fraction(v), w) for v, w in zip(values, weights) if w > 0)
+    return [v for v, _ in pairs], list(itertools.accumulate(w for _, w in pairs))
+
+
 # ---------------------------------------------------------------------------
 # Dissimilarity: full recompute from raw per-word counts
 # ---------------------------------------------------------------------------

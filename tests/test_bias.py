@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from covbias.bias import (
     CountTable,
+    _sorted_sample,
     bias_profile,
     dissimilarity,
     factors_from_marginals,
@@ -25,6 +26,7 @@ from oracles import (
     count_table_marginals,
     diss_recompute,
     profile_recompute,
+    sorted_sample_reference,
     weighted_quantile_scan,
 )
 
@@ -315,6 +317,31 @@ class TestWeightedQuantiles:
         assert [weighted_quantile(values, weights, p) for p in QUANTILE_PS] == expected
         stats = index_summary(values, weights)
         assert [stats.q1, stats.d5, stats.q3, stats.d9] == [float(q) for q in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    # exact values a few 1e-30 apart round to one float
+                    st.builds(
+                        lambda v, k: v + Fraction(k, 10**30),
+                        st.fractions(-1, 1, max_denominator=8),
+                        st.integers(-2, 2),
+                    ),
+                    st.floats(-1, 1),
+                ),
+                st.integers(0, 6),
+            ),
+            min_size=1,
+            max_size=12,
+        ).filter(lambda sample: any(w for _, w in sample))
+    )
+    @example([(Fraction(1, 3) + Fraction(1, 10**30), 1), (Fraction(1, 3), 2), (1 / 3, 1)])
+    def test_float_first_sort_is_the_exact_sort(self, sample):
+        values = [v for v, _ in sample]
+        weights = [w for _, w in sample]
+        assert _sorted_sample(values, weights) == sorted_sample_reference(values, weights)
 
 
 class TestIndexSummary:

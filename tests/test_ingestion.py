@@ -786,6 +786,13 @@ class TestInputErrors:
              "tenure ends before it starts"),
             ("lexicon", "bello,ADJ,physical,1,1,1,1,1\nbello,ADJ,physical,0,0,0,0,0\n", 2,
              "duplicate entry ('bello', 'ADJ')"),
+            # a quoted cell holding a newline: each error names the file line
+            # on which its record starts
+            ("lexicon",
+             '"bel\nlo",ADJ,physical,1,1,1,1,1\n' + "brutto,ADJ,physical,-1,-1,0,-1,-1\n" * 2, 4,
+             "duplicate entry ('brutto', 'ADJ')"),
+            ("lexicon", 'bello,ADJ,physical,1,1,1,1,1\n"brut\nto",ADJ,looks,1,1,1,1,1\n', 2,
+             "unknown category 'looks'"),
             ("lexicon", "caff\xe8,ADJ,physical,1,1,1,1,1\n".encode("latin-1"), None,
              "not UTF-8: cannot decode byte 0xe8"),
             ("gazetteer", "sindaco = sindaca\nministro = sindaca\n", 2,
@@ -794,13 +801,16 @@ class TestInputErrors:
             ("lemma map", "Sceriffa\tsceriffo\nsceriffa\tsceriffa\n", 2,
              "surface 'sceriffa' mapped to both 'sceriffo' and 'sceriffa'"),
             ("lemma map", "solo_una_colonna\n", 1, "expected surface<TAB>lemma"),
+            ("lemma map", "--\tfoo\nsceriffa\tsceriffo\n", 1, "surface '--' has no lexical token"),
         ],
         ids=[
             "conllu-columns", "conllu-no-metadata", "conllu-empty-document-no-metadata",
             "metadata-duplicate", "registry-repeated-pid", "registry-overlapping-tenure",
             "registry-jurisdiction", "registry-surname", "registry-alias", "registry-tenure",
-            "lexicon-duplicate", "lexicon-not-utf8", "gazetteer-two-canonical-roles",
+            "lexicon-duplicate", "lexicon-duplicate-after-quoted-newline",
+            "lexicon-quoted-newline-record", "lexicon-not-utf8", "gazetteer-two-canonical-roles",
             "gazetteer-empty-canonical", "lemma-map-two-lemmas", "lemma-map-columns",
+            "lemma-map-no-lexical-surface",
         ],
     )
     def test_error_names_file_and_line(self, tmp_path, reader, content, line, message):

@@ -1,6 +1,10 @@
+import dataclasses
 import datetime
+import importlib
 import json
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -76,6 +80,50 @@ class TestTreeDefect:
     def test_cycle_names_first_repeated_token(self):
         assert tree_defect([2, 1, 0]) == "cyclic head chain through token 1"
         assert tree_defect([0, 3, 4, 2]) == "cyclic head chain through token 2"
+
+
+# The immutable records besides `Token` and `PersonalizationRecord`, by module.
+_RECORD_TYPES = [
+    getattr(importlib.import_module(f"covbias.{module}"), name)
+    for module, names in {
+        "model": ("Sentence", "Document", "Role", "Politician", "Mention"),
+        "lexicon": ("LexiconEntry",),
+        "sentiment": ("AlphaResult",),
+        "bias": ("WordBias", "BiasProfile", "SummaryStats", "IndexDistribution",
+                 "LeaveOneOutWord", "LeaveOneOutResult"),
+        "inference": ("ChiSquareResult", "QuantileModel", "BootstrapCI", "BootstrapResult"),
+        "extraction": ("ExtractionResult",),
+    }.items()
+    for name in names
+]
+
+
+class TestRecordTypes:
+    def test_only_mutable_or_configured_types_are_dataclasses(self):
+        classes = {
+            obj
+            for info in pkgutil.iter_modules(covbias.__path__)
+            for obj in vars(importlib.import_module(f"covbias.{info.name}")).values()
+            if isinstance(obj, type) and obj.__module__.startswith("covbias.")
+        }
+        assert {c.__name__ for c in classes if dataclasses.is_dataclass(c)} == {
+            "PipelineConfig", "CorpusDiagnostics", "MatchDiagnostics",
+        }
+        assert all(issubclass(cls, tuple) for cls in _RECORD_TYPES)
+
+    @pytest.mark.parametrize("cls", _RECORD_TYPES, ids=lambda cls: cls.__name__)
+    def test_record_is_frozen_hashable_and_keeps_its_repr(self, cls):
+        values = range(len(cls._fields))  # a Mention spans tokens 3..4
+        rec, twin = cls(*values), cls(*values)
+        with pytest.raises(AttributeError):
+            setattr(rec, cls._fields[0], -1)
+        with pytest.raises(AttributeError):
+            rec.not_a_field = -1
+        assert rec == twin and hash(rec) == hash(twin)
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values))
+        assert repr(rec) == f"{cls.__name__}({fields})"
+        copy = pickle.loads(pickle.dumps(rec))
+        assert type(copy) is cls and copy == rec
 
 
 class TestMention:
