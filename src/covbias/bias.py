@@ -13,6 +13,7 @@ appear only when results are serialized.
 from __future__ import annotations
 
 import datetime
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cached_property
@@ -310,17 +311,6 @@ def _table_terms(table: CountTable, mode: str) -> _Terms:
     )
 
 
-def factors_from_marginals(
-    d_f: int, d_m: int, n_f: int, n_m: int
-) -> tuple[Fraction, Fraction]:
-    """Correction factors from word totals and politician tallies.
-
-    a_g = |D_g| / |G| is the average words per politician; each factor is
-    a_g over the mean of the two averages, so c_F + c_M = 2 identically.
-    """
-    return _terms(d_f, d_m, n_f, n_m, "ratio").factors
-
-
 class WordBias(NamedTuple):
     lemma: str
     upos: str
@@ -433,21 +423,6 @@ class SummaryStats(NamedTuple):
         }
 
 
-def weighted_quantile(
-    values: Sequence[Union[Fraction, float]],
-    weights: Sequence[int],
-    p: Fraction,
-) -> Fraction:
-    """Quantile of a weighted sample via inversion of the cumulative weights.
-
-    Returns the smallest value whose cumulative weight reaches p times the
-    total; when the target lands exactly on a cumulative boundary the
-    inverse is set-valued and the midpoint of the bracketing values is
-    returned (so symmetric data has median zero).
-    """
-    return _sorted_quantile(*_sorted_sample(values, weights), p)
-
-
 def _sorted_sample(
     values: Sequence[Union[Fraction, float]], weights: Sequence[int]
 ) -> tuple[list[Fraction], list[int]]:
@@ -465,7 +440,9 @@ def _sorted_sample(
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
     triples = sorted(
-        (float(v), Fraction(v), w) for v, w in zip(values, weights) if w > 0
+        (float(v), v if isinstance(v, Fraction) else Fraction(v), w)
+        for v, w in zip(values, weights)
+        if w > 0
     )
     if not triples:
         raise ValueError("all weights are zero")
@@ -483,11 +460,42 @@ def _quantile_ranks(p: Fraction, total: int) -> tuple[int, int]:
 
 
 def _sorted_quantile(ordered: list[Fraction], cum: list[int], p: Fraction) -> Fraction:
-    """`weighted_quantile` of a sample from `_sorted_sample`. The running
-    totals strictly increase, so bisection finds the position of a rank."""
+    """The p-quantile of a sample from `_sorted_sample`: the smallest value
+    whose cumulative weight reaches p times the total, or the midpoint of
+    the bracketing values when that target lands exactly on a cumulative
+    boundary (so symmetric data has median zero). The running totals
+    strictly increase, so bisection finds the position of a rank."""
     last = len(ordered) - 1
     lo, hi = (ordered[min(bisect_left(cum, r), last)] for r in _quantile_ranks(p, cum[-1]))
     return (lo + hi) / 2 if lo != hi else lo
+
+
+def _linear_quantiles(a: np.ndarray, ps: Sequence[float]) -> np.ndarray:
+    """numpy's default ("linear", Hyndman-Fan type 7) quantiles of `a`
+    along axis 0, one row per p, to the bit, without calling numpy's
+    quantile functions: they import `numpy.ma`, which nothing else in
+    analyze loads.
+
+    For n values and v = (n - 1) p, the quantile interpolates between the
+    order statistics lo = floor(v) and lo + 1 at t = v - lo, as
+    a[hi] - d (1 - t) when t >= 0.5 and a[lo] + d t otherwise, with
+    d = a[hi] - a[lo]. These are numpy's steps: where v reaches n - 1 both
+    reads are index -1 and t = v + 1, and the partition is at numpy's
+    positions, so even which of two equal zeros (-0.0, 0.0) is read
+    agrees.
+    """
+    last = len(a) - 1
+    reads = []
+    for p in ps:
+        v = last * p
+        lo, hi = (math.floor(v), math.floor(v) + 1) if v < last else (-1, -1)
+        reads.append((lo, hi, v - lo))
+    s = np.partition(a, sorted({0, -1, *(i for lo, hi, _ in reads for i in (lo, hi))}), axis=0)
+    rows = []
+    for lo, hi, t in reads:
+        d = s[hi] - s[lo]
+        rows.append(s[hi] - d * (1 - t) if t >= 0.5 else s[lo] + d * t)
+    return np.stack(rows)
 
 
 def index_summary(
@@ -500,7 +508,7 @@ def index_summary(
     x = np.asarray([float(v) for v in values], dtype=float)
     if weights is None:
         w = np.ones(len(x))
-        q1, d5, q3, d9 = (float(q) for q in np.quantile(x, (0.25, 0.5, 0.75, 0.9)))
+        q1, d5, q3, d9 = _linear_quantiles(x, (0.25, 0.5, 0.75, 0.9)).tolist()
         weighting = "none"
     else:
         w = np.asarray(list(weights), dtype=float)
@@ -717,29 +725,3 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
     return LeaveOneOutResult(
         base_diss=base, mode=mode, factors=base_terms.factors, words=tuple(out)
     )
-
-
-# ---------------------------------------------------------------------------
-# Reliability scenarios for the index
-# ---------------------------------------------------------------------------
-
-
-def reliability_curve(
-    w_f: int,
-    w_m: int,
-    d_total: int,
-    n_f: int,
-    n_m: int,
-    d_f_values: Sequence[int],
-    mode: str = "ratio",
-) -> list[Fraction]:
-    """Index of one word as the split of the word total across genders varies.
-
-    For each |D_F| on the grid (with |D_M| = total - |D_F|) the correction
-    factors are recomputed and the index of a word with fixed per-gender
-    counts evaluated. Used to check the ordering of the balanced and
-    unbalanced-sample scenarios.
-    """
-    if w_f == 0 and w_m == 0:
-        raise ValueError("coverage bias index undefined: both rates are zero")
-    return [_terms(d_f, d_total - d_f, n_f, n_m, mode).index(w_f, w_m) for d_f in d_f_values]

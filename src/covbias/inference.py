@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .bias import CountTable, _quantile_ranks
+from .bias import CountTable, _linear_quantiles, _quantile_ranks
 from .model import Gender, SourceType
 
 DEFAULT_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -157,16 +157,17 @@ def _layout(
         raise ValueError("y, gender and source must have equal length")
     if len(y) == 0:
         raise ValueError("empty sample")
-    if not set(np.unique(g)) <= {0, 1} or not set(np.unique(s)) <= {0, 1}:
+    g_levels, s_levels = sorted(set(g.tolist())), sorted(set(s.tolist()))
+    if not {*g_levels, *s_levels} <= {0, 1}:
         raise ValueError("dummies must be 0/1")
 
     cells, rows = [], []
-    for gv in np.unique(g):
-        for sv in np.unique(s):
+    for gv in g_levels:
+        for sv in s_levels:
             members = np.flatnonzero((g == gv) & (s == sv))
             if len(members) == 0:
                 raise ValueError(f"empty design cell gender={gv}, source={sv}")
-            cells.append((int(gv), int(sv)))
+            cells.append((gv, sv))
             rows.append(members)
     if cells[0] != (0, 0):
         raise ValueError("reference cell gender=0, source=0 is empty")
@@ -366,7 +367,7 @@ def bootstrap_significance(
     fits = np.concatenate(blocks)
     coefs = _coefficients({cell: fits[..., c] for c, cell in enumerate(layout.cells)})
     known = [b for b in coefs if b is not None]
-    lower, upper = np.percentile(np.stack(known, axis=-1), (2.5, 97.5), axis=0).tolist()
+    lower, upper = _linear_quantiles(np.stack(known, axis=-1), (0.025, 0.975)).tolist()
     intervals = {}
     for frac, lows, highs in zip(fracs, lower, upper):
         bounds = iter(zip(lows, highs))

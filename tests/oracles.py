@@ -15,7 +15,10 @@ constructor at the end);
 rank rule and coefficient step, because it checks the blocked replicate
 loop, not those; and ``area_decomposition_reference`` cuts segments with
 the package's ``_split_segments``, because it checks the stacked Simpson
-solve, not the cut.
+solve, not the cut. The three helpers under "Package arithmetic"
+read the package's own ``_terms`` and sorted-sample quantile, because
+they only give the tests a named entry point to that arithmetic; the
+scan and recompute oracles here check it.
 """
 
 from __future__ import annotations
@@ -122,6 +125,36 @@ def alpha_pairwise(units):
         "units": len(units),
         "degenerate": degenerate,
     }
+
+
+# ---------------------------------------------------------------------------
+# Package arithmetic: named entry points for the tests
+# ---------------------------------------------------------------------------
+
+
+def factors_from_marginals(d_f, d_m, n_f, n_m):
+    """Correction factors (c_F, c_M) from word totals and politician
+    tallies: a_g = |D_g| / |G| over the mean of the two averages."""
+    from covbias.bias import _terms
+
+    return _terms(d_f, d_m, n_f, n_m, "ratio").factors
+
+
+def reliability_curve(w_f, w_m, d_total, n_f, n_m, d_f_values, mode="ratio"):
+    """Index of one word with fixed per-gender counts as the split of the
+    word total varies: |D_F| over the grid, |D_M| = total - |D_F|."""
+    from covbias.bias import _terms
+
+    if w_f == 0 and w_m == 0:
+        raise ValueError("coverage bias index undefined: both rates are zero")
+    return [_terms(d_f, d_total - d_f, n_f, n_m, mode).index(w_f, w_m) for d_f in d_f_values]
+
+
+def weighted_quantile(values, weights, p: Fraction):
+    """The package's weighted p-quantile of one sample."""
+    from covbias.bias import _sorted_quantile, _sorted_sample
+
+    return _sorted_quantile(*_sorted_sample(values, weights), p)
 
 
 # ---------------------------------------------------------------------------

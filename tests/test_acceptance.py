@@ -15,13 +15,7 @@ import pytest
 
 import corpusgen
 from conftest import table_from_counts
-from covbias.bias import (
-    bias_profile,
-    dissimilarity,
-    factors_from_marginals,
-    leave_one_out,
-    reliability_curve,
-)
+from covbias.bias import bias_profile, dissimilarity, leave_one_out
 from covbias.inference import chi_square, jitter, quantile_regression
 from covbias.pipeline import PipelineConfig, run_pipeline
 from covbias.sentiment import krippendorff_alpha
@@ -31,8 +25,10 @@ from oracles import (
     cell_quantile_bruteforce,
     diss_recompute,
     exhaustive_breakpoint_loss,
+    factors_from_marginals,
     poly_integral,
     profile_recompute,
+    reliability_curve,
 )
 from test_bias import random_corpus
 from test_sentiment import random_units

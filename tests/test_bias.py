@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covbias.bias import (
     CountTable,
+    _linear_quantiles,
     _sorted_sample,
     bias_profile,
     dissimilarity,
-    factors_from_marginals,
     index_distribution,
     index_summary,
     leave_one_out,
-    reliability_curve,
-    weighted_quantile,
 )
 from covbias.model import Category, Gender, SourceType
 from covbias.pipeline import PipelineConfig, temporal_analysis
@@ -25,8 +24,11 @@ from oracles import (
     count_table_json_str_key,
     count_table_marginals,
     diss_recompute,
+    factors_from_marginals,
     profile_recompute,
+    reliability_curve,
     sorted_sample_reference,
+    weighted_quantile,
     weighted_quantile_scan,
 )
 
@@ -342,6 +344,47 @@ class TestWeightedQuantiles:
         values = [v for v, _ in sample]
         weights = [w for _, w in sample]
         assert _sorted_sample(values, weights) == sorted_sample_reference(values, weights)
+
+
+# Heavy ties and both signed zeros, or any finite float small enough that
+# differences of two stay finite.
+LINEAR_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]),
+    st.floats(-1e300, 1e300, allow_subnormal=True),
+)
+
+
+class TestLinearQuantiles:
+    """`_linear_quantiles` gives numpy's default quantile and percentile
+    floats, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 300), elements=LINEAR_ELEMENTS))
+    @example(np.array([-0.0]))
+    @example(np.array([0.0, -0.0, -0.0, 0.0, -0.0]))
+    def test_summary_quantiles_equal_numpy_quantile(self, x):
+        ps = (0.25, 0.5, 0.75, 0.9)
+        got = _linear_quantiles(x, ps)
+        assert got.tobytes() == np.quantile(x, ps).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 300), st.integers(1, 8)),
+            elements=LINEAR_ELEMENTS,
+        )
+    )
+    @example(np.array([[-0.0, 1.0]]))
+    @example(np.array([[0.0], [-0.0], [-0.0], [0.0]] * 10))
+    def test_interval_bounds_equal_numpy_percentile(self, a):
+        got = _linear_quantiles(a, (0.025, 0.975))
+        assert got.tobytes() == np.percentile(a, (2.5, 97.5), axis=0).tobytes()
+
+    def test_input_left_as_it_was(self):
+        a = np.array([3.0, -1.0, 2.0, 0.0])
+        _linear_quantiles(a, (0.5,))
+        assert a.tolist() == [3.0, -1.0, 2.0, 0.0]
 
 
 class TestIndexSummary:

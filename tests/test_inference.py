@@ -249,6 +249,41 @@ class TestQuantileRegression:
         with pytest.raises(ValueError, match="gender=1, source=1"):
             quantile_regression([1.0, 2.0, 3.0], [0, 1, 0], [0, 0, 1], [0.5])
 
+    def test_empty_cell_error_message(self):
+        with pytest.raises(ValueError, match=r"^empty design cell gender=1, source=1$"):
+            inference._layout([1.0, 2.0, 3.0], [0, 1, 0], [0, 0, 1])
+        with pytest.raises(ValueError, match=r"^empty design cell gender=0, source=1$"):
+            inference._layout([1.0, 2.0, 3.0], [0, 1, 1], [0, 0, 1])
+
+    @pytest.mark.parametrize(
+        "g, s, message",
+        [
+            ([0, 2, 0], [0, 0, 1], "dummies must be 0/1"),
+            ([0, 1, 0], [0, 0, -1], "dummies must be 0/1"),
+            ([0, 1], [0, 1], "equal length"),
+        ],
+        ids=["gender-2", "source-minus-1", "length-mismatch"],
+    )
+    def test_bad_design_rejected(self, g, s, message):
+        with pytest.raises(ValueError, match=message):
+            inference._layout([1.0, 2.0, 3.0], g, s)
+
+    @pytest.mark.parametrize(
+        "g, s, cells",
+        [
+            ([0, 0, 0, 0], [1, 0, 1, 0], [(0, 0), (0, 1)]),  # only men
+            ([1, 0, 1, 0], [0, 0, 0, 0], [(0, 0), (1, 0)]),  # only print
+            ([1, 1, 0, 0], [1, 0, 1, 0], [(0, 0), (0, 1), (1, 0), (1, 1)]),
+        ],
+        ids=["only-men", "only-print", "full"],
+    )
+    def test_cells_in_ascending_order(self, g, s, cells):
+        layout = inference._layout([4.0, 3.0, 2.0, 1.0], g, s)
+        assert layout.cells == cells
+        assert all(type(v) is int for cell in layout.cells for v in cell)
+        for (gv, sv), rows in zip(layout.cells, layout.rows):
+            assert rows.tolist() == [i for i in range(4) if (g[i], s[i]) == (gv, sv)]
+
     def test_degenerate_constant_cell(self):
         model = quantile_regression([2.0, 2.0, 2.0], [0, 0, 0], [0, 0, 0], [0.25])[0]
         assert model.coefficients[0] == 2.0

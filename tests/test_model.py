@@ -216,19 +216,45 @@ import covbias.entities, covbias.ingestion, covbias.lexicon, covbias.registry
 print(json.dumps([loaded, "numpy" in sys.modules]))
 """
 
+# Whether ``import numpy`` alone loads numpy.ma, and whether a whole run on
+# the config named by argv[1] leaves it loaded.
+PIPELINE_PROBE = """
+import json, sys
+import numpy
+ma_with_numpy = "numpy.ma" in sys.modules
+from covbias.pipeline import PipelineConfig, run_pipeline
+run_pipeline(PipelineConfig.from_ini(sys.argv[1]))
+print(json.dumps([ma_with_numpy, "numpy.ma" in sys.modules]))
+"""
+
+
+def run_probe(*args) -> list:
+    """The JSON that a fresh interpreter, with the package on its path,
+    prints for ``python -c args[0] args[1:]``."""
+    src = os.path.dirname(os.path.dirname(covbias.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run(
+        [sys.executable, "-c", *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return json.loads(out)
+
 
 class TestImports:
     def test_package_and_extract_side_modules_load_no_numpy(self):
-        src = os.path.dirname(os.path.dirname(covbias.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
-        out = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        loaded, numpy_after_extract_side = json.loads(out)
+        loaded, numpy_after_extract_side = run_probe(IMPORT_PROBE)
         assert loaded == []
         assert not numpy_after_extract_side
+
+    def test_whole_run_loads_no_numpy_ma(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.ini", out)
+        ma_with_numpy, ma_after_run = run_probe(PIPELINE_PROBE, cfg)
+        if ma_with_numpy:
+            pytest.skip("this numpy (1.x) loads numpy.ma on import, so no run can avoid it")
+        # The run reached both interpolated-quantile reads.
+        summaries = json.loads((out / "summary_stats.json").read_text(encoding="utf-8"))
+        coefficients = json.loads((out / "quantile_coefficients.json").read_text(encoding="utf-8"))
+        assert any("unweighted" in entry for entry in summaries.values())
+        assert any("bootstrap" in e for e in coefficients.values() if isinstance(e, dict))
+        assert not ma_after_run
