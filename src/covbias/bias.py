@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Category, Gender, SourceType
+from .model import Category, Gender, SourceType, parse_date
 
 WordKey = tuple[str, str]  # (lemma, upos)
 CellKey = tuple[
@@ -213,7 +213,7 @@ class CountTable:
                 slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
             date = days.get(day)
             if date is None and day is not None:
-                date = days[day] = datetime.date.fromisoformat(day)
+                date = days[day] = parse_date(day)
             key = (lemma, upos, *slots, date)
             cells[key] = cells.get(key, 0) + n
         for g, cat, st, members in d["politicians"]:

@@ -9,15 +9,16 @@ immutable record to declare and to construct; only types that are mutated
 or configured (`pipeline.PipelineConfig` and the diagnostics accumulators)
 are dataclasses. A record is a tuple: it compares equal to a plain tuple
 of the same fields, iterates and orders like one, and `json.dumps` writes
-it as a list. `Token` and `PersonalizationRecord`, built once per token and
-per attributed lexicon word, are built by the reader and extract with
-``tuple.__new__(cls, fields)``, all fields given, which skips the
-NamedTuple's Python-level ``__new__``.
+it as a list. `Token`, `Sentence`, `Document` and `PersonalizationRecord`,
+built once per token, sentence, metadata line and attributed lexicon word,
+are built by the readers and extract with ``tuple.__new__(cls, fields)``,
+all fields given, which skips the NamedTuple's Python-level ``__new__``.
 """
 
 from __future__ import annotations
 
 import datetime
+import re
 import unicodedata
 from enum import Enum
 from json.encoder import encode_basestring as _encode_str
@@ -74,6 +75,23 @@ def normalize_lemma(raw: str) -> Optional[str]:
             break
         s = stripped
     return s or None
+
+
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(raw: str) -> datetime.date:
+    """A calendar date written exactly as `YYYY-MM-DD` (ten ASCII characters).
+
+    Every input date goes through here. From Python 3.11 on,
+    `date.fromisoformat` also reads compact (`20171127`) and week
+    (`2017-W48-1`) forms, which 3.10 refuses; this refuses them on every
+    version, with the `ValueError` text that `fromisoformat` gives. A
+    value that is not a str raises its `TypeError`.
+    """
+    if isinstance(raw, str) and not _ISO_DATE_RE.fullmatch(raw):
+        raise ValueError(f"Invalid isoformat string: {raw!r}")
+    return datetime.date.fromisoformat(raw)
 
 
 def tree_defect(heads: Sequence[int]) -> Optional[str]:

@@ -59,7 +59,7 @@ from .ingestion import (
     read_stopwords,
 )
 from .lexicon import Lexicon, read_lexicon
-from .model import Category, Document, Gender, SourceType
+from .model import Category, Document, Gender, SourceType, parse_date
 from .registry import PoliticianRegistry, read_registry
 from .sentiment import FIFTHS_BY_JSON, krippendorff_alpha
 
@@ -77,7 +77,7 @@ FILL_POLICY = "missing-days-zero-filled"
 _INI_CASTS = {
     int: (int, "an integer"),
     float: (float, "a number"),
-    Optional[datetime.date]: (datetime.date.fromisoformat, "a YYYY-MM-DD date"),
+    Optional[datetime.date]: (parse_date, "a YYYY-MM-DD date"),
     tuple[str, ...]: (lambda raw: tuple(p.strip() for p in raw.split(",") if p.strip()), None),
 }
 

@@ -6,7 +6,7 @@ import datetime
 from typing import Optional
 
 from .errors import InputError, open_input
-from .model import Gender, Politician, Role, normalize_lemma
+from .model import Gender, Politician, Role, normalize_lemma, parse_date
 
 TokenTuple = tuple[str, ...]
 
@@ -30,8 +30,8 @@ def _parse_tenure(raw: str) -> tuple[Optional[datetime.date], Optional[datetime.
         raise ValueError(f"tenure {raw!r} must look like FROM..TO")
     lo, hi = raw.split("..", 1)
     try:
-        start = datetime.date.fromisoformat(lo) if lo else None
-        end = datetime.date.fromisoformat(hi) if hi else None
+        start = parse_date(lo) if lo else None
+        end = parse_date(hi) if hi else None
     except ValueError as exc:
         raise ValueError(f"bad tenure date: {exc}") from None
     if start and end and end < start:

@@ -815,6 +815,18 @@ class TestCountTable:
         assert back.cells == table.cells
         assert back.pids == table.pids
 
+    @pytest.mark.parametrize("raw", ["20190203", "2019-W05-7"])
+    def test_json_day_must_be_iso_calendar_date(self, raw):
+        day = datetime.date(2019, 2, 3)
+        table = table_from_events(
+            [("bello", "ADJ", Gender.F, Category.PHYSICAL, SourceType.ONLINE, day, "p1")]
+        )
+        d = table.to_json_dict()
+        assert d["cells"][0][5] == "2019-02-03"
+        d["cells"][0][5] = raw
+        with pytest.raises(ValueError, match=f"^Invalid isoformat string: '{raw}'$"):
+            CountTable.from_json_dict(d)
+
     def test_csv_rows_sorted_and_aggregated(self):
         table = table_from_events(
             ("bello", "ADJ", Gender.F, Category.PHYSICAL, SourceType.ONLINE,

@@ -248,7 +248,17 @@ _PHRASES = [
     "ministra del comune di Reggio", "sindaco dell' Emilia", "Ada Rossi",
     "Luca De Luca", "Ugo De Rosa", "Beppe Rossi", "De Luca Rossi", "Rosa",
     "di", "Roma", "parla", ",",
+    # plural role words: only the lemma is a gazetteer variant
+    "ministri Rosa Rossi", "governatori di Roma", "presidenti della regione Emilia Romagna",
+    "sindache De Luca",
+    # punctuation-only tokens (norm None), also between a role and its name
+    "«", "...", "sindaco — Rossi", "Ada « Rossi",
 ]
+# The lemma of each surface that is not its lower-cased self.
+_LEMMAS = {
+    "sindaci": "sindaco", "ministri": "ministro", "governatori": "governatore",
+    "presidenti": "presidente", "sindache": "sindaca",
+}
 
 
 @st.composite
@@ -302,7 +312,7 @@ def _sentences(draw):
         Token(
             i + 1,
             word,
-            "sindaco" if word == "sindaci" else word.lower(),
+            _LEMMAS.get(word, word.lower()),
             "PROPN",
             n if i < n - 1 else 0,
             "dep",

@@ -187,6 +187,30 @@ class TestConlluReader:
             run_conllu(text, tmp_path)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            # a HEAD past the lookup tables takes the checked path to the range check
+            ([("1", "200"), ("2", "1")], 3, "head 200 of token 1 out of range in sentence 'dh.s0'"),
+            ([("1", "0"), ("2", "1"), ("3", "0128")], 5,
+             "head 128 of token 3 out of range in sentence 'dh.s0'"),
+            # an ID out of order after rows read by lookup
+            ([("1", "0"), ("2", "1"), ("4", "2")], 2, "token ids are not 1..3 in sentence 'dh.s0'"),
+            ([("1", "0"), ("2", "1"), ("2", "1")], 2, "token ids are not 1..3 in sentence 'dh.s0'"),
+            ([("1", "0"), ("2", "1"), ("03", "1"), ("5", "1")], 2,
+             "token ids are not 1..4 in sentence 'dh.s0'"),
+        ],
+        ids=["head-200", "zero-padded-head-128", "id-gap", "id-repeat", "id-gap-after-padded-id"],
+    )
+    def test_rows_that_miss_the_lookup_report_as_before(self, tmp_path, rows, line, message):
+        text = "# newdoc id = dh\n# sent_id = dh.s0\n" + "".join(
+            f"{tok_id}\tgatto\tgatto\tNOUN\t_\t_\t{head}\tdep\t_\t_\n" for tok_id, head in rows
+        ) + "\n"
+        with pytest.raises(InputError) as err:
+            run_conllu(text, tmp_path)
+        assert err.value.line == line
+        assert str(err.value) == f"{tmp_path / 't.conllu'}: line {line}: {message}"
+
     def test_bad_ids_reported_before_a_bad_head(self, tmp_path):
         text = WELL_FORMED.replace("2\tgatto\tgatto\tNOUN\t_\t_\t3", "5\tgatto\tgatto\tNOUN\t_\t_\t9")
         with pytest.raises(InputError, match="token ids are not 1..3") as err:
@@ -341,10 +365,37 @@ _ROWS = [
     ("...", "_"), ("«", "«"), ("—", "_"), ("", "casa"), ("x", ""),
 ]
 _UPOS = ["NOUN", "ADJ", "PUNCT"]
-_sentence_rows = st.lists(
-    st.tuples(st.integers(0, len(_ROWS) - 1), st.sampled_from(_UPOS)), min_size=1, max_size=6
+# How a row is written besides its FORM and LEMMA: leading zeros on its ID
+# and HEAD (which the reader's lookup tables never hold), and a multiword
+# range or empty-node row written before it.
+_row_layout = st.tuples(
+    st.sampled_from([0, 0, 0, 1, 2]), st.sampled_from([0, 0, 0, 1, 2]),
+    st.sampled_from([None, None, None, "range", "empty"]),
 )
+_short_rows = st.lists(
+    st.tuples(st.integers(0, len(_ROWS) - 1), st.sampled_from(_UPOS), _row_layout),
+    min_size=1, max_size=6,
+)
+# A sentence longer than the lookup tables (IDs and HEADs past 127): a
+# short one repeated.
+_long_rows = st.tuples(_short_rows, st.integers(130, 140)).map(lambda p: (p[0] * 140)[: p[1]])
+_sentence_rows = st.one_of(_short_rows, _short_rows, _long_rows)
 _file_docs = st.lists(st.lists(_sentence_rows, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+def _row_lines(i, form, lemma, upos, head, layout):
+    """The lines of token `i` as `_row_layout` writes it: an optional
+    multiword range or empty node, then the token row. A negative HEAD
+    gets no zeros."""
+    id_zeros, head_zeros, before = layout
+    lines = []
+    if before == "range":
+        lines.append(f"{i}-{i + 1}\t{form}\t_\t_\t_\t_\t_\t_\t_\t_")
+    elif before == "empty":
+        lines.append(f"{max(i - 1, 0)}.1\t{form}\t_\t_\t_\t_\t_\t_\t_\t_")
+    head_text = "0" * head_zeros + str(head) if head >= 0 else str(head)
+    lines.append(f"{'0' * id_zeros}{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{head_text}\tdep\t_\t_")
+    return lines
 
 
 class TestFormMemoOracle:
@@ -373,9 +424,9 @@ class TestFormMemoOracle:
                     for s_index, rows in enumerate(sentences):
                         lines.append(f"# sent_id = {doc_id}.s{s_index}")
                         tokens = []
-                        for i, (row, upos) in enumerate(rows, start=1):
+                        for i, (row, upos, layout) in enumerate(rows, start=1):
                             form, lemma = _ROWS[row]
-                            lines.append(f"{i}\t{form}\t{lemma}\t{upos}\t_\t_\t{i - 1}\tdep\t_\t_")
+                            lines.extend(_row_lines(i, form, lemma, upos, i - 1, layout))
                             tokens.append(
                                 token_from_row(i, form, lemma, upos, i - 1, "dep", stopwords, lemma_map)
                             )
@@ -409,26 +460,41 @@ _PARSE_FORMS = [("gatto", "gatto"), ("Roma", "_"), (".", "."), ("", "casa")]
 
 @st.composite
 def _parse_blocks(draw):
-    """(ids, heads, form/lemma pairs) of one CoNLL-U sentence block.
+    """(ids, heads, form/lemma pairs, layouts) of one CoNLL-U sentence block.
 
     Ids may have a gap, a repeat or an ID 0; heads are either an acyclic
     tree (each token headed by 0 or an earlier token) or free integers
-    from -1 to n + 1, which give self-heads, cycles, rootless blocks and
-    out-of-range heads; some rows have an empty FORM and LEMMA.
+    from -1 to n + 1 or past the reader's lookup tables, which give
+    self-heads, cycles, rootless blocks and out-of-range heads; some rows
+    have an empty FORM and LEMMA. A few blocks are longer than the lookup
+    tables. Each row's layout (see `_row_layout`) adds leading zeros and
+    a range or empty-node row before it.
     """
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5)) if draw(st.integers(0, 7)) else draw(st.integers(130, 132))
+
+    def rows_of(strategy):
+        # at most five drawn values; a longer block repeats them
+        drawn = draw(st.lists(strategy, min_size=min(n, 5), max_size=min(n, 5)))
+        return (drawn * n)[:n]
+
     ids = list(range(1, n + 1))
     if draw(st.booleans()):
         ids[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, n + 1, n + 2, 1]))
-    tree = [draw(st.integers(0, k - 1)) for k in range(1, n + 1)]
-    heads = draw(st.one_of(
-        st.just(tree),
-        st.lists(st.integers(-1, n + 1), min_size=n, max_size=n),
-    ))
-    forms = draw(st.lists(st.sampled_from(_PARSE_FORMS), min_size=n, max_size=n))
+    # repeated, each head still names 0 or an earlier token
+    tree = rows_of(st.integers(0, 4))
+    tree = [min(h, k) for k, h in enumerate(tree)]
+    if draw(st.booleans()):
+        heads = tree
+    else:
+        heads = rows_of(st.one_of(st.integers(-1, n + 1), st.sampled_from([128, 200])))
+    forms = rows_of(st.sampled_from(_PARSE_FORMS))
     if draw(st.integers(0, 3)) == 0:
         forms[draw(st.integers(0, n - 1))] = ("", draw(st.sampled_from(["", "_"])))
-    return ids, heads, forms
+    layouts = rows_of(_row_layout)
+    return ids, heads, forms, layouts
+
+
+_PLAIN = [(0, 0, None)] * 3  # layouts of up to three rows written as they are
 
 
 class TestParseDefectOracle:
@@ -438,14 +504,17 @@ class TestParseDefectOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(_parse_blocks())
-    @example(([1, 2, 3], [2, 1, 0], [("gatto", "gatto")] * 3))  # cycle beside a root
-    @example(([1, 2], [2, 1], [("gatto", "gatto")] * 2))  # no root
-    @example(([1, 2], [0, 1], [("gatto", "gatto")] * 2))  # sound
+    @example(([1, 2, 3], [2, 1, 0], [("gatto", "gatto")] * 3, _PLAIN))  # cycle beside a root
+    @example(([1, 2], [2, 1], [("gatto", "gatto")] * 2, _PLAIN))  # no root
+    @example(([1, 2], [0, 1], [("gatto", "gatto")] * 2, _PLAIN))  # sound
+    @example(([1, 2], [0, 200], [("gatto", "gatto")] * 2, _PLAIN))  # head past the tables
+    @example(([1, 2], [0, 1], [("gatto", "gatto")] * 2, [(1, 1, "range"), (0, 2, "empty")]))
     def test_reader_yields_exactly_the_defect_free_sentences(self, block):
-        ids, heads, forms = block
+        ids, heads, forms, layouts = block
         rows = [
-            f"{i}\t{form}\t{lemma}\tNOUN\t_\t_\t{h}\tdep\t_\t_"
-            for i, h, (form, lemma) in zip(ids, heads, forms)
+            line
+            for i, h, (form, lemma), layout in zip(ids, heads, forms, layouts)
+            for line in _row_lines(i, form, lemma, "NOUN", h, layout)
         ]
         text = "# newdoc id = d0\n# sent_id = d0.s0\n" + "\n".join(rows) + "\n\n"
         doc = Document("d0", datetime.date(2018, 1, 1), SourceType.ONLINE)
@@ -529,6 +598,33 @@ class TestMetadata:
         )
         with pytest.raises(InputError, match=self.at_line(path, 2, "bad date '2020-13-01'")):
             read_metadata(path)
+
+    def test_each_line_checked_when_its_date_repeats(self, tmp_path):
+        # the per-call date memo parses a date string once; the window
+        # check and the source type still apply to every line
+        rows = [
+            ("d1", "2018-05-01", "online"),
+            ("d2", "2018-05-01", "traditional"),
+            ("d3", "2018-05-01", "radio"),
+        ]
+        path = tmp_path / "m.jsonl"
+        path.write_text("".join(
+            json.dumps({"doc_id": d, "date": day, "source_id": "x", "source_type": source})
+            + "\n" for d, day, source in rows
+        ))
+        with pytest.raises(InputError, match=self.at_line(path, 3, "unknown source_type 'radio'")):
+            read_metadata(path)
+        path.write_text(path.read_text().replace("radio", "online"))
+        docs = read_metadata(path)
+        assert [docs[d] for d in ("d1", "d2", "d3")] == [
+            Document("d1", datetime.date(2018, 5, 1), SourceType.ONLINE),
+            Document("d2", datetime.date(2018, 5, 1), SourceType.TRADITIONAL),
+            Document("d3", datetime.date(2018, 5, 1), SourceType.ONLINE),
+        ]
+        assert docs["d2"].source_type is SourceType.TRADITIONAL
+        window = (datetime.date(2018, 5, 2), datetime.date(2019, 1, 1))
+        with pytest.raises(InputError, match=self.at_line(path, 1, "outside analysis window")):
+            read_metadata(path, window)
 
 
 class TestReadCorpus:
@@ -769,6 +865,11 @@ class TestInputErrors:
             ("conllu", "# newdoc id = d1\n" + _SENTENCE.format("d1") + "# newdoc id = d2\n", 5,
              "document 'd2' has no metadata entry"),
             ("metadata", _META.format("d1") + _META.format("d1"), 2, "duplicate doc_id 'd1'"),
+            # compact ISO forms, which date.fromisoformat reads from Python 3.11 on
+            ("metadata", _META.format("d1") + _META.format("d2").replace("2018-01-01", "20180101"), 2,
+             "doc 'd2': bad date '20180101'"),
+            ("metadata", _META.format("d1").replace("2018-01-01", "2018-W01-1"), 1,
+             "doc 'd1': bad date '2018-W01-1'"),
             ("registry", "p1;Ada;Rossi;F;;;\np2;Ugo;Bianchi;M;;;\np1;Ada;Rossi;F;;;\n", 3,
              "duplicate politician id 'p1' (first on line 1)"),
             ("registry",
@@ -784,6 +885,10 @@ class TestInputErrors:
              "p1: alias '--' normalizes to nothing"),
             ("registry", "p1;Ada;Rossi;F;sindaco:Roma;;2019-01-01..2018-01-01\n", 1,
              "tenure ends before it starts"),
+            ("registry", "p0;Ugo;Bianchi;M;;;\np1;Ada;Rossi;F;sindaco:Roma;;20170101..2018-01-01\n", 2,
+             "bad tenure date: Invalid isoformat string: '20170101'"),
+            ("registry", "p1;Ada;Rossi;F;sindaco:Roma;;2017-01-01..2018-W01-1\n", 1,
+             "bad tenure date: Invalid isoformat string: '2018-W01-1'"),
             ("lexicon", "bello,ADJ,physical,1,1,1,1,1\nbello,ADJ,physical,0,0,0,0,0\n", 2,
              "duplicate entry ('bello', 'ADJ')"),
             # a quoted cell holding a newline: each error names the file line
@@ -805,8 +910,10 @@ class TestInputErrors:
         ],
         ids=[
             "conllu-columns", "conllu-no-metadata", "conllu-empty-document-no-metadata",
-            "metadata-duplicate", "registry-repeated-pid", "registry-overlapping-tenure",
+            "metadata-duplicate", "metadata-compact-date", "metadata-week-date",
+            "registry-repeated-pid", "registry-overlapping-tenure",
             "registry-jurisdiction", "registry-surname", "registry-alias", "registry-tenure",
+            "registry-compact-tenure", "registry-week-tenure",
             "lexicon-duplicate", "lexicon-duplicate-after-quoted-newline",
             "lexicon-quoted-newline-record", "lexicon-not-utf8", "gazetteer-two-canonical-roles",
             "gazetteer-empty-canonical", "lemma-map-two-lemmas", "lemma-map-columns",

@@ -23,6 +23,7 @@ from covbias.model import (
     PersonalizationRecord,
     SourceType,
     normalize_lemma,
+    parse_date,
     tree_defect,
 )
 from covbias.pipeline import PipelineConfig, stage_extract
@@ -55,6 +56,25 @@ class TestNormalizeLemma:
         once = normalize_lemma(raw)
         if once is not None:
             assert normalize_lemma(once) == once
+
+
+class TestParseDate:
+    def test_reads_calendar_dates(self):
+        assert parse_date("2017-11-27") == datetime.date(2017, 11, 27)
+
+    # From Python 3.11 on, date.fromisoformat reads the first three of
+    # these; every one is refused on every supported version.
+    @pytest.mark.parametrize(
+        "raw", ["20171127", "2017-W48-1", "2017W481", "2017-331", "２０17-11-27",
+                "2017-11-27 ", "2017-11-27\n", "2017-02-30"],
+    )
+    def test_refuses_other_forms_as_fromisoformat_does(self, raw):
+        with pytest.raises(ValueError, match="^Invalid isoformat string: |day is out of range"):
+            parse_date(raw)
+
+    def test_non_string_raises_type_error(self):
+        with pytest.raises(TypeError):
+            parse_date(20171127)
 
 
 class TestEnums:

@@ -264,7 +264,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, raw",
-        [("bootstrap", "lots"), ("jitter", "wide"), ("window_start", "2018-13-01")],
+        [
+            ("bootstrap", "lots"), ("jitter", "wide"), ("window_start", "2018-13-01"),
+            ("window_start", "20180101"), ("window_end", "2018-W01-1"),
+        ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, key, raw):
         cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out", **{key: raw})
