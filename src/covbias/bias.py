@@ -13,7 +13,6 @@ appear only when results are serialized.
 from __future__ import annotations
 
 import datetime
-import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, cached_property
@@ -470,56 +469,25 @@ def _sorted_quantile(ordered: list[Fraction], cum: list[int], p: Fraction) -> Fr
     return (lo + hi) / 2 if lo != hi else lo
 
 
-def _linear_quantiles(a: np.ndarray, ps: Sequence[float]) -> np.ndarray:
-    """numpy's default ("linear", Hyndman-Fan type 7) quantiles of `a`
-    along axis 0, one row per p, to the bit, without calling numpy's
-    quantile functions: they import `numpy.ma`, which nothing else in
-    analyze loads.
-
-    For n values and v = (n - 1) p, the quantile interpolates between the
-    order statistics lo = floor(v) and lo + 1 at t = v - lo, as
-    a[hi] - d (1 - t) when t >= 0.5 and a[lo] + d t otherwise, with
-    d = a[hi] - a[lo]. These are numpy's steps: where v reaches n - 1 both
-    reads are index -1 and t = v + 1, and the partition is at numpy's
-    positions, so even which of two equal zeros (-0.0, 0.0) is read
-    agrees.
-    """
-    last = len(a) - 1
-    reads = []
-    for p in ps:
-        v = last * p
-        lo, hi = (math.floor(v), math.floor(v) + 1) if v < last else (-1, -1)
-        reads.append((lo, hi, v - lo))
-    s = np.partition(a, sorted({0, -1, *(i for lo, hi, _ in reads for i in (lo, hi))}), axis=0)
-    rows = []
-    for lo, hi, t in reads:
-        d = s[hi] - s[lo]
-        rows.append(s[hi] - d * (1 - t) if t >= 0.5 else s[lo] + d * t)
-    return np.stack(rows)
-
-
 def index_summary(
     values: Sequence[Union[Fraction, float]],
     weights: Optional[Sequence[int]] = None,
 ) -> SummaryStats:
-    """Weighted (or unweighted) mean, Fisher skewness and quantiles."""
+    """Mean, Fisher skewness and quantiles of the index values, weighted by
+    `weights` or, when None, by one per value. Q1, D5, Q3 and D9 follow the
+    one rank rule, `_sorted_quantile`, at either weighting; `_sorted_sample`
+    refuses negative, all-zero and mismatched weights."""
     if not values:
         raise ValueError("cannot summarize an empty distribution")
+    weighting = "none" if weights is None else "counts"
+    weights = [1] * len(values) if weights is None else list(weights)
+    ordered, cum = _sorted_sample(values, weights)
+    q1, d5, q3, d9 = (
+        float(_sorted_quantile(ordered, cum, Fraction(*p)))
+        for p in ((1, 4), (1, 2), (3, 4), (9, 10))
+    )
     x = np.asarray([float(v) for v in values], dtype=float)
-    if weights is None:
-        w = np.ones(len(x))
-        q1, d5, q3, d9 = _linear_quantiles(x, (0.25, 0.5, 0.75, 0.9)).tolist()
-        weighting = "none"
-    else:
-        w = np.asarray(list(weights), dtype=float)
-        if w.sum() <= 0:
-            raise ValueError("total weight must be positive")
-        ordered, cum = _sorted_sample(values, list(weights))
-        q1, d5, q3, d9 = (
-            float(_sorted_quantile(ordered, cum, Fraction(*p)))
-            for p in ((1, 4), (1, 2), (3, 4), (9, 10))
-        )
-        weighting = "counts"
+    w = np.asarray(weights, dtype=float)
     total = w.sum()
     mu = float((w * x).sum() / total)
     m2 = float((w * (x - mu) ** 2).sum() / total)
@@ -535,7 +503,7 @@ def index_summary(
         d9=d9,
         iqr=q3 - q1,
         n_words=len(x),
-        total_weight=int(sum(weights)) if weights is not None else len(x),
+        total_weight=int(sum(weights)),
         weighting=weighting,
         degenerate=degenerate,
     )

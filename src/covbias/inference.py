@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .bias import CountTable, _linear_quantiles, _quantile_ranks
+from .bias import CountTable, _quantile_ranks
 from .model import Gender, SourceType
 
 DEFAULT_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -309,6 +309,35 @@ class BootstrapResult(NamedTuple):
             }
             for tau, cis in self.intervals.items()
         }
+
+
+def _linear_quantiles(a: np.ndarray, ps: Sequence[float]) -> np.ndarray:
+    """numpy's default ("linear", Hyndman-Fan type 7) quantiles of `a`
+    along axis 0, one row per p, to the bit, without calling numpy's
+    quantile functions: they import `numpy.ma`, which nothing else in
+    analyze loads. Its one caller is `bootstrap_significance`, for the
+    percentile interval; the index summaries read `bias._quantile_ranks`.
+
+    For n values and v = (n - 1) p, the quantile interpolates between the
+    order statistics lo = floor(v) and lo + 1 at t = v - lo, as
+    a[hi] - d (1 - t) when t >= 0.5 and a[lo] + d t otherwise, with
+    d = a[hi] - a[lo]. These are numpy's steps: where v reaches n - 1 both
+    reads are index -1 and t = v + 1, and the partition is at numpy's
+    positions, so even which of two equal zeros (-0.0, 0.0) is read
+    agrees.
+    """
+    last = len(a) - 1
+    reads = []
+    for p in ps:
+        v = last * p
+        lo, hi = (math.floor(v), math.floor(v) + 1) if v < last else (-1, -1)
+        reads.append((lo, hi, v - lo))
+    s = np.partition(a, sorted({0, -1, *(i for lo, hi, _ in reads for i in (lo, hi))}), axis=0)
+    rows = []
+    for lo, hi, t in reads:
+        d = s[hi] - s[lo]
+        rows.append(s[hi] - d * (1 - t) if t >= 0.5 else s[lo] + d * t)
+    return np.stack(rows)
 
 
 def bootstrap_significance(

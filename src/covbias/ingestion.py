@@ -105,7 +105,7 @@ def read_metadata(
             if not isinstance(obj, dict):
                 raise InputError(path, lineno, "expected a JSON object")
             doc_id = obj.get("doc_id")
-            if not doc_id:
+            if doc_id is None or doc_id == "":
                 raise InputError(path, lineno, "missing doc_id")
             for key in ("date", "source_id", "source_type"):
                 if key not in obj:

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from covbias.bias import (
     CountTable,
-    _linear_quantiles,
     _sorted_sample,
     bias_profile,
     dissimilarity,
@@ -346,47 +344,6 @@ class TestWeightedQuantiles:
         assert _sorted_sample(values, weights) == sorted_sample_reference(values, weights)
 
 
-# Heavy ties and both signed zeros, or any finite float small enough that
-# differences of two stay finite.
-LINEAR_ELEMENTS = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]),
-    st.floats(-1e300, 1e300, allow_subnormal=True),
-)
-
-
-class TestLinearQuantiles:
-    """`_linear_quantiles` gives numpy's default quantile and percentile
-    floats, bit for bit."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(hnp.arrays(np.float64, st.integers(1, 300), elements=LINEAR_ELEMENTS))
-    @example(np.array([-0.0]))
-    @example(np.array([0.0, -0.0, -0.0, 0.0, -0.0]))
-    def test_summary_quantiles_equal_numpy_quantile(self, x):
-        ps = (0.25, 0.5, 0.75, 0.9)
-        got = _linear_quantiles(x, ps)
-        assert got.tobytes() == np.quantile(x, ps).tobytes()
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.tuples(st.integers(1, 300), st.integers(1, 8)),
-            elements=LINEAR_ELEMENTS,
-        )
-    )
-    @example(np.array([[-0.0, 1.0]]))
-    @example(np.array([[0.0], [-0.0], [-0.0], [0.0]] * 10))
-    def test_interval_bounds_equal_numpy_percentile(self, a):
-        got = _linear_quantiles(a, (0.025, 0.975))
-        assert got.tobytes() == np.percentile(a, (2.5, 97.5), axis=0).tobytes()
-
-    def test_input_left_as_it_was(self):
-        a = np.array([3.0, -1.0, 2.0, 0.0])
-        _linear_quantiles(a, (0.5,))
-        assert a.tolist() == [3.0, -1.0, 2.0, 0.0]
-
-
 class TestIndexSummary:
     def test_degenerate_single_word(self):
         stats = index_summary([Fraction(1, 2)], [7])
@@ -400,6 +357,36 @@ class TestIndexSummary:
         assert stats.mu == 0.0
         assert stats.gamma3 == 0.0
         assert stats.d5 == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.fractions(-1, 1, max_denominator=8), min_size=1, max_size=24))
+    # p * n lands on a rank boundary: Q1, D5 and Q3 at n = 4 and 8, all four at n = 20.
+    @example([Fraction(k, 4) for k in (-3, 1, -1, 2)])
+    @example([Fraction(k, 8) for k in (5, -8, 0, 3, -2, 7, 1, -5)])
+    @example([Fraction((7 * k) % 20 - 10, 10) for k in range(20)])
+    @example([Fraction(1, 2)] * 3 + [Fraction(-1, 4)] * 2 + [Fraction(0)] * 3)
+    def test_unweighted_quantiles_equal_scan_oracle_at_unit_weights(self, values):
+        stats = index_summary(values)
+        ones = [1] * len(values)
+        expected = [float(weighted_quantile_scan(values, ones, p)) for p in QUANTILE_PS]
+        assert [stats.q1, stats.d5, stats.q3, stats.d9] == expected
+        assert stats.iqr == stats.q3 - stats.q1
+        assert stats.weighting == "none"
+        assert stats.n_words == stats.total_weight == len(values)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([2, -1, 3], "weights must be nonnegative"),
+            ([0, 0, 0], "all weights are zero"),
+            ([1, 2], "values and weights differ in length"),
+            ([1, 2, 3, 4], "values and weights differ in length"),
+        ],
+        ids=["negative", "all_zero", "shorter", "longer"],
+    )
+    def test_bad_weights_refused(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            index_summary([Fraction(-1, 2), Fraction(0), Fraction(1, 2)], weights)
 
     def test_quantile_ordering(self):
         rng = np.random.default_rng(11)

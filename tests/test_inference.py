@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covbias import inference
 from covbias.inference import (
     DEFAULT_TAUS,
+    _linear_quantiles,
     bootstrap_significance,
     chi_square,
     contingency_by_source,
@@ -320,6 +322,47 @@ class TestQuantileRegression:
                     quantile_regression(y, g, s, [tau])
             return
         assert models == [quantile_regression(y, g, s, [tau])[0] for tau in DEFAULT_TAUS]
+
+
+# Heavy ties and both signed zeros, or any finite float small enough that
+# differences of two stay finite.
+LINEAR_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]),
+    st.floats(-1e300, 1e300, allow_subnormal=True),
+)
+
+
+class TestLinearQuantiles:
+    """`_linear_quantiles` gives numpy's default quantile and percentile
+    floats, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 300), elements=LINEAR_ELEMENTS))
+    @example(np.array([-0.0]))
+    @example(np.array([0.0, -0.0, -0.0, 0.0, -0.0]))
+    def test_summary_quantiles_equal_numpy_quantile(self, x):
+        ps = (0.25, 0.5, 0.75, 0.9)
+        got = _linear_quantiles(x, ps)
+        assert got.tobytes() == np.quantile(x, ps).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 300), st.integers(1, 8)),
+            elements=LINEAR_ELEMENTS,
+        )
+    )
+    @example(np.array([[-0.0, 1.0]]))
+    @example(np.array([[0.0], [-0.0], [-0.0], [0.0]] * 10))
+    def test_interval_bounds_equal_numpy_percentile(self, a):
+        got = _linear_quantiles(a, (0.025, 0.975))
+        assert got.tobytes() == np.percentile(a, (2.5, 97.5), axis=0).tobytes()
+
+    def test_input_left_as_it_was(self):
+        a = np.array([3.0, -1.0, 2.0, 0.0])
+        _linear_quantiles(a, (0.5,))
+        assert a.tolist() == [3.0, -1.0, 2.0, 0.0]
 
 
 class TestBootstrap:

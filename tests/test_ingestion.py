@@ -579,6 +579,26 @@ class TestMetadata:
         with pytest.raises(InputError, match=self.at_line(path, 1, "source_type")):
             read_metadata(path)
 
+    @pytest.mark.parametrize("value", ["0", "false", "[]", "{}"])
+    def test_falsy_doc_id_is_not_a_string(self, tmp_path, value):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"doc_id": "dq", "date": "2020-01-01", "source_id": "x", "source_type": "online"}\n'
+            f'{{"doc_id": {value}, "date": "2020-01-01", "source_id": "x", '
+            '"source_type": "online"}\n'
+        )
+        with pytest.raises(InputError, match=self.at_line(path, 2, "doc_id .* not a string")):
+            read_metadata(path)
+
+    @pytest.mark.parametrize("field", ["", '"doc_id": null, ', '"doc_id": "", '])
+    def test_absent_null_or_empty_doc_id_is_missing(self, tmp_path, field):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            f'{{{field}"date": "2020-01-01", "source_id": "x", "source_type": "online"}}\n'
+        )
+        with pytest.raises(InputError, match=self.at_line(path, 1, "missing doc_id$")):
+            read_metadata(path)
+
     @pytest.mark.parametrize("value", ["null", '{"a": 1}', "7"])
     def test_source_id_must_be_a_string(self, tmp_path, value):
         path = tmp_path / "m.jsonl"

@@ -6,10 +6,11 @@ import io
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
-from covbias import inference, ingestion, pipeline, reporting
+from covbias import bias, inference, ingestion, pipeline, reporting
 from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
 from covbias.errors import ConfigError, StageError
@@ -24,6 +25,7 @@ from covbias.pipeline import (
     write_artifacts,
 )
 from conftest import data_path, record_rows, sentiment_record, table_from_events, write_config
+from oracles import weighted_quantile_scan
 
 EXPECTED_OUTPUTS = [
     "records.jsonl",
@@ -118,6 +120,22 @@ class TestPipelineOutputs:
             for dataset in ("coverage", "personalization"):
                 for gender in ("F", "M"):
                     assert int(row[f"{dataset}_{gender}"]) == counts[dataset][gender][row["measure"]]
+
+    def test_unweighted_summaries_follow_the_rank_rule(self, tiny_run):
+        cfg, out = tiny_run
+        table = bias.CountTable.from_json_dict(json.loads((out / "count_table.json").read_text()))
+        profile = bias.bias_profile(table, mode=cfg.rates_mode)
+        summaries = json.loads((out / "summary_stats.json").read_text())
+        for category in Category:
+            values = [w.index for w in profile.select(category)]
+            assert values, category
+            expected = [
+                float(weighted_quantile_scan(values, [1] * len(values), Fraction(p)))
+                for p in ("1/4", "1/2", "3/4", "9/10")
+            ]
+            unweighted = summaries[category.value]["unweighted"]
+            assert [unweighted[key] for key in ("Q1", "D5", "Q3", "D9")] == expected
+            assert unweighted["IQR"] == expected[2] - expected[0]
 
     def test_records_jsonl_schema(self, tiny_run):
         _, out = tiny_run
