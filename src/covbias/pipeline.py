@@ -14,10 +14,12 @@ be rerun from the previous stage's artifacts:
 The JSON files a later stage reads back, `MACHINE_ARTIFACTS`
 (count_table.json, descriptives.json and diagnostics.json), are written
 compact, on one line; every other JSON file is a report file, indented
-for people. records.jsonl is one object per line; analyze reads each
-straight into a row of its category, three small ints (`RecordRows`). A
-missing or broken artifact stops the stage that reads it with a
-`StageError` naming the file (and, for records.jsonl, the line).
+for people. count_table.json holds the word counts and, under
+`record_rows`, each category's records as rows of three small ints
+(`RecordRows`), so analyze reads only it and the lexicon. records.jsonl
+(one object per record) and counts.csv are for people and never read
+back. A missing or broken artifact stops the stage that reads it with a
+`StageError` naming the file.
 
 The settings are the fields of `PipelineConfig`, and `from_ini` reads
 exactly those keys. A stage reads each input file once, side files before
@@ -42,7 +44,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, TextIO, TypeVar, get_type_hints
+from typing import Callable, Iterable, Mapping, Optional, TextIO, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -59,9 +61,9 @@ from .ingestion import (
     read_stopwords,
 )
 from .lexicon import Lexicon, read_lexicon
-from .model import Category, Document, Gender, SourceType, parse_date
+from .model import Category, Document, Gender, PersonalizationRecord, SourceType, parse_date
 from .registry import PoliticianRegistry, read_registry
-from .sentiment import FIFTHS_BY_JSON, krippendorff_alpha
+from .sentiment import krippendorff_alpha
 
 log = logging.getLogger(__name__)
 
@@ -272,8 +274,57 @@ def _read_artifact(
         raise StageError(stage, cause) from exc
 
 
-def _read_count_table(fh: TextIO) -> CountTable:
-    return CountTable.from_json_dict(json.load(fh))
+# Each category's records as (grid position k in -5..5, women, online) rows:
+# 1 for women and online, 0 for men and traditional, `quantile_regression`'s
+# dummy coding. The order matters: jitter and the bootstrap draw per row.
+RecordRows = dict[Category, list[tuple[int, int, int]]]
+_RECORD_ROW_KEYS = frozenset(c.value for c in Category)
+_RECORD_ROW_GRID = frozenset((k, w, o) for k in range(-5, 6) for w in (0, 1) for o in (0, 1))
+_RECORD_ROW_TYPES = (int, int, int)
+
+
+def _count_table_json(table: CountTable, records: Iterable[PersonalizationRecord]) -> dict:
+    """count_table.json: the table's cells and politicians, and under
+    `record_rows` each category's rows of `records`, in record order."""
+    rows: dict[str, list] = {c.value: [] for c in Category}
+    for r in records:
+        rows[r.category.value].append(
+            (r.fifths, int(r.gender is Gender.F), int(r.source_type is SourceType.ONLINE))
+        )
+    return {**table.to_json_dict(), "record_rows": rows}
+
+
+def _read_count_table(fh: TextIO) -> tuple[CountTable, RecordRows]:
+    """The table and the record rows of count_table.json, from one decode.
+
+    `record_rows` must hold exactly the category keys, each a list of
+    [k, women, online] rows of ints with k in -5..5 and the dummies 0 or 1.
+    """
+    d = json.load(fh)
+    if "record_rows" not in d:
+        raise ValueError("no record_rows: written by an older extract; rerun extract")
+    raw = d["record_rows"]
+    if type(raw) is not dict:
+        raise ValueError("record_rows is not a JSON object")
+    if raw.keys() != _RECORD_ROW_KEYS:
+        raise ValueError(f"record_rows keys {sorted(raw)} are not {sorted(_RECORD_ROW_KEYS)}")
+    rows: RecordRows = {}
+    for category in Category:
+        listed = raw[category.value]
+        if type(listed) is not list:
+            raise ValueError(f"record_rows/{category.value} is not a list")
+        for i, row in enumerate(listed):
+            if (
+                type(row) is not list
+                or tuple(map(type, row)) != _RECORD_ROW_TYPES
+                or tuple(row) not in _RECORD_ROW_GRID
+            ):
+                raise ValueError(
+                    f"record_rows/{category.value}/{i} {row!r} is not [k, women, online] "
+                    "with k in -5..5 and women, online 0 or 1"
+                )
+        rows[category] = list(map(tuple, listed))
+    return CountTable.from_json_dict(d), rows
 
 
 def _read_descriptives(fh: TextIO) -> dict:
@@ -375,7 +426,7 @@ def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
                 ["lemma", "upos", "gender", "category", "source_type", "count"],
                 result.counts.to_csv_rows(),
             ),
-            "count_table.json": result.counts.to_json_dict(),
+            "count_table.json": _count_table_json(result.counts, result.records),
             "descriptives.json": result.descriptives,
             "diagnostics.json": {
                 "ingest": diagnostics.to_json_dict(),
@@ -389,60 +440,6 @@ def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
-
-
-# Value -> what a row keeps of each enum field of a record, so a line costs
-# lookups, not Enum calls; gender and source as `quantile_regression`'s 0/1.
-_RECORD_MEMBERS = {
-    "category": {c.value: c for c in Category},
-    "gender": {Gender.F.value: 1, Gender.M.value: 0},
-    "source_type": {SourceType.TRADITIONAL.value: 0, SourceType.ONLINE.value: 1},
-}
-# Each category's records as (grid position k in -5..5, women, online) rows.
-RecordRows = dict[Category, list[tuple[int, int, int]]]
-
-
-def _record_defect(obj) -> str:
-    """Why a decoded records.jsonl line is not a record."""
-    if not isinstance(obj, dict):
-        return "not a JSON object"
-    for field, members in _RECORD_MEMBERS.items():
-        value = obj.get(field)
-        if not isinstance(value, str) or value not in members:
-            return f"{field} {value!r} is not one of {', '.join(members)}"
-    if "aggregate_sentiment" not in obj:
-        return "no aggregate_sentiment"
-    return (
-        f"aggregate_sentiment {obj['aggregate_sentiment']!r} is not a number "
-        "on the grid -1, -0.8, ..., 1"
-    )
-
-
-def _load_records(fh: TextIO) -> RecordRows:
-    """Each category's rows of records.jsonl, in file order.
-
-    Each score is read as its grid position. The order matters: jitter and
-    the bootstrap draw per record position.
-    """
-    categories = _RECORD_MEMBERS["category"]
-    genders = _RECORD_MEMBERS["gender"]
-    sources = _RECORD_MEMBERS["source_type"]
-    fifths = FIFTHS_BY_JSON
-    out: RecordRows = {c: [] for c in Category}
-    for line_no, line in enumerate(fh, 1):
-        if not line.strip():
-            continue
-        try:
-            d = json.loads(line)
-            score = d["aggregate_sentiment"]
-            out[categories[d["category"]]].append(
-                (fifths[type(score), score], genders[d["gender"]], sources[d["source_type"]])
-            )
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {line_no}: {exc.msg} (column {exc.pos + 1})") from None
-        except (KeyError, TypeError):
-            raise ValueError(f"line {line_no}: {_record_defect(d)}") from None
-    return out
 
 
 DISTINCTIVE_HEADER = ["lemma", "upos", "weight", "diss_without"]
@@ -526,7 +523,7 @@ def bias_analysis(cfg: PipelineConfig, table: CountTable, lexicon: Lexicon, slic
             )
             artifacts[f"{stem}_negative.csv"] = (
                 DISTINCTIVE_HEADER,
-                reporting.distinctive_word_rows(loo, gender, lexicon, negative_only=True)
+                reporting.distinctive_word_rows(loo, gender, lexicon)
                 if loo
                 else [],
             )
@@ -657,8 +654,7 @@ def temporal_analysis(cfg: PipelineConfig, table: CountTable, slices: Slices) ->
 def stage_analyze(cfg: PipelineConfig) -> dict:
     cfg.validate()
     _, lexicon = _load_lexicon(cfg)
-    table = _read_artifact(cfg, "analyze", "count_table.json", _read_count_table)
-    rows = _read_artifact(cfg, "analyze", "records.jsonl", _load_records)
+    table, rows = _read_artifact(cfg, "analyze", "count_table.json", _read_count_table)
     slices = {category: table.slice(category=category) for category in Category}
     by_category = {
         **bias_analysis(cfg, table, lexicon, slices),
@@ -690,7 +686,7 @@ def stage_report(cfg: PipelineConfig) -> dict:
     cfg.validate()
     desc = _read_artifact(cfg, "report", "descriptives.json", _read_descriptives)
     diagnostics = _read_artifact(cfg, "report", "diagnostics.json", json.load)
-    table = _read_artifact(cfg, "report", "count_table.json", _read_count_table)
+    table, _ = _read_artifact(cfg, "report", "count_table.json", _read_count_table)
 
     for dataset, tbl in (
         ("coverage", table),
@@ -762,10 +758,9 @@ def run_stage(name: str, stage: Callable[[PipelineConfig], T], cfg: PipelineConf
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run extract, analyze and report; abort naming the failing stage.
 
-    The config is validated up front, so a bad path fails before any
-    processing rather than inside the first stage.
+    Extract validates the config before any work, so a bad setting or path
+    fails before anything is read or written.
     """
-    cfg.validate()
     run_stage("extract", stage_extract, cfg)
     run_stage("analyze", stage_analyze, cfg)
     return run_stage("report", stage_report, cfg)

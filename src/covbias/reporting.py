@@ -99,19 +99,16 @@ def sentiment_fraction_rows(
 
 
 def distinctive_word_rows(
-    loo: LeaveOneOutResult,
-    gender: Gender,
-    lexicon: Optional[Lexicon] = None,
-    negative_only: bool = False,
+    loo: LeaveOneOutResult, gender: Gender, lexicon: Optional[Lexicon] = None
 ) -> list[list]:
     """Ranked distinctive words for one gender: lemma, upos, weight, diss.
 
-    The negative-only variant keeps lexicon words classed as negative.
+    Given a lexicon, only its words classed as negative are kept.
     """
     rows = []
     for word in loo.distinctive_for(gender):
-        if negative_only:
-            entry = lexicon.get(word.lemma, word.upos) if lexicon else None
+        if lexicon is not None:
+            entry = lexicon.get(word.lemma, word.upos)
             if entry is None or entry.sentiment not in (
                 SentimentClass.STRONG_NEGATIVE,
                 SentimentClass.WEAKLY_NEGATIVE,

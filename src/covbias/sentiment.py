@@ -5,8 +5,8 @@ it lies on the eleven-point grid -1, -0.8, ..., 0.8, 1. Every stage keeps
 it as its grid position k = 5 * score, an int in -5..5: the lexicon reads
 the annotator scores to k, each record carries k, and the sentiment class
 is `CLASS_BY_FIFTHS[k]`, so class membership never depends on float
-rounding. The float k/5 appears only in records.jsonl, and
-`FIFTHS_BY_JSON` reads it back to k.
+rounding. The float k/5 appears only in records.jsonl, which no stage
+reads back: analyze reads k from count_table.json's record rows.
 
 Agreement is the ordinal Krippendorff alpha. Its coincidence matrix is
 built from units counted by rating multiset: a five-annotator lexicon on
@@ -45,13 +45,6 @@ CLASS_BY_FIFTHS = {
     3: SentimentClass.WEAKLY_POSITIVE,
     4: SentimentClass.STRONG_POSITIVE,
     5: SentimentClass.STRONG_POSITIVE,
-}
-# Grid position of each aggregate score a decoded JSON record may hold, keyed
-# by (type, value): JSON decodes a score to the float k/5, or to an int where
-# it is whole, and a boolean, though equal to 0 or 1, is no score.
-FIFTHS_BY_JSON = {
-    **{(float, k / 5): k for k in CLASS_BY_FIFTHS},
-    **{(int, v): 5 * v for v in (-1, 0, 1)},
 }
 
 

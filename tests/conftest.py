@@ -1,5 +1,6 @@
 import datetime
 import io
+import json
 import os
 import sys
 
@@ -16,7 +17,7 @@ from covbias.ingestion import (
     read_stopwords,
 )
 from covbias.model import Gender, PersonalizationRecord
-from covbias.pipeline import _load_records
+from covbias.pipeline import _count_table_json, _read_count_table
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -87,9 +88,11 @@ def sentiment_record(category, gender, source_type, fifths, lemma="w", upos="ADJ
 
 
 def record_rows(records):
-    """Analyze's per-category rows of ``records``: each written as its
-    records.jsonl line, and the lines read back as analyze reads them."""
-    return _load_records(io.StringIO("".join(r.json_line() + "\n" for r in records)))
+    """Analyze's per-category rows of ``records``: written into
+    count_table.json's record_rows by extract's encoder, and read back by
+    analyze's decoder."""
+    text = json.dumps(_count_table_json(CountTable({}, {}), records))
+    return _read_count_table(io.StringIO(text))[1]
 
 
 def write_config(path, out_dir, ma_window=1, bootstrap=100, **extra) -> str:

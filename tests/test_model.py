@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import covbias
 from covbias import pipeline, reporting
+from covbias.bias import CountTable
 from covbias.model import (
     Category,
     Gender,
@@ -27,6 +28,7 @@ from covbias.model import (
     tree_defect,
 )
 from covbias.pipeline import PipelineConfig, stage_extract
+import corpusgen
 from conftest import write_config
 from oracles import record_json_dict
 
@@ -186,7 +188,8 @@ class TestRecordSerialization:
     )])
     def test_json_line_is_the_encoders_text(self, records):
         """Every line equals json.dumps of the reference object byte for
-        byte, and analyze reads each line back to its category's row."""
+        byte, and the record rows that extract writes into count_table.json
+        read back to the rows of those lines."""
         lines = [rec.json_line() for rec in records]
         for rec, line in zip(records, lines):
             assert line == json.dumps(record_json_dict(rec), ensure_ascii=False, sort_keys=True)
@@ -195,20 +198,38 @@ class TestRecordSerialization:
             reporting.write_jsonl(path, lines)
             with open(path, "rb") as fh:
                 assert fh.read() == "".join(line + "\n" for line in lines).encode("utf-8")
+            path = os.path.join(tmp, "count_table.json")
+            empty = CountTable({}, {})
+            reporting.write_json(path, pipeline._count_table_json(empty, records), compact=True)
             with open(path, encoding="utf-8") as fh:
-                loaded = pipeline._load_records(fh)
+                table, loaded = pipeline._read_count_table(fh)
+        assert table.cells == {} and table.pids == {}
         assert loaded == reference_rows(map(json.loads, lines))
 
     def test_analyze_loader_reads_the_extracted_records(self, tmp_path):
-        """Analyze's rows of records.jsonl equal the extract's records."""
+        """Analyze's rows of count_table.json equal the rows of records.jsonl."""
         out = tmp_path / "out"
-        cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
-        result = stage_extract(cfg)
-        with open(out / "records.jsonl", encoding="utf-8") as fh:
-            loaded = pipeline._load_records(fh)
-        assert loaded == reference_rows(map(record_json_dict, result.records))
+        stage_extract(PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out)))
+        loaded = extracted_rows(out)
         assert list(loaded) == list(Category) and all(loaded.values())
         assert all(type(x) is int for rows in loaded.values() for row in rows for x in row)
+
+    def test_analyze_loader_reads_a_generated_corpus(self, tmp_path):
+        paths = corpusgen.generate(tmp_path / "in", n_docs=300, seed=7)
+        out = tmp_path / "out"
+        stage_extract(PipelineConfig.from_ini(corpusgen.write_config(paths, out, tmp_path / "cfg.ini")))
+        loaded = extracted_rows(out)
+        assert all(len(rows) > 50 for rows in loaded.values())
+
+
+def extracted_rows(out):
+    """The record rows analyze decodes from ``out``'s count_table.json,
+    checked to equal, in order, the rows of ``out``'s records.jsonl."""
+    with open(out / "count_table.json", encoding="utf-8") as fh:
+        _, loaded = pipeline._read_count_table(fh)
+    with open(out / "records.jsonl", encoding="utf-8") as fh:
+        assert loaded == reference_rows(map(json.loads, fh))
+    return loaded
 
 
 def reference_rows(objects):

@@ -2,10 +2,10 @@ import csv
 import dataclasses
 import datetime
 import errno
-import io
 import json
 import os
 import re
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -612,6 +612,10 @@ class TestCli:
         assert not out.exists()
 
 
+# In an edit of count_table.json, the value that deletes the key.
+DELETE = object()
+
+
 class TestBrokenArtifacts:
     """A stage resumed on a missing or broken artifact fails in one line."""
 
@@ -620,63 +624,49 @@ class TestBrokenArtifacts:
         [
             ("analyze", None, "count_table.json"),
             ("report", None, "descriptives.json"),
-            ("analyze", '{"x":', "records.jsonl: line 3: Expecting value (column 7)"),
-            (
-                "analyze",
-                ("category", '"fisico"'),
-                "records.jsonl: line 3: category 'fisico' is not one of",
-            ),
-            (
-                "analyze",
-                ("gender", '"X"'),
-                "records.jsonl: line 3: gender 'X' is not one of F, M",
-            ),
-            (
-                "analyze",
-                ("source_type", "1"),
-                "records.jsonl: line 3: source_type 1 is not one of traditional, online",
-            ),
-            ("analyze", "[1]", "records.jsonl: line 3: not a JSON object"),
-            (
-                "analyze",
-                ("aggregate_sentiment", '"high"'),
-                "records.jsonl: line 3: aggregate_sentiment 'high'",
-            ),
-            (
-                "analyze",
-                ("aggregate_sentiment", "true"),
-                "records.jsonl: line 3: aggregate_sentiment True",
-            ),
-            (
-                "analyze",
-                ("aggregate_sentiment", "0.3"),
-                "records.jsonl: line 3: aggregate_sentiment 0.3",
-            ),
-            (
-                "analyze",
-                ("aggregate_sentiment", "[0.4]"),
-                "records.jsonl: line 3: aggregate_sentiment [0.4]",
-            ),
             ("report", "count_table.json", "count_table.json: Expecting"),
             ("report", "descriptives.json", "descriptives.json: coverage/F/words_per_sentence is"),
-            ("analyze", ("cells", -1, -1), "count_table.json: cell count -1 is not"),
-            ("report", ("cells", -1, 1.5), "count_table.json: cell count 1.5 is not"),
-            ("analyze", ("cells", -1, True), "count_table.json: cell count True is not"),
-            ("analyze", ("cells", 0, 5), "count_table.json: cell word (5, "),
-            ("analyze", ("politicians", -1, [7]), "count_table.json: politician ids [7] are not"),
+            ("analyze", (("cells", 0, -1), -1), "count_table.json: cell count -1 is not"),
+            ("report", (("cells", 0, -1), 1.5), "count_table.json: cell count 1.5 is not"),
+            ("analyze", (("cells", 0, -1), True), "count_table.json: cell count True is not"),
+            ("analyze", (("cells", 0, 0), 5), "count_table.json: cell word (5, "),
+            (
+                "analyze",
+                (("politicians", 0, -1), [7]),
+                "count_table.json: politician ids [7] are not",
+            ),
+            *(
+                (
+                    "analyze",
+                    (("record_rows", "physical", 0), row),
+                    f"count_table.json: record_rows/physical/0 {row!r} is not [k, women, online]",
+                )
+                for row in (
+                    [6, 1, 0], [True, 1, 0], [0.4, 1, 0], ["high", 1, 0], [[0.4], 1, 0],
+                    [0, 2, 0], [0, 1, -1], [0, 1],
+                )
+            ),
+            (
+                "analyze",
+                (("record_rows", "fisico"), []),
+                "count_table.json: record_rows keys "
+                "['fisico', 'moral_behavioral', 'physical', 'socio_economic'] are not",
+            ),
+            (
+                "analyze",
+                (("record_rows", "physical"), DELETE),
+                "count_table.json: record_rows keys ['moral_behavioral', 'socio_economic'] are not",
+            ),
+            (
+                "analyze",
+                (("record_rows",), DELETE),
+                "count_table.json: no record_rows: written by an older extract; rerun extract",
+            ),
+            ("report", (("record_rows",), DELETE), "count_table.json: no record_rows"),
         ],
         ids=[
             "analyze-before-extract",
             "report-before-extract",
-            "truncated-record",
-            "unknown-category",
-            "unknown-gender",
-            "source-type-not-a-string",
-            "record-not-an-object",
-            "score-not-a-number",
-            "score-boolean",
-            "score-off-grid",
-            "score-unhashable",
             "truncated-count-table",
             "descriptives-wrong-shape",
             "count-negative",
@@ -684,6 +674,18 @@ class TestBrokenArtifacts:
             "count-boolean",
             "lemma-not-a-string",
             "politician-id-not-a-string",
+            "score-out-of-range",
+            "score-boolean",
+            "score-off-grid",
+            "score-not-a-number",
+            "score-unhashable",
+            "unknown-gender",
+            "unknown-source-type",
+            "truncated-record",
+            "unknown-category",
+            "missing-category",
+            "no-record-rows",
+            "no-record-rows-report",
         ],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
@@ -693,24 +695,22 @@ class TestBrokenArtifacts:
             assert cli_main(["--config", cfg_path, "extract"]) == 0
             if edit == "count_table.json":
                 (out / edit).write_text('{"cells": [', encoding="utf-8")
-            elif edit[0] in ("cells", "politicians"):
-                # (list, slot, value): set that slot of the list's first row
-                table = json.loads((out / "count_table.json").read_text(encoding="utf-8"))
-                table[edit[0]][0][edit[1]] = edit[2]
-                (out / "count_table.json").write_text(json.dumps(table), encoding="utf-8")
             elif edit == "descriptives.json":
                 desc = json.loads((out / edit).read_text(encoding="utf-8"))
                 desc["coverage"]["F"]["words_per_sentence"] = "many"
                 (out / edit).write_text(json.dumps(desc), encoding="utf-8")
             else:
-                lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines(True)
-                if isinstance(edit, tuple):
-                    field, value = edit
-                    lines[2], n = re.subn(f'"{field}": [^,]+', f'"{field}": {value}', lines[2])
-                    assert n == 1
+                # (path, value): set the value at that path of count_table.json
+                (*parents, last), value = edit
+                table = json.loads((out / "count_table.json").read_text(encoding="utf-8"))
+                node = table
+                for key in parents:
+                    node = node[key]
+                if value is DELETE:
+                    del node[last]
                 else:
-                    lines[2] = edit + "\n"
-                (out / "records.jsonl").write_text("".join(lines), encoding="utf-8")
+                    node[last] = value
+                (out / "count_table.json").write_text(json.dumps(table), encoding="utf-8")
             capsys.readouterr()
         before = read_bundle_bytes(out) if out.exists() else None
         assert cli_main(["--config", cfg_path, command]) == 2
@@ -722,31 +722,6 @@ class TestBrokenArtifacts:
             assert not out.exists()
         else:
             assert read_bundle_bytes(out) == before
-
-
-class TestRecordScores:
-    """records.jsonl holds each score as the float k/5; analyze reads back k."""
-
-    LINE = '{"aggregate_sentiment": %s, "category": "physical", "gender": "F", "source_type": "online"}\n'
-
-    def test_every_grid_position_in_both_spellings(self):
-        spelled = [(repr(k / 5), k) for k in range(-5, 6)]
-        spelled += [(str(k // 5), k) for k in (-5, 0, 5)]  # -1, 0 and 1 as JSON ints
-        text = "".join(self.LINE % score for score, _ in spelled)
-        loaded = pipeline._load_records(io.StringIO(text))
-        assert loaded[Category.PHYSICAL] == [(k, 1, 1) for _, k in spelled]
-        assert all(type(k) is int for k, _, _ in loaded[Category.PHYSICAL])
-        assert not loaded[Category.MORAL_BEHAVIORAL] and not loaded[Category.SOCIO_ECONOMIC]
-        # every grid position, gender and source, written by extract's own encoder
-        cells = [(k, g, s) for k in range(-5, 6) for g in Gender for s in SourceType]
-        written = [sentiment_record(Category.PHYSICAL, g, s, k) for k, g, s in cells]
-        assert record_rows(written)[Category.PHYSICAL] == [
-            (k, int(g is Gender.F), int(s is SourceType.ONLINE)) for k, g, s in cells
-        ]
-        for score in ("true", "0.3", "0.30000000000000004"):
-            shown = re.escape(repr(json.loads(score)))
-            with pytest.raises(ValueError, match=f"^line 15: aggregate_sentiment {shown} is not"):
-                pipeline._load_records(io.StringIO(text + self.LINE % score))
 
 
 class TestHandoffFormat:
@@ -784,6 +759,19 @@ class TestHandoffFormat:
         for name in compact:
             if name not in self.MACHINE:
                 assert indented[name] == compact[name], name
+
+
+    def test_analyze_and_report_read_no_records_jsonl(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
+        run_pipeline(cfg)
+        whole = read_bundle_bytes(out)
+        shutil.rmtree(out)
+        stage_extract(cfg)
+        os.remove(out / "records.jsonl")
+        stage_analyze(cfg)
+        stage_report(cfg)
+        assert read_bundle_bytes(out) == {k: v for k, v in whole.items() if k != "records.jsonl"}
 
 
 class TestInputReads:

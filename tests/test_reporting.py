@@ -116,13 +116,9 @@ class TestDistinctiveRows:
 
     def test_negative_only_filter(self, lexicon):
         # bello is strong positive -> dropped from the negative variant
-        f_neg = distinctive_word_rows(
-            self.f_heavy_loo(), Gender.F, lexicon, negative_only=True
-        )
+        f_neg = distinctive_word_rows(self.f_heavy_loo(), Gender.F, lexicon)
         assert f_neg == []
-        m_neg = distinctive_word_rows(
-            self.m_heavy_loo(), Gender.M, lexicon, negative_only=True
-        )
+        m_neg = distinctive_word_rows(self.m_heavy_loo(), Gender.M, lexicon)
         assert [r[0] for r in m_neg] == ["sciatto"]
 
 

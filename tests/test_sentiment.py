@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from covbias.sentiment import (
     CLASS_BY_FIFTHS,
-    FIFTHS_BY_JSON,
     SentimentClass,
     aggregate_fifths,
     krippendorff_alpha,
@@ -74,16 +73,6 @@ class TestClassify:
         # every raw score vector has a grid position with a class
         for scores in itertools.product((-1, 0, 1), repeat=5):
             assert CLASS_BY_FIFTHS[aggregate_fifths(scores)] in SentimentClass
-
-    def test_json_scores_read_to_grid_positions(self):
-        # a JSON score is the float k/5, or an int where it is whole
-        floats = {k: v for (t, v), k in FIFTHS_BY_JSON.items() if t is float}
-        ints = {k: v for (t, v), k in FIFTHS_BY_JSON.items() if t is int}
-        assert floats == {k: k / 5 for k in range(-5, 6)}
-        assert ints == {-5: -1, 0: 0, 5: 1}
-        assert len(FIFTHS_BY_JSON) == 14
-        for off_grid in [(float, 0.4000001), (float, 0.3), (bool, True), (int, 2)]:
-            assert off_grid not in FIFTHS_BY_JSON
 
 
 def random_units(rng, max_units=10, max_raters=5):
