@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import dataclasses
 import datetime
 import errno
+import gc
 import json
 import os
 import re
@@ -13,7 +15,7 @@ import pytest
 from covbias import bias, inference, ingestion, pipeline, reporting
 from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
-from covbias.errors import ConfigError, StageError
+from covbias.errors import ConfigError, InputError, StageError
 from covbias.model import Category, Gender, PersonalizationRecord, SourceType
 from covbias.pipeline import (
     PipelineConfig,
@@ -24,6 +26,7 @@ from covbias.pipeline import (
     stage_report,
     write_artifacts,
 )
+import corpusgen
 from conftest import data_path, record_rows, sentiment_record, table_from_events, write_config
 from oracles import weighted_quantile_scan
 
@@ -53,11 +56,24 @@ EXPECTED_OUTPUTS = [
 
 
 def read_bundle_bytes(out_dir):
+    """The bytes of every file in `out_dir`, by name; directories are skipped."""
     blobs = {}
     for name in sorted(os.listdir(out_dir)):
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            blobs[name] = fh.read()
+        path = os.path.join(out_dir, name)
+        if not os.path.isdir(path):
+            with open(path, "rb") as fh:
+                blobs[name] = fh.read()
     return blobs
+
+
+def bad_head_conllu(tmp_path):
+    """A copy of the tiny corpus whose line 3 has HEAD 99, out of range."""
+    with open(data_path("tiny.conllu"), encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[2] = lines[2].replace("\t2\tdet\t", "\t99\tdet\t")
+    path = tmp_path / "bad_head.conllu"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -321,11 +337,7 @@ class TestConfig:
             )
             key, fragment = "metadata", "'d1'"
         else:
-            with open(data_path("tiny.conllu"), encoding="utf-8") as fh:
-                lines = fh.readlines()
-            lines[2] = lines[2].replace("\t2\tdet\t", "\t99\tdet\t")
-            side = tmp_path / "bad_head.conllu"
-            side.write_text("".join(lines), encoding="utf-8")
+            side = bad_head_conllu(tmp_path)
             key, fragment = "conllu", f"{side}: line 3: "
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path / "cfg.ini", out, **{key: str(side)})
@@ -612,7 +624,7 @@ class TestCli:
         assert not out.exists()
 
 
-# In an edit of count_table.json, the value that deletes the key.
+# In an edit of a JSON artifact, the value that deletes the key.
 DELETE = object()
 
 
@@ -626,19 +638,19 @@ class TestBrokenArtifacts:
             ("report", None, "descriptives.json"),
             ("report", "count_table.json", "count_table.json: Expecting"),
             ("report", "descriptives.json", "descriptives.json: coverage/F/words_per_sentence is"),
-            ("analyze", (("cells", 0, -1), -1), "count_table.json: cell count -1 is not"),
-            ("report", (("cells", 0, -1), 1.5), "count_table.json: cell count 1.5 is not"),
-            ("analyze", (("cells", 0, -1), True), "count_table.json: cell count True is not"),
-            ("analyze", (("cells", 0, 0), 5), "count_table.json: cell word (5, "),
+            ("analyze", ("count_table.json", ("cells", 0, -1), -1), "count_table.json: cell count -1 is not"),
+            ("report", ("count_table.json", ("cells", 0, -1), 1.5), "count_table.json: cell count 1.5 is not"),
+            ("analyze", ("count_table.json", ("cells", 0, -1), True), "count_table.json: cell count True is not"),
+            ("analyze", ("count_table.json", ("cells", 0, 0), 5), "count_table.json: cell word (5, "),
             (
                 "analyze",
-                (("politicians", 0, -1), [7]),
+                ("count_table.json", ("politicians", 0, -1), [7]),
                 "count_table.json: politician ids [7] are not",
             ),
             *(
                 (
                     "analyze",
-                    (("record_rows", "physical", 0), row),
+                    ("count_table.json", ("record_rows", "physical", 0), row),
                     f"count_table.json: record_rows/physical/0 {row!r} is not [k, women, online]",
                 )
                 for row in (
@@ -648,21 +660,36 @@ class TestBrokenArtifacts:
             ),
             (
                 "analyze",
-                (("record_rows", "fisico"), []),
+                ("count_table.json", ("record_rows", "fisico"), []),
                 "count_table.json: record_rows keys "
                 "['fisico', 'moral_behavioral', 'physical', 'socio_economic'] are not",
             ),
             (
                 "analyze",
-                (("record_rows", "physical"), DELETE),
+                ("count_table.json", ("record_rows", "physical"), DELETE),
                 "count_table.json: record_rows keys ['moral_behavioral', 'socio_economic'] are not",
             ),
             (
                 "analyze",
-                (("record_rows",), DELETE),
+                ("count_table.json", ("record_rows",), DELETE),
                 "count_table.json: no record_rows: written by an older extract; rerun extract",
             ),
-            ("report", (("record_rows",), DELETE), "count_table.json: no record_rows"),
+            ("report", ("count_table.json", ("record_rows",), DELETE), "count_table.json: no record_rows"),
+            (
+                "report",
+                ("diagnostics.json", (), [1, 2]),
+                "diagnostics.json: the top level is not an object with the keys ingest and matching",
+            ),
+            (
+                "report",
+                ("diagnostics.json", ("ingest", "rejected_sentences"), [["d1", "d1.s0"]]),
+                "diagnostics.json: ingest/rejected_sentences/0 ['d1', 'd1.s0'] is not",
+            ),
+            (
+                "report",
+                ("diagnostics.json", ("matching", "ambiguous_mentions"), {"Rossi": True}),
+                "diagnostics.json: matching/ambiguous_mentions/Rossi True is not a count",
+            ),
         ],
         ids=[
             "analyze-before-extract",
@@ -686,6 +713,9 @@ class TestBrokenArtifacts:
             "missing-category",
             "no-record-rows",
             "no-record-rows-report",
+            "diagnostics-not-an-object",
+            "diagnostics-rejected-row-of-two",
+            "diagnostics-count-boolean",
         ],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
@@ -700,17 +730,22 @@ class TestBrokenArtifacts:
                 desc["coverage"]["F"]["words_per_sentence"] = "many"
                 (out / edit).write_text(json.dumps(desc), encoding="utf-8")
             else:
-                # (path, value): set the value at that path of count_table.json
-                (*parents, last), value = edit
-                table = json.loads((out / "count_table.json").read_text(encoding="utf-8"))
-                node = table
-                for key in parents:
-                    node = node[key]
-                if value is DELETE:
-                    del node[last]
+                # (name, path, value): set the value at that path of the
+                # JSON artifact `name`; the empty path replaces the document
+                name, path, value = edit
+                doc = json.loads((out / name).read_text(encoding="utf-8"))
+                if path:
+                    *parents, last = path
+                    node = doc
+                    for key in parents:
+                        node = node[key]
+                    if value is DELETE:
+                        del node[last]
+                    else:
+                        node[last] = value
                 else:
-                    node[last] = value
-                (out / "count_table.json").write_text(json.dumps(table), encoding="utf-8")
+                    doc = value
+                (out / name).write_text(json.dumps(doc), encoding="utf-8")
             capsys.readouterr()
         before = read_bundle_bytes(out) if out.exists() else None
         assert cli_main(["--config", cfg_path, command]) == 2
@@ -1011,6 +1046,47 @@ class TestAllOrNothing:
             assert "count_table.json" in str(info.value)
         assert read_bundle_bytes(out) == before
 
+    def test_directory_in_the_way_fails_extract_with_nothing_renamed(
+        self, tmp_path, finished_run, capsys
+    ):
+        _, out = finished_run
+        os.remove(out / "counts.csv")
+        (out / "counts.csv").mkdir()
+        names = sorted(os.listdir(out))
+        before = read_bundle_bytes(out)
+        capsys.readouterr()
+        # radius 1 attributes fewer words, so every extract file would change
+        argv = ["--config", str(tmp_path / "cfg.ini"), "--radius", "1", "extract"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: stage 'extract' failed: ")
+        assert f"Is a directory: '{out / 'counts.csv'}'" in err[0]
+        assert sorted(os.listdir(out)) == names
+        assert read_bundle_bytes(out) == before
+
+    def test_failed_rename_removes_the_temporaries_not_yet_renamed(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
+        write_artifacts(cfg, {"a.json": {"v": 1}, "b.json": {"v": 1}, "c.csv": (["x"], [[1]])})
+        replace = os.replace
+
+        def fail_on_b(src, dst):
+            if os.path.basename(dst) == "b.json":
+                raise OSError(errno.EIO, "Input/output error", dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "replace", fail_on_b)
+        with pytest.raises(OSError, match="Input/output error"):
+            write_artifacts(cfg, {"a.json": {"v": 2}, "b.json": {"v": 2}, "c.csv": (["x"], [[2]])})
+        # a.json was renamed before the failure; the rest keep their old bytes
+        assert sorted(os.listdir(out)) == ["a.json", "b.json", "c.csv"]
+        assert [json.loads((out / n).read_text()) for n in ("a.json", "b.json")] == [
+            {"v": 2},
+            {"v": 1},
+        ]
+        assert (out / "c.csv").read_text() == "x\n1\n"
+
     def test_writer_removes_temporaries_when_a_payload_fails(self, tmp_path):
         out = tmp_path / "out"
         cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
@@ -1027,3 +1103,82 @@ class TestAllOrNothing:
         with pytest.raises(ValueError, match="no writer"):
             write_artifacts(cfg, {"a.json": {"v": 2}, "c.txt": "text"})
         assert read_bundle_bytes(out) == before
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic garbage collector switched on or off, its state restored after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPaused:
+    """Each stage runs with the cyclic garbage collector off and leaves its
+    state as it found it; reference counting frees what a stage builds."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "stage",
+        [ingest_check, stage_extract, stage_analyze, stage_report, run_pipeline],
+        ids=lambda stage: stage.__name__,
+    )
+    def test_off_inside_and_restored_after_success(self, finished_run, monkeypatch, stage, enabled):
+        cfg, _ = finished_run
+        inside = []
+        validate = PipelineConfig.validate
+
+        def spy(self):
+            inside.append(gc.isenabled())
+            validate(self)
+
+        monkeypatch.setattr(PipelineConfig, "validate", spy)
+        with collector(enabled):
+            stage(cfg)
+            assert gc.isenabled() is enabled
+        assert inside and not any(inside)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "stage, error",
+        [
+            (ingest_check, InputError),
+            (stage_extract, InputError),
+            (run_pipeline, InputError),
+            (stage_analyze, StageError),
+            (stage_report, StageError),
+        ],
+        ids=["ingest_check", "stage_extract", "run_pipeline", "stage_analyze", "stage_report"],
+    )
+    def test_restored_after_failure(self, tmp_path, stage, error, enabled):
+        # a bad HEAD stops the corpus readers; analyze and report find no artifacts
+        cfg_path = write_config(
+            tmp_path / "cfg.ini", tmp_path / "out", conllu=str(bad_head_conllu(tmp_path))
+        )
+        cfg = PipelineConfig.from_ini(cfg_path)
+        with collector(enabled):
+            with pytest.raises(error):
+                stage(cfg)
+            assert gc.isenabled() is enabled
+
+    def test_pausing_leaves_no_garbage_that_grows_with_the_input(self, tmp_path):
+        # only the indented JSON encoder leaves cycles: a fixed set per file written
+        found = {}
+        for n_docs in (200, 800):
+            paths = corpusgen.generate(str(tmp_path / f"in{n_docs}"), n_docs=n_docs, seed=1)
+            cfg_path = corpusgen.write_config(
+                paths, str(tmp_path / f"out{n_docs}"), str(tmp_path / f"run{n_docs}.ini"), seed=1
+            )
+            cfg = PipelineConfig.from_ini(cfg_path)
+            with collector(False):
+                for stage in (ingest_check, stage_extract, stage_analyze, stage_report):
+                    gc.collect()
+                    stage(cfg)
+                    found[n_docs, stage.__name__] = gc.collect()
+        for name in ("ingest_check", "stage_extract"):
+            assert found[200, name] == found[800, name] == 0, name
+        for name in ("stage_analyze", "stage_report"):
+            assert found[200, name] == found[800, name], name
