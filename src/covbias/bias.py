@@ -1,10 +1,13 @@
 """Gender-adjusted coverage statistics.
 
-Count tables aggregate word events per gender (and optional category,
-source type and day); correction factors rescale for the structural
-imbalance in both representation and coverage; on top of those sit the
-per-word coverage bias index, distribution summaries, the dissimilarity
-index and its leave-one-out variant used to rank gender-distinctive words.
+Count tables count each word event twice: once per (word, gender,
+category, source type), which every score reads, and once per (gender,
+category, source type, day), which only the trends read; so a table grows
+with the vocabulary plus the days, not with their product. Correction
+factors rescale for the structural imbalance in both representation and
+coverage; on top of those sit the per-word coverage bias index,
+distribution summaries, the dissimilarity index and its leave-one-out
+variant used to rank gender-distinctive words.
 
 All index arithmetic is exact (fractions over integer counts); floats
 appear only when results are serialized.
@@ -24,14 +27,8 @@ import numpy as np
 from .model import Category, Gender, SourceType, parse_date
 
 WordKey = tuple[str, str]  # (lemma, upos)
-CellKey = tuple[
-    str,
-    str,
-    Gender,
-    Optional[Category],
-    Optional[SourceType],
-    Optional[datetime.date],
-]
+WordCell = tuple[str, str, Gender, Optional[Category], Optional[SourceType]]
+DayCell = tuple[Gender, Optional[Category], Optional[SourceType], datetime.date]
 Slots = tuple[Gender, Optional[Category], Optional[SourceType]]  # a politician set's key
 RATE_MODES = ("ratio", "literal")
 # str() and value of everything an enum slot of a key can hold (None or a
@@ -43,53 +40,65 @@ _SLOT_VALUE = {x: getattr(x, "value", None) for x in _SLOT_STR}
 class CountTable:
     """Aggregate of word-event counts.
 
-    Cells are keyed by (lemma, upos, gender, category, source_type, date);
-    category is None for words outside the lexicon. Politician identities
-    are tracked per (gender, category, source_type) so that slices report
-    their own politician tallies.
+    Each attributed (word, mention) pair is counted once into each of two
+    dicts:
+    - `words`, keyed by (lemma, upos, gender, category, source_type), the
+      word counts that every score reads; category is None for words
+      outside the lexicon;
+    - `days`, keyed by (gender, category, source_type, date), the daily
+      totals that only the personalization trends read.
+    So the table grows with the vocabulary plus the days, not with their
+    product. Politician identities are tracked per (gender, category,
+    source_type) so that slices report their own politician tallies.
 
-    A table is built once, from its cells and politician sets, and only
-    read after that. So each marginal the analyses read over and over (the
-    gender totals of `total()`, the per-word gender counts of
-    `word_counts()` and the per-day totals of `by_day()`) is summed from
-    the cells on its first read and returned as is: callers must not
-    mutate it.
+    A table is built once, from its two dicts and politician sets, and
+    only read after that. So each marginal the analyses read over and over
+    (the gender totals of `total()`, the per-word gender counts of
+    `word_counts()` and the per-day totals of `by_day()`) is summed on its
+    first read and returned as is: callers must not mutate it.
     """
 
-    def __init__(self, cells: dict[CellKey, int], pids: dict[Slots, set[str]]) -> None:
-        self.cells = cells
+    def __init__(
+        self,
+        words: dict[WordCell, int],
+        days: dict[DayCell, int],
+        pids: dict[Slots, set[str]],
+    ) -> None:
+        self.words = words
+        self.days = days
         self.pids = pids
 
     @classmethod
     def from_counts(
         cls,
-        cells: dict[CellKey, int],
+        words: dict[WordCell, int],
+        days: dict[DayCell, int],
         pid_keys: Iterable[tuple[Gender, Optional[Category], Optional[SourceType], str]],
     ) -> "CountTable":
-        """A table over counted ``cells``, which it takes as they are, with
-        each ``(gender, category, source_type, pid)`` of ``pid_keys`` adding
-        the politician to its slot's set."""
+        """A table over counted ``words`` and ``days``, which it takes as
+        they are, with each ``(gender, category, source_type, pid)`` of
+        ``pid_keys`` adding the politician to its slot's set."""
         pids: dict[Slots, set[str]] = {}
         for g, cat, st, pid in pid_keys:
             members = pids.get((g, cat, st))
             if members is None:
                 members = pids[g, cat, st] = set()
             members.add(pid)
-        return cls(cells, pids)
+        return cls(words, days, pids)
 
     # -- marginals ---------------------------------------------------------
 
     @cached_property
     def _totals(self) -> dict[Gender, int]:
         out = {g: 0 for g in Gender}
-        for (_, _, g, _, _, _), n in self.cells.items():
+        for (_, _, g, _, _), n in self.words.items():
             out[g] += n
         return out
 
     @cached_property
     def _words(self) -> dict[WordKey, dict[Gender, int]]:
         out: dict[WordKey, dict[Gender, int]] = {}
-        for (lemma, upos, g, _, _, _), n in self.cells.items():
+        for (lemma, upos, g, _, _), n in self.words.items():
             per = out.setdefault((lemma, upos), {Gender.F: 0, Gender.M: 0})
             per[g] += n
         return out
@@ -97,10 +106,9 @@ class CountTable:
     @cached_property
     def _days(self) -> dict[Gender, dict[datetime.date, int]]:
         out: dict[Gender, dict[datetime.date, int]] = {g: {} for g in Gender}
-        for (_, _, g, _, _, day), n in self.cells.items():
-            if day is not None:
-                per = out[g]
-                per[day] = per.get(day, 0) + n
+        for (g, _, _, day), n in self.days.items():
+            per = out[g]
+            per[day] = per.get(day, 0) + n
         return out
 
     def total(self, gender: Gender) -> int:
@@ -108,7 +116,7 @@ class CountTable:
 
     @property
     def grand_total(self) -> int:
-        return sum(self.cells.values())
+        return sum(self.words.values())
 
     def politicians(self, gender: Gender) -> int:
         seen: set[str] = set()
@@ -123,7 +131,7 @@ class CountTable:
     def word_categories(self) -> dict[WordKey, Optional[Category]]:
         """Lexicon category per word; None for out-of-lexicon words."""
         out: dict[WordKey, Optional[Category]] = {}
-        for (lemma, upos, _, cat, _, _) in self.cells:
+        for (lemma, upos, _, cat, _) in self.words:
             key = (lemma, upos)
             if cat is not None or key not in out:
                 out[key] = cat if cat is not None else out.get(key)
@@ -134,7 +142,7 @@ class CountTable:
 
     def source_gender_counts(self) -> dict[tuple[SourceType, Gender], int]:
         out: dict[tuple[SourceType, Gender], int] = {}
-        for (_, _, g, _, st, _), n in self.cells.items():
+        for (_, _, g, _, st), n in self.words.items():
             if st is not None:
                 out[(st, g)] = out.get((st, g), 0) + n
         return out
@@ -147,46 +155,54 @@ class CountTable:
         source_type: Optional[SourceType] = None,
         lexicon_only: bool = False,
     ) -> "CountTable":
+        """The table of the cells in one category (or every lexicon
+        category, or all) and one source type (or all), each dict filtered
+        alike, so the slice keeps its own day totals and politicians."""
         if category is not None:
             cats: tuple = (category,)
         else:
             cats = (*Category,) if lexicon_only else (None, *Category)
         sts = (source_type,) if source_type is not None else (None, *SourceType)
         return CountTable(
-            {k: n for k, n in self.cells.items() if k[3] in cats and k[4] in sts},
+            {k: n for k, n in self.words.items() if k[3] in cats and k[4] in sts},
+            {k: n for k, n in self.days.items() if k[1] in cats and k[2] in sts},
             {k: p for k, p in self.pids.items() if k[1] in cats and k[2] in sts},
         )
 
     # -- serialization -----------------------------------------------------
 
     def to_csv_rows(self) -> list[tuple[str, str, str, str, str, int]]:
-        """Date-aggregated rows (lemma, upos, gender, category, source_type, count)."""
-        agg: dict[tuple[str, str, str, str, str], int] = {}
-        for (lemma, upos, g, cat, st, _), n in self.cells.items():
-            k = (lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat] or "", _SLOT_VALUE[st] or "")
-            agg[k] = agg.get(k, 0) + n
-        return [k + (agg[k],) for k in sorted(agg)]
+        """Rows (lemma, upos, gender, category, source_type, count), one per
+        word cell, sorted; an empty string stands for a None slot."""
+        return sorted(
+            (lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat] or "", _SLOT_VALUE[st] or "", n)
+            for (lemma, upos, g, cat, st), n in self.words.items()
+        )
 
     def to_json_dict(self) -> dict:
-        # str() of each distinct day, made once: it is the day's ISO date,
-        # and the cells sort by ``tuple(str(x) for x in key)``
-        day_str = {day: str(day) for day in {key[5] for key in self.cells}}
+        """`cells`: [lemma, upos, gender, category, source_type, null, count]
+        rows, the null kept where older files held the day; `days`: [gender,
+        category, source_type, "YYYY-MM-DD", count] rows; `politicians`:
+        [gender, category, source_type, sorted ids] rows. Each list is
+        sorted by the str() of its key's members."""
+        # str() of each distinct day, made once: it is the day's ISO date
+        day_str = {day: str(day) for day in {key[3] for key in self.days}}
 
-        def sort_key(item: tuple[CellKey, int]) -> tuple[str, ...]:
-            (lemma, upos, g, cat, st, day), _ = item
-            return lemma, upos, _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st], day_str[day]
+        def word_order(item: tuple[WordCell, int]) -> tuple[str, ...]:
+            (lemma, upos, g, cat, st), _ = item
+            return lemma, upos, _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st]
+
+        def day_order(item: tuple[DayCell, int]) -> tuple[str, ...]:
+            (g, cat, st, day), _ = item
+            return _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st], day_str[day]
 
         cells = [
-            [
-                lemma,
-                upos,
-                _SLOT_VALUE[g],
-                _SLOT_VALUE[cat],
-                _SLOT_VALUE[st],
-                day_str[day] if day is not None else None,
-                n,
-            ]
-            for (lemma, upos, g, cat, st, day), n in sorted(self.cells.items(), key=sort_key)
+            [lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], None, n]
+            for (lemma, upos, g, cat, st), n in sorted(self.words.items(), key=word_order)
+        ]
+        days = [
+            [_SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], day_str[day], n]
+            for (g, cat, st, day), n in sorted(self.days.items(), key=day_order)
         ]
         pids = [
             [_SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], sorted(members)]
@@ -194,32 +210,49 @@ class CountTable:
                 self.pids.items(), key=lambda kv: tuple([_SLOT_STR[x] for x in kv[0]])
             )
         ]
-        return {"cells": cells, "politicians": pids}
+        return {"cells": cells, "days": days, "politicians": pids}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CountTable":
-        cells: dict[CellKey, int] = {}
+        """The table of a `to_json_dict` object; a `cells` row with a day,
+        or no `days` at all, was written by an older extract."""
+        if "days" not in d:
+            raise ValueError("no days: written by an older extract; rerun extract")
+        words: dict[WordCell, int] = {}
+        days: dict[DayCell, int] = {}
         pids: dict[Slots, set[str]] = {}
-        decoded: dict[tuple, tuple] = {}  # raw slot values -> members
-        days: dict[str, datetime.date] = {}  # ISO day string -> date
+        decoded: dict[tuple, Slots] = {}  # raw slot values -> members
+        dates: dict[str, datetime.date] = {}  # ISO day string -> date
         for lemma, upos, g, cat, st, day, n in d["cells"]:
             if type(n) is not int or n < 0:
                 raise ValueError(f"cell count {n!r} is not a non-negative integer")
             if type(lemma) is not str or type(upos) is not str:
                 raise ValueError(f"cell word ({lemma!r}, {upos!r}) is not two strings")
+            if day is not None:
+                raise ValueError(
+                    f"cell day {day!r} is not null: written by an older extract; rerun extract"
+                )
             slots = decoded.get((g, cat, st))
             if slots is None:
                 slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
-            date = days.get(day)
-            if date is None and day is not None:
-                date = days[day] = parse_date(day)
-            key = (lemma, upos, *slots, date)
-            cells[key] = cells.get(key, 0) + n
+            key = (lemma, upos, *slots)
+            words[key] = words.get(key, 0) + n
+        for g, cat, st, day, n in d["days"]:
+            if type(n) is not int or n < 0:
+                raise ValueError(f"day count {n!r} is not a non-negative integer")
+            slots = decoded.get((g, cat, st))
+            if slots is None:
+                slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
+            date = dates.get(day)
+            if date is None:
+                date = dates[day] = parse_date(day)
+            key = (*slots, date)
+            days[key] = days.get(key, 0) + n
         for g, cat, st, members in d["politicians"]:
             if type(members) is not list or any(type(pid) is not str for pid in members):
                 raise ValueError(f"politician ids {members!r} are not a list of strings")
             pids.setdefault(_decode_slots(g, cat, st), set()).update(members)
-        return cls(cells, pids)
+        return cls(words, days, pids)
 
 
 def _decode_slots(g: str, cat: Optional[str], st: Optional[str]) -> Slots:

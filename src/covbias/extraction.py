@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .bias import CellKey, CountTable
+from .bias import CountTable, DayCell, WordCell
 from .entities import MatchDiagnostics, RoleGazetteer, find_mentions
 from .lexicon import Lexicon
 from .model import (
@@ -162,10 +162,11 @@ def extract_records(
 
     Each word's category and grid position come from one dict built
     from the lexicon, each mention's gender from one pid -> gender dict.
-    Attributed words are counted straight into a plain cell dict plus a
-    set of (gender, category, source_type, pid) keys, both bounded by the
-    distinct cells, and become the `CountTable` once the stream ends.
-    The descriptives come from per-`SentenceKey` counts, the cells and the records.
+    Each (word, mention) pair is counted once into a word dict and once
+    into a day dict (`CountTable`'s two keys), and adds its (gender,
+    category, source_type, pid) key to a set; the three become the
+    `CountTable` once the stream ends. The descriptives come from
+    per-`SentenceKey` counts, the word dict's keys and the records.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -176,10 +177,12 @@ def extract_records(
     diagnostics = MatchDiagnostics()
     words = {key: (e.category, e.fifths) for key, e in lexicon.entries.items()}
     genders = {pid: p.gender for pid, p in registry.politicians.items()}
-    cells: dict[CellKey, int] = {}
+    word_cells: dict[WordCell, int] = {}
+    day_cells: dict[DayCell, int] = {}
     pid_keys: set[tuple[Gender, Optional[Category], SourceType, str]] = set()
     covered: dict[SentenceKey, int] = {}
-    word_of, cell_count, add_pid_key = words.get, cells.get, pid_keys.add
+    word_of, word_count, day_count = words.get, word_cells.get, day_cells.get
+    add_pid_key = pid_keys.add
     covered_count, new_record, record = covered.get, tuple.__new__, records.append
     for doc, sentence in stream:
         mentions = find_mentions(sentence, doc, registry, gaz, diagnostics)
@@ -194,8 +197,10 @@ def extract_records(
             for m in tied:
                 pid = m.pid
                 gender = genders[pid]
-                key = (lemma, upos, gender, category, source_type, date)
-                cells[key] = cell_count(key, 0) + 1
+                key = (lemma, upos, gender, category, source_type)
+                word_cells[key] = word_count(key, 0) + 1
+                key = (gender, category, source_type, date)
+                day_cells[key] = day_count(key, 0) + 1
                 add_pid_key((gender, category, source_type, pid))
                 sent_key = (gender, pid, doc_id, sent_index)
                 covered[sent_key] = covered_count(sent_key, 0) + 1
@@ -209,11 +214,14 @@ def extract_records(
                     )
     personalized = Counter((r.gender, r.pid, r.doc_id, r.sentence_index) for r in records)
     descriptives = {
-        "coverage": dataset_descriptives(covered, {(k[2], k[0]) for k in cells}),
+        "coverage": dataset_descriptives(covered, {(k[2], k[0]) for k in word_cells}),
         "personalization": dataset_descriptives(
             personalized, {(r.gender, r.lemma) for r in records}
         ),
     }
     return ExtractionResult(
-        records, CountTable.from_counts(cells, pid_keys), descriptives, diagnostics
+        records,
+        CountTable.from_counts(word_cells, day_cells, pid_keys),
+        descriptives,
+        diagnostics,
     )

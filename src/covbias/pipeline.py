@@ -14,20 +14,26 @@ be rerun from the previous stage's artifacts:
 The JSON files a later stage reads back, `MACHINE_ARTIFACTS`
 (count_table.json, descriptives.json and diagnostics.json), are written
 compact, on one line; every other JSON file is a report file, indented
-for people. count_table.json holds the word counts and, under
-`record_rows`, each category's records as rows of three small ints
-(`RecordRows`), so analyze reads only it and the lexicon. records.jsonl
-(one object per record) and counts.csv are for people and never read
-back. A missing or broken artifact stops the stage that reads it with a
-`StageError` naming the file.
+for people. count_table.json holds the `CountTable`'s two count dicts:
+under `cells` the word counts, one row per (lemma, upos, gender,
+category, source_type) with a null day column, and under `days` the
+daily totals, one row per (gender, category, source_type, date); so it
+grows with the vocabulary plus the days. Beside them are the politician
+sets and, under `record_rows`, each category's records as rows of three
+small ints (`RecordRows`), so analyze reads only it and the lexicon.
+records.jsonl (one object per record) and counts.csv are for people and
+never read back. A missing or broken artifact stops the stage that reads
+it with a `StageError` naming the file; so does a count_table.json from
+an older extract, without `days` or with days in its `cells`.
 
 The settings are the fields of `PipelineConfig`, and `from_ini` reads
 exactly those keys. A stage reads each input file once, side files before
 the parses, so a config error or a broken file stops it before any work.
 A stage computes all its artifacts before `write_artifacts` puts any in
-place, so a stage that fails leaves the output directory as it was;
-`write_artifacts` refuses an output name taken by a directory before it
-renames anything.
+place, and keeps each file it replaces aside until the last rename, so a
+stage that fails, in a write or in a rename, leaves the output directory
+as it was; `write_artifacts` refuses an output name taken by a directory
+before it renames anything.
 
 Each stage runs with the cyclic garbage collector paused
 (`_collector_paused`) and restores its state after, also on failure. A
@@ -54,6 +60,7 @@ import json
 import logging
 import math
 import os
+import stat
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, TextIO, TypeVar, get_type_hints
 
@@ -240,20 +247,30 @@ def write_artifacts(cfg: PipelineConfig, artifacts: Mapping[str, object]) -> Non
     (header, rows) pair and a `*.jsonl` payload an iterable of encoded lines.
     A target that is a directory fails the call before anything is written.
     Every file is written under a temporary name first and renamed into
-    place only once all are written; on failure the temporaries not yet
-    renamed are removed.
+    place only once all are written. An existing target is first moved
+    aside, under a name of its own, and the moved files are deleted only
+    after the last rename. So if a write or a rename fails, the new files
+    already in place are removed, every moved file is put back and the
+    temporaries are deleted: the output directory is as it was.
     """
     os.makedirs(cfg.out, exist_ok=True)
+    existing: set[str] = set()
     for name in artifacts:
         target = cfg.path(name)
-        if os.path.isdir(target) and not os.path.islink(target):
+        try:
+            mode = os.lstat(target).st_mode
+        except FileNotFoundError:
+            continue
+        if stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
-    staged: list[tuple[str, str]] = []
-    renamed = 0
+        existing.add(name)
+    staged: list[tuple[str, str]] = []  # (temporary, name)
+    moved: list[tuple[str, str]] = []  # (aside, target): old files moved out of the way
+    placed: list[str] = []  # targets the new files were renamed to
     try:
         for name, payload in artifacts.items():
             tmp = cfg.path(f".{name}.tmp")
-            staged.append((tmp, cfg.path(name)))
+            staged.append((tmp, name))
             if name.endswith(".json"):
                 reporting.write_json(tmp, payload, compact=name in MACHINE_ARTIFACTS)
             elif name.endswith(".csv"):
@@ -262,14 +279,27 @@ def write_artifacts(cfg: PipelineConfig, artifacts: Mapping[str, object]) -> Non
                 reporting.write_jsonl(tmp, payload)
             else:
                 raise ValueError(f"no writer for artifact {name!r}")
-        for tmp, target in staged:
+        for tmp, name in staged:
+            target = cfg.path(name)
+            if name in existing:
+                aside = cfg.path(f".{name}.old")
+                os.replace(target, aside)
+                moved.append((aside, target))
             os.replace(tmp, target)
-            renamed += 1
+            placed.append(target)
     except BaseException:
-        for tmp, _ in staged[renamed:]:
+        restored = {target for _, target in moved}
+        for target in placed:
+            if target not in restored:
+                os.remove(target)
+        for aside, target in moved:
+            os.replace(aside, target)
+        for tmp, _ in staged[len(placed):]:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
         raise
+    for aside, _ in moved:
+        os.remove(aside)
 
 
 def _read_artifact(
@@ -303,8 +333,9 @@ _RECORD_ROW_TYPES = (int, int, int)
 
 
 def _count_table_json(table: CountTable, records: Iterable[PersonalizationRecord]) -> dict:
-    """count_table.json: the table's cells and politicians, and under
-    `record_rows` each category's rows of `records`, in record order."""
+    """count_table.json: the table's word cells, day cells and politicians,
+    and under `record_rows` each category's rows of `records`, in record
+    order."""
     rows: dict[str, list] = {c.value: [] for c in Category}
     for r in records:
         rows[r.category.value].append(

@@ -44,31 +44,38 @@ def tiny_corpus():
 
 
 def table_from_counts(word_counts: dict, n_f: int, n_m: int) -> CountTable:
-    """CountTable from {(lemma, upos): (count_f, count_m)} plus synthetic
-    politician tallies of the requested sizes."""
-    cells = {
-        (lemma, upos, gender, None, None, None): n
+    """CountTable from {(lemma, upos): (count_f, count_m)}, undated and
+    with no category or source type, plus synthetic politician tallies of
+    the requested sizes."""
+    words = {
+        (lemma, upos, gender, None, None): n
         for (lemma, upos), counts in word_counts.items()
         for gender, n in zip((Gender.F, Gender.M), counts)
         if n
     }
     pid_keys = [(Gender.F, None, None, f"f{i}") for i in range(n_f)]
     pid_keys += [(Gender.M, None, None, f"m{i}") for i in range(n_m)]
-    return CountTable.from_counts(cells, pid_keys)
+    return CountTable.from_counts(words, {}, pid_keys)
 
 
 def table_from_events(events) -> CountTable:
     """CountTable of ``(lemma, upos, gender, category, source_type, date,
-    pid[, n])`` events, n 1 when left out, counted one at a time into a
-    cells dict; a pid of None names no politician."""
-    cells: dict = {}
+    pid[, n])`` events, n 1 when left out, each counted into the word dict
+    and, when it has a date, into the day dict; a pid of None names no
+    politician."""
+    words: dict = {}
+    days: dict = {}
     pid_keys = []
     for lemma, upos, gender, category, source, day, pid, *n in events:
-        key = (lemma, upos, gender, category, source, day)
-        cells[key] = cells.get(key, 0) + (n[0] if n else 1)
+        n = n[0] if n else 1
+        key = (lemma, upos, gender, category, source)
+        words[key] = words.get(key, 0) + n
+        if day is not None:
+            key = (gender, category, source, day)
+            days[key] = days.get(key, 0) + n
         if pid is not None:
             pid_keys.append((gender, category, source, pid))
-    return CountTable.from_counts(cells, pid_keys)
+    return CountTable.from_counts(words, days, pid_keys)
 
 
 def sentiment_record(category, gender, source_type, fifths, lemma="w", upos="ADJ"):
@@ -91,7 +98,7 @@ def record_rows(records):
     """Analyze's per-category rows of ``records``: written into
     count_table.json's record_rows by extract's encoder, and read back by
     analyze's decoder."""
-    text = json.dumps(_count_table_json(CountTable({}, {}), records))
+    text = json.dumps(_count_table_json(CountTable({}, {}, {}), records))
     return _read_count_table(io.StringIO(text))[1]
 
 

@@ -742,53 +742,87 @@ class SevenStructureTally:
 
 
 # ---------------------------------------------------------------------------
-# CountTable JSON: sort keys formatted with str() on every cell
+# CountTable: its JSON object and its marginals, summed afresh from events
 # ---------------------------------------------------------------------------
 
 
-def count_table_json_str_key(table):
-    """``CountTable.to_json_dict()`` sorting by ``tuple(str(x) for x in key)``."""
-    cells = [
-        [
-            lemma,
-            upos,
-            g.value,
-            cat.value if cat is not None else None,
-            st.value if st is not None else None,
-            day.isoformat() if day is not None else None,
-            n,
-        ]
-        for (lemma, upos, g, cat, st, day), n in sorted(
-            table.cells.items(), key=lambda kv: tuple(str(x) for x in kv[0])
-        )
-    ]
-    pids = [
-        [
-            g.value,
-            cat.value if cat is not None else None,
-            st.value if st is not None else None,
-            sorted(members),
-        ]
-        for (g, cat, st), members in sorted(
-            table.pids.items(), key=lambda kv: tuple(str(x) for x in kv[0])
-        )
-    ]
-    return {"cells": cells, "politicians": pids}
-
-
-def count_table_marginals(cells):
-    """(per-word gender counts, gender totals, per-day counts by gender)
-    summed afresh from a count table's cells; genders are the keys the
-    cells hold."""
-    words, totals, days = {}, {}, {}
-    for (lemma, upos, g, _, _, day), n in cells.items():
-        per = words.setdefault((lemma, upos), {})
-        per[g] = per.get(g, 0) + n
-        totals[g] = totals.get(g, 0) + n
+def _event_counts(events):
+    """(word cells, day cells, politician sets) of ``table_from_events``
+    events, each event counted one at a time; undated events add no day."""
+    words, days, pids = {}, {}, {}
+    for lemma, upos, g, cat, st, day, pid, *n in events:
+        n = n[0] if n else 1
+        words[lemma, upos, g, cat, st] = words.get((lemma, upos, g, cat, st), 0) + n
         if day is not None:
-            per_day = days.setdefault(g, {})
-            per_day[day] = per_day.get(day, 0) + n
-    return words, totals, days
+            days[g, cat, st, day] = days.get((g, cat, st, day), 0) + n
+        if pid is not None:
+            pids.setdefault((g, cat, st), set()).add(pid)
+    return words, days, pids
+
+
+def _value(x):
+    return x.value if x is not None else None
+
+
+def count_table_json_str_key(events):
+    """``CountTable.to_json_dict()`` of a ``table_from_events`` table, from
+    its events, each list sorted by ``tuple(str(x) for x in key)``."""
+    words, days, pids = _event_counts(events)
+
+    def by_str(counts):
+        return sorted(counts.items(), key=lambda kv: tuple(str(x) for x in kv[0]))
+
+    return {
+        "cells": [
+            [lemma, upos, g.value, _value(cat), _value(st), None, n]
+            for (lemma, upos, g, cat, st), n in by_str(words)
+        ],
+        "days": [
+            [g.value, _value(cat), _value(st), day.isoformat(), n]
+            for (g, cat, st, day), n in by_str(days)
+        ],
+        "politicians": [
+            [g.value, _value(cat), _value(st), sorted(members)]
+            for (g, cat, st), members in by_str(pids)
+        ],
+    }
+
+
+def slice_events(events, category=None, source_type=None, lexicon_only=False):
+    """The events that ``CountTable.slice(category, source_type,
+    lexicon_only)`` keeps: a category or source type of None keeps all,
+    and ``lexicon_only`` drops the words outside the lexicon."""
+    return [
+        e
+        for e in events
+        if (e[3] == category if category is not None else not lexicon_only or e[3] is not None)
+        and (source_type is None or e[4] == source_type)
+    ]
+
+
+def count_table_marginals(events):
+    """The marginals of a ``table_from_events`` table summed from its events:
+    (per-word gender counts, gender totals, per-day counts by gender, counts
+    by (source type, gender), and each word's set of lexicon categories).
+    Every gender is a key of the first three."""
+    from covbias.model import Gender
+
+    words, sources, categories = {}, {}, {}
+    totals = {g: 0 for g in Gender}
+    days = {g: {} for g in Gender}
+    for lemma, upos, g, cat, st, day, _, *n in events:
+        n = n[0] if n else 1
+        per = words.setdefault((lemma, upos), {h: 0 for h in Gender})
+        per[g] += n
+        totals[g] += n
+        if day is not None:
+            days[g][day] = days[g].get(day, 0) + n
+        if st is not None:
+            sources[st, g] = sources.get((st, g), 0) + n
+        cats = categories.setdefault((lemma, upos), set())
+        if cat is not None:
+            cats.add(cat)
+    return words, totals, days, sources, categories
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +884,8 @@ def neighborhood_reference(sentence, mention, radius, direction="undirected"):
 
 def extract_records_reference(stream, registry, lexicon, radius=2, direction="undirected"):
     """Every word attributed to its nearest mentions (all of them on a tie),
-    one lexicon lookup and one record per (word, mention) pair."""
+    one lexicon lookup, one word cell count, one day cell count and one
+    record per (word, mention) pair."""
     from covbias.bias import CountTable
     from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
     from covbias.extraction import ExtractionResult
@@ -859,7 +894,7 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
     gaz = RoleGazetteer()
     records, diagnostics = [], MatchDiagnostics()
     coverage, personalization = SevenStructureTally(), SevenStructureTally()
-    cells, pids = {}, {}
+    words, days, pids = {}, {}, {}
     for doc, sentence in stream:
         mentions = find_mentions(sentence, doc, registry, gaz, diagnostics)
         if not mentions:
@@ -884,8 +919,10 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
                 gender = registry.politicians[m.pid].gender
                 entry = lexicon.get(token.lemma, token.upos)
                 category = entry.category if entry else None
-                key = (token.lemma, token.upos, gender, category, doc.source_type, doc.date)
-                cells[key] = cells.get(key, 0) + 1
+                key = (token.lemma, token.upos, gender, category, doc.source_type)
+                words[key] = words.get(key, 0) + 1
+                key = (gender, category, doc.source_type, doc.date)
+                days[key] = days.get(key, 0) + 1
                 pids.setdefault((gender, category, doc.source_type), set()).add(m.pid)
                 coverage.add(gender, m.pid, doc.doc_id, sentence.index, token.lemma)
                 if entry is not None:
@@ -910,7 +947,7 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
         "coverage": coverage.to_json_dict(),
         "personalization": personalization.to_json_dict(),
     }
-    return ExtractionResult(records, CountTable(cells, pids), descriptives, diagnostics)
+    return ExtractionResult(records, CountTable(words, days, pids), descriptives, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,8 @@ class TestExtractRecords:
         pairs = list(tiny_corpus())
         forward = extract_records(pairs, registry, lexicon)
         backward = extract_records(list(reversed(pairs)), registry, lexicon)
-        assert forward.counts.cells == backward.counts.cells
+        assert forward.counts.words == backward.counts.words
+        assert forward.counts.days == backward.counts.days
         assert sorted(map(repr, forward.records)) == sorted(map(repr, backward.records))
 
     def test_children_direction_restricts(self, tiny_corpus, fixture_inputs):
@@ -516,8 +517,9 @@ class TestAttributionOracle:
         got = extract_records(stream, registry, lexicon, radius=radius, direction=direction)
         expected = extract_records_reference(stream, registry, lexicon, radius, direction)
         assert _extraction_json(got) == _extraction_json(expected)
-        # counted into one dict, the cells keep the order of add() per word
-        assert list(got.counts.cells.items()) == list(expected.counts.cells.items())
+        # counted one pair at a time, the cells keep the order of the pairs
+        assert list(got.counts.words.items()) == list(expected.counts.words.items())
+        assert list(got.counts.days.items()) == list(expected.counts.days.items())
         assert got.counts.pids == expected.counts.pids
         # Table 1's word and politician counts agree with the count table
         for result in (got, expected):

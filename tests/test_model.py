@@ -199,11 +199,11 @@ class TestRecordSerialization:
             with open(path, "rb") as fh:
                 assert fh.read() == "".join(line + "\n" for line in lines).encode("utf-8")
             path = os.path.join(tmp, "count_table.json")
-            empty = CountTable({}, {})
+            empty = CountTable({}, {}, {})
             reporting.write_json(path, pipeline._count_table_json(empty, records), compact=True)
             with open(path, encoding="utf-8") as fh:
                 table, loaded = pipeline._read_count_table(fh)
-        assert table.cells == {} and table.pids == {}
+        assert table.words == {} and table.days == {} and table.pids == {}
         assert loaded == reference_rows(map(json.loads, lines))
 
     def test_analyze_loader_reads_the_extracted_records(self, tmp_path):

@@ -690,6 +690,26 @@ class TestBrokenArtifacts:
                 ("diagnostics.json", ("matching", "ambiguous_mentions"), {"Rossi": True}),
                 "diagnostics.json: matching/ambiguous_mentions/Rossi True is not a count",
             ),
+            *(
+                (command, ("count_table.json", ("days",), DELETE),
+                 "count_table.json: no days: written by an older extract; rerun extract")
+                for command in ("analyze", "report")
+            ),
+            *(
+                (command, ("count_table.json", ("cells", 0, 5), "2018-01-01"),
+                 "count_table.json: cell day '2018-01-01' is not null: written by an older extract")
+                for command in ("analyze", "report")
+            ),
+            *(
+                (command, ("count_table.json", ("days", 0, -1), count),
+                 f"count_table.json: day count {count!r} is not a non-negative integer")
+                for command, count in (("analyze", True), ("report", -1), ("analyze", 1.5))
+            ),
+            *(
+                (command, ("count_table.json", ("days", 0, 3), day),
+                 f"count_table.json: Invalid isoformat string: '{day}'")
+                for command, day in (("analyze", "20180101"), ("report", "2018-W01-1"))
+            ),
         ],
         ids=[
             "analyze-before-extract",
@@ -716,6 +736,15 @@ class TestBrokenArtifacts:
             "diagnostics-not-an-object",
             "diagnostics-rejected-row-of-two",
             "diagnostics-count-boolean",
+            "no-days",
+            "no-days-report",
+            "cell-with-day",
+            "cell-with-day-report",
+            "day-count-boolean",
+            "day-count-negative-report",
+            "day-count-float",
+            "day-compact-date",
+            "day-week-date-report",
         ],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
@@ -794,6 +823,25 @@ class TestHandoffFormat:
         for name in compact:
             if name not in self.MACHINE:
                 assert indented[name] == compact[name], name
+
+    def test_cells_summed_by_gender_are_the_coverage_word_totals(self, tmp_path):
+        # the benchmark's check reads count_table.json this way: count at
+        # index 6 of each `cells` row, gender at index 2
+        paths = corpusgen.generate(str(tmp_path / "in"), n_docs=200, seed=3)
+        cfg_path = corpusgen.write_config(paths, str(tmp_path / "out"), str(tmp_path / "cfg.ini"))
+        assert cli_main(["--config", cfg_path, "run"]) == 0
+        table = json.loads((tmp_path / "out" / "count_table.json").read_text(encoding="utf-8"))
+        desc = json.loads((tmp_path / "out" / "descriptives.json").read_text(encoding="utf-8"))
+        from_cells = {g.value: 0 for g in Gender}
+        for cell in table["cells"]:
+            from_cells[cell[2]] += cell[6]
+        # every generated document is dated, so the day rows hold each word too
+        from_days = {g.value: 0 for g in Gender}
+        for row in table["days"]:
+            from_days[row[0]] += row[4]
+        expected = {g.value: desc["coverage"][g.value]["words"] for g in Gender}
+        assert all(expected.values())
+        assert from_cells == from_days == expected
 
 
     def test_analyze_and_report_read_no_records_jsonl(self, tmp_path):
@@ -1065,27 +1113,41 @@ class TestAllOrNothing:
         assert sorted(os.listdir(out)) == names
         assert read_bundle_bytes(out) == before
 
-    def test_failed_rename_removes_the_temporaries_not_yet_renamed(self, tmp_path, monkeypatch):
+    def test_failed_rename_at_any_call_leaves_the_directory_as_it_was(
+        self, tmp_path, monkeypatch
+    ):
         out = tmp_path / "out"
         cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
         write_artifacts(cfg, {"a.json": {"v": 1}, "b.json": {"v": 1}, "c.csv": (["x"], [[1]])})
+        before = read_bundle_bytes(out)
+        # three old files to move aside and four new ones to rename in;
+        # d.json is new and renamed first, so a later failure must remove it
+        new = {"d.json": {}, "a.json": {"v": 2}, "b.json": {"v": 2}, "c.csv": (["x"], [[2]])}
         replace = os.replace
+        calls = []
 
-        def fail_on_b(src, dst):
-            if os.path.basename(dst) == "b.json":
-                raise OSError(errno.EIO, "Input/output error", dst)
-            replace(src, dst)
+        def fail_at(k):
+            def counted(src, dst):
+                calls.append((src, dst))
+                if len(calls) == k:
+                    raise OSError(errno.EIO, "Input/output error", dst)
+                replace(src, dst)
 
-        monkeypatch.setattr(pipeline.os, "replace", fail_on_b)
-        with pytest.raises(OSError, match="Input/output error"):
-            write_artifacts(cfg, {"a.json": {"v": 2}, "b.json": {"v": 2}, "c.csv": (["x"], [[2]])})
-        # a.json was renamed before the failure; the rest keep their old bytes
-        assert sorted(os.listdir(out)) == ["a.json", "b.json", "c.csv"]
-        assert [json.loads((out / n).read_text()) for n in ("a.json", "b.json")] == [
-            {"v": 2},
-            {"v": 1},
-        ]
-        assert (out / "c.csv").read_text() == "x\n1\n"
+            return counted
+
+        for k in range(1, 8):
+            calls.clear()
+            monkeypatch.setattr(pipeline.os, "replace", fail_at(k))
+            with pytest.raises(OSError, match="Input/output error"):
+                write_artifacts(cfg, new)
+            assert sorted(os.listdir(out)) == ["a.json", "b.json", "c.csv"], k
+            assert read_bundle_bytes(out) == before, k
+        calls.clear()
+        monkeypatch.setattr(pipeline.os, "replace", fail_at(0))
+        write_artifacts(cfg, new)
+        assert len(calls) == 7
+        assert sorted(os.listdir(out)) == ["a.json", "b.json", "c.csv", "d.json"]
+        assert json.loads((out / "b.json").read_text()) == {"v": 2}
 
     def test_writer_removes_temporaries_when_a_payload_fails(self, tmp_path):
         out = tmp_path / "out"
