@@ -24,7 +24,8 @@ small ints (`RecordRows`), so analyze reads only it and the lexicon.
 records.jsonl (one object per record) and counts.csv are for people and
 never read back. A missing or broken artifact stops the stage that reads
 it with a `StageError` naming the file; so does a count_table.json from
-an older extract, without `days` or with days in its `cells`.
+an older extract, without `days` or with days in its `cells`, and one
+whose cells, days and record rows count different words.
 
 The settings are the fields of `PipelineConfig`, and `from_ini` reads
 exactly those keys. A stage reads each input file once, side files before
@@ -55,12 +56,12 @@ import datetime
 import errno
 import functools
 import gc
-import hashlib
 import json
 import logging
 import math
 import os
 import stat
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, TextIO, TypeVar, get_type_hints
 
@@ -225,10 +226,6 @@ class PipelineConfig:
                 out[key] = out[key].isoformat()
         return out
 
-    def config_hash(self) -> str:
-        canon = json.dumps(self.to_json_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
 
@@ -330,6 +327,8 @@ RecordRows = dict[Category, list[tuple[int, int, int]]]
 _RECORD_ROW_KEYS = frozenset(c.value for c in Category)
 _RECORD_ROW_GRID = frozenset((k, w, o) for k in range(-5, 6) for w in (0, 1) for o in (0, 1))
 _RECORD_ROW_TYPES = (int, int, int)
+_ROW_GENDER = (Gender.M, Gender.F)  # by the women dummy
+_ROW_SOURCE = (SourceType.TRADITIONAL, SourceType.ONLINE)  # by the online dummy
 
 
 def _count_table_json(table: CountTable, records: Iterable[PersonalizationRecord]) -> dict:
@@ -348,7 +347,8 @@ def _read_count_table(fh: TextIO) -> tuple[CountTable, RecordRows]:
     """The table and the record rows of count_table.json, from one decode.
 
     `record_rows` must hold exactly the category keys, each a list of
-    [k, women, online] rows of ints with k in -5..5 and the dummies 0 or 1.
+    [k, women, online] rows of ints with k in -5..5 and the dummies 0 or 1,
+    and the cells, the days and the record rows must count the same words.
     """
     d = json.load(fh)
     if "record_rows" not in d:
@@ -374,7 +374,42 @@ def _read_count_table(fh: TextIO) -> tuple[CountTable, RecordRows]:
                     "with k in -5..5 and women, online 0 or 1"
                 )
         rows[category] = list(map(tuple, listed))
-    return CountTable.from_json_dict(d), rows
+    table = CountTable.from_json_dict(d)
+    _check_count_views(table, rows)
+    return table, rows
+
+
+def _check_count_views(table: CountTable, rows: RecordRows) -> None:
+    """Refuse a table whose three views count different words.
+
+    Extract counts each attributed (word, mention) pair once into a word
+    cell and once into a day cell, and each lexicon word also as one record
+    row; every extracted document is dated. So per (gender, category,
+    source_type) slot the `days` sum and, for a category, the number of its
+    record rows with that (women, online) equal the `cells` sum.
+    """
+    cells: dict[bias.Slots, int] = {}
+    for (_, _, g, cat, st), n in table.words.items():
+        cells[g, cat, st] = cells.get((g, cat, st), 0) + n
+    days: dict[bias.Slots, int] = {}
+    for (g, cat, st, _), n in table.days.items():
+        days[g, cat, st] = days.get((g, cat, st), 0) + n
+    recorded: dict[bias.Slots, int] = {}
+    for category, listed in rows.items():
+        # at most 44 distinct rows, so count them first
+        for (_, women, online), n in Counter(listed).items():
+            slot = (_ROW_GENDER[women], category, _ROW_SOURCE[online])
+            recorded[slot] = recorded.get(slot, 0) + n
+    lexical = {slot: n for slot, n in cells.items() if slot[1] is not None}
+    for view, counts, expected in (("days", days, cells), ("record_rows", recorded, lexical)):
+        # in file order, so of several slots that disagree the same one is named
+        for slot in {**expected, **counts}:
+            if counts.get(slot, 0) != expected.get(slot, 0):
+                g, cat, st = (x.value if x is not None else None for x in slot)
+                raise ValueError(
+                    f"{view} hold {counts.get(slot, 0)} words of slot "
+                    f"{json.dumps([g, cat, st])}, cells {expected.get(slot, 0)}"
+                )
 
 
 def _read_descriptives(fh: TextIO) -> dict:
@@ -828,7 +863,6 @@ def stage_report(cfg: PipelineConfig) -> dict:
     }
     manifest = {
         "config": cfg.to_json_dict(),
-        "config_hash": cfg.config_hash(),
         "modes": {
             "rates_mode": cfg.rates_mode,
             "radius": cfg.radius,

@@ -94,11 +94,20 @@ def sentiment_record(category, gender, source_type, fifths, lemma="w", upos="ADJ
     )
 
 
+def table_of_records(records) -> CountTable:
+    """The table extract counts beside ``records`` when they are its only
+    attributed words: one word cell and one day cell each."""
+    return table_from_events(
+        (r.lemma, r.upos, r.gender, r.category, r.source_type, r.date, r.pid) for r in records
+    )
+
+
 def record_rows(records):
     """Analyze's per-category rows of ``records``: written into
     count_table.json's record_rows by extract's encoder, and read back by
     analyze's decoder."""
-    text = json.dumps(_count_table_json(CountTable({}, {}, {}), records))
+    records = list(records)
+    text = json.dumps(_count_table_json(table_of_records(records), records))
     return _read_count_table(io.StringIO(text))[1]
 
 

@@ -809,13 +809,14 @@ class TestRegistry:
 
     def test_more_than_seven_fields_rejected(self, tmp_path):
         path = tmp_path / "reg.csv"
-        path.write_text(
-            "p0;Ugo;Bianchi;M;;;\n"
-            "p1;Anna;Rossi;F;sindaco:Roma;;2017-01-01..;extra;more\n"
-        )
-        pattern = f"^{re.escape(f'{path}: line 2: ')}9 fields, expected at most 7"
-        with pytest.raises(InputError, match=pattern):
-            read_registry(path)
+        for extra, fields in ((";extra", 8), (";extra;more", 9)):
+            path.write_text(
+                "p0;Ugo;Bianchi;M;;;\n"
+                f"p1;Anna;Rossi;F;sindaco:Roma;;2017-01-01..{extra}\n"
+            )
+            pattern = f"^{re.escape(f'{path}: line 2: ')}{fields} fields, expected at most 7"
+            with pytest.raises(InputError, match=pattern):
+                read_registry(path)
 
     def test_bad_gender_rejected(self, tmp_path):
         path = tmp_path / "reg.csv"

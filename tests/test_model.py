@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import covbias
 from covbias import pipeline, reporting
-from covbias.bias import CountTable
 from covbias.model import (
     Category,
     Gender,
@@ -29,7 +28,7 @@ from covbias.model import (
 )
 from covbias.pipeline import PipelineConfig, stage_extract
 import corpusgen
-from conftest import write_config
+from conftest import table_of_records, write_config
 from oracles import record_json_dict
 
 
@@ -199,11 +198,11 @@ class TestRecordSerialization:
             with open(path, "rb") as fh:
                 assert fh.read() == "".join(line + "\n" for line in lines).encode("utf-8")
             path = os.path.join(tmp, "count_table.json")
-            empty = CountTable({}, {}, {})
-            reporting.write_json(path, pipeline._count_table_json(empty, records), compact=True)
+            counted = table_of_records(records)
+            reporting.write_json(path, pipeline._count_table_json(counted, records), compact=True)
             with open(path, encoding="utf-8") as fh:
                 table, loaded = pipeline._read_count_table(fh)
-        assert table.words == {} and table.days == {} and table.pids == {}
+        assert (table.words, table.days, table.pids) == (counted.words, counted.days, counted.pids)
         assert loaded == reference_rows(map(json.loads, lines))
 
     def test_analyze_loader_reads_the_extracted_records(self, tmp_path):

@@ -106,7 +106,7 @@ class TestPipelineOutputs:
         assert pers["F"]["words"] == 5 and pers["M"]["words"] == 3
         assert manifest["modes"]["rates_mode"] == "ratio"
         assert manifest["modes"]["radius"] == 2
-        assert manifest["config_hash"]
+        assert manifest.keys() == {"config", "modes", "counts", "diagnostics"}
 
     def test_table1_matches_counts_csv_totals(self, tiny_run):
         _, out = tiny_run
@@ -289,11 +289,14 @@ class TestConfig:
             ({"jitter": "inf"}, "jitter"),
         ],
     )
-    def test_bad_setting_fails_before_any_stage(self, tmp_path, extra, message):
+    def test_bad_setting_fails_before_any_stage(self, tmp_path, capsys, extra, message):
         cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out", **extra)
         cfg = PipelineConfig.from_ini(cfg_path)
         with pytest.raises(ConfigError, match=message):
             run_pipeline(cfg)
+        assert cli_main(["--config", cfg_path, "run"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -406,11 +409,11 @@ class TestCli:
             assert cli_main(["--config", str(cfg_b), stage]) == 0
         a = read_bundle_bytes(out_a)
         b = read_bundle_bytes(out_b)
-        # manifests embed the config (different out paths); all other
-        # artifacts must be identical
-        for name in a:
-            if name != "manifest.json":
-                assert a[name] == b[name], name
+        # the manifests embed the config, and may differ only in its out path
+        manifests = [json.loads(bundle.pop("manifest.json")) for bundle in (a, b)]
+        assert [m["config"].pop("out") for m in manifests] == [str(out_a), str(out_b)]
+        assert manifests[0] == manifests[1]
+        assert a == b
 
     def test_extract_under_a_regular_file_is_one_stage_error_line(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -555,9 +558,25 @@ class TestCli:
             ("registry.csv", "p99;Ada;Rossi;F;sindaco:-;;", 8,
              "p99: jurisdiction '-' normalizes to nothing"),
             ("registry.csv", "p99;Ada;--;F;;;", 8, "p99: surname normalizes to nothing"),
+            ("registry.csv", "p99;Ada;Rossi;F;;;;extra", 8,
+             "8 fields, expected at most 7 (pid;given_name;surname;gender;roles;aliases;tenure)"),
             ("metadata.jsonl", None, 1, "document 'd1' has no metadata entry"),
+            ("metadata.jsonl",
+             '{"doc_id": "d1", "date": "2018-07-15", "source_id": "x", "source_type": "online"}', 4,
+             "duplicate doc_id 'd1'"),
+            ("metadata.jsonl",
+             '{"doc_id": "d9", "date": "20180101", "source_id": "x", "source_type": "online"}', 4,
+             "doc 'd9': bad date '20180101'"),
+            # a quoted cell holding a newline, then the first entry again
+            ("lexicon.csv", '"bel\nlo",ADJ,physical,1,1,1,1,1\nbello,ADJ,physical,1,1,0,1,1', 16,
+             "duplicate entry ('bello', 'ADJ')"),
+            ("lemma_map.tsv", "--\tfoo", 2, "surface '--' has no lexical token"),
         ],
-        ids=["repeated-pid", "overlapping-tenure", "jurisdiction", "surname", "no-metadata"],
+        ids=[
+            "repeated-pid", "overlapping-tenure", "jurisdiction", "surname", "eighth-field",
+            "no-metadata", "repeated-metadata", "compact-date", "duplicate-after-quoted-newline",
+            "lemma-map-no-lexical-surface",
+        ],
     )
     def test_input_error_is_one_line_naming_file_and_line(
         self, tmp_path, capsys, name, extra, line, message, command
@@ -710,6 +729,18 @@ class TestBrokenArtifacts:
                  f"count_table.json: Invalid isoformat string: '{day}'")
                 for command, day in (("analyze", "20180101"), ("report", "2018-W01-1"))
             ),
+            *(
+                (command, ("count_table.json", ("days", 0, -1), lambda n: n + 1),
+                 "count_table.json: days hold 3 words of slot "
+                 '["F", "moral_behavioral", "traditional"], cells 2')
+                for command in ("analyze", "report")
+            ),
+            *(
+                (command, ("count_table.json", ("record_rows", "physical"), lambda rows: rows[1:]),
+                 "count_table.json: record_rows hold 0 words of slot "
+                 '["F", "physical", "traditional"], cells 1')
+                for command in ("analyze", "report")
+            ),
         ],
         ids=[
             "analyze-before-extract",
@@ -745,6 +776,10 @@ class TestBrokenArtifacts:
             "day-count-float",
             "day-compact-date",
             "day-week-date-report",
+            "days-disagree-with-cells",
+            "days-disagree-with-cells-report",
+            "record-rows-disagree-with-cells",
+            "record-rows-disagree-with-cells-report",
         ],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
@@ -760,7 +795,8 @@ class TestBrokenArtifacts:
                 (out / edit).write_text(json.dumps(desc), encoding="utf-8")
             else:
                 # (name, path, value): set the value at that path of the
-                # JSON artifact `name`; the empty path replaces the document
+                # JSON artifact `name`, a callable value to its result on the
+                # old one; the empty path replaces the document
                 name, path, value = edit
                 doc = json.loads((out / name).read_text(encoding="utf-8"))
                 if path:
@@ -771,7 +807,7 @@ class TestBrokenArtifacts:
                     if value is DELETE:
                         del node[last]
                     else:
-                        node[last] = value
+                        node[last] = value(node[last]) if callable(value) else value
                 else:
                     doc = value
                 (out / name).write_text(json.dumps(doc), encoding="utf-8")
@@ -788,8 +824,19 @@ class TestBrokenArtifacts:
             assert read_bundle_bytes(out) == before
 
 
+@pytest.fixture(scope="module")
+def generated_run(tmp_path_factory):
+    """The input paths and the out/ of `covbias run` on a 200-document corpusgen corpus."""
+    root = tmp_path_factory.mktemp("generated")
+    paths = corpusgen.generate(str(root / "in"), n_docs=200, seed=3)
+    cfg_path = corpusgen.write_config(paths, str(root / "out"), str(root / "cfg.ini"))
+    assert cli_main(["--config", cfg_path, "run"]) == 0
+    return paths, root / "out"
+
+
 class TestHandoffFormat:
-    """Extract's machine artifacts are compact; their layout does not matter to later stages."""
+    """Extract's machine artifacts are compact; their layout does not matter to
+    later stages, nor the corpus's line endings, ranges and empty nodes to extract."""
 
     MACHINE = {"count_table.json", "descriptives.json", "diagnostics.json"}
 
@@ -824,14 +871,12 @@ class TestHandoffFormat:
             if name not in self.MACHINE:
                 assert indented[name] == compact[name], name
 
-    def test_cells_summed_by_gender_are_the_coverage_word_totals(self, tmp_path):
+    def test_cells_summed_by_gender_are_the_coverage_word_totals(self, generated_run):
         # the benchmark's check reads count_table.json this way: count at
         # index 6 of each `cells` row, gender at index 2
-        paths = corpusgen.generate(str(tmp_path / "in"), n_docs=200, seed=3)
-        cfg_path = corpusgen.write_config(paths, str(tmp_path / "out"), str(tmp_path / "cfg.ini"))
-        assert cli_main(["--config", cfg_path, "run"]) == 0
-        table = json.loads((tmp_path / "out" / "count_table.json").read_text(encoding="utf-8"))
-        desc = json.loads((tmp_path / "out" / "descriptives.json").read_text(encoding="utf-8"))
+        _, out = generated_run
+        table = json.loads((out / "count_table.json").read_text(encoding="utf-8"))
+        desc = json.loads((out / "descriptives.json").read_text(encoding="utf-8"))
         from_cells = {g.value: 0 for g in Gender}
         for cell in table["cells"]:
             from_cells[cell[2]] += cell[6]
@@ -843,6 +888,37 @@ class TestHandoffFormat:
         assert all(expected.values())
         assert from_cells == from_days == expected
 
+    @pytest.mark.parametrize("variant", ["crlf", "ranges-and-empty-nodes"])
+    def test_line_endings_ranges_and_empty_nodes_extract_the_same_files(
+        self, tmp_path, generated_run, variant
+    ):
+        paths, out = generated_run
+        with open(paths["conllu"], encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        sentences = text.count("# sent_id")
+        if variant == "crlf":
+            text = text.replace("\n", "\r\n")
+            assert text.count("\r\n") == text.count("\n")
+        else:
+            # a multiword range before and an empty node after each sentence's first token
+            lines, in_sentence = [], False
+            for line in text.split("\n"):
+                token = line.count("\t") == 9
+                if token and not in_sentence:
+                    lines += ["1-2\tdel" + "\t_" * 8, line, "1.1\tesso" + "\t_" * 8]
+                else:
+                    lines.append(line)
+                in_sentence = token
+            text = "\n".join(lines)
+            assert text.count("\n1-2\t") == text.count("\n1.1\t") == sentences
+        conllu = tmp_path / "corpus.conllu"
+        conllu.write_bytes(text.encode("utf-8"))
+        cfg_path = corpusgen.write_config(
+            {**paths, "conllu": str(conllu)}, str(tmp_path / "out"), str(tmp_path / "cfg.ini")
+        )
+        assert cli_main(["--config", cfg_path, "extract"]) == 0
+        for name in ("records.jsonl", "count_table.json", "descriptives.json"):
+            assert (tmp_path / "out" / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_analyze_and_report_read_no_records_jsonl(self, tmp_path):
         out = tmp_path / "out"
