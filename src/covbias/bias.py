@@ -1,13 +1,10 @@
-"""Gender-adjusted coverage statistics.
+"""Gender-adjusted coverage statistics on a `model.CountTable`.
 
-Count tables count each word event twice: once per (word, gender,
-category, source type), which every score reads, and once per (gender,
-category, source type, day), which only the trends read; so a table grows
-with the vocabulary plus the days, not with their product. Correction
-factors rescale for the structural imbalance in both representation and
-coverage; on top of those sit the per-word coverage bias index,
-distribution summaries, the dissimilarity index and its leave-one-out
-variant used to rank gender-distinctive words.
+Correction factors rescale for the structural imbalance in both
+representation and coverage; on top of those sit the per-word coverage
+bias index, distribution summaries, the dissimilarity index and its
+leave-one-out variant used to rank gender-distinctive words. The table
+and its file format live in `model`; this module only reads tables.
 
 All index arithmetic is exact (fractions over integer counts); floats
 appear only when results are serialized.
@@ -15,253 +12,17 @@ appear only when results are serialized.
 
 from __future__ import annotations
 
-import datetime
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .model import Category, Gender, SourceType, parse_date
+from .model import Category, CountTable, Gender
 
-WordKey = tuple[str, str]  # (lemma, upos)
-WordCell = tuple[str, str, Gender, Optional[Category], Optional[SourceType]]
-DayCell = tuple[Gender, Optional[Category], Optional[SourceType], datetime.date]
-Slots = tuple[Gender, Optional[Category], Optional[SourceType]]  # a politician set's key
 RATE_MODES = ("ratio", "literal")
-# str() and value of everything an enum slot of a key can hold (None or a
-# member), looked up per cell: str() orders serialized cells, value fills them.
-_SLOT_STR = {x: str(x) for x in (None, *Gender, *Category, *SourceType)}
-_SLOT_VALUE = {x: getattr(x, "value", None) for x in _SLOT_STR}
-
-
-class CountTable:
-    """Aggregate of word-event counts.
-
-    Each attributed (word, mention) pair is counted once into each of two
-    dicts:
-    - `words`, keyed by (lemma, upos, gender, category, source_type), the
-      word counts that every score reads; category is None for words
-      outside the lexicon;
-    - `days`, keyed by (gender, category, source_type, date), the daily
-      totals that only the personalization trends read.
-    So the table grows with the vocabulary plus the days, not with their
-    product. Politician identities are tracked per (gender, category,
-    source_type) so that slices report their own politician tallies.
-
-    A table is built once, from its two dicts and politician sets, and
-    only read after that. So each marginal the analyses read over and over
-    (the gender totals of `total()`, the per-word gender counts of
-    `word_counts()` and the per-day totals of `by_day()`) is summed on its
-    first read and returned as is: callers must not mutate it.
-    """
-
-    def __init__(
-        self,
-        words: dict[WordCell, int],
-        days: dict[DayCell, int],
-        pids: dict[Slots, set[str]],
-    ) -> None:
-        self.words = words
-        self.days = days
-        self.pids = pids
-
-    @classmethod
-    def from_counts(
-        cls,
-        words: dict[WordCell, int],
-        days: dict[DayCell, int],
-        pid_keys: Iterable[tuple[Gender, Optional[Category], Optional[SourceType], str]],
-    ) -> "CountTable":
-        """A table over counted ``words`` and ``days``, which it takes as
-        they are, with each ``(gender, category, source_type, pid)`` of
-        ``pid_keys`` adding the politician to its slot's set."""
-        pids: dict[Slots, set[str]] = {}
-        for g, cat, st, pid in pid_keys:
-            members = pids.get((g, cat, st))
-            if members is None:
-                members = pids[g, cat, st] = set()
-            members.add(pid)
-        return cls(words, days, pids)
-
-    # -- marginals ---------------------------------------------------------
-
-    @cached_property
-    def _totals(self) -> dict[Gender, int]:
-        out = {g: 0 for g in Gender}
-        for (_, _, g, _, _), n in self.words.items():
-            out[g] += n
-        return out
-
-    @cached_property
-    def _words(self) -> dict[WordKey, dict[Gender, int]]:
-        out: dict[WordKey, dict[Gender, int]] = {}
-        for (lemma, upos, g, _, _), n in self.words.items():
-            per = out.setdefault((lemma, upos), {Gender.F: 0, Gender.M: 0})
-            per[g] += n
-        return out
-
-    @cached_property
-    def _days(self) -> dict[Gender, dict[datetime.date, int]]:
-        out: dict[Gender, dict[datetime.date, int]] = {g: {} for g in Gender}
-        for (g, _, _, day), n in self.days.items():
-            per = out[g]
-            per[day] = per.get(day, 0) + n
-        return out
-
-    def total(self, gender: Gender) -> int:
-        return self._totals[gender]
-
-    @property
-    def grand_total(self) -> int:
-        return sum(self.words.values())
-
-    def politicians(self, gender: Gender) -> int:
-        seen: set[str] = set()
-        for (g, _, _), pids in self.pids.items():
-            if g == gender:
-                seen.update(pids)
-        return len(seen)
-
-    def word_counts(self) -> dict[WordKey, dict[Gender, int]]:
-        return self._words
-
-    def word_categories(self) -> dict[WordKey, Optional[Category]]:
-        """Lexicon category per word; None for out-of-lexicon words."""
-        out: dict[WordKey, Optional[Category]] = {}
-        for (lemma, upos, _, cat, _) in self.words:
-            key = (lemma, upos)
-            if cat is not None or key not in out:
-                out[key] = cat if cat is not None else out.get(key)
-        return out
-
-    def by_day(self, gender: Gender) -> dict[datetime.date, int]:
-        return self._days[gender]
-
-    def source_gender_counts(self) -> dict[tuple[SourceType, Gender], int]:
-        out: dict[tuple[SourceType, Gender], int] = {}
-        for (_, _, g, _, st), n in self.words.items():
-            if st is not None:
-                out[(st, g)] = out.get((st, g), 0) + n
-        return out
-
-    # -- slicing -----------------------------------------------------------
-
-    def slice(
-        self,
-        category: Optional[Category] = None,
-        source_type: Optional[SourceType] = None,
-        lexicon_only: bool = False,
-    ) -> "CountTable":
-        """The table of the cells in one category (or every lexicon
-        category, or all) and one source type (or all), each dict filtered
-        alike, so the slice keeps its own day totals and politicians."""
-        if category is not None:
-            cats: tuple = (category,)
-        else:
-            cats = (*Category,) if lexicon_only else (None, *Category)
-        sts = (source_type,) if source_type is not None else (None, *SourceType)
-        return CountTable(
-            {k: n for k, n in self.words.items() if k[3] in cats and k[4] in sts},
-            {k: n for k, n in self.days.items() if k[1] in cats and k[2] in sts},
-            {k: p for k, p in self.pids.items() if k[1] in cats and k[2] in sts},
-        )
-
-    # -- serialization -----------------------------------------------------
-
-    def to_csv_rows(self) -> list[tuple[str, str, str, str, str, int]]:
-        """Rows (lemma, upos, gender, category, source_type, count), one per
-        word cell, sorted; an empty string stands for a None slot."""
-        return sorted(
-            (lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat] or "", _SLOT_VALUE[st] or "", n)
-            for (lemma, upos, g, cat, st), n in self.words.items()
-        )
-
-    def to_json_dict(self) -> dict:
-        """`cells`: [lemma, upos, gender, category, source_type, null, count]
-        rows, the null kept where older files held the day; `days`: [gender,
-        category, source_type, "YYYY-MM-DD", count] rows; `politicians`:
-        [gender, category, source_type, sorted ids] rows. Each list is
-        sorted by the str() of its key's members."""
-        # str() of each distinct day, made once: it is the day's ISO date
-        day_str = {day: str(day) for day in {key[3] for key in self.days}}
-
-        def word_order(item: tuple[WordCell, int]) -> tuple[str, ...]:
-            (lemma, upos, g, cat, st), _ = item
-            return lemma, upos, _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st]
-
-        def day_order(item: tuple[DayCell, int]) -> tuple[str, ...]:
-            (g, cat, st, day), _ = item
-            return _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st], day_str[day]
-
-        cells = [
-            [lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], None, n]
-            for (lemma, upos, g, cat, st), n in sorted(self.words.items(), key=word_order)
-        ]
-        days = [
-            [_SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], day_str[day], n]
-            for (g, cat, st, day), n in sorted(self.days.items(), key=day_order)
-        ]
-        pids = [
-            [_SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], sorted(members)]
-            for (g, cat, st), members in sorted(
-                self.pids.items(), key=lambda kv: tuple([_SLOT_STR[x] for x in kv[0]])
-            )
-        ]
-        return {"cells": cells, "days": days, "politicians": pids}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CountTable":
-        """The table of a `to_json_dict` object; a `cells` row with a day,
-        or no `days` at all, was written by an older extract."""
-        if "days" not in d:
-            raise ValueError("no days: written by an older extract; rerun extract")
-        words: dict[WordCell, int] = {}
-        days: dict[DayCell, int] = {}
-        pids: dict[Slots, set[str]] = {}
-        decoded: dict[tuple, Slots] = {}  # raw slot values -> members
-        dates: dict[str, datetime.date] = {}  # ISO day string -> date
-        for lemma, upos, g, cat, st, day, n in d["cells"]:
-            if type(n) is not int or n < 0:
-                raise ValueError(f"cell count {n!r} is not a non-negative integer")
-            if type(lemma) is not str or type(upos) is not str:
-                raise ValueError(f"cell word ({lemma!r}, {upos!r}) is not two strings")
-            if day is not None:
-                raise ValueError(
-                    f"cell day {day!r} is not null: written by an older extract; rerun extract"
-                )
-            slots = decoded.get((g, cat, st))
-            if slots is None:
-                slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
-            key = (lemma, upos, *slots)
-            words[key] = words.get(key, 0) + n
-        for g, cat, st, day, n in d["days"]:
-            if type(n) is not int or n < 0:
-                raise ValueError(f"day count {n!r} is not a non-negative integer")
-            slots = decoded.get((g, cat, st))
-            if slots is None:
-                slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
-            date = dates.get(day)
-            if date is None:
-                date = dates[day] = parse_date(day)
-            key = (*slots, date)
-            days[key] = days.get(key, 0) + n
-        for g, cat, st, members in d["politicians"]:
-            if type(members) is not list or any(type(pid) is not str for pid in members):
-                raise ValueError(f"politician ids {members!r} are not a list of strings")
-            pids.setdefault(_decode_slots(g, cat, st), set()).update(members)
-        return cls(words, days, pids)
-
-
-def _decode_slots(g: str, cat: Optional[str], st: Optional[str]) -> Slots:
-    """The (gender, category, source_type) members of serialized slot values."""
-    return (
-        Gender(g),
-        Category(cat) if cat is not None else None,
-        SourceType(st) if st is not None else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +120,6 @@ class WordBias(NamedTuple):
 
 
 class BiasProfile(NamedTuple):
-    mode: str
     terms: _Terms
     words: tuple[WordBias, ...]
     excluded: int  # words with zero counts for both genders
@@ -418,7 +178,7 @@ def bias_profile(table: CountTable, mode: str = "ratio") -> BiasProfile:
             excluded += 1
             continue
         words.append(WordBias(key[0], key[1], f, m, *values(f, m), categories.get(key)))
-    return BiasProfile(mode=mode, terms=terms, words=tuple(words), excluded=excluded)
+    return BiasProfile(terms=terms, words=tuple(words), excluded=excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +401,6 @@ class LeaveOneOutWord(NamedTuple):
 
 class LeaveOneOutResult(NamedTuple):
     base_diss: Fraction
-    mode: str
     factors: tuple[Fraction, Fraction]  # (c_F, c_M) before any word is left out
     words: tuple[LeaveOneOutWord, ...]  # ranked by weight, descending
 
@@ -723,6 +482,4 @@ def leave_one_out(table: CountTable, mode: str = "ratio") -> LeaveOneOutResult:
         return (0, float(w.diss_without), w.diss_without, w.lemma, w.upos)
 
     out.sort(key=rank)
-    return LeaveOneOutResult(
-        base_diss=base, mode=mode, factors=base_terms.factors, words=tuple(out)
-    )
+    return LeaveOneOutResult(base_diss=base, factors=base_terms.factors, words=tuple(out))

@@ -126,7 +126,7 @@ def find_mentions(
     def resolve(pids: set[str], start: int, end: int, pattern: MentionPattern) -> None:
         if len(pids) == 1:
             pid = next(iter(pids))
-            candidates.append(Mention(pid, sentence.doc_id, sentence.index, start, end, pattern))
+            candidates.append(Mention(pid, start, end, pattern))
         elif len(pids) > 1:
             diag.drop(pattern)
 

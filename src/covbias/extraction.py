@@ -16,11 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .bias import CountTable, DayCell, WordCell
 from .entities import MatchDiagnostics, RoleGazetteer, find_mentions
 from .lexicon import Lexicon
 from .model import (
     Category,
+    CountTable,
+    DayCell,
     Document,
     Gender,
     Mention,
@@ -28,6 +29,7 @@ from .model import (
     Sentence,
     SourceType,
     Token,
+    WordCell,
 )
 from .registry import PoliticianRegistry
 

@@ -9,8 +9,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .bias import CountTable, _quantile_ranks
-from .model import Gender, SourceType
+from .bias import _quantile_ranks
+from .model import CountTable, Gender, SourceType
 
 DEFAULT_TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
 MIN_REPLICATES = 100

@@ -14,18 +14,15 @@ be rerun from the previous stage's artifacts:
 The JSON files a later stage reads back, `MACHINE_ARTIFACTS`
 (count_table.json, descriptives.json and diagnostics.json), are written
 compact, on one line; every other JSON file is a report file, indented
-for people. count_table.json holds the `CountTable`'s two count dicts:
-under `cells` the word counts, one row per (lemma, upos, gender,
-category, source_type) with a null day column, and under `days` the
-daily totals, one row per (gender, category, source_type, date); so it
-grows with the vocabulary plus the days. Beside them are the politician
-sets and, under `record_rows`, each category's records as rows of three
-small ints (`RecordRows`), so analyze reads only it and the lexicon.
+for people. count_table.json, whose format `model` defines (the
+`CountTable`'s word cells, day cells and politician sets, and each
+category's record rows), is all that analyze reads besides the lexicon.
 records.jsonl (one object per record) and counts.csv are for people and
 never read back. A missing or broken artifact stops the stage that reads
-it with a `StageError` naming the file; so does a count_table.json from
-an older extract, without `days` or with days in its `cells`, and one
-whose cells, days and record rows count different words.
+it with a `StageError` naming the file; so do one whose top level is not
+a JSON object, a count_table.json from an older extract and one whose four
+views disagree (`model.read_count_table`). `manifest.json` records each path
+by its basename, so the bundle does not depend on where the files live.
 
 The settings are the fields of `PipelineConfig`, and `from_ini` reads
 exactly those keys. A stage reads each input file once, side files before
@@ -61,14 +58,12 @@ import logging
 import math
 import os
 import stat
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, TextIO, TypeVar, get_type_hints
+from typing import Callable, Mapping, Optional, TypeVar, get_type_hints
 
 import numpy as np
 
 from . import bias, inference, reporting, temporal
-from .bias import CountTable
 from .entities import RoleGazetteer
 from .errors import ConfigError, CovbiasError, StageError
 from .extraction import DIRECTIONS, ExtractionResult, extract_records
@@ -80,7 +75,10 @@ from .ingestion import (
     read_stopwords,
 )
 from .lexicon import Lexicon, read_lexicon
-from .model import Category, Document, Gender, PersonalizationRecord, SourceType, parse_date
+from .model import (
+    ROW_GENDER, ROW_SOURCE, Category, CountTable, Document, Gender, RecordRows,
+    count_table_json, parse_date, read_count_table,
+)
 from .registry import PoliticianRegistry, read_registry
 from .sentiment import krippendorff_alpha
 
@@ -219,8 +217,11 @@ class PipelineConfig:
         return None
 
     def to_json_dict(self) -> dict:
+        """The settings as JSON values, each path by its basename alone."""
         out = dataclasses.asdict(self)
-        out["conllu"] = list(self.conllu)
+        paths = ("metadata", "registry", "lexicon", "out", "stopwords", "lemma_map", "gazetteer")
+        out.update((k, os.path.basename(os.path.normpath(out[k]))) for k in paths if out[k])
+        out["conllu"] = [os.path.basename(p) for p in self.conllu]
         for key in ("window_start", "window_end"):
             if out[key] is not None:
                 out[key] = out[key].isoformat()
@@ -299,10 +300,8 @@ def write_artifacts(cfg: PipelineConfig, artifacts: Mapping[str, object]) -> Non
         os.remove(aside)
 
 
-def _read_artifact(
-    cfg: PipelineConfig, stage: str, name: str, decode: Callable[[TextIO], T]
-) -> T:
-    """`decode` of the open artifact `name` that an earlier stage wrote.
+def _read_artifact(cfg: PipelineConfig, stage: str, name: str, decode: Callable[[object], T]) -> T:
+    """`decode` of the JSON value of the artifact `name` that an earlier stage wrote.
 
     A file that is missing or cannot be decoded is a `StageError` of
     `stage` that names it.
@@ -310,7 +309,7 @@ def _read_artifact(
     path = cfg.path(name)
     try:
         with open(path, encoding="utf-8") as fh:
-            return decode(fh)
+            return decode(json.load(fh))
     except OSError as exc:
         raise StageError(stage, exc) from exc
     except ValueError as exc:
@@ -320,103 +319,12 @@ def _read_artifact(
         raise StageError(stage, cause) from exc
 
 
-# Each category's records as (grid position k in -5..5, women, online) rows:
-# 1 for women and online, 0 for men and traditional, `quantile_regression`'s
-# dummy coding. The order matters: jitter and the bootstrap draw per row.
-RecordRows = dict[Category, list[tuple[int, int, int]]]
-_RECORD_ROW_KEYS = frozenset(c.value for c in Category)
-_RECORD_ROW_GRID = frozenset((k, w, o) for k in range(-5, 6) for w in (0, 1) for o in (0, 1))
-_RECORD_ROW_TYPES = (int, int, int)
-_ROW_GENDER = (Gender.M, Gender.F)  # by the women dummy
-_ROW_SOURCE = (SourceType.TRADITIONAL, SourceType.ONLINE)  # by the online dummy
-
-
-def _count_table_json(table: CountTable, records: Iterable[PersonalizationRecord]) -> dict:
-    """count_table.json: the table's word cells, day cells and politicians,
-    and under `record_rows` each category's rows of `records`, in record
-    order."""
-    rows: dict[str, list] = {c.value: [] for c in Category}
-    for r in records:
-        rows[r.category.value].append(
-            (r.fifths, int(r.gender is Gender.F), int(r.source_type is SourceType.ONLINE))
-        )
-    return {**table.to_json_dict(), "record_rows": rows}
-
-
-def _read_count_table(fh: TextIO) -> tuple[CountTable, RecordRows]:
-    """The table and the record rows of count_table.json, from one decode.
-
-    `record_rows` must hold exactly the category keys, each a list of
-    [k, women, online] rows of ints with k in -5..5 and the dummies 0 or 1,
-    and the cells, the days and the record rows must count the same words.
-    """
-    d = json.load(fh)
-    if "record_rows" not in d:
-        raise ValueError("no record_rows: written by an older extract; rerun extract")
-    raw = d["record_rows"]
-    if type(raw) is not dict:
-        raise ValueError("record_rows is not a JSON object")
-    if raw.keys() != _RECORD_ROW_KEYS:
-        raise ValueError(f"record_rows keys {sorted(raw)} are not {sorted(_RECORD_ROW_KEYS)}")
-    rows: RecordRows = {}
-    for category in Category:
-        listed = raw[category.value]
-        if type(listed) is not list:
-            raise ValueError(f"record_rows/{category.value} is not a list")
-        for i, row in enumerate(listed):
-            if (
-                type(row) is not list
-                or tuple(map(type, row)) != _RECORD_ROW_TYPES
-                or tuple(row) not in _RECORD_ROW_GRID
-            ):
-                raise ValueError(
-                    f"record_rows/{category.value}/{i} {row!r} is not [k, women, online] "
-                    "with k in -5..5 and women, online 0 or 1"
-                )
-        rows[category] = list(map(tuple, listed))
-    table = CountTable.from_json_dict(d)
-    _check_count_views(table, rows)
-    return table, rows
-
-
-def _check_count_views(table: CountTable, rows: RecordRows) -> None:
-    """Refuse a table whose three views count different words.
-
-    Extract counts each attributed (word, mention) pair once into a word
-    cell and once into a day cell, and each lexicon word also as one record
-    row; every extracted document is dated. So per (gender, category,
-    source_type) slot the `days` sum and, for a category, the number of its
-    record rows with that (women, online) equal the `cells` sum.
-    """
-    cells: dict[bias.Slots, int] = {}
-    for (_, _, g, cat, st), n in table.words.items():
-        cells[g, cat, st] = cells.get((g, cat, st), 0) + n
-    days: dict[bias.Slots, int] = {}
-    for (g, cat, st, _), n in table.days.items():
-        days[g, cat, st] = days.get((g, cat, st), 0) + n
-    recorded: dict[bias.Slots, int] = {}
-    for category, listed in rows.items():
-        # at most 44 distinct rows, so count them first
-        for (_, women, online), n in Counter(listed).items():
-            slot = (_ROW_GENDER[women], category, _ROW_SOURCE[online])
-            recorded[slot] = recorded.get(slot, 0) + n
-    lexical = {slot: n for slot, n in cells.items() if slot[1] is not None}
-    for view, counts, expected in (("days", days, cells), ("record_rows", recorded, lexical)):
-        # in file order, so of several slots that disagree the same one is named
-        for slot in {**expected, **counts}:
-            if counts.get(slot, 0) != expected.get(slot, 0):
-                g, cat, st = (x.value if x is not None else None for x in slot)
-                raise ValueError(
-                    f"{view} hold {counts.get(slot, 0)} words of slot "
-                    f"{json.dumps([g, cat, st])}, cells {expected.get(slot, 0)}"
-                )
-
-
-def _read_descriptives(fh: TextIO) -> dict:
-    """descriptives.json, checked to hold every value that report reads:
-    per dataset and gender, the Table 1 counts as integers and the two
-    CCDF inputs as lists of integers."""
-    desc = json.load(fh)
+def _read_descriptives(desc: object) -> dict:
+    """descriptives.json, checked to be an object that holds every value
+    report reads: per dataset and gender, the Table 1 counts as integers
+    and the two CCDF inputs as lists of integers."""
+    if type(desc) is not dict:
+        raise ValueError("the top level is not a JSON object")
     for dataset in ("coverage", "personalization"):
         for gender in Gender:
             tally = desc[dataset][gender.value]
@@ -430,11 +338,10 @@ def _read_descriptives(fh: TextIO) -> dict:
     return desc
 
 
-def _read_diagnostics(fh: TextIO) -> dict:
+def _read_diagnostics(diagnostics: object) -> dict:
     """diagnostics.json, checked to hold exactly what extract writes: under
     `ingest/rejected_sentences` a list of [doc_id, sent_id, reason] strings,
     and under `matching/ambiguous_mentions` a count (an int >= 0) by surface."""
-    diagnostics = json.load(fh)
     if type(diagnostics) is not dict or diagnostics.keys() != {"ingest", "matching"}:
         raise ValueError("the top level is not an object with the keys ingest and matching")
     for section, member in (("ingest", "rejected_sentences"), ("matching", "ambiguous_mentions")):
@@ -563,7 +470,7 @@ def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
                 ["lemma", "upos", "gender", "category", "source_type", "count"],
                 result.counts.to_csv_rows(),
             ),
-            "count_table.json": _count_table_json(result.counts, result.records),
+            "count_table.json": count_table_json(result.counts, result.records),
             "descriptives.json": result.descriptives,
             "diagnostics.json": {
                 "ingest": diagnostics.to_json_dict(),
@@ -716,13 +623,12 @@ def quantile_analysis(cfg: PipelineConfig, rows: RecordRows) -> dict:
             log.warning("quantile regression skipped for %s: %s", category.value, exc)
             coef_json[category.value] = {"skipped": str(exc)}
             continue
-        for gender, g_val in ((Gender.F, 1), (Gender.M, 0)):
-            for source, s_val in ((SourceType.ONLINE, 1), (SourceType.TRADITIONAL, 0)):
-                if (g_val, s_val) in models[0].cell_quantiles:
-                    quantile_rows.append(
-                        [category.value, gender.value, source.value]
-                        + [m.cell_quantiles[(g_val, s_val)] for m in models]
-                    )
+        for g_val, s_val in ((1, 1), (1, 0), (0, 1), (0, 0)):  # women first, then online
+            if (g_val, s_val) in models[0].cell_quantiles:
+                quantile_rows.append(
+                    [category.value, ROW_GENDER[g_val].value, ROW_SOURCE[s_val].value]
+                    + [m.cell_quantiles[(g_val, s_val)] for m in models]
+                )
         entry["models"] = {str(m.tau): m.to_json_dict() for m in models}
         boot_seed = derive_seed(cfg.seed, 2, c_idx)
         entry["bootstrap_seed"] = boot_seed
@@ -792,7 +698,7 @@ def temporal_analysis(cfg: PipelineConfig, table: CountTable, slices: Slices) ->
 def stage_analyze(cfg: PipelineConfig) -> dict:
     cfg.validate()
     _, lexicon = _load_lexicon(cfg)
-    table, rows = _read_artifact(cfg, "analyze", "count_table.json", _read_count_table)
+    table, rows = _read_artifact(cfg, "analyze", "count_table.json", read_count_table)
     slices = {category: table.slice(category=category) for category in Category}
     by_category = {
         **bias_analysis(cfg, table, lexicon, slices),
@@ -825,7 +731,7 @@ def stage_report(cfg: PipelineConfig) -> dict:
     cfg.validate()
     desc = _read_artifact(cfg, "report", "descriptives.json", _read_descriptives)
     diagnostics = _read_artifact(cfg, "report", "diagnostics.json", _read_diagnostics)
-    table, _ = _read_artifact(cfg, "report", "count_table.json", _read_count_table)
+    table, _ = _read_artifact(cfg, "report", "count_table.json", read_count_table)
 
     for dataset, tbl in (
         ("coverage", table),

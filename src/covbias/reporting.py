@@ -8,11 +8,11 @@ import csv
 import json
 import logging
 from collections import Counter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bias import LeaveOneOutResult
 from .lexicon import Lexicon
-from .model import Category, Gender
+from .model import ROW_GENDER, Category, Gender, RecordRows
 from .sentiment import CLASS_BY_FIFTHS, SentimentClass
 
 log = logging.getLogger(__name__)
@@ -57,10 +57,7 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def sentiment_fraction_rows(
-    records: Mapping[Category, Sequence[tuple[int, int, int]]],
-    lexicon: Lexicon,
-) -> list[list]:
+def sentiment_fraction_rows(records: RecordRows, lexicon: Lexicon) -> list[list]:
     """Per category: lexicon class distribution plus per-gender fractions.
 
     ``records`` holds each category's (k, women, online) rows. Gender rows
@@ -78,7 +75,7 @@ def sentiment_fraction_rows(
             )
         # one pass over the category: at most 11 x 2 x 2 distinct rows
         seen = Counter(records[category])
-        for gender, women in ((Gender.M, 0), (Gender.F, 1)):
+        for women, gender in enumerate(ROW_GENDER):
             tally = dict.fromkeys(SentimentClass, 0)
             for (k, w, _), count in seen.items():
                 if w == women:

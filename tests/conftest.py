@@ -1,5 +1,4 @@
 import datetime
-import io
 import json
 import os
 import sys
@@ -8,7 +7,6 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from covbias.bias import CountTable
 from covbias.ingestion import (
     CorpusDiagnostics,
     read_corpus,
@@ -16,8 +14,13 @@ from covbias.ingestion import (
     read_metadata,
     read_stopwords,
 )
-from covbias.model import Gender, PersonalizationRecord
-from covbias.pipeline import _count_table_json, _read_count_table
+from covbias.model import (
+    CountTable,
+    Gender,
+    PersonalizationRecord,
+    count_table_json,
+    read_count_table,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -107,8 +110,8 @@ def record_rows(records):
     count_table.json's record_rows by extract's encoder, and read back by
     analyze's decoder."""
     records = list(records)
-    text = json.dumps(_count_table_json(table_of_records(records), records))
-    return _read_count_table(io.StringIO(text))[1]
+    text = json.dumps(count_table_json(table_of_records(records), records))
+    return read_count_table(json.loads(text))[1]
 
 
 def write_config(path, out_dir, ma_window=1, bootstrap=100, **extra) -> str:

@@ -886,10 +886,9 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
     """Every word attributed to its nearest mentions (all of them on a tie),
     one lexicon lookup, one word cell count, one day cell count and one
     record per (word, mention) pair."""
-    from covbias.bias import CountTable
     from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
     from covbias.extraction import ExtractionResult
-    from covbias.model import PersonalizationRecord
+    from covbias.model import CountTable, PersonalizationRecord
 
     gaz = RoleGazetteer()
     records, diagnostics = [], MatchDiagnostics()

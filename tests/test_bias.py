@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covbias.bias import (
-    CountTable,
     _sorted_sample,
     bias_profile,
     dissimilarity,
@@ -16,7 +15,7 @@ from covbias.bias import (
     index_summary,
     leave_one_out,
 )
-from covbias.model import Category, Gender, SourceType
+from covbias.model import Category, CountTable, Gender, SourceType
 from covbias.pipeline import PipelineConfig, temporal_analysis
 from conftest import table_from_counts, table_from_events
 from oracles import (

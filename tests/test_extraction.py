@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covbias.bias import CountTable
 from covbias.extraction import attribute, dataset_descriptives, extract_records
 from covbias.lexicon import read_lexicon
 from covbias.model import (
+    CountTable,
     Document,
     Gender,
     Mention,
@@ -39,8 +39,8 @@ def sentence_from(rows, doc_id="d", index=0):
     return Sentence(doc_id=doc_id, index=index, tokens=tokens)
 
 
-def mention(start, end, pid="p", doc_id="d"):
-    return Mention(pid, doc_id, 0, start, end, MentionPattern.NAME_SURNAME)
+def mention(start, end, pid="p"):
+    return Mention(pid, start, end, MentionPattern.NAME_SURNAME)
 
 
 def reach(sent, start, end, radius, direction="undirected"):

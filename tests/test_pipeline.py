@@ -16,7 +16,7 @@ from covbias import bias, inference, ingestion, pipeline, reporting
 from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
 from covbias.errors import ConfigError, InputError, StageError
-from covbias.model import Category, Gender, PersonalizationRecord, SourceType
+from covbias.model import Category, CountTable, Gender, PersonalizationRecord, SourceType
 from covbias.pipeline import (
     PipelineConfig,
     ingest_check,
@@ -139,7 +139,7 @@ class TestPipelineOutputs:
 
     def test_unweighted_summaries_follow_the_rank_rule(self, tiny_run):
         cfg, out = tiny_run
-        table = bias.CountTable.from_json_dict(json.loads((out / "count_table.json").read_text()))
+        table = CountTable.from_json_dict(json.loads((out / "count_table.json").read_text()))
         profile = bias.bias_profile(table, mode=cfg.rates_mode)
         summaries = json.loads((out / "summary_stats.json").read_text())
         for category in Category:
@@ -411,9 +411,33 @@ class TestCli:
         b = read_bundle_bytes(out_b)
         # the manifests embed the config, and may differ only in its out path
         manifests = [json.loads(bundle.pop("manifest.json")) for bundle in (a, b)]
-        assert [m["config"].pop("out") for m in manifests] == [str(out_a), str(out_b)]
+        assert [m["config"].pop("out") for m in manifests] == ["a", "b"]
         assert manifests[0] == manifests[1]
         assert a == b
+
+    def test_bundle_does_not_depend_on_where_the_files_live(self, tmp_path):
+        """The manifest names every path by its basename, so a run on copies
+        of the inputs, into an out/ of the same name elsewhere, writes the
+        same bytes."""
+        names = ("tiny.conllu", "metadata.jsonl", "registry.csv", "lexicon.csv",
+                 "stopwords.txt", "lemma_map.tsv")
+        moved = tmp_path / "elsewhere" / "inputs"
+        moved.mkdir(parents=True)
+        for name in names:
+            shutil.copyfile(data_path(name), moved / name)
+        keys = ("conllu", "metadata", "registry", "lexicon", "stopwords", "lemma_map")
+        cfg_a = write_config(tmp_path / "a.ini", tmp_path / "out")
+        cfg_b = write_config(
+            tmp_path / "b.ini",
+            tmp_path / "elsewhere" / "out",
+            **{key: moved / name for key, name in zip(keys, names)},
+        )
+        for cfg in (cfg_a, cfg_b):
+            assert cli_main(["--config", cfg, "run"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["conllu"] == ["tiny.conllu"]
+        assert manifest["config"]["out"] == "out"
+        assert read_bundle_bytes(tmp_path / "out") == read_bundle_bytes(moved.parent / "out")
 
     def test_extract_under_a_regular_file_is_one_stage_error_line(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -741,6 +765,29 @@ class TestBrokenArtifacts:
                  '["F", "physical", "traditional"], cells 1')
                 for command in ("analyze", "report")
             ),
+            *(
+                (command,
+                 ("count_table.json", ("politicians",), lambda rows: [r for r in rows if r[0] != "F"]),
+                 "count_table.json: politicians hold 0 ids of slot "
+                 '["F", "moral_behavioral", "traditional"], cells 2')
+                for command in ("analyze", "report")
+            ),
+            *(
+                (command,
+                 ("count_table.json", ("politicians",), lambda rows: rows + [["M", None, "online", ["p_fon"]]]),
+                 'count_table.json: politicians hold 1 ids of slot ["M", null, "online"], cells 0')
+                for command in ("analyze", "report")
+            ),
+            (
+                "analyze",
+                ("count_table.json", (), [1, 2]),
+                "count_table.json: the top level is not a JSON object",
+            ),
+            (
+                "report",
+                ("descriptives.json", (), [1, 2]),
+                "descriptives.json: the top level is not a JSON object",
+            ),
         ],
         ids=[
             "analyze-before-extract",
@@ -780,6 +827,12 @@ class TestBrokenArtifacts:
             "days-disagree-with-cells-report",
             "record-rows-disagree-with-cells",
             "record-rows-disagree-with-cells-report",
+            "politicians-without-women",
+            "politicians-without-women-report",
+            "politicians-of-a-slot-without-cells",
+            "politicians-of-a-slot-without-cells-report",
+            "count-table-not-an-object",
+            "descriptives-not-an-object",
         ],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
