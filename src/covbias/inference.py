@@ -4,6 +4,7 @@ on the gender x source dummy design, and bootstrap significance."""
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -98,22 +99,31 @@ def contingency_by_source(
 
 def jitter(fifths: Sequence[int], seed: int, h: float = JITTER_HALF_WIDTH) -> np.ndarray:
     """The sentiment scores k/5 at grid positions `fifths`, plus uniform
-    (-h, h) noise, seeded.
+    [-h, h) noise, seeded.
 
     Each position must be an int in -5..5; a float or a bool is refused,
     not truncated. With the default h the jittered value stays within 0.05
     of its grid point, so rounding back to the grid recovers k.
+
+    The noise comes from the standard library's `random.Random(seed)`
+    (MT19937), not from `numpy.random`: `getrandbits(64 * n)`, read as n
+    little-endian 64-bit words w, gives u = (w >> 11) * 2**-53 and the
+    value k/5 + (-h + 2h * u), numpy's rule for a uniform draw.
     """
     if not 0 <= h < math.inf:
         raise ValueError("jitter half-width must be a finite nonnegative number")
+    if seed < 0:
+        raise ValueError(f"jitter seed must be nonnegative, got {seed}")
     for k in fifths:
         if type(k) is not int or not -5 <= k <= 5:
             raise ValueError(f"grid position {k!r} is not an integer in -5..5")
     grid = np.asarray(fifths, dtype=float) / 5.0
     if len(grid) == 0 or h == 0:
         return grid
-    u = np.random.default_rng(seed).uniform(-h, h, size=len(grid))
-    return grid + u
+    n = len(grid)
+    words = np.frombuffer(random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
+    u = (words >> 11) * 2.0**-53
+    return grid + (-h + 2 * h * u)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +350,51 @@ def _linear_quantiles(a: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     return np.stack(rows)
 
 
+def _replicate_rows(key: int, bound: int, count: int) -> list[int]:
+    """`count` row indices below `bound` from `random.Random(key)`, drawn one
+    at a time: the definition that `_draw_rows` reproduces.
+
+    Each row takes the next 32-bit word w and m = w * bound, and is
+    m >> 32 unless m mod 2**32 falls below (2**32 - bound) mod bound, in
+    which case the word is rejected and the next one tried (Lemire's
+    method), so every index is exactly equally likely.
+    """
+    rng = random.Random(key)
+    threshold = (2**32 - bound) % bound
+    rows = []
+    while len(rows) < count:
+        m = rng.getrandbits(32) * bound
+        if m & 0xFFFFFFFF >= threshold:
+            rows.append(m >> 32)
+    return rows
+
+
+def _draw_rows(keys: Sequence[int], bound: int, count: int) -> np.ndarray:
+    """`_replicate_rows(key, bound, count)` for each key, shape
+    (len(keys), count), with `bound` at most 2**32.
+
+    Each key's `count` words come from one `getrandbits(32 * count)` call
+    and one multiply-shift maps them all. A key with a rejected word is
+    redrawn by `_replicate_rows`, so every row equals the definition's.
+    """
+    rng = random.Random()
+
+    def words_of(key: int) -> bytes:
+        rng.seed(key)
+        return rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+
+    words = np.frombuffer(b"".join(map(words_of, keys)), "<u4").reshape(len(keys), count)
+    rows = words.astype(np.uint64)
+    rows *= np.uint64(bound)
+    rows >>= np.uint64(32)
+    rows = rows.view(np.int64)
+    threshold = (2**32 - bound) % bound
+    if threshold:  # in uint32, words * bound wraps to m mod 2**32
+        for i in np.flatnonzero((words * np.uint32(bound) < threshold).any(axis=1)):
+            rows[i] = _replicate_rows(keys[i], bound, count)
+    return rows
+
+
 def bootstrap_significance(
     y: Sequence[float],
     gender_dummy: Sequence[int],
@@ -350,12 +405,16 @@ def bootstrap_significance(
 ) -> BootstrapResult:
     """Case-resampling percentile intervals for the regression coefficients.
 
-    Each replicate resamples rows with replacement using a seed derived
-    from (seed, replicate index), so replicates are reproducible and
-    order-independent. One draw serves every tau. Resamples that lose a
-    design cell are discarded and redrawn, up to 10x the replicate
-    budget. A coefficient is flagged significant when its 95% interval
-    excludes zero.
+    Each replicate resamples rows with replacement from its own generator,
+    so replicates are reproducible and order-independent: attempt r draws
+    from the standard library's `random.Random(r << 32 | seed)` (MT19937;
+    `numpy.random` is never imported), a key that is one-to-one in
+    (seed, r) for a seed in 0..2**32 - 1, and maps 32-bit words to rows by
+    Lemire's multiply-shift with rejection (`_replicate_rows` with bound
+    and count n). One draw serves every tau. Resamples that lose a design
+    cell are discarded and redrawn, up to 10x the replicate budget. A
+    coefficient is flagged significant when its 95% interval excludes
+    zero.
 
     The design is saturated, so a replicate's fit is the resampled cell
     quantiles. Replicates are drawn in blocks of about `BLOCK_ROWS`
@@ -368,6 +427,8 @@ def bootstrap_significance(
     """
     if n_replicates < MIN_REPLICATES:
         raise ValueError(f"bootstrap needs at least {MIN_REPLICATES} replicates")
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"bootstrap seed must be in 0..2**32 - 1, got {seed}")
     fracs = _as_tau_fractions(taus)
     layout = _layout(y, gender_dummy, source_dummy)
     n = len(layout.y)
@@ -384,9 +445,7 @@ def bootstrap_significance(
                 f"{n_replicates} replicates ({attempts - kept} discarded)"
             )
         size = min(block, n_replicates - kept, budget - attempts)
-        idx = np.empty((size, n), dtype=np.int64)
-        for i in range(size):
-            idx[i] = np.random.default_rng([seed, attempts + i]).integers(0, n, size=n)
+        idx = _draw_rows([(attempts + i) << 32 | seed for i in range(size)], n, n)
         idx += np.arange(0, size * n, n)[:, None]
         counts = np.bincount(idx.ravel(), minlength=size * n).reshape(size, n)
         blocks.append(_read_quantiles(layout, counts, fracs))

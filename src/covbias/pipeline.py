@@ -41,7 +41,13 @@ cost time, about 5% of extract on a 4000-document corpus.
 
 Given the same inputs, config and seed, the bundle is byte-identical on
 rerun: every stochastic step derives its generator from the configured
-seed and all serialization is order-stable.
+seed and all serialization is order-stable. `derive_seed` turns (seed,
+step, category) into a 32-bit child seed, numpy's `SeedSequence` value
+computed in plain Python; the jitter and the bootstrap draw from the
+standard library's `random.Random` (MT19937) under that seed, the
+bootstrap under the key `replicate << 32 | seed`. No stage imports
+`numpy.random`, which would cost about 10-14 ms and 5 MB of RSS and pull
+in `secrets` and `hashlib`.
 """
 
 from __future__ import annotations
@@ -365,9 +371,55 @@ def _read_diagnostics(diagnostics: object) -> dict:
     return diagnostics
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
 def derive_seed(seed: int, *indices: int) -> int:
-    """Deterministic child seed for one stochastic step."""
-    return int(np.random.SeedSequence([seed, *indices]).generate_state(1)[0])
+    """Deterministic child seed for one stochastic step: a 32-bit int.
+
+    The value is numpy's `SeedSequence([seed, *indices]).generate_state(1)[0]`,
+    computed here in plain Python so that analyze never imports
+    `numpy.random`. Each entropy int (nonnegative) becomes its 32-bit words,
+    least significant first, 0 being one word; the words are hashed into a
+    pool of 4, the pool is mixed, and the first pool word is hashed out.
+    """
+    words = []
+    for value in (seed, *indices):
+        if value < 0:
+            raise ValueError(f"seed entropy must be nonnegative, got {value}")
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    value = ((pool[0] ^ _INIT_B) * _INIT_B * _MULT_B) & _MASK32
+    return value ^ (value >> 16)
 
 
 def _load_lexicon(cfg: PipelineConfig) -> tuple[set[str], Lexicon]:

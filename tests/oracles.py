@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 from collections import deque
 from fractions import Fraction
@@ -303,10 +304,32 @@ def linprog_quantile_loss(y, g, s, tau):
 # ---------------------------------------------------------------------------
 
 
+def replicate_rows(seed, rep, bound, count):
+    """The row indices replicate ``rep`` of a bootstrap seeded ``seed`` draws:
+    ``count`` of them below ``bound``, from the definition.
+
+    The generator is ``random.Random(rep * 2**32 + seed)``. Each row takes
+    the next ``getrandbits(32)`` word w; with m = w * bound, the row is
+    m // 2**32, unless m % 2**32 < (2**32 - bound) % bound, in which case w
+    is thrown away and the next word is taken. Returns the rows and the
+    number of words thrown away.
+    """
+    rng = random.Random(rep * 2**32 + seed)
+    rows = []
+    rejected = 0
+    while len(rows) < count:
+        m = rng.getrandbits(32) * bound
+        if m % 2**32 < (2**32 - bound) % bound:
+            rejected += 1
+        else:
+            rows.append(m // 2**32)
+    return rows, rejected
+
+
 def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
     """Percentile intervals for one tau, every resample read from the definitions.
 
-    Replicate ``rep`` draws rows from ``default_rng([seed, rep])``; a
+    Replicate ``rep`` draws rows by ``replicate_rows(seed, rep, n, n)``; a
     resample missing a design cell (a pair of dummy levels present in the
     data) is discarded and redrawn, up to 10x the replicate budget. Each
     cell's resampled values are sorted, and its tau-quantile over m values
@@ -339,11 +362,11 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
     while len(draws) < n_replicates:
         if attempts >= 10 * n_replicates:
             raise RuntimeError("bootstrap exhausted its redraw budget")
-        rng = np.random.default_rng([seed, rep])
+        rows, _ = replicate_rows(seed, rep, n, n)
         rep += 1
         attempts += 1
         by_cell = {}
-        for i in rng.integers(0, n, size=n).tolist():
+        for i in rows:
             by_cell.setdefault(cell_of[i], []).append(y[i])
         if by_cell.keys() != needed:
             discarded += 1
@@ -371,7 +394,7 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
 def bootstrap_sequential_reference(y, gender_dummy, source_dummy, taus, n_replicates, seed):
     """``bootstrap_significance`` one replicate at a time.
 
-    Replicate ``rep`` draws from ``default_rng([seed, rep])``, reduces the
+    Replicate ``rep`` draws by ``replicate_rows(seed, rep, n, n)``, reduces the
     draw to per-row multiplicities, reads each cell's quantile for every
     tau at the package's ``_quantile_ranks`` (Python ints, one cell at a
     time) along the package's ``_layout``, and turns the cell fits into
@@ -419,10 +442,9 @@ def bootstrap_sequential_reference(y, gender_dummy, source_dummy, taus, n_replic
                 "bootstrap exhausted its redraw budget without filling "
                 f"{n_replicates} replicates ({discarded} discarded)"
             )
-        rng = np.random.default_rng([seed, rep])
+        idx, _ = replicate_rows(seed, rep, n, n)
         rep += 1
         attempts += 1
-        idx = rng.integers(0, n, size=n)
         fits = read(np.cumsum(np.bincount(idx, minlength=n)[layout.order]))
         if fits is None:
             discarded += 1

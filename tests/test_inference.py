@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from covbias import inference
 from covbias.inference import (
     DEFAULT_TAUS,
+    JITTER_HALF_WIDTH,
     _linear_quantiles,
     bootstrap_significance,
     chi_square,
@@ -28,6 +30,7 @@ from oracles import (
     exhaustive_breakpoint_loss,
     linprog_quantile_loss,
     pinball_total,
+    replicate_rows,
 )
 
 TAUS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -117,6 +120,22 @@ class TestJitter:
         # refused, never truncated to an int
         with pytest.raises(ValueError, match="grid position"):
             jitter([0, position], seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            jitter([1, -2], seed=-1)
+
+    @given(
+        st.lists(st.integers(-5, 5), max_size=40),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.3, JITTER_HALF_WIDTH, 1e-9]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_noise_is_numpys_uniform_rule_on_mt19937(self, fifths, seed, h):
+        # each value takes the next 64-bit word w: u = (w >> 11) / 2**53
+        rng = random.Random(seed)
+        expected = [k / 5 + (-h + 2 * h * ((rng.getrandbits(64) >> 11) * 2.0**-53)) for k in fifths]
+        assert jitter(fifths, seed, h).tolist() == expected
 
 
 def one_cell_quantile(values, tau):
@@ -385,6 +404,13 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_significance(y, g, s, [0.5], 99, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_32_bits_rejected(self, seed):
+        # the key r << 32 | seed is one-to-one only for a 32-bit seed
+        y, g, s = self.make_data()
+        with pytest.raises(ValueError, match="bootstrap seed"):
+            bootstrap_significance(y, g, s, [0.5], 100, seed=seed)
+
     def test_deterministic_given_seed(self):
         y, g, s = self.make_data()
         a = bootstrap_significance(y, g, s, [0.5], 100, seed=11)
@@ -529,7 +555,7 @@ def discarded_attempts(g, s, attempts, seed):
     cells = set(zip(g.tolist(), s.tolist()))
     flags = []
     for rep in range(attempts):
-        idx = np.random.default_rng([seed, rep]).integers(0, len(g), size=len(g))
+        idx, _ = replicate_rows(seed, rep, len(g), len(g))
         flags.append(set(zip(g[idx].tolist(), s[idx].tolist())) != cells)
     return flags
 
@@ -581,6 +607,49 @@ class TestBlockEdgeOracle:
         taus = (0.1, 0.3333333333333333, 0.9)
         expected = bootstrap_sequential_reference(y, g, s, taus, 100, seed=2)
         assert bootstrap_significance(y, g, s, taus, 100, seed=2) == expected
+
+
+class TestRowDraw:
+    """The vectorized row draw equals the one-word-at-a-time definition."""
+
+    def test_rejected_words_take_the_sequential_path(self):
+        # bound 3 * 2**30: a quarter of the words are rejected, so most keys
+        # of 8 rows reject one and are redrawn one word at a time
+        bound, count = 3 * 2**30, 8
+        expected = [replicate_rows(5, rep, bound, count) for rep in range(64)]
+        assert 32 < sum(rejected > 0 for _, rejected in expected) < 64
+        got = inference._draw_rows([rep << 32 | 5 for rep in range(64)], bound, count)
+        assert got.tolist() == [rows for rows, _ in expected]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2000),
+        st.one_of(st.integers(1, 2**32), st.sampled_from([1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32])),
+        st.integers(1, 30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_definition(self, seed, first, bound, count):
+        reps = range(first, first + 3)
+        got = inference._draw_rows([rep << 32 | seed for rep in reps], bound, count)
+        assert got.tolist() == [replicate_rows(seed, rep, bound, count)[0] for rep in reps]
+
+
+class TestStreamPin:
+    """Literal draws. Both come from the standard library's MT19937, whose
+    seeding and `getrandbits` are meant to give the same stream on every
+    supported Python; CI runs this on each version in its matrix."""
+
+    def test_first_rows_of_replicate_zero(self):
+        # seed 42 and n = 1000: replicate 0's key is 0 << 32 | 42
+        rows = inference._draw_rows([0 << 32 | 42], 1000, 1000)[0, :8]
+        assert rows.tolist() == [639, 111, 25, 741, 275, 244, 223, 139]
+
+    def test_jitter(self):
+        assert jitter([-5, 0, 5], seed=7).tolist() == [
+            -0.955213463950813,
+            -0.0105176505131915,
+            0.9548286426963968,
+        ]
 
 
 def test_bootstrap_memory_is_capped():

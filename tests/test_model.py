@@ -256,15 +256,20 @@ import covbias.model, covbias.registry
 print(json.dumps([loaded, "numpy" in sys.modules]))
 """
 
-# Whether ``import numpy`` alone loads numpy.ma, and whether a whole run on
-# the config named by argv[1] leaves it loaded.
+# Whether ``import numpy`` alone loads numpy.ma, whether a whole run on the
+# config named by argv[1] leaves it loaded, and which of numpy.random and the
+# modules it pulls in (secrets, hashlib) are loaded after ``import numpy``
+# and after the run.
 PIPELINE_PROBE = """
 import json, sys
+RANDOM_SIDE = ("numpy.random", "secrets", "hashlib")
 import numpy
 ma_with_numpy = "numpy.ma" in sys.modules
+random_with_numpy = [m for m in RANDOM_SIDE if m in sys.modules]
 from covbias.pipeline import PipelineConfig, run_pipeline
 run_pipeline(PipelineConfig.from_ini(sys.argv[1]))
-print(json.dumps([ma_with_numpy, "numpy.ma" in sys.modules]))
+random_after_run = [m for m in RANDOM_SIDE if m in sys.modules]
+print(json.dumps([ma_with_numpy, "numpy.ma" in sys.modules, random_with_numpy, random_after_run]))
 """
 
 
@@ -289,7 +294,7 @@ class TestImports:
     def test_whole_run_loads_no_numpy_ma(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.ini", out)
-        ma_with_numpy, ma_after_run = run_probe(PIPELINE_PROBE, cfg)
+        ma_with_numpy, ma_after_run, *_ = run_probe(PIPELINE_PROBE, cfg)
         if ma_with_numpy:
             pytest.skip("this numpy (1.x) loads numpy.ma on import, so no run can avoid it")
         # The run reached both interpolated-quantile reads.
@@ -298,3 +303,15 @@ class TestImports:
         assert any("unweighted" in entry for entry in summaries.values())
         assert any("bootstrap" in e for e in coefficients.values() if isinstance(e, dict))
         assert not ma_after_run
+
+    def test_whole_run_loads_no_numpy_random(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.ini", out)
+        *_, random_with_numpy, random_after_run = run_probe(PIPELINE_PROBE, cfg)
+        if random_with_numpy:
+            pytest.skip(f"this numpy loads {random_with_numpy} on import, so no run can avoid it")
+        # The run drew both the jitter and the bootstrap.
+        coefficients = json.loads((out / "quantile_coefficients.json").read_text(encoding="utf-8"))
+        entries = [e for e in coefficients.values() if isinstance(e, dict) and "bootstrap" in e]
+        assert entries and all("jitter_seed" in e for e in entries)
+        assert random_after_run == []

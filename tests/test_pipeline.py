@@ -10,7 +10,10 @@ import re
 import shutil
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covbias import bias, inference, ingestion, pipeline, reporting
 from covbias.cli import build_parser, load_config
@@ -1123,6 +1126,24 @@ class TestQuantileAnalysis:
         header, rows = out["quantiles.csv"]
         assert header[:3] == ["category", "gender", "source_type"]
         assert [row[0] for row in rows] == ["moral_behavioral"] * 4
+
+
+class TestDeriveSeed:
+    @given(
+        st.integers(0, 2**64),
+        st.lists(st.one_of(st.integers(0, 2**64), st.sampled_from([0, 2**32 - 1, 2**32])), max_size=3),
+    )
+    @example(0, [])
+    @example(0, [0, 0, 0])
+    @example(2**32, [1, 2**32 + 5])
+    @settings(max_examples=300, deadline=None)
+    def test_is_numpys_seed_sequence(self, seed, indices):
+        expected = np.random.SeedSequence([seed, *indices]).generate_state(1)[0]
+        assert pipeline.derive_seed(seed, *indices) == int(expected)
+
+    def test_negative_entropy_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pipeline.derive_seed(3, -1)
 
 
 class TestAllOrNothing:
