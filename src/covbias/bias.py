@@ -245,7 +245,11 @@ def _quantile_ranks(p: Fraction, total: int) -> tuple[int, int]:
     """The ranks, in cumulative weight, of the p-quantile's order statistics:
     ceil(p * total) twice, or p * total and the next rank when p * total is
     an integer, whose midpoint is taken (so symmetric data has median zero).
-    `total` may be an integer array, read elementwise."""
+    `total` may be an integer array, read elementwise.
+
+    This is the package's one quantile rule. It has three readers: the
+    index summaries (`_sorted_quantile`), the quantile regression's cell
+    fits and the bootstrap's percentile interval (both in `inference`)."""
     scaled = p.numerator * total
     k = scaled // p.denominator
     return k + (scaled % p.denominator != 0), k + 1

@@ -70,7 +70,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         if args.command == "ingest-check":
-            print(json.dumps(ingest_check(cfg), indent=2, sort_keys=True))
+            summary = run_stage("ingest-check", ingest_check, cfg)
+            print(json.dumps(summary, indent=2, sort_keys=True))
         elif args.command == "extract":
             result = run_stage("extract", stage_extract, cfg)
             print(f"extracted {len(result.records)} records -> {cfg.out}")

@@ -1,5 +1,11 @@
 """Chi-square independence tests, sentiment jittering, quantile regression
-on the gender x source dummy design, and bootstrap significance."""
+on the gender x source dummy design, and bootstrap significance.
+
+Every quantile here is read at the ranks of the package's one quantile
+rule, `bias._quantile_ranks`, which the index summaries read too: the
+cell fits, of the point fit and of every bootstrap replicate, and the
+bootstrap's percentile interval over the replicates.
+"""
 
 from __future__ import annotations
 
@@ -321,35 +327,6 @@ class BootstrapResult(NamedTuple):
         }
 
 
-def _linear_quantiles(a: np.ndarray, ps: Sequence[float]) -> np.ndarray:
-    """numpy's default ("linear", Hyndman-Fan type 7) quantiles of `a`
-    along axis 0, one row per p, to the bit, without calling numpy's
-    quantile functions: they import `numpy.ma`, which nothing else in
-    analyze loads. Its one caller is `bootstrap_significance`, for the
-    percentile interval; the index summaries read `bias._quantile_ranks`.
-
-    For n values and v = (n - 1) p, the quantile interpolates between the
-    order statistics lo = floor(v) and lo + 1 at t = v - lo, as
-    a[hi] - d (1 - t) when t >= 0.5 and a[lo] + d t otherwise, with
-    d = a[hi] - a[lo]. These are numpy's steps: where v reaches n - 1 both
-    reads are index -1 and t = v + 1, and the partition is at numpy's
-    positions, so even which of two equal zeros (-0.0, 0.0) is read
-    agrees.
-    """
-    last = len(a) - 1
-    reads = []
-    for p in ps:
-        v = last * p
-        lo, hi = (math.floor(v), math.floor(v) + 1) if v < last else (-1, -1)
-        reads.append((lo, hi, v - lo))
-    s = np.partition(a, sorted({0, -1, *(i for lo, hi, _ in reads for i in (lo, hi))}), axis=0)
-    rows = []
-    for lo, hi, t in reads:
-        d = s[hi] - s[lo]
-        rows.append(s[hi] - d * (1 - t) if t >= 0.5 else s[lo] + d * t)
-    return np.stack(rows)
-
-
 def _replicate_rows(key: int, bound: int, count: int) -> list[int]:
     """`count` row indices below `bound` from `random.Random(key)`, drawn one
     at a time: the definition that `_draw_rows` reproduces.
@@ -416,6 +393,13 @@ def bootstrap_significance(
     coefficient is flagged significant when its 95% interval excludes
     zero.
 
+    The interval reads each coefficient's B replicate values, sorted
+    stably, at `_quantile_ranks` for p = 1/40 and 39/40: the order
+    statistic at ceil(p * B), or the midpoint of those at p * B and
+    p * B + 1 when p * B is an integer, the rule the cell fits follow.
+    Of equal values (-0.0 and 0.0) the one from the earlier replicate is
+    read.
+
     The design is saturated, so a replicate's fit is the resampled cell
     quantiles. Replicates are drawn in blocks of about `BLOCK_ROWS`
     resampled rows, a cap on memory: one `bincount` turns a block's draws
@@ -454,8 +438,11 @@ def bootstrap_significance(
 
     fits = np.concatenate(blocks)
     coefs = _coefficients({cell: fits[..., c] for c, cell in enumerate(layout.cells)})
-    known = [b for b in coefs if b is not None]
-    lower, upper = _linear_quantiles(np.stack(known, axis=-1), (0.025, 0.975)).tolist()
+    known = np.sort(np.stack([b for b in coefs if b is not None], axis=-1), axis=0, kind="stable")
+    lower, upper = (
+        ((known[lo - 1] + known[hi - 1]) / 2 if lo != hi else known[lo - 1]).tolist()
+        for lo, hi in (_quantile_ranks(Fraction(k, 40), len(known)) for k in (1, 39))
+    )
     intervals = {}
     for frac, lows, highs in zip(fracs, lower, upper):
         bounds = iter(zip(lows, highs))

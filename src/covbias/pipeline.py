@@ -196,6 +196,8 @@ class PipelineConfig:
         ]:
             if path is not None and not os.path.exists(path):
                 raise ConfigError(f"{label} file does not exist: {path}")
+            if path is not None and os.path.isdir(path):  # a FIFO still passes
+                raise ConfigError(f"{label} is a directory, not a file: {path}")
         if self.radius < 1:
             raise ConfigError("radius must be >= 1")
         if self.direction not in DIRECTIONS:

@@ -59,7 +59,11 @@ def dominance_fractions(f: Sequence[float], m: Sequence[float]) -> tuple[float, 
 
 
 def _simpson_totals(runs: Sequence[Sequence[Point]]) -> list[float]:
-    """`simpson_integral` of each run of ordered (x, y) points.
+    """The composite Simpson integral of each run of ordered (x, y) points.
+
+    Pairs of intervals use the 1/3 rule; an odd interval count is finished
+    with the 3/8 rule on the final three intervals; a single interval
+    falls back to the trapezoid.
 
     A 3- or 4-point chunk is integrated through its interpolating
     polynomial, which on uniform grids is the 1/3 or 3/8 rule exactly and
@@ -102,19 +106,6 @@ def _simpson_totals(runs: Sequence[Sequence[Point]]) -> list[float]:
     for r, piece in zip(owners, pieces):
         totals[r] += piece
     return totals
-
-
-def simpson_integral(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Composite Simpson integral over an ordered grid.
-
-    Pairs of intervals use the 1/3 rule; an odd interval count is finished
-    with the 3/8 rule on the final three intervals; a single interval
-    falls back to the trapezoid.
-    """
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys differ in length")
-    (total,) = _simpson_totals([list(zip(xs, ys))])
-    return total
 
 
 def _split_segments(xs: Sequence[float], ds: Sequence[float]) -> list[tuple[int, list[Point]]]:

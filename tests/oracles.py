@@ -11,11 +11,14 @@ derivation, not the normalization;
 walk and the nearest-mention attribution, not those (its count cells and
 politician sets are its own dicts, only wrapped in the ``CountTable``
 constructor at the end);
-``bootstrap_sequential_reference`` reads through the package's layout,
-rank rule and coefficient step, because it checks the blocked replicate
-loop, not those; and ``area_decomposition_reference`` cuts segments with
-the package's ``_split_segments``, because it checks the stacked Simpson
-solve, not the cut. The three helpers under "Package arithmetic"
+``bootstrap_sequential_reference`` reads the cell fits through the
+package's layout, rank rule and coefficient step, because it checks the
+blocked replicate loop, not those; its interval, like that of
+``bootstrap_per_tau``, is read from the definition by ``order_statistic``
+(Python's stable ``sorted``, no numpy quantile function); and
+``area_decomposition_reference`` cuts segments with the package's
+``_split_segments``, because it checks the stacked Simpson solve, not
+the cut. The three helpers under "Package arithmetic"
 read the package's own ``_terms`` and sorted-sample quantile, because
 they only give the tests a named entry point to that arithmetic; the
 scan and recompute oracles here check it.
@@ -326,6 +329,29 @@ def replicate_rows(seed, rep, bound, count):
     return rows, rejected
 
 
+def order_statistic(values, p):
+    """The p-quantile of ``values`` (p a Fraction) by its definition.
+
+    With the m values in Python's stable ``sorted`` order and positions
+    counted from 1, it is the value at ceil(p * m), or the midpoint of
+    those at p * m and p * m + 1 when p * m is an integer. Of equal values
+    (-0.0 and 0.0) the one earlier in ``values`` comes first.
+    """
+    ordered = sorted(values)
+    rank = p * len(ordered)
+    if rank.denominator == 1:
+        return (ordered[int(rank) - 1] + ordered[int(rank)]) / 2
+    return ordered[math.ceil(rank) - 1]
+
+
+def percentile_interval(values):
+    """The bootstrap's 95% interval of ``values``, its replicate values:
+    the ``order_statistic`` at p = 1/40 and at p = 39/40, and whether the
+    interval excludes zero."""
+    lo, hi = (order_statistic(values, p) for p in (Fraction(1, 40), Fraction(39, 40)))
+    return lo, hi, not (lo <= 0.0 <= hi)
+
+
 def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
     """Percentile intervals for one tau, every resample read from the definitions.
 
@@ -337,23 +363,16 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
     tau * m and tau * m + 1 when tau * m is an integer. The coefficients are
     differences of cell quantiles: q00, q10 - q00, q01 - q00 and
     q11 - q10 - q01 + q00, None where a cell is outside the design.
-    Returns ``(n_replicates, discarded, intervals)`` with one
-    ``(lower, upper, significant)`` per coefficient.
+    Each cell's tau-quantile and each coefficient's interval are read by
+    ``order_statistic``. Returns ``(n_replicates, discarded, intervals)``
+    with one ``percentile_interval`` per coefficient, None's where the
+    coefficient is outside the design.
     """
-    import numpy as np
-
     y = [float(v) for v in y]
     cell_of = [(int(gv), int(sv)) for gv, sv in zip(gender_dummy, source_dummy)]
     n = len(y)
     needed = {(gv, sv) for gv in {c[0] for c in cell_of} for sv in {c[1] for c in cell_of}}
     frac = tau if isinstance(tau, Fraction) else Fraction(str(tau))
-
-    def quantile(values):
-        ordered = sorted(values)
-        rank = frac * len(ordered)
-        if rank.denominator == 1:
-            return (ordered[int(rank) - 1] + ordered[int(rank)]) / 2
-        return ordered[math.ceil(rank) - 1]
 
     draws = []
     attempts = 0
@@ -371,7 +390,7 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
         if by_cell.keys() != needed:
             discarded += 1
             continue
-        q = {cell: quantile(values) for cell, values in by_cell.items()}
+        q = {cell: order_statistic(values, frac) for cell, values in by_cell.items()}
         draws.append((
             q[(0, 0)],
             q[(1, 0)] - q[(0, 0)] if (1, 0) in q else None,
@@ -384,10 +403,8 @@ def bootstrap_per_tau(y, gender_dummy, source_dummy, tau, n_replicates, seed):
         vals = [d[j] for d in draws]
         if any(v is None for v in vals):
             intervals.append((None, None, None))
-            continue
-        arr = np.asarray(vals, dtype=float)
-        lo, hi = (float(np.percentile(arr, p)) for p in (2.5, 97.5))
-        intervals.append((lo, hi, not (lo <= 0.0 <= hi)))
+        else:
+            intervals.append(percentile_interval(vals))
     return n_replicates, discarded, tuple(intervals)
 
 
@@ -400,7 +417,7 @@ def bootstrap_sequential_reference(y, gender_dummy, source_dummy, taus, n_replic
     time) along the package's ``_layout``, and turns the cell fits into
     coefficients with the package's ``_coefficients``. A resample missing
     a design cell is discarded and redrawn, up to 10x the replicate
-    budget. Each percentile is its own ``np.percentile`` call. Returns
+    budget. Each interval is its own ``percentile_interval``. Returns
     the package's ``BootstrapResult``.
     """
     import numpy as np
@@ -459,10 +476,8 @@ def bootstrap_sequential_reference(y, gender_dummy, source_dummy, taus, n_replic
             vals = [d[j] for d in draw]
             if any(v is None for v in vals):
                 cis.append(BootstrapCI(None, None, None))
-                continue
-            arr = np.asarray(vals, dtype=float)
-            lo, hi = (float(np.percentile(arr, p)) for p in (2.5, 97.5))
-            cis.append(BootstrapCI(lo, hi, not (lo <= 0.0 <= hi)))
+            else:
+                cis.append(BootstrapCI(*percentile_interval(vals)))
         intervals[float(frac)] = tuple(cis)
     return BootstrapResult(n_replicates=n_replicates, discarded=discarded, intervals=intervals)
 

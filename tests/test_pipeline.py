@@ -290,6 +290,8 @@ class TestConfig:
             ({"seed": -1}, "seed"),
             ({"jitter": "nan"}, "jitter"),
             ({"jitter": "inf"}, "jitter"),
+            ({"conllu": os.path.dirname(data_path("tiny.conllu"))}, "conllu is a directory"),
+            ({"lexicon": os.path.dirname(data_path("lexicon.csv"))}, "lexicon is a directory"),
         ],
     )
     def test_bad_setting_fails_before_any_stage(self, tmp_path, capsys, extra, message):
@@ -297,10 +299,19 @@ class TestConfig:
         cfg = PipelineConfig.from_ini(cfg_path)
         with pytest.raises(ConfigError, match=message):
             run_pipeline(cfg)
-        assert cli_main(["--config", cfg_path, "run"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
-        assert not (tmp_path / "out").exists()
+        for command in ("ingest-check", "extract", "analyze", "run"):
+            assert cli_main(["--config", cfg_path, command]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+            assert all(path in err[0] for path in extra.values() if os.path.isdir(str(path)))
+            assert not (tmp_path / "out").exists()
+
+    def test_fifo_input_passes_validation(self, tmp_path):
+        # process substitution hands over a pipe, such as /dev/fd/63
+        fifo = tmp_path / "stopwords.fifo"
+        os.mkfifo(fifo)
+        cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "out", stopwords=str(fifo))
+        PipelineConfig.from_ini(cfg_path).validate()
 
     @pytest.mark.parametrize(
         "key, raw",
