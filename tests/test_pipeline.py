@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covbias import bias, inference, ingestion, pipeline, reporting
+from covbias import bias, extraction, inference, ingestion, pipeline, reporting
 from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
 from covbias.errors import ConfigError, InputError, StageError
@@ -1325,6 +1325,35 @@ class TestAllOrNothing:
         assert read_bundle_bytes(out) == before
         with pytest.raises(ValueError, match="no writer"):
             write_artifacts(cfg, {"a.json": {"v": 2}, "c.txt": "text"})
+        assert read_bundle_bytes(out) == before
+
+    def test_malformed_row_past_the_first_block_fails_extract_at_its_line(self, tmp_path):
+        """Extract reads the corpus a block of sentences at a time; a bad row
+        in sentence BLOCK_SENTENCES + 3 still stops it with the reader's
+        error for that row, before anything is written."""
+        block = extraction.BLOCK_SENTENCES
+        paths = corpusgen.generate(str(tmp_path / "in"), n_docs=220, seed=3)
+        out = tmp_path / "out"
+        cfg = PipelineConfig.from_ini(
+            corpusgen.write_config(paths, str(out), str(tmp_path / "run.ini"), seed=3)
+        )
+        run_pipeline(cfg)
+        before = read_bundle_bytes(out)
+        with open(paths["conllu"], encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        starts = [i for i, line in enumerate(lines) if line.startswith("# sent_id")]
+        assert len(starts) > block + 2
+        row = starts[block + 2] + 2  # the second token row of sentence block + 3
+        lines[row] = lines[row].rsplit("\t", 1)[0]  # nine columns
+        with open(paths["conllu"], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+        with pytest.raises(InputError) as checked:
+            ingest_check(cfg)  # the reader drained one sentence at a time
+        with pytest.raises(InputError) as info:
+            stage_extract(cfg)
+        assert (info.value.path, info.value.line) == (paths["conllu"], row + 1)
+        assert str(info.value).endswith("expected 10 tab-separated columns, got 9")
+        assert str(info.value) == str(checked.value)
         assert read_bundle_bytes(out) == before
 
 
