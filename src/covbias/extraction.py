@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .entities import MatchDiagnostics, RoleGazetteer, find_mentions
 from .lexicon import Lexicon
 from .model import (
-    Category,
     CountTable,
     DayCell,
     Document,
@@ -184,8 +183,7 @@ def extract_records(
     Each word's category and grid position come from one dict built
     from the lexicon, each mention's gender from one pid -> gender dict.
     Each (word, mention) pair is counted once into a word dict and once
-    into a day dict (`CountTable`'s two keys), and adds its (gender,
-    category, source_type, pid) key to a set; the three become the
+    into a day dict (`CountTable`'s two keys); the two become the
     `CountTable` once the stream ends. The descriptives come from
     per-`SentenceKey` counts, the word dict's keys and the records.
     """
@@ -200,10 +198,8 @@ def extract_records(
     genders = {pid: p.gender for pid, p in registry.politicians.items()}
     word_cells: dict[WordCell, int] = {}
     day_cells: dict[DayCell, int] = {}
-    pid_keys: set[tuple[Gender, Optional[Category], SourceType, str]] = set()
     covered: dict[SentenceKey, int] = {}
     word_of, word_count, day_count = words.get, word_cells.get, day_cells.get
-    add_pid_key = pid_keys.add
     covered_count, new_record, record = covered.get, tuple.__new__, records.append
     stream = iter(stream)
     while block := list(islice(stream, BLOCK_SENTENCES)):
@@ -224,11 +220,10 @@ def extract_records(
                 for m in tied:
                     pid = m.pid
                     gender = genders[pid]
-                    key = (lemma, upos, gender, category, source_type)
+                    key = (lemma, upos, gender, category, source_type, pid)
                     word_cells[key] = word_count(key, 0) + 1
                     key = (gender, category, source_type, date)
                     day_cells[key] = day_count(key, 0) + 1
-                    add_pid_key((gender, category, source_type, pid))
                     sent_key = (gender, pid, doc_id, sent_index)
                     covered[sent_key] = covered_count(sent_key, 0) + 1
                     if word is not None:
@@ -246,9 +241,4 @@ def extract_records(
             personalized, {(r.gender, r.lemma) for r in records}
         ),
     }
-    return ExtractionResult(
-        records,
-        CountTable.from_counts(word_cells, day_cells, pid_keys),
-        descriptives,
-        diagnostics,
-    )
+    return ExtractionResult(records, CountTable(word_cells, day_cells), descriptives, diagnostics)

@@ -149,9 +149,9 @@ class CorpusDiagnostics:
         self.rejected_sentences.append((doc_id, sent_id, reason))
 
     def to_json_dict(self) -> dict:
-        return {
-            "rejected_sentences": [list(r) for r in self.rejected_sentences],
-        }
+        """The rejected sentences as [doc_id, sent_id, reason] rows, sorted,
+        so diagnostics.json does not depend on the order of the documents."""
+        return {"rejected_sentences": [list(r) for r in sorted(self.rejected_sentences)]}
 
 
 def _is_digits(lemma: str) -> bool:

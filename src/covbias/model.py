@@ -13,8 +13,9 @@ it as a list. `Token`, `Sentence`, `Document` and `PersonalizationRecord`,
 built once per token, sentence, metadata line and attributed lexicon word,
 are built by the readers and extract with ``tuple.__new__(cls, fields)``,
 all fields given, which skips the NamedTuple's Python-level ``__new__``.
-count_table.json's format is defined here whole, from the `CountTable` to
-the record rows' dummy coding, with its encoder and its one decoder.
+count_table.json's format is defined here whole: the `CountTable`, its
+encoder and its one decoder, and the dummy coding of the record rows that
+analyze derives from the table's cells.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import datetime
 import json
 import re
 import unicodedata
-from collections import Counter
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring as _encode_str
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class Gender(str, Enum):
@@ -269,9 +269,9 @@ _RECORD_LINE = (
 # ---------------------------------------------------------------------------
 
 WordKey = tuple[str, str]  # (lemma, upos)
-WordCell = tuple[str, str, Gender, Optional[Category], Optional[SourceType]]
+WordCell = tuple[str, str, Gender, Optional[Category], Optional[SourceType], str]
 DayCell = tuple[Gender, Optional[Category], Optional[SourceType], datetime.date]
-Slots = tuple[Gender, Optional[Category], Optional[SourceType]]  # a politician set's key
+Slots = tuple[Gender, Optional[Category], Optional[SourceType]]  # a cell's enum members
 # str() and value of everything an enum slot of a key can hold (None or a
 # member), looked up per cell: str() orders serialized cells, value fills them.
 _SLOT_STR = {x: str(x) for x in (None, *Gender, *Category, *SourceType)}
@@ -283,63 +283,47 @@ class CountTable:
 
     Each attributed (word, mention) pair is counted once into each of two
     dicts:
-    - `words`, keyed by (lemma, upos, gender, category, source_type), the
-      word counts that every score reads; category is None for words
-      outside the lexicon;
+    - `words`, keyed by (lemma, upos, gender, category, source_type, pid),
+      the word counts that every score reads, per politician; category is
+      None for words outside the lexicon;
     - `days`, keyed by (gender, category, source_type, date), the daily
       totals that only the personalization trends read.
-    So the table grows with the vocabulary plus the days, not with their
-    product. Politician identities are tracked per (gender, category,
-    source_type) so that slices report their own politician tallies.
+    So the table grows with the words each politician is given plus the
+    days, not with their product. A gender's politicians are the distinct
+    pids of its word cells, so a slice counts its own.
 
-    A table is built once, from its two dicts and politician sets, and
-    only read after that. So each marginal the analyses read over and over
-    (the gender totals of `total()`, the per-word gender counts of
-    `word_counts()` and the per-day totals of `by_day()`) is summed on its
-    first read and returned as is: callers must not mutate it.
+    A table is built once, from its two dicts, and only read after that.
+    So each marginal the analyses read over and over (the gender totals of
+    `total()`, the politician counts of `politicians()`, the per-word
+    gender counts of `word_counts()` and the per-day totals of `by_day()`)
+    is summed on its first read and returned as is: callers must not
+    mutate it.
     """
 
-    def __init__(
-        self,
-        words: dict[WordCell, int],
-        days: dict[DayCell, int],
-        pids: dict[Slots, set[str]],
-    ) -> None:
+    def __init__(self, words: dict[WordCell, int], days: dict[DayCell, int]) -> None:
         self.words = words
         self.days = days
-        self.pids = pids
-
-    @classmethod
-    def from_counts(
-        cls,
-        words: dict[WordCell, int],
-        days: dict[DayCell, int],
-        pid_keys: Iterable[tuple[Gender, Optional[Category], Optional[SourceType], str]],
-    ) -> "CountTable":
-        """A table over counted ``words`` and ``days``, which it takes as
-        they are, with each ``(gender, category, source_type, pid)`` of
-        ``pid_keys`` adding the politician to its slot's set."""
-        pids: dict[Slots, set[str]] = {}
-        for g, cat, st, pid in pid_keys:
-            members = pids.get((g, cat, st))
-            if members is None:
-                members = pids[g, cat, st] = set()
-            members.add(pid)
-        return cls(words, days, pids)
 
     # -- marginals ---------------------------------------------------------
 
     @cached_property
     def _totals(self) -> dict[Gender, int]:
         out = {g: 0 for g in Gender}
-        for (_, _, g, _, _), n in self.words.items():
+        for (_, _, g, _, _, _), n in self.words.items():
             out[g] += n
         return out
 
     @cached_property
+    def _politicians(self) -> dict[Gender, int]:
+        seen: dict[Gender, set[str]] = {g: set() for g in Gender}
+        for (_, _, g, _, _, pid) in self.words:
+            seen[g].add(pid)
+        return {g: len(pids) for g, pids in seen.items()}
+
+    @cached_property
     def _words(self) -> dict[WordKey, dict[Gender, int]]:
         out: dict[WordKey, dict[Gender, int]] = {}
-        for (lemma, upos, g, _, _), n in self.words.items():
+        for (lemma, upos, g, _, _, _), n in self.words.items():
             per = out.setdefault((lemma, upos), {Gender.F: 0, Gender.M: 0})
             per[g] += n
         return out
@@ -360,11 +344,7 @@ class CountTable:
         return sum(self.words.values())
 
     def politicians(self, gender: Gender) -> int:
-        seen: set[str] = set()
-        for (g, _, _), pids in self.pids.items():
-            if g == gender:
-                seen.update(pids)
-        return len(seen)
+        return self._politicians[gender]
 
     def word_counts(self) -> dict[WordKey, dict[Gender, int]]:
         return self._words
@@ -372,7 +352,7 @@ class CountTable:
     def word_categories(self) -> dict[WordKey, Optional[Category]]:
         """Lexicon category per word; None for out-of-lexicon words."""
         out: dict[WordKey, Optional[Category]] = {}
-        for (lemma, upos, _, cat, _) in self.words:
+        for (lemma, upos, _, cat, _, _) in self.words:
             key = (lemma, upos)
             if cat is not None or key not in out:
                 out[key] = cat if cat is not None else out.get(key)
@@ -383,7 +363,7 @@ class CountTable:
 
     def source_gender_counts(self) -> dict[tuple[SourceType, Gender], int]:
         out: dict[tuple[SourceType, Gender], int] = {}
-        for (_, _, g, _, st), n in self.words.items():
+        for (_, _, g, _, st, _), n in self.words.items():
             if st is not None:
                 out[(st, g)] = out.get((st, g), 0) + n
         return out
@@ -397,7 +377,7 @@ class CountTable:
         lexicon_only: bool = False,
     ) -> "CountTable":
         """The table of the cells in one category (or every lexicon
-        category, or all) and one source type (or all), each dict filtered
+        category, or all) and one source type (or all), both dicts filtered
         alike, so the slice keeps its own day totals and politicians."""
         if category is not None:
             cats: tuple = (category,)
@@ -407,76 +387,75 @@ class CountTable:
         return CountTable(
             {k: n for k, n in self.words.items() if k[3] in cats and k[4] in sts},
             {k: n for k, n in self.days.items() if k[1] in cats and k[2] in sts},
-            {k: p for k, p in self.pids.items() if k[1] in cats and k[2] in sts},
         )
 
     # -- serialization -----------------------------------------------------
 
     def to_csv_rows(self) -> list[tuple[str, str, str, str, str, int]]:
-        """Rows (lemma, upos, gender, category, source_type, count), one per
-        word cell, sorted; an empty string stands for a None slot."""
-        return sorted(
-            (lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat] or "", _SLOT_VALUE[st] or "", n)
-            for (lemma, upos, g, cat, st), n in self.words.items()
-        )
+        """Rows (lemma, upos, gender, category, source_type, count), the
+        word cells summed over politicians, sorted; an empty string stands
+        for a None slot."""
+        summed: dict[tuple[str, str, str, str, str], int] = {}
+        for (lemma, upos, g, cat, st, _), n in self.words.items():
+            key = (lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat] or "", _SLOT_VALUE[st] or "")
+            summed[key] = summed.get(key, 0) + n
+        return sorted((*key, n) for key, n in summed.items())
 
     def to_json_dict(self) -> dict:
-        """`cells`: [lemma, upos, gender, category, source_type, null, count]
-        rows, the null kept where older files held the day; `days`: [gender,
-        category, source_type, "YYYY-MM-DD", count] rows; `politicians`:
-        [gender, category, source_type, sorted ids] rows. Each list is
-        sorted by the str() of its key's members."""
+        """count_table.json's object: `cells`, [lemma, upos, gender,
+        category, source_type, pid, count] rows, and `days`, [gender,
+        category, source_type, "YYYY-MM-DD", count] rows, each list sorted
+        by the str() of its key's members."""
         # str() of each distinct day, made once: it is the day's ISO date
         day_str = {day: str(day) for day in {key[3] for key in self.days}}
 
         def word_order(item: tuple[WordCell, int]) -> tuple[str, ...]:
-            (lemma, upos, g, cat, st), _ = item
-            return lemma, upos, _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st]
+            (lemma, upos, g, cat, st, pid), _ = item
+            return lemma, upos, _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st], pid
 
         def day_order(item: tuple[DayCell, int]) -> tuple[str, ...]:
             (g, cat, st, day), _ = item
             return _SLOT_STR[g], _SLOT_STR[cat], _SLOT_STR[st], day_str[day]
 
         cells = [
-            [lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], None, n]
-            for (lemma, upos, g, cat, st), n in sorted(self.words.items(), key=word_order)
+            [lemma, upos, _SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], pid, n]
+            for (lemma, upos, g, cat, st, pid), n in sorted(self.words.items(), key=word_order)
         ]
         days = [
             [_SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], day_str[day], n]
             for (g, cat, st, day), n in sorted(self.days.items(), key=day_order)
         ]
-        pids = [
-            [_SLOT_VALUE[g], _SLOT_VALUE[cat], _SLOT_VALUE[st], sorted(members)]
-            for (g, cat, st), members in sorted(
-                self.pids.items(), key=lambda kv: tuple([_SLOT_STR[x] for x in kv[0]])
-            )
-        ]
-        return {"cells": cells, "days": days, "politicians": pids}
+        return {"cells": cells, "days": days}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CountTable":
-        """The table of a `to_json_dict` object; a `cells` row with a day,
-        or no `days` at all, was written by an older extract."""
+        """The table of a `to_json_dict` object, its cells in file order.
+
+        A file with no `days`, with a `politicians` or `record_rows` view,
+        or with a null pid was written by an older extract.
+        """
         if "days" not in d:
             raise ValueError("no days: written by an older extract; rerun extract")
+        for view in ("politicians", "record_rows"):
+            if view in d:
+                raise ValueError(f"has {view}: written by an older extract; rerun extract")
         words: dict[WordCell, int] = {}
         days: dict[DayCell, int] = {}
-        pids: dict[Slots, set[str]] = {}
         decoded: dict[tuple, Slots] = {}  # raw slot values -> members
         dates: dict[str, datetime.date] = {}  # ISO day string -> date
-        for lemma, upos, g, cat, st, day, n in d["cells"]:
+        for lemma, upos, g, cat, st, pid, n in d["cells"]:
             if type(n) is not int or n < 0:
                 raise ValueError(f"cell count {n!r} is not a non-negative integer")
             if type(lemma) is not str or type(upos) is not str:
                 raise ValueError(f"cell word ({lemma!r}, {upos!r}) is not two strings")
-            if day is not None:
-                raise ValueError(
-                    f"cell day {day!r} is not null: written by an older extract; rerun extract"
-                )
+            if type(pid) is not str:
+                if pid is None:
+                    raise ValueError("cell pid is null: written by an older extract; rerun extract")
+                raise ValueError(f"cell pid {pid!r} is not a string")
             slots = decoded.get((g, cat, st))
             if slots is None:
                 slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
-            key = (lemma, upos, *slots)
+            key = (lemma, upos, *slots, pid)
             words[key] = words.get(key, 0) + n
         for g, cat, st, day, n in d["days"]:
             if type(n) is not int or n < 0:
@@ -489,11 +468,7 @@ class CountTable:
                 date = dates[day] = parse_date(day)
             key = (*slots, date)
             days[key] = days.get(key, 0) + n
-        for g, cat, st, members in d["politicians"]:
-            if type(members) is not list or any(type(pid) is not str for pid in members):
-                raise ValueError(f"politician ids {members!r} are not a list of strings")
-            pids.setdefault(_decode_slots(g, cat, st), set()).update(members)
-        return cls(words, days, pids)
+        return cls(words, days)
 
 
 def _decode_slots(g: str, cat: Optional[str], st: Optional[str]) -> Slots:
@@ -505,104 +480,38 @@ def _decode_slots(g: str, cat: Optional[str], st: Optional[str]) -> Slots:
     )
 
 
+def read_count_table(d: object) -> CountTable:
+    """The table of count_table.json's JSON value `d`, an object of the
+    `CountTable.to_json_dict` layout.
+
+    Extract counts each attributed (word, mention) pair once into a word
+    cell and once into a day cell, and every extracted document is dated.
+    So a table whose `days` sum differs from its `cells` sum in some
+    (gender, category, source_type) slot is refused, naming the slot.
+    """
+    if type(d) is not dict:
+        raise ValueError("the top level is not a JSON object")
+    table = CountTable.from_json_dict(d)
+    cells: dict[Slots, int] = {}
+    for (_, _, g, cat, st, _), n in table.words.items():
+        cells[g, cat, st] = cells.get((g, cat, st), 0) + n
+    days: dict[Slots, int] = {}
+    for (g, cat, st, _), n in table.days.items():
+        days[g, cat, st] = days.get((g, cat, st), 0) + n
+    # in file order, so of several slots that disagree the same one is named
+    for slot in {**cells, **days}:
+        if days.get(slot, 0) != cells.get(slot, 0):
+            raise ValueError(
+                f"days hold {days.get(slot, 0)} words of slot "
+                f"{json.dumps([_SLOT_VALUE[x] for x in slot])}, "
+                f"cells {cells.get(slot, 0)}"
+            )
+    return table
+
+
 # Each category's records as (grid position k in -5..5, women, online) rows:
 # 1 for women and online, 0 for men and traditional, `quantile_regression`'s
 # dummy coding. The order matters: jitter and the bootstrap draw per row.
 RecordRows = dict[Category, list[tuple[int, int, int]]]
 ROW_GENDER = (Gender.M, Gender.F)  # by the women dummy
 ROW_SOURCE = (SourceType.TRADITIONAL, SourceType.ONLINE)  # by the online dummy
-_RECORD_ROW_KEYS = frozenset(c.value for c in Category)
-_RECORD_ROW_GRID = frozenset((k, w, o) for k in range(-5, 6) for w in (0, 1) for o in (0, 1))
-_RECORD_ROW_TYPES = (int, int, int)
-
-
-def count_table_json(table: CountTable, records: Iterable[PersonalizationRecord]) -> dict:
-    """count_table.json: the table's word cells, day cells and politicians,
-    and under `record_rows` each category's rows of `records`, in record
-    order."""
-    rows: dict[str, list] = {c.value: [] for c in Category}
-    for r in records:
-        rows[r.category.value].append(
-            (r.fifths, int(r.gender is Gender.F), int(r.source_type is SourceType.ONLINE))
-        )
-    return {**table.to_json_dict(), "record_rows": rows}
-
-
-def read_count_table(d: object) -> tuple[CountTable, RecordRows]:
-    """The table and the record rows of count_table.json's JSON value `d`.
-
-    `d` must be an object whose `record_rows` hold exactly the category
-    keys, each a list of [k, women, online] rows of ints with k in -5..5
-    and the dummies 0 or 1, and whose four views agree.
-    """
-    if type(d) is not dict:
-        raise ValueError("the top level is not a JSON object")
-    if "record_rows" not in d:
-        raise ValueError("no record_rows: written by an older extract; rerun extract")
-    raw = d["record_rows"]
-    if type(raw) is not dict:
-        raise ValueError("record_rows is not a JSON object")
-    if raw.keys() != _RECORD_ROW_KEYS:
-        raise ValueError(f"record_rows keys {sorted(raw)} are not {sorted(_RECORD_ROW_KEYS)}")
-    rows: RecordRows = {}
-    for category in Category:
-        listed = raw[category.value]
-        if type(listed) is not list:
-            raise ValueError(f"record_rows/{category.value} is not a list")
-        for i, row in enumerate(listed):
-            if (
-                type(row) is not list
-                or tuple(map(type, row)) != _RECORD_ROW_TYPES
-                or tuple(row) not in _RECORD_ROW_GRID
-            ):
-                raise ValueError(
-                    f"record_rows/{category.value}/{i} {row!r} is not [k, women, online] "
-                    "with k in -5..5 and women, online 0 or 1"
-                )
-        rows[category] = list(map(tuple, listed))
-    table = CountTable.from_json_dict(d)
-    _check_count_views(table, rows)
-    return table, rows
-
-
-def _check_count_views(table: CountTable, rows: RecordRows) -> None:
-    """Refuse a table whose four views disagree.
-
-    Extract counts each attributed (word, mention) pair once into a word
-    cell and once into a day cell, adds the mention's politician to the
-    pair's slot, and counts each lexicon word also as one record row; every
-    extracted document is dated. So per (gender, category, source_type)
-    slot the `days` sum and, for a category, the number of its record rows
-    with that (women, online) equal the `cells` sum, and the slot has
-    politicians exactly when that sum is above 0.
-    """
-    cells: dict[Slots, int] = {}
-    for (_, _, g, cat, st), n in table.words.items():
-        cells[g, cat, st] = cells.get((g, cat, st), 0) + n
-    days: dict[Slots, int] = {}
-    for (g, cat, st, _), n in table.days.items():
-        days[g, cat, st] = days.get((g, cat, st), 0) + n
-    recorded: dict[Slots, int] = {}
-    for category, listed in rows.items():
-        # at most 44 distinct rows, so count them first
-        for (_, women, online), n in Counter(listed).items():
-            slot = (ROW_GENDER[women], category, ROW_SOURCE[online])
-            recorded[slot] = recorded.get(slot, 0) + n
-    lexical = {slot: n for slot, n in cells.items() if slot[1] is not None}
-    for view, counts, expected in (("days", days, cells), ("record_rows", recorded, lexical)):
-        # in file order, so of several slots that disagree the same one is named
-        for slot in {**expected, **counts}:
-            if counts.get(slot, 0) != expected.get(slot, 0):
-                raise ValueError(
-                    f"{view} hold {counts.get(slot, 0)} words of slot "
-                    f"{json.dumps([_SLOT_VALUE[x] for x in slot])}, "
-                    f"cells {expected.get(slot, 0)}"
-                )
-    for slot in {**cells, **table.pids}:
-        members = table.pids.get(slot, ())
-        if bool(members) != (cells.get(slot, 0) > 0):
-            raise ValueError(
-                f"politicians hold {len(members)} ids of slot "
-                f"{json.dumps([_SLOT_VALUE[x] for x in slot])}, "
-                f"cells {cells.get(slot, 0)}"
-            )

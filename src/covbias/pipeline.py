@@ -15,14 +15,17 @@ The JSON files a later stage reads back, `MACHINE_ARTIFACTS`
 (count_table.json, descriptives.json and diagnostics.json), are written
 compact, on one line; every other JSON file is a report file, indented
 for people. count_table.json, whose format `model` defines (the
-`CountTable`'s word cells, day cells and politician sets, and each
-category's record rows), is all that analyze reads besides the lexicon.
-records.jsonl (one object per record) and counts.csv are for people and
-never read back. A missing or broken artifact stops the stage that reads
-it with a `StageError` naming the file; so do one whose top level is not
-a JSON object, a count_table.json from an older extract and one whose four
-views disagree (`model.read_count_table`). `manifest.json` records each path
-by its basename, so the bundle does not depend on where the files live.
+`CountTable`'s politician-keyed word cells and its day cells), is all that
+analyze reads besides the lexicon: each category's record rows derive from
+its word cells and the lexicon's grid positions (`record_rows`), so the
+bundle does not depend on the order of the documents. records.jsonl (one
+object per record) and counts.csv are for people and never read back. A
+missing or broken artifact stops the stage that reads it with a
+`StageError` naming the file; so do one whose top level is not a JSON
+object, a count_table.json from an older extract, one whose days disagree
+with its cells (`model.read_count_table`) and one counted with another
+lexicon than analyze reads. `manifest.json` records each path by its
+basename, so the bundle does not depend on where the files live.
 
 The settings are the fields of `PipelineConfig`, and `from_ini` reads
 exactly those keys. A stage reads each input file once, side files before
@@ -82,8 +85,8 @@ from .ingestion import (
 )
 from .lexicon import Lexicon, read_lexicon
 from .model import (
-    ROW_GENDER, ROW_SOURCE, Category, CountTable, Document, Gender, RecordRows,
-    count_table_json, parse_date, read_count_table,
+    ROW_GENDER, ROW_SOURCE, Category, CountTable, Document, Gender, RecordRows, SourceType,
+    parse_date, read_count_table,
 )
 from .registry import PoliticianRegistry, read_registry
 from .sentiment import krippendorff_alpha
@@ -524,7 +527,7 @@ def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
                 ["lemma", "upos", "gender", "category", "source_type", "count"],
                 result.counts.to_csv_rows(),
             ),
-            "count_table.json": count_table_json(result.counts, result.records),
+            "count_table.json": result.counts.to_json_dict(),
             "descriptives.json": result.descriptives,
             "diagnostics.json": {
                 "ingest": diagnostics.to_json_dict(),
@@ -659,6 +662,28 @@ def chi_square_analysis(table: CountTable) -> dict:
     return {"chi_square.json": chi_json}
 
 
+def record_rows(table: CountTable, lexicon: Lexicon) -> RecordRows:
+    """Each category's (k, women, online) rows, from the table's word cells
+    in their order (a decoded table's is sorted): a cell counted c times
+    gives c rows, k being the lexicon's grid position of the cell's word.
+
+    Every cell's category must be the lexicon's for its word (None for a
+    word it lacks), as extract counted it; a cell counted under another
+    lexicon is a `ValueError` naming the word.
+    """
+    rows: RecordRows = {c: [] for c in Category}
+    for (lemma, upos, g, cat, st, _), n in table.words.items():
+        entry = lexicon.get(lemma, upos)
+        found = entry.category if entry is not None else None
+        if found is not cat:
+            counted = f"category {cat.value}" if cat is not None else "no category"
+            listed = f"{found.value} in" if found is not None else "not in"
+            raise ValueError(f"cell word ({lemma!r}, {upos!r}) of {counted} is {listed} the lexicon")
+        if cat is not None:
+            rows[cat] += [(entry.fifths, int(g is Gender.F), int(st is SourceType.ONLINE))] * n
+    return rows
+
+
 def quantile_analysis(cfg: PipelineConfig, rows: RecordRows) -> dict:
     """Quantile regressions of jittered sentiment with bootstrap intervals."""
     quantile_rows = []
@@ -752,7 +777,15 @@ def temporal_analysis(cfg: PipelineConfig, table: CountTable, slices: Slices) ->
 def stage_analyze(cfg: PipelineConfig) -> dict:
     cfg.validate()
     _, lexicon = _load_lexicon(cfg)
-    table, rows = _read_artifact(cfg, "analyze", "count_table.json", read_count_table)
+    table = _read_artifact(cfg, "analyze", "count_table.json", read_count_table)
+    try:
+        rows = record_rows(table, lexicon)
+    except ValueError as exc:
+        cause = ValueError(
+            f"{cfg.path('count_table.json')}: {exc} {cfg.lexicon}: "
+            "extracted with another lexicon; rerun extract"
+        )
+        raise StageError("analyze", cause) from exc
     slices = {category: table.slice(category=category) for category in Category}
     by_category = {
         **bias_analysis(cfg, table, lexicon, slices),
@@ -785,7 +818,7 @@ def stage_report(cfg: PipelineConfig) -> dict:
     cfg.validate()
     desc = _read_artifact(cfg, "report", "descriptives.json", _read_descriptives)
     diagnostics = _read_artifact(cfg, "report", "diagnostics.json", _read_diagnostics)
-    table, _ = _read_artifact(cfg, "report", "count_table.json", read_count_table)
+    table = _read_artifact(cfg, "report", "count_table.json", read_count_table)
 
     for dataset, tbl in (
         ("coverage", table),

@@ -14,13 +14,10 @@ from covbias.ingestion import (
     read_metadata,
     read_stopwords,
 )
-from covbias.model import (
-    CountTable,
-    Gender,
-    PersonalizationRecord,
-    count_table_json,
-    read_count_table,
-)
+from covbias import pipeline
+from covbias.lexicon import Lexicon, LexiconEntry
+from covbias.model import CountTable, Gender, PersonalizationRecord, read_count_table
+from covbias.sentiment import CLASS_BY_FIFTHS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -49,47 +46,49 @@ def tiny_corpus():
 def table_from_counts(word_counts: dict, n_f: int, n_m: int) -> CountTable:
     """CountTable from {(lemma, upos): (count_f, count_m)}, undated and
     with no category or source type, plus synthetic politician tallies of
-    the requested sizes."""
+    the requested sizes: politicians f0 and m0 hold every count, and the
+    others, zero-count cells of the table's first word, so that no word
+    count changes."""
     words = {
-        (lemma, upos, gender, None, None): n
+        (lemma, upos, gender, None, None, pid): n
         for (lemma, upos), counts in word_counts.items()
-        for gender, n in zip((Gender.F, Gender.M), counts)
+        for gender, pid, n in zip((Gender.F, Gender.M), ("f0", "m0"), counts)
         if n
     }
-    pid_keys = [(Gender.F, None, None, f"f{i}") for i in range(n_f)]
-    pid_keys += [(Gender.M, None, None, f"m{i}") for i in range(n_m)]
-    return CountTable.from_counts(words, {}, pid_keys)
+    if words:
+        lemma, upos = next(iter(words))[:2]
+        for gender, prefix, n in ((Gender.F, "f", n_f), (Gender.M, "m", n_m)):
+            for i in range(n):
+                words.setdefault((lemma, upos, gender, None, None, f"{prefix}{i}"), 0)
+    return CountTable(words, {})
 
 
 def table_from_events(events) -> CountTable:
     """CountTable of ``(lemma, upos, gender, category, source_type, date,
     pid[, n])`` events, n 1 when left out, each counted into the word dict
-    and, when it has a date, into the day dict; a pid of None names no
-    politician."""
+    and, when it has a date, into the day dict."""
     words: dict = {}
     days: dict = {}
-    pid_keys = []
     for lemma, upos, gender, category, source, day, pid, *n in events:
         n = n[0] if n else 1
-        key = (lemma, upos, gender, category, source)
+        key = (lemma, upos, gender, category, source, pid)
         words[key] = words.get(key, 0) + n
         if day is not None:
             key = (gender, category, source, day)
             days[key] = days.get(key, 0) + n
-        if pid is not None:
-            pid_keys.append((gender, category, source, pid))
-    return CountTable.from_counts(words, days, pid_keys)
+    return CountTable(words, days)
 
 
-def sentiment_record(category, gender, source_type, fifths, lemma="w", upos="ADJ"):
-    """A record with the fields analyze reads, the others fixed."""
+def sentiment_record(category, gender, source_type, fifths, upos="ADJ"):
+    """A record with the fields analyze reads, the others fixed; its lemma
+    names its category and grid position, so one lexicon holds them all."""
     return PersonalizationRecord(
         pid="p",
         gender=gender,
         doc_id="d",
         date=datetime.date(2018, 1, 1),
         source_type=source_type,
-        lemma=lemma,
+        lemma=f"{category.value}{fifths}",
         upos=upos,
         category=category,
         fifths=fifths,
@@ -105,13 +104,25 @@ def table_of_records(records) -> CountTable:
     )
 
 
+def lexicon_of_records(records) -> Lexicon:
+    """A lexicon with each record's word, category and grid position."""
+    return Lexicon(
+        {
+            (r.lemma, r.upos): LexiconEntry(
+                r.lemma, r.upos, r.category, (0,) * 5, r.fifths, CLASS_BY_FIFTHS[r.fifths]
+            )
+            for r in records
+        }
+    )
+
+
 def record_rows(records):
-    """Analyze's per-category rows of ``records``: written into
-    count_table.json's record_rows by extract's encoder, and read back by
-    analyze's decoder."""
+    """Analyze's per-category rows of ``records``: their table written into
+    count_table.json by extract's encoder, read back by analyze's decoder
+    and derived with a lexicon of their words."""
     records = list(records)
-    text = json.dumps(count_table_json(table_of_records(records), records))
-    return read_count_table(json.loads(text))[1]
+    text = json.dumps(table_of_records(records).to_json_dict())
+    return pipeline.record_rows(read_count_table(json.loads(text)), lexicon_of_records(records))
 
 
 def write_config(path, out_dir, ma_window=1, bootstrap=100, **extra) -> str:

@@ -784,17 +784,15 @@ class SevenStructureTally:
 
 
 def _event_counts(events):
-    """(word cells, day cells, politician sets) of ``table_from_events``
-    events, each event counted one at a time; undated events add no day."""
-    words, days, pids = {}, {}, {}
+    """(word cells, day cells) of ``table_from_events`` events, each event
+    counted one at a time; undated events add no day."""
+    words, days = {}, {}
     for lemma, upos, g, cat, st, day, pid, *n in events:
         n = n[0] if n else 1
-        words[lemma, upos, g, cat, st] = words.get((lemma, upos, g, cat, st), 0) + n
+        words[lemma, upos, g, cat, st, pid] = words.get((lemma, upos, g, cat, st, pid), 0) + n
         if day is not None:
             days[g, cat, st, day] = days.get((g, cat, st, day), 0) + n
-        if pid is not None:
-            pids.setdefault((g, cat, st), set()).add(pid)
-    return words, days, pids
+    return words, days
 
 
 def _value(x):
@@ -804,23 +802,19 @@ def _value(x):
 def count_table_json_str_key(events):
     """``CountTable.to_json_dict()`` of a ``table_from_events`` table, from
     its events, each list sorted by ``tuple(str(x) for x in key)``."""
-    words, days, pids = _event_counts(events)
+    words, days = _event_counts(events)
 
     def by_str(counts):
         return sorted(counts.items(), key=lambda kv: tuple(str(x) for x in kv[0]))
 
     return {
         "cells": [
-            [lemma, upos, g.value, _value(cat), _value(st), None, n]
-            for (lemma, upos, g, cat, st), n in by_str(words)
+            [lemma, upos, g.value, _value(cat), _value(st), pid, n]
+            for (lemma, upos, g, cat, st, pid), n in by_str(words)
         ],
         "days": [
             [g.value, _value(cat), _value(st), day.isoformat(), n]
             for (g, cat, st, day), n in by_str(days)
-        ],
-        "politicians": [
-            [g.value, _value(cat), _value(st), sorted(members)]
-            for (g, cat, st), members in by_str(pids)
         ],
     }
 
@@ -921,8 +915,8 @@ def neighborhood_reference(sentence, mention, radius, direction="undirected"):
 
 def extract_records_reference(stream, registry, lexicon, radius=2, direction="undirected"):
     """Every word attributed to its nearest mentions (all of them on a tie),
-    one lexicon lookup, one word cell count, one day cell count and one
-    record per (word, mention) pair."""
+    one lexicon lookup, one word cell count (keyed by the mention's
+    politician), one day cell count and one record per (word, mention) pair."""
     from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
     from covbias.extraction import ExtractionResult
     from covbias.model import CountTable, PersonalizationRecord
@@ -930,7 +924,7 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
     gaz = RoleGazetteer()
     records, diagnostics = [], MatchDiagnostics()
     coverage, personalization = SevenStructureTally(), SevenStructureTally()
-    words, days, pids = {}, {}, {}
+    words, days = {}, {}
     for doc, sentence in stream:
         mentions = find_mentions(sentence, doc, registry, gaz, diagnostics)
         if not mentions:
@@ -955,11 +949,10 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
                 gender = registry.politicians[m.pid].gender
                 entry = lexicon.get(token.lemma, token.upos)
                 category = entry.category if entry else None
-                key = (token.lemma, token.upos, gender, category, doc.source_type)
+                key = (token.lemma, token.upos, gender, category, doc.source_type, m.pid)
                 words[key] = words.get(key, 0) + 1
                 key = (gender, category, doc.source_type, doc.date)
                 days[key] = days.get(key, 0) + 1
-                pids.setdefault((gender, category, doc.source_type), set()).add(m.pid)
                 coverage.add(gender, m.pid, doc.doc_id, sentence.index, token.lemma)
                 if entry is not None:
                     records.append(
@@ -983,7 +976,7 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
         "coverage": coverage.to_json_dict(),
         "personalization": personalization.to_json_dict(),
     }
-    return ExtractionResult(records, CountTable(words, days, pids), descriptives, diagnostics)
+    return ExtractionResult(records, CountTable(words, days), descriptives, diagnostics)
 
 
 # ---------------------------------------------------------------------------

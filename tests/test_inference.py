@@ -75,8 +75,8 @@ class TestChiSquare:
     def test_contingency_builder_orders_rows_and_columns(self):
         table = table_from_events(
             [
-                ("a", "ADJ", Gender.F, None, SourceType.TRADITIONAL, None, None, 3),
-                ("a", "ADJ", Gender.M, None, SourceType.ONLINE, None, None, 5),
+                ("a", "ADJ", Gender.F, None, SourceType.TRADITIONAL, None, "p1", 3),
+                ("a", "ADJ", Gender.M, None, SourceType.ONLINE, None, "p2", 5),
             ]
         )
         obs = contingency_by_source(table)

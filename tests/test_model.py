@@ -22,15 +22,15 @@ from covbias.model import (
     MentionPattern,
     PersonalizationRecord,
     SourceType,
-    count_table_json,
     normalize_lemma,
     parse_date,
     read_count_table,
     tree_defect,
 )
-from covbias.pipeline import PipelineConfig, stage_extract
+from covbias.lexicon import read_lexicon
+from covbias.pipeline import PipelineConfig, record_rows, stage_extract
 import corpusgen
-from conftest import table_of_records, write_config
+from conftest import lexicon_of_records, table_of_records, write_config
 from oracles import record_json_dict
 
 
@@ -185,48 +185,67 @@ class TestRecordSerialization:
     )])
     def test_json_line_is_the_encoders_text(self, records):
         """Every line equals json.dumps of the reference object byte for
-        byte, and the record rows that extract writes into count_table.json
-        read back to the rows of those lines."""
+        byte, and the table extract writes into count_table.json beside
+        those records reads back to the rows of their lines."""
         lines = [rec.json_line() for rec in records]
         for rec, line in zip(records, lines):
             assert line == json.dumps(record_json_dict(rec), ensure_ascii=False, sort_keys=True)
+        # extract gives each word one category and grid position, its
+        # lexicon entry's; here, the first record's of the word
+        entry = {}
+        for rec in records:
+            entry.setdefault((rec.lemma, rec.upos), (rec.category, rec.fifths))
+        counted_records = [
+            rec._replace(category=entry[rec.lemma, rec.upos][0], fifths=entry[rec.lemma, rec.upos][1])
+            for rec in records
+        ]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "records.jsonl")
             reporting.write_jsonl(path, lines)
             with open(path, "rb") as fh:
                 assert fh.read() == "".join(line + "\n" for line in lines).encode("utf-8")
             path = os.path.join(tmp, "count_table.json")
-            counted = table_of_records(records)
-            reporting.write_json(path, count_table_json(counted, records), compact=True)
+            counted = table_of_records(counted_records)
+            reporting.write_json(path, counted.to_json_dict(), compact=True)
             with open(path, encoding="utf-8") as fh:
-                table, loaded = read_count_table(json.load(fh))
-        assert (table.words, table.days, table.pids) == (counted.words, counted.days, counted.pids)
-        assert loaded == reference_rows(map(json.loads, lines))
+                table = read_count_table(json.load(fh))
+        assert (table.words, table.days) == (counted.words, counted.days)
+        derived = record_rows(table, lexicon_of_records(counted_records))
+        expected = reference_rows(json.loads(rec.json_line()) for rec in counted_records)
+        assert sorted_rows(derived) == sorted_rows(expected)
 
     def test_analyze_loader_reads_the_extracted_records(self, tmp_path):
-        """Analyze's rows of count_table.json equal the rows of records.jsonl."""
+        """Analyze's rows of count_table.json hold the rows of records.jsonl."""
         out = tmp_path / "out"
-        stage_extract(PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out)))
-        loaded = extracted_rows(out)
+        cfg = PipelineConfig.from_ini(write_config(tmp_path / "cfg.ini", out))
+        stage_extract(cfg)
+        loaded = extracted_rows(cfg)
         assert list(loaded) == list(Category) and all(loaded.values())
         assert all(type(x) is int for rows in loaded.values() for row in rows for x in row)
 
     def test_analyze_loader_reads_a_generated_corpus(self, tmp_path):
         paths = corpusgen.generate(tmp_path / "in", n_docs=300, seed=7)
         out = tmp_path / "out"
-        stage_extract(PipelineConfig.from_ini(corpusgen.write_config(paths, out, tmp_path / "cfg.ini")))
-        loaded = extracted_rows(out)
+        cfg = PipelineConfig.from_ini(corpusgen.write_config(paths, out, tmp_path / "cfg.ini"))
+        stage_extract(cfg)
+        loaded = extracted_rows(cfg)
         assert all(len(rows) > 50 for rows in loaded.values())
 
 
-def extracted_rows(out):
-    """The record rows analyze decodes from ``out``'s count_table.json,
-    checked to equal, in order, the rows of ``out``'s records.jsonl."""
-    with open(out / "count_table.json", encoding="utf-8") as fh:
-        _, loaded = read_count_table(json.load(fh))
-    with open(out / "records.jsonl", encoding="utf-8") as fh:
-        assert loaded == reference_rows(map(json.loads, fh))
+def extracted_rows(cfg):
+    """The record rows analyze derives from count_table.json in ``cfg``'s
+    out/, checked to hold, per category, the rows of records.jsonl there."""
+    with open(cfg.path("count_table.json"), encoding="utf-8") as fh:
+        table = read_count_table(json.load(fh))
+    loaded = record_rows(table, read_lexicon(cfg.lexicon))
+    with open(cfg.path("records.jsonl"), encoding="utf-8") as fh:
+        assert sorted_rows(loaded) == sorted_rows(reference_rows(map(json.loads, fh)))
     return loaded
+
+
+def sorted_rows(rows):
+    """Each category's rows, sorted: the multiset they hold."""
+    return {category: sorted(listed) for category, listed in rows.items()}
 
 
 def reference_rows(objects):
