@@ -8,24 +8,24 @@ stays out, since proper nouns are entities, not descriptors.
 to its nearest mentions, ties to all of them, in one level-by-level walk
 per sentence that stops at the radius, so a sentence costs only the
 tokens within it. Attributed words feed the coverage counts; those found
-in the lexicon also become personalization records.
+in the lexicon also become personalization records, one plain tuple each
+in `RECORD_COLUMNS` order: records.jsonl's rows.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .entities import MatchDiagnostics, RoleGazetteer, find_mentions
 from .lexicon import Lexicon
 from .model import (
+    Category,
     CountTable,
     DayCell,
     Document,
     Gender,
     Mention,
-    PersonalizationRecord,
     Sentence,
     SourceType,
     Token,
@@ -113,6 +113,14 @@ def attribute(
 
 SentenceKey = tuple[Gender, str, str, int]  # (gender, pid, doc_id, sentence index)
 
+# A personalization record's fields: records.jsonl's header line, and the
+# order of each record tuple extract builds. The date is ISO text and k the
+# word's grid position (5 x its aggregate sentiment, in -5..5).
+RECORD_COLUMNS = (
+    "pid", "gender", "doc_id", "sentence", "date", "source_type", "lemma", "upos", "category", "k",
+)
+Record = tuple[str, Gender, str, int, str, SourceType, str, str, Category, int]
+
 
 def dataset_descriptives(
     words: Mapping[SentenceKey, int], lemmas: set[tuple[Gender, str]]
@@ -145,7 +153,7 @@ class ExtractionResult(NamedTuple):
     """What extract holds once the stream ends; `descriptives` is the
     descriptives.json object."""
 
-    records: list[PersonalizationRecord]
+    records: list[Record]
     counts: CountTable
     descriptives: dict
     diagnostics: MatchDiagnostics
@@ -181,26 +189,30 @@ def extract_records(
     one the reader is building.
 
     Each word's category and grid position come from one dict built
-    from the lexicon, each mention's gender from one pid -> gender dict.
-    Each (word, mention) pair is counted once into a word dict and once
-    into a day dict (`CountTable`'s two keys); the two become the
-    `CountTable` once the stream ends. The descriptives come from
-    per-`SentenceKey` counts, the word dict's keys and the records.
+    from the lexicon, each mention's gender from one pid -> gender dict,
+    and each document's ISO date text is made once. Each (word, mention)
+    pair is counted once into a word dict and once into a day dict
+    (`CountTable`'s two keys); the two become the `CountTable` once the
+    stream ends. The descriptives come from per-`SentenceKey` counts of
+    all attributed words and of the lexicon ones, and from the word dict's
+    keys.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
     gaz = gazetteer if gazetteer is not None else RoleGazetteer()
-    records: list[PersonalizationRecord] = []
+    records: list[Record] = []
     diagnostics = MatchDiagnostics()
     words = {key: (e.category, e.fifths) for key, e in lexicon.entries.items()}
     genders = {pid: p.gender for pid, p in registry.politicians.items()}
     word_cells: dict[WordCell, int] = {}
     day_cells: dict[DayCell, int] = {}
     covered: dict[SentenceKey, int] = {}
+    personalized: dict[SentenceKey, int] = {}
     word_of, word_count, day_count = words.get, word_cells.get, day_cells.get
-    covered_count, new_record, record = covered.get, tuple.__new__, records.append
+    covered_count, personalized_count, record = covered.get, personalized.get, records.append
+    current = None  # the document whose fields are unpacked below
     stream = iter(stream)
     while block := list(islice(stream, BLOCK_SENTENCES)):
         found = [
@@ -212,7 +224,10 @@ def extract_records(
             if mentions
         ]
         for doc, sent_index, pairs in walked:
-            doc_id, date, source_type = doc.doc_id, doc.date, doc.source_type
+            if doc is not current:
+                current = doc
+                doc_id, date, source_type = doc
+                day = date.isoformat()
             for token, tied in pairs:
                 lemma, upos = token.lemma, token.upos
                 word = word_of((lemma, upos))
@@ -227,18 +242,13 @@ def extract_records(
                     sent_key = (gender, pid, doc_id, sent_index)
                     covered[sent_key] = covered_count(sent_key, 0) + 1
                     if word is not None:
-                        record(
-                            new_record(
-                                PersonalizationRecord,
-                                (pid, gender, doc_id, date, source_type,
-                                 lemma, upos, category, word[1], sent_index),
-                            )
-                        )
-    personalized = Counter((r.gender, r.pid, r.doc_id, r.sentence_index) for r in records)
+                        personalized[sent_key] = personalized_count(sent_key, 0) + 1
+                        record((pid, gender, doc_id, sent_index, day, source_type,
+                                lemma, upos, category, word[1]))
     descriptives = {
         "coverage": dataset_descriptives(covered, {(k[2], k[0]) for k in word_cells}),
         "personalization": dataset_descriptives(
-            personalized, {(r.gender, r.lemma) for r in records}
+            personalized, {(k[2], k[0]) for k in word_cells if k[3] is not None}
         ),
     }
     return ExtractionResult(records, CountTable(word_cells, day_cells), descriptives, diagnostics)

@@ -9,10 +9,10 @@ immutable record to declare and to construct; only types that are mutated
 or configured (`pipeline.PipelineConfig` and the diagnostics accumulators)
 are dataclasses. A record is a tuple: it compares equal to a plain tuple
 of the same fields, iterates and orders like one, and `json.dumps` writes
-it as a list. `Token`, `Sentence`, `Document` and `PersonalizationRecord`,
-built once per token, sentence, metadata line and attributed lexicon word,
-are built by the readers and extract with ``tuple.__new__(cls, fields)``,
-all fields given, which skips the NamedTuple's Python-level ``__new__``.
+it as a list. `Token`, `Sentence` and `Document`, built once per token,
+sentence and metadata line, are built by the readers with
+``tuple.__new__(cls, fields)``, all fields given, which skips the
+NamedTuple's Python-level ``__new__``.
 count_table.json's format is defined here whole: the `CountTable`, its
 encoder and its one decoder, and the dummy coding of the record rows that
 analyze derives from the table's cells.
@@ -26,7 +26,6 @@ import re
 import unicodedata
 from enum import Enum
 from functools import cached_property
-from json.encoder import encode_basestring as _encode_str
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -214,56 +213,6 @@ class Mention(NamedTuple):
         return range(self.start, self.end + 1)
 
 
-class PersonalizationRecord(NamedTuple):
-    """One lexicon word attributed to one politician mention."""
-
-    pid: str
-    gender: Gender
-    doc_id: str
-    date: datetime.date
-    source_type: SourceType
-    lemma: str
-    upos: str
-    category: Category
-    fifths: int  # grid position k = 5 * aggregate sentiment, in -5..5
-    sentence_index: int
-
-    def json_line(self) -> str:
-        """This record as one records.jsonl line, without its newline.
-
-        The text is that of ``json.dumps(..., ensure_ascii=False,
-        sort_keys=True)`` on the record's JSON object, filled into one
-        fixed template: strings go through the encoder's own
-        ``encode_basestring`` (a str-valued enum member is a str holding
-        its value). The aggregate sentiment is the float k/5 through
-        ``float.__repr__``; the division is correctly rounded, so it is the
-        float nearest the exact score, as ``float(Fraction(k, 5))`` is.
-        """
-        return _RECORD_LINE % (
-            float.__repr__(self.fifths / 5),
-            _encode_str(self.category),
-            self.date.isoformat(),
-            _encode_str(self.doc_id),
-            _encode_str(self.gender),
-            _encode_str(self.lemma),
-            _encode_str(self.pid),
-            _encode_str(self.doc_id),
-            self.sentence_index,
-            _encode_str(self.source_type),
-            _encode_str(self.upos),
-        )
-
-
-# The keys of a records.jsonl object in sorted order, with json.dumps's
-# default separators; the ISO date needs no escaping.
-_RECORD_LINE = (
-    '{"aggregate_sentiment": %s, "category": %s, "date": "%s", "doc_id": %s, '
-    '"gender": %s, "lemma": %s, "pid": %s, "sentence_ref": [%s, %d], '
-    '"source_type": %s, "upos": %s}'
-)
-
-
-
 # ---------------------------------------------------------------------------
 # The count table and count_table.json, its one handoff from extract
 # ---------------------------------------------------------------------------
@@ -432,7 +381,9 @@ class CountTable:
         """The table of a `to_json_dict` object, its cells in file order.
 
         A file with no `days`, with a `politicians` or `record_rows` view,
-        or with a null pid was written by an older extract.
+        or with a null pid was written by an older extract. Extract writes
+        each key once, so a row whose key an earlier row of its list holds
+        is refused, naming the key.
         """
         if "days" not in d:
             raise ValueError("no days: written by an older extract; rerun extract")
@@ -456,7 +407,9 @@ class CountTable:
             if slots is None:
                 slots = decoded[g, cat, st] = _decode_slots(g, cat, st)
             key = (lemma, upos, *slots, pid)
-            words[key] = words.get(key, 0) + n
+            if key in words:
+                raise ValueError(f"cell {_key_text(lemma, upos, g, cat, st, pid)} is repeated")
+            words[key] = n
         for g, cat, st, day, n in d["days"]:
             if type(n) is not int or n < 0:
                 raise ValueError(f"day count {n!r} is not a non-negative integer")
@@ -467,7 +420,9 @@ class CountTable:
             if date is None:
                 date = dates[day] = parse_date(day)
             key = (*slots, date)
-            days[key] = days.get(key, 0) + n
+            if key in days:
+                raise ValueError(f"day {_key_text(g, cat, st, day)} is repeated")
+            days[key] = n
         return cls(words, days)
 
 
@@ -478,6 +433,11 @@ def _decode_slots(g: str, cat: Optional[str], st: Optional[str]) -> Slots:
         Category(cat) if cat is not None else None,
         SourceType(st) if st is not None else None,
     )
+
+
+def _key_text(*values: object) -> str:
+    """Serialized key values as the JSON list a count_table.json row holds them in."""
+    return json.dumps(values, ensure_ascii=False)
 
 
 def read_count_table(d: object) -> CountTable:
@@ -503,7 +463,7 @@ def read_count_table(d: object) -> CountTable:
         if days.get(slot, 0) != cells.get(slot, 0):
             raise ValueError(
                 f"days hold {days.get(slot, 0)} words of slot "
-                f"{json.dumps([_SLOT_VALUE[x] for x in slot])}, "
+                f"{_key_text(*(_SLOT_VALUE[x] for x in slot))}, "
                 f"cells {cells.get(slot, 0)}"
             )
     return table

@@ -18,8 +18,9 @@ for people. count_table.json, whose format `model` defines (the
 `CountTable`'s politician-keyed word cells and its day cells), is all that
 analyze reads besides the lexicon: each category's record rows derive from
 its word cells and the lexicon's grid positions (`record_rows`), so the
-bundle does not depend on the order of the documents. records.jsonl (one
-object per record) and counts.csv are for people and never read back. A
+bundle does not depend on the order of the documents. records.jsonl
+(tabular JSON Lines: a header of `extraction.RECORD_COLUMNS`, then one
+array per record) and counts.csv are for people and never read back. A
 missing or broken artifact stops the stage that reads it with a
 `StageError` naming the file; so do one whose top level is not a JSON
 object, a count_table.json from an older extract, one whose days disagree
@@ -75,7 +76,7 @@ import numpy as np
 from . import bias, inference, reporting, temporal
 from .entities import RoleGazetteer
 from .errors import ConfigError, CovbiasError, StageError
-from .extraction import DIRECTIONS, ExtractionResult, extract_records
+from .extraction import DIRECTIONS, RECORD_COLUMNS, ExtractionResult, extract_records
 from .ingestion import (
     CorpusDiagnostics,
     read_corpus,
@@ -252,8 +253,8 @@ def write_artifacts(cfg: PipelineConfig, artifacts: Mapping[str, object]) -> Non
     """Write a stage's artifacts all together or not at all.
 
     A `*.json` payload is an object, written compact if its name is in
-    `MACHINE_ARTIFACTS` and indented otherwise; a `*.csv` payload is a
-    (header, rows) pair and a `*.jsonl` payload an iterable of encoded lines.
+    `MACHINE_ARTIFACTS` and indented otherwise; a `*.csv` or `*.jsonl`
+    payload is a (header, rows) pair.
     A target that is a directory fails the call before anything is written.
     Every file is written under a temporary name first and renamed into
     place only once all are written. An existing target is first moved
@@ -285,7 +286,7 @@ def write_artifacts(cfg: PipelineConfig, artifacts: Mapping[str, object]) -> Non
             elif name.endswith(".csv"):
                 reporting.write_csv(tmp, *payload)
             elif name.endswith(".jsonl"):
-                reporting.write_jsonl(tmp, payload)
+                reporting.write_jsonl(tmp, *payload)
             else:
                 raise ValueError(f"no writer for artifact {name!r}")
         for tmp, name in staged:
@@ -332,20 +333,24 @@ def _read_artifact(cfg: PipelineConfig, stage: str, name: str, decode: Callable[
 
 def _read_descriptives(desc: object) -> dict:
     """descriptives.json, checked to be an object that holds every value
-    report reads: per dataset and gender, the Table 1 counts as integers
-    and the two CCDF inputs as lists of integers."""
+    report reads: per dataset and gender, the Table 1 counts as
+    non-negative integers and the two CCDF inputs as lists of them."""
     if type(desc) is not dict:
         raise ValueError("the top level is not a JSON object")
     for dataset in ("coverage", "personalization"):
         for gender in Gender:
             tally = desc[dataset][gender.value]
             for key in reporting.TABLE1_FIELDS:
-                if type(tally[key]) is not int:
-                    raise ValueError(f"{dataset}/{gender.value}/{key} is not an integer")
+                if type(tally[key]) is not int or tally[key] < 0:
+                    raise ValueError(
+                        f"{dataset}/{gender.value}/{key} is not a non-negative integer"
+                    )
             for key in ("words_per_sentence", "sentences_per_politician"):
                 values = tally[key]
-                if type(values) is not list or any(type(v) is not int for v in values):
-                    raise ValueError(f"{dataset}/{gender.value}/{key} is not a list of integers")
+                if type(values) is not list or any(type(v) is not int or v < 0 for v in values):
+                    raise ValueError(
+                        f"{dataset}/{gender.value}/{key} is not a list of non-negative integers"
+                    )
     return desc
 
 
@@ -522,7 +527,7 @@ def stage_extract(cfg: PipelineConfig) -> ExtractionResult:
     write_artifacts(
         cfg,
         {
-            "records.jsonl": (rec.json_line() for rec in result.records),
+            "records.jsonl": (RECORD_COLUMNS, result.records),
             "counts.csv": (
                 ["lemma", "upos", "gender", "category", "source_type", "count"],
                 result.counts.to_csv_rows(),

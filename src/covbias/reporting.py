@@ -41,14 +41,20 @@ def write_json(path, obj, compact: bool = False) -> None:
         fh.write(text + "\n")
 
 
-def write_jsonl(path, lines: Iterable[str]) -> None:
-    """Write JSON Lines text, each line already encoded, one newline after each.
+# Every records.jsonl line: compact, non-ASCII text as it is, from the C
+# encoder. A str-valued enum member is written as its value.
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
-    Extract's records come as `PersonalizationRecord.json_line` texts.
+
+def write_jsonl(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write tabular JSON Lines: the header, then each row, each one JSON
+    array on its own line, with a newline after each.
     """
+    encode = _JSONL_ENCODER.encode
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(encode(header) + "\n")
+        for row in rows:
+            fh.write(encode(row) + "\n")
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

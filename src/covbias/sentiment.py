@@ -5,8 +5,10 @@ it lies on the eleven-point grid -1, -0.8, ..., 0.8, 1. Every stage keeps
 it as its grid position k = 5 * score, an int in -5..5: the lexicon reads
 the annotator scores to k, each record carries k, and the sentiment class
 is `CLASS_BY_FIFTHS[k]`, so class membership never depends on float
-rounding. The float k/5 appears only in records.jsonl, which no stage
-reads back: analyze reads k from count_table.json's record rows.
+rounding. records.jsonl writes k itself, and analyze reads k from the
+lexicon for each word cell of count_table.json. The float k/5 is made in
+one place only, `inference.jitter`, where the quantile regressions need
+scores on the real line.
 
 Agreement is the ordinal Krippendorff alpha. Its coincidence matrix is
 built from units counted by rating multiset: a five-annotator lexicon on

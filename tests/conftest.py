@@ -1,4 +1,3 @@
-import datetime
 import json
 import os
 import sys
@@ -16,7 +15,7 @@ from covbias.ingestion import (
 )
 from covbias import pipeline
 from covbias.lexicon import Lexicon, LexiconEntry
-from covbias.model import CountTable, Gender, PersonalizationRecord, read_count_table
+from covbias.model import CountTable, Gender, parse_date, read_count_table
 from covbias.sentiment import CLASS_BY_FIFTHS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -80,27 +79,19 @@ def table_from_events(events) -> CountTable:
 
 
 def sentiment_record(category, gender, source_type, fifths, upos="ADJ"):
-    """A record with the fields analyze reads, the others fixed; its lemma
-    names its category and grid position, so one lexicon holds them all."""
-    return PersonalizationRecord(
-        pid="p",
-        gender=gender,
-        doc_id="d",
-        date=datetime.date(2018, 1, 1),
-        source_type=source_type,
-        lemma=f"{category.value}{fifths}",
-        upos=upos,
-        category=category,
-        fifths=fifths,
-        sentence_index=0,
-    )
+    """A record tuple, in `RECORD_COLUMNS` order, with the fields analyze
+    reads, the others fixed; its lemma names its category and grid
+    position, so one lexicon holds them all."""
+    lemma = f"{category.value}{fifths}"
+    return ("p", gender, "d", 0, "2018-01-01", source_type, lemma, upos, category, fifths)
 
 
 def table_of_records(records) -> CountTable:
     """The table extract counts beside ``records`` when they are its only
     attributed words: one word cell and one day cell each."""
     return table_from_events(
-        (r.lemma, r.upos, r.gender, r.category, r.source_type, r.date, r.pid) for r in records
+        (lemma, upos, gender, category, source, parse_date(day), pid)
+        for pid, gender, _, _, day, source, lemma, upos, category, _ in records
     )
 
 
@@ -108,10 +99,10 @@ def lexicon_of_records(records) -> Lexicon:
     """A lexicon with each record's word, category and grid position."""
     return Lexicon(
         {
-            (r.lemma, r.upos): LexiconEntry(
-                r.lemma, r.upos, r.category, (0,) * 5, r.fifths, CLASS_BY_FIFTHS[r.fifths]
+            (lemma, upos): LexiconEntry(
+                lemma, upos, category, (0,) * 5, k, CLASS_BY_FIFTHS[k]
             )
-            for r in records
+            for *_, lemma, upos, category, k in records
         }
     )
 

@@ -916,10 +916,11 @@ def neighborhood_reference(sentence, mention, radius, direction="undirected"):
 def extract_records_reference(stream, registry, lexicon, radius=2, direction="undirected"):
     """Every word attributed to its nearest mentions (all of them on a tie),
     one lexicon lookup, one word cell count (keyed by the mention's
-    politician), one day cell count and one record per (word, mention) pair."""
+    politician), one day cell count and one record, a tuple in
+    records.jsonl's column order, per (word, mention) pair."""
     from covbias.entities import MatchDiagnostics, RoleGazetteer, find_mentions
     from covbias.extraction import ExtractionResult
-    from covbias.model import CountTable, PersonalizationRecord
+    from covbias.model import CountTable
 
     gaz = RoleGazetteer()
     records, diagnostics = [], MatchDiagnostics()
@@ -956,17 +957,9 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
                 coverage.add(gender, m.pid, doc.doc_id, sentence.index, token.lemma)
                 if entry is not None:
                     records.append(
-                        PersonalizationRecord(
-                            pid=m.pid,
-                            gender=gender,
-                            doc_id=doc.doc_id,
-                            date=doc.date,
-                            source_type=doc.source_type,
-                            lemma=token.lemma,
-                            upos=token.upos,
-                            category=entry.category,
-                            fifths=entry.fifths,
-                            sentence_index=sentence.index,
+                        (
+                            m.pid, gender, doc.doc_id, sentence.index, doc.date.isoformat(),
+                            doc.source_type, token.lemma, token.upos, entry.category, entry.fifths,
                         )
                     )
                     personalization.add(
@@ -977,28 +970,3 @@ def extract_records_reference(stream, registry, lexicon, radius=2, direction="un
         "personalization": personalization.to_json_dict(),
     }
     return ExtractionResult(records, CountTable(words, days), descriptives, diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# records.jsonl: the JSON object of one record, for json.dumps
-# ---------------------------------------------------------------------------
-
-
-def record_json_dict(rec):
-    """The object a ``PersonalizationRecord`` line encodes, field by field.
-
-    ``json.dumps(record_json_dict(rec), ensure_ascii=False, sort_keys=True)``
-    is the reference text of ``rec.json_line()``.
-    """
-    return {
-        "pid": rec.pid,
-        "gender": rec.gender.value,
-        "doc_id": rec.doc_id,
-        "date": rec.date.isoformat(),
-        "source_type": rec.source_type.value,
-        "lemma": rec.lemma,
-        "upos": rec.upos,
-        "category": rec.category.value,
-        "aggregate_sentiment": float(Fraction(rec.fifths, 5)),
-        "sentence_ref": [rec.doc_id, rec.sentence_index],
-    }

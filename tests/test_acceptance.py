@@ -312,9 +312,10 @@ def test_internal_consistency_sentiment_vs_quantile_inputs(synthetic_run):
     _, out, _ = synthetic_run
     per_category = {}
     with open(out / "records.jsonl") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            per_category[rec["category"]] = per_category.get(rec["category"], 0) + 1
+        header, *records = map(json.loads, fh)
+    for record in records:
+        category = record[header.index("category")]
+        per_category[category] = per_category.get(category, 0) + 1
     coef = json.loads((out / "quantile_coefficients.json").read_text())
     for cat, n in per_category.items():
         assert coef[cat]["n"] == n

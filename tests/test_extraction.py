@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from covbias import extraction
 from covbias.entities import find_mentions
-from covbias.extraction import BLOCK_SENTENCES, attribute, dataset_descriptives, extract_records
+from covbias.extraction import (
+    BLOCK_SENTENCES,
+    RECORD_COLUMNS,
+    attribute,
+    dataset_descriptives,
+    extract_records,
+)
 from covbias.ingestion import CorpusDiagnostics, read_corpus, read_metadata, read_stopwords
 from covbias.lexicon import read_lexicon
 from covbias.model import (
@@ -29,7 +35,6 @@ from oracles import (
     SevenStructureTally,
     extract_records_reference,
     neighborhood_reference,
-    record_json_dict,
 )
 
 
@@ -42,6 +47,11 @@ def sentence_from(rows, doc_id="d", index=0):
         for i, (surface, lemma, upos, head, filtered) in enumerate(rows)
     )
     return Sentence(doc_id=doc_id, index=index, tokens=tokens)
+
+
+def records_of(result):
+    """Extract's records, each as a dict keyed by its `RECORD_COLUMNS`."""
+    return [dict(zip(RECORD_COLUMNS, r)) for r in result.records]
 
 
 def mention(start, end, pid="p"):
@@ -200,7 +210,9 @@ class TestExtractRecords:
     def test_fixture_records(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
         result = extract_records(tiny_corpus(), registry, lexicon, radius=2)
-        got = sorted((r.lemma, r.gender.value, r.category.value) for r in result.records)
+        got = sorted(
+            (r["lemma"], r["gender"].value, r["category"].value) for r in records_of(result)
+        )
         assert got == sorted(
             [
                 ("bello", "F", "physical"),
@@ -217,7 +229,7 @@ class TestExtractRecords:
     def test_lemma_map_reaches_records(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
         result = extract_records(tiny_corpus(), registry, lexicon, radius=2)
-        assert any(r.lemma == "sceriffo" for r in result.records)
+        assert any(r["lemma"] == "sceriffo" for r in records_of(result))
 
     def test_personalization_subset_of_coverage(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
@@ -226,7 +238,7 @@ class TestExtractRecords:
         for g in Gender:
             assert pers.total(g) <= result.counts.total(g)
         assert pers.total(Gender.F) == sum(
-            1 for r in result.records if r.gender is Gender.F
+            1 for r in records_of(result) if r["gender"] is Gender.F
         )
 
     def test_coverage_without_records(self, tiny_corpus, fixture_inputs):
@@ -234,7 +246,7 @@ class TestExtractRecords:
         registry, lexicon = fixture_inputs
         result = extract_records(tiny_corpus(), registry, lexicon, radius=2)
         cov_words = {k[0] for k in result.counts.word_counts()}
-        rec_words = {r.lemma for r in result.records}
+        rec_words = {r["lemma"] for r in records_of(result)}
         assert "avere" in cov_words and "avere" not in rec_words
         assert "parere" in cov_words and "parere" not in rec_words
 
@@ -249,7 +261,7 @@ class TestExtractRecords:
         sent = sentence_from(rows, doc_id="dd")
         doc = Document("dd", datetime.date(2018, 7, 1), SourceType.ONLINE)
         result = extract_records([(doc, sent)], registry, lexicon)
-        assert [r.lemma for r in result.records] == ["bello", "bello"]
+        assert [r["lemma"] for r in records_of(result)] == ["bello", "bello"]
         counts = result.counts.word_counts()[("bello", "ADJ")]
         assert counts[Gender.F] == 2
 
@@ -269,14 +281,14 @@ class TestExtractRecords:
         sent = sentence_from(rows, doc_id="dd")
         doc = Document("dd", datetime.date(2018, 7, 1), SourceType.ONLINE)
         result = extract_records([(doc, sent)], registry, lexicon)
-        bello = [r for r in result.records if r.lemma == "bello"]
-        assert sorted(r.gender.value for r in bello) == ["F", "M"]
+        bello = [r for r in records_of(result) if r["lemma"] == "bello"]
+        assert sorted(r["gender"].value for r in bello) == ["F", "M"]
         # the verb is closer to Raggi (distance 1 via head) than to
         # Fontana (distance 2)? both spans touch the root: Raggi span is
         # {1,2}, head of 1 is 3 -> distance 1; Fontana span {4,5}, head of
         # 4 is 3 -> distance 1: tie again, attributed to both.
-        ama = [r for r in result.records if r.lemma == "amare"]
-        assert sorted(r.gender.value for r in ama) == ["F", "M"]
+        ama = [r for r in records_of(result) if r["lemma"] == "amare"]
+        assert sorted(r["gender"].value for r in ama) == ["F", "M"]
 
     def test_nearest_mention_attribution_strict(self, fixture_inputs):
         registry, lexicon = fixture_inputs
@@ -292,8 +304,8 @@ class TestExtractRecords:
         sent = sentence_from(rows, doc_id="dd")
         doc = Document("dd", datetime.date(2018, 7, 1), SourceType.ONLINE)
         result = extract_records([(doc, sent)], registry, lexicon)
-        elegant = [r for r in result.records if r.lemma == "elegante"]
-        assert [r.gender.value for r in elegant] == ["M"]
+        elegant = [r for r in records_of(result) if r["lemma"] == "elegante"]
+        assert [r["gender"].value for r in elegant] == ["M"]
 
     def test_order_invariance_of_counts(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
@@ -327,11 +339,11 @@ class TestExtractRecords:
         sent = sentence_from(rows, doc_id="dd")
         doc = Document("dd", datetime.date(2018, 7, 1), SourceType.ONLINE)
         children = extract_records([(doc, sent)], registry, lexicon, direction="children")
-        assert [(r.lemma, r.pid, r.gender) for r in children.records] == [
+        assert [(r["lemma"], r["pid"], r["gender"]) for r in records_of(children)] == [
             ("elegante", "p_app", Gender.F)
         ]
         undirected = extract_records([(doc, sent)], registry, lexicon)
-        assert sorted(r.lemma for r in undirected.records) == ["amare", "elegante"]
+        assert sorted(r["lemma"] for r in records_of(undirected)) == ["amare", "elegante"]
 
     def test_descriptives_match_hand_counts(self, tiny_corpus, fixture_inputs):
         registry, lexicon = fixture_inputs
@@ -481,7 +493,7 @@ def _multi_mention_sentence(draw, index):
 
 def _extraction_json(result):
     return {
-        "records": [record_json_dict(r) for r in result.records],
+        "records": result.records,
         "counts": result.counts.to_json_dict(),
         "descriptives": result.descriptives,
         "diagnostics": result.diagnostics.to_json_dict(),

@@ -7,20 +7,17 @@ import pickle
 import pkgutil
 import subprocess
 import sys
-import tempfile
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import covbias
-from covbias import reporting
 from covbias.model import (
     Category,
     Gender,
     Mention,
     MentionPattern,
-    PersonalizationRecord,
     SourceType,
     normalize_lemma,
     parse_date,
@@ -30,8 +27,7 @@ from covbias.model import (
 from covbias.lexicon import read_lexicon
 from covbias.pipeline import PipelineConfig, record_rows, stage_extract
 import corpusgen
-from conftest import lexicon_of_records, table_of_records, write_config
-from oracles import record_json_dict
+from conftest import write_config
 
 
 class TestNormalizeLemma:
@@ -105,7 +101,7 @@ class TestTreeDefect:
         assert tree_defect([0, 3, 4, 2]) == "cyclic head chain through token 2"
 
 
-# The immutable records besides `Token` and `PersonalizationRecord`, by module.
+# The immutable records besides `Token`, by module.
 _RECORD_TYPES = [
     getattr(importlib.import_module(f"covbias.{module}"), name)
     for module, names in {
@@ -155,65 +151,7 @@ class TestMention:
         assert list(m.span) == [2, 3, 4]
 
 
-# Characters JSON escapes or that a line reader might split on: quotes,
-# backslashes, every C0 control, DEL, the two Unicode line separators, and
-# characters outside the Basic Multilingual Plane. Lone surrogates stay
-# out: no string decoded from a UTF-8 input holds one.
-_AWKWARD = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\U0001F600", "\U00010348"]
-_field_text = st.text(st.sampled_from(_AWKWARD) | st.characters(codec="utf-8"), max_size=12)
-_records = st.builds(
-    PersonalizationRecord,
-    pid=_field_text,
-    gender=st.sampled_from(Gender),
-    doc_id=_field_text,
-    date=st.dates(),
-    source_type=st.sampled_from(SourceType),
-    lemma=_field_text,
-    upos=_field_text,
-    category=st.sampled_from(Category),
-    fifths=st.integers(-5, 5),
-    sentence_index=st.integers(0, 10**9),
-)
-
-
 class TestRecordSerialization:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(_records, min_size=1, max_size=5))
-    @example([PersonalizationRecord(
-        '"\\\x00\x1f', Gender.F, "\u2028\u2029\x7f", datetime.date(1, 1, 1),
-        SourceType.ONLINE, "\U0001F600", "\n\r\t", Category.PHYSICAL, 0, 0,
-    )])
-    def test_json_line_is_the_encoders_text(self, records):
-        """Every line equals json.dumps of the reference object byte for
-        byte, and the table extract writes into count_table.json beside
-        those records reads back to the rows of their lines."""
-        lines = [rec.json_line() for rec in records]
-        for rec, line in zip(records, lines):
-            assert line == json.dumps(record_json_dict(rec), ensure_ascii=False, sort_keys=True)
-        # extract gives each word one category and grid position, its
-        # lexicon entry's; here, the first record's of the word
-        entry = {}
-        for rec in records:
-            entry.setdefault((rec.lemma, rec.upos), (rec.category, rec.fifths))
-        counted_records = [
-            rec._replace(category=entry[rec.lemma, rec.upos][0], fifths=entry[rec.lemma, rec.upos][1])
-            for rec in records
-        ]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "records.jsonl")
-            reporting.write_jsonl(path, lines)
-            with open(path, "rb") as fh:
-                assert fh.read() == "".join(line + "\n" for line in lines).encode("utf-8")
-            path = os.path.join(tmp, "count_table.json")
-            counted = table_of_records(counted_records)
-            reporting.write_json(path, counted.to_json_dict(), compact=True)
-            with open(path, encoding="utf-8") as fh:
-                table = read_count_table(json.load(fh))
-        assert (table.words, table.days) == (counted.words, counted.days)
-        derived = record_rows(table, lexicon_of_records(counted_records))
-        expected = reference_rows(json.loads(rec.json_line()) for rec in counted_records)
-        assert sorted_rows(derived) == sorted_rows(expected)
-
     def test_analyze_loader_reads_the_extracted_records(self, tmp_path):
         """Analyze's rows of count_table.json hold the rows of records.jsonl."""
         out = tmp_path / "out"
@@ -239,7 +177,9 @@ def extracted_rows(cfg):
         table = read_count_table(json.load(fh))
     loaded = record_rows(table, read_lexicon(cfg.lexicon))
     with open(cfg.path("records.jsonl"), encoding="utf-8") as fh:
-        assert sorted_rows(loaded) == sorted_rows(reference_rows(map(json.loads, fh)))
+        header, *records = map(json.loads, fh)
+    expected = reference_rows(dict(zip(header, record)) for record in records)
+    assert sorted_rows(loaded) == sorted_rows(expected)
     return loaded
 
 
@@ -249,13 +189,14 @@ def sorted_rows(rows):
 
 
 def reference_rows(objects):
-    """Each category's (k, women, online) rows of records.jsonl objects,
-    in order: k = 5 x the score, rounded, and 1 for "F" and "online"."""
+    """Each category's (k, women, online) rows of records.jsonl records,
+    each a dict keyed by the header's columns, in order: 1 for "F" and
+    "online"."""
     rows = {c: [] for c in Category}
     for obj in objects:
         rows[Category(obj["category"])].append(
             (
-                round(5 * obj["aggregate_sentiment"]),
+                obj["k"],
                 int(obj["gender"] == Gender.F.value),
                 int(obj["source_type"] == SourceType.ONLINE.value),
             )

@@ -20,7 +20,8 @@ from covbias import bias, extraction, inference, ingestion, pipeline, reporting
 from covbias.cli import build_parser, load_config
 from covbias.cli import main as cli_main
 from covbias.errors import ConfigError, InputError, StageError
-from covbias.model import Category, CountTable, Gender, PersonalizationRecord, SourceType
+from covbias.extraction import RECORD_COLUMNS
+from covbias.model import Category, CountTable, Gender, SourceType
 from covbias.pipeline import (
     PipelineConfig,
     ingest_check,
@@ -157,23 +158,22 @@ class TestPipelineOutputs:
             assert [unweighted[key] for key in ("Q1", "D5", "Q3", "D9")] == expected
             assert unweighted["IQR"] == expected[2] - expected[0]
 
-    def test_records_jsonl_schema(self, tiny_run):
-        _, out = tiny_run
-        lines = (out / "records.jsonl").read_text().strip().split("\n")
+    def test_records_jsonl_schema(self, tiny_run, tmp_path):
+        # tabular JSON Lines: the column names, then one compact array per
+        # record, line i + 1 holding extract's record i, enums as their values
+        cfg, out = tiny_run
+        header, *lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert json.loads(header) == list(RECORD_COLUMNS) == [
+            "pid", "gender", "doc_id", "sentence", "date", "source_type", "lemma", "upos",
+            "category", "k",
+        ]
         assert len(lines) == 8
-        rec = json.loads(lines[0])
-        assert set(rec) == {
-            "pid",
-            "gender",
-            "doc_id",
-            "date",
-            "source_type",
-            "lemma",
-            "upos",
-            "category",
-            "aggregate_sentiment",
-            "sentence_ref",
-        }
+        records = stage_extract(dataclasses.replace(cfg, out=str(tmp_path / "out"))).records
+        assert [json.loads(line) for line in lines] == [
+            [getattr(value, "value", value) for value in record] for record in records
+        ]
+        for line in [header, *lines]:
+            assert line == json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":"))
 
     def test_sentiment_fraction_rows_sum_to_one(self, tiny_run):
         _, out = tiny_run
@@ -216,7 +216,8 @@ class TestPipelineOutputs:
         _, out = tiny_run
         desc = json.loads((out / "descriptives.json").read_text())
         # personalization words equal the record count
-        n_records = len((out / "records.jsonl").read_text().strip().split("\n"))
+        _, *records = (out / "records.jsonl").read_text().strip().split("\n")
+        n_records = len(records)
         assert (
             desc["personalization"]["F"]["words"]
             + desc["personalization"]["M"]["words"]
@@ -389,8 +390,8 @@ class TestConfig:
         # mention spans, so the children-only walk yields 0 records (8
         # under undirected); the children walk itself is checked in
         # test_extraction.py
-        n_records = len((out / "records.jsonl").read_text().strip().splitlines())
-        assert n_records < 8
+        _, *records = (out / "records.jsonl").read_text().strip().splitlines()
+        assert len(records) < 8
 
 
 class TestIngestCheck:
@@ -800,6 +801,32 @@ class TestBrokenArtifacts:
                 ("descriptives.json", (), [1, 2]),
                 "descriptives.json: the top level is not a JSON object",
             ),
+            (
+                "report",
+                ("descriptives.json", ("coverage", "F", "words_per_sentence"), [-3]),
+                "descriptives.json: coverage/F/words_per_sentence is not a list of "
+                "non-negative integers",
+            ),
+            (
+                "report",
+                ("descriptives.json", ("personalization", "M", "contents"), -1),
+                "descriptives.json: personalization/M/contents is not a non-negative integer",
+            ),
+            *(
+                (command, ("count_table.json", ("cells",), extra),
+                 'count_table.json: cell ["amare", "VERB", "F", "moral_behavioral", '
+                 '"traditional", "p_rag"] is repeated')
+                for command, extra in (
+                    ("analyze", lambda cells: cells + [cells[0][:6] + [2]]),
+                    ("report", lambda cells: cells + [cells[0]]),
+                )
+            ),
+            *(
+                (command, ("count_table.json", ("days",), lambda days: days + [days[0]]),
+                 'count_table.json: day ["F", "moral_behavioral", "traditional", "2018-07-17"] '
+                 "is repeated")
+                for command in ("analyze", "report")
+            ),
         ],
         ids=[
             "analyze-before-extract",
@@ -838,6 +865,12 @@ class TestBrokenArtifacts:
             "lexicon-classes-a-word-counted-outside-it",
             "count-table-not-an-object",
             "descriptives-not-an-object",
+            "descriptives-negative-list-entry",
+            "descriptives-negative-table1-count",
+            "cell-repeated",
+            "cell-repeated-report",
+            "day-repeated",
+            "day-repeated-report",
         ],
     )
     def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, edit, fragment):
@@ -1032,12 +1065,22 @@ BROKEN_SENTENCES = {
 }
 
 
+def assert_same_records(given, reordered):
+    """records.jsonl of two bundles: the same header line, then the same
+    record lines, each as often, in any order."""
+    head, *records = given["records.jsonl"].decode("utf-8").splitlines()
+    moved_head, *moved_records = reordered["records.jsonl"].decode("utf-8").splitlines()
+    assert head == moved_head == json.dumps(list(RECORD_COLUMNS), separators=(",", ":"))
+    assert sorted(records) == sorted(moved_records)
+
+
 class TestDocumentOrder:
     """The bundle is a function of the documents, not of their order.
 
     records.jsonl lists each record where extract found it, so it alone may
-    differ; every other file, count_table.json and the jittered,
-    resampled quantile regressions among them, is byte-identical.
+    differ, and only in the order of its record lines; every other file,
+    count_table.json and the jittered, resampled quantile regressions
+    among them, is byte-identical.
     """
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
@@ -1055,6 +1098,7 @@ class TestDocumentOrder:
         reordered = bundle_of_documents(str(tmp_path / order), moved, config)
         assert given.keys() == reordered.keys()
         assert given["records.jsonl"] != reordered["records.jsonl"]
+        assert_same_records(given, reordered)
         differ = [name for name in given if name != "records.jsonl" and given[name] != reordered[name]]
         assert differ == []
 
@@ -1076,6 +1120,7 @@ class TestDocumentOrder:
             ["d1", "d1.bad", "no root token (no head = 0)"],
             ["d3", "d3.bad", "cyclic head chain through token 2"],
         ]
+        assert_same_records(given, reordered)
         differ = [name for name in given if name != "records.jsonl" and given[name] != reordered[name]]
         assert differ == []
 
@@ -1244,19 +1289,21 @@ class TestAllOrNothing:
         cfg, out = finished_run
         before = read_bundle_bytes(out)
         calls = []
+        encoder = reporting._JSONL_ENCODER
+        original = encoder.encode
 
-        def fail_on_third(rec):
-            calls.append(rec)
+        def fail_on_third(row):
+            calls.append(row)
             if len(calls) == 3:
                 raise RuntimeError("boom")
-            return original(rec)
+            return original(row)
 
-        original = PersonalizationRecord.json_line
-        monkeypatch.setattr(PersonalizationRecord, "json_line", fail_on_third)
+        monkeypatch.setattr(encoder, "encode", fail_on_third)
         # radius 1 attributes fewer words, so every extract file would change
         with pytest.raises(RuntimeError, match="boom"):
             stage_extract(dataclasses.replace(cfg, radius=1))
-        assert len(calls) == 3  # two lines written, the third failed mid-write
+        # the header and one record written, the third line failed mid-write
+        assert len(calls) == 3
         assert read_bundle_bytes(out) == before
 
     def test_failing_analyze_keeps_bundle(self, finished_run, monkeypatch):
